@@ -88,9 +88,9 @@ def _proper_divisors(level: SquareFreeLevel) -> list[int]:
     return [d.value for d in DivisorTable(level).divisors if d.value != 1]
 
 
-def _check_bound(bound: int, static_cap: int, what: str) -> None:
+def _check_bound(bound: int, static_cap: int, what: str, flag: str = "--max-level") -> None:
     if bound < 1:
-        raise ValueError("--max-level must be positive")
+        raise ValueError(f"{flag} must be positive")
     cap = static_cap
     raised = False
     env = os.environ.get("EISLAB_MAX_LEVEL")
@@ -102,7 +102,7 @@ def _check_bound(bound: int, static_cap: int, what: str) -> None:
         raised = cap > static_cap
     if bound > cap:
         hint = "" if raised else " (set EISLAB_MAX_LEVEL to raise it)"
-        raise ValueError(f"--max-level {bound} exceeds the {what} cap {cap}{hint}")
+        raise ValueError(f"{flag} {bound} exceeds the {what} cap {cap}{hint}")
     if bound > static_cap:
         print(
             f"warning: {what} cap raised to {bound} via EISLAB_MAX_LEVEL;"
@@ -199,6 +199,7 @@ def _cmd_residues(cfg: RunConfig) -> int:
 
 
 def _cmd_hecke_index(cfg: RunConfig) -> int:
+    _check_bound(cfg.level, MODSYM_CAP, "modular-symbol", "--level")
     SquareFreeLevel(cfg.level)
     model = cached_index(cfg.level, cfg.m)
     data = {
@@ -231,6 +232,7 @@ def _cmd_hecke_index(cfg: RunConfig) -> int:
 
 
 def _cmd_maximal_ideals(cfg: RunConfig) -> int:
+    _check_bound(cfg.level, MODSYM_CAP, "modular-symbol", "--level")
     records = enumerate_eisenstein_maximal(cfg.level)
     data = {
         "level": cfg.level,
@@ -499,6 +501,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """Run one command; exit 0 success, 1 counterexample, 2 usage error, 3 internal fault."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -506,6 +509,15 @@ def main(argv=None) -> int:
         return _HANDLERS[cfg.command](cfg)
     except ValueError as exc:
         parser.error(str(exc))
+    except Exception as exc:
+        # a broken invariant is a fault of this program, never a counterexample
+        where = f"level={getattr(args, 'level', None)} m={getattr(args, 'm', None)}"
+        print(
+            f"eislab: internal fault in {args.command} ({where}):"
+            f" {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return 3
 
 
 if __name__ == "__main__":

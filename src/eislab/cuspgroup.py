@@ -17,9 +17,7 @@ from math import gcd, prod
 from .divlattice import (
     DivisorTable,
     SquareFreeLevel,
-    box_add,
     build_tables,
-    divisor_from_int,
     sgn,
 )
 from .exactnum import (
@@ -73,7 +71,8 @@ def cuspidal_class(n, m) -> CuspidalDivisorClass:
     coeffs = tuple(
         (-1) ** d.omega if m % d.value == 0 else 0 for d in table.divisors
     )
-    assert sum(coeffs) == 0, "class must have degree zero"
+    if sum(coeffs) != 0:
+        raise RuntimeError("class must have degree zero")
     return CuspidalDivisorClass(level, m, coeffs)
 
 
@@ -148,11 +147,13 @@ def principal_lattice_basis(n: int) -> IntMatrix:
         row = []
         for x in v:
             q, r = divmod(x, 24)
-            assert r == 0, "unit divisor must be integral on every cusp"
+            if r:
+                raise RuntimeError("unit divisor must be integral on every cusp")
             row.append(q)
         gens.append(row)
     basis = hermite_normal_form(IntMatrix(gens, cols=s))
-    assert basis.rows == s - 1, "principal lattice must fill the degree-0 hyperplane"
+    if basis.rows != s - 1:
+        raise RuntimeError("principal lattice must fill the degree-0 hyperplane")
     return basis
 
 
@@ -169,7 +170,8 @@ def _rational_coordinates(basis: IntMatrix, v) -> list[Fraction]:
         if c:
             w = [x - c * y for x, y in zip(w, row)]
         coeffs.append(c)
-    assert not any(w), "class vector leaves the rational span of the lattice"
+    if any(w):
+        raise RuntimeError("class vector leaves the rational span of the lattice")
     return coeffs
 
 
@@ -206,7 +208,8 @@ def order_by_covolume(n, m) -> int:
     enlarged = IntMatrix(list(basis.data) + [coeffs], cols=basis.cols)
     ed_e = prod(elementary_divisors(enlarged))
     k, rem = divmod(ed_l, ed_e)
-    assert rem == 0, "lattice covolumes must divide"
+    if rem:
+        raise RuntimeError("lattice covolumes must divide")
     return k
 
 
@@ -264,7 +267,8 @@ def e_vector(n, m) -> list[Fraction]:
             * Fraction(24, phi * psi_c)
             * Fraction(dual, gcd(dual, m))
         )
-    assert solved == closed, "E-vector routes disagree"
+    if solved != closed:
+        raise RuntimeError("E-vector routes disagree")
     return closed
 
 
@@ -282,5 +286,6 @@ def cuspidal_group_structure(n) -> tuple[int, ...]:
             pref.append(acc)
         coords.append(pref)
     divisors = elementary_divisors(IntMatrix(coords, cols=s - 1))
-    assert len(divisors) == s - 1, "quotient must be finite"
+    if len(divisors) != s - 1:
+        raise RuntimeError("quotient must be finite")
     return tuple(d for d in divisors if d > 1)

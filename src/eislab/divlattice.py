@@ -116,7 +116,8 @@ def a_N(a: Divisor, b: Divisor) -> Fraction:
     value = Fraction(n, gcd(a.value, n // a.value)) * Fraction(
         gcd(a.value, b.value) ** 2, a.value * b.value
     )
-    assert value.denominator == 1, "a_N must be integral for square-free N"
+    if value.denominator != 1:
+        raise RuntimeError("a_N must be integral for square-free N")
     return value
 
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-BigRational = Fraction
-
 
 def num(x, den=None):
     """Numerator of x in lowest terms; sign carried on the numerator."""

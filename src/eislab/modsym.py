@@ -7,6 +7,7 @@ indices, and the census of maximal ideals sitting above them.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -37,43 +38,28 @@ _T = (0, -1, 1, -1)
 # ---------------------------------------------------------------------------
 # P^1(Z/N), lifts, cusps
 
-def _p1_normalize(n: int, u: int, v: int) -> tuple[int, int] | None:
-    """Canonical representative of (u : v), or None when gcd(u, v, n) > 1."""
-    u %= n
-    v %= n
-    if u == 0:
-        return (0, 1) if gcd(v, n) == 1 else None
-    g, s, _ = xgcd(u, n)
-    if gcd(g, v) != 1:
-        return None
-    s %= n
-    # s must be a unit; shifting by n/g keeps u*s = g
-    while gcd(s, n) != 1:
-        s = (s + n // g) % n
-    v = s * v % n
-    if g == 1:
-        return (1, v)
-    # the units fixing the first slot are 1 + k*(n/g); minimize the second
-    step = n // g
-    jump = v * step % n
-    best = v
-    t = 1
-    for _ in range(1, g):
-        v = (v + jump) % n
-        t = (t + step) % n
-        if v < best and gcd(t, n) == 1:
-            best = v
-    return (g, best)
+def _p1_table(n: int) -> tuple[array, tuple[tuple[int, int], ...]]:
+    """Index of every pair in P^1(Z/n), and the canonical points in index order.
 
-
-def _p1_points(n: int) -> tuple[tuple[int, int], ...]:
-    pts = set()
+    Entry u*n + v of the table is the index of (u : v), or -1 when
+    gcd(u, v, n) > 1.  A lexicographic scan meets each unit orbit first at
+    its canonical point (smallest first slot, then smallest second slot), so
+    the points come out sorted; the rest of each orbit is filled by scaling
+    (Cremona's P^1 lists).
+    """
+    table = array("i", [-1]) * (n * n)
+    units = [s for s in range(1, n + 1) if gcd(s, n) == 1]
+    points = []
     for u in range(n):
+        gu = gcd(u, n)
         for v in range(n):
-            p = _p1_normalize(n, u, v)
-            if p is not None:
-                pts.add(p)
-    return tuple(sorted(pts))
+            if table[u * n + v] >= 0 or gcd(gu, v) != 1:
+                continue
+            k = len(points)
+            points.append((u, v))
+            for s in units:
+                table[s * u % n * n + s * v % n] = k
+    return table, tuple(points)
 
 
 def _sl2_lift(n: int, c: int, d: int) -> tuple[int, int, int, int]:
@@ -151,7 +137,7 @@ class CuspSet:
 class ManinSymbolSpace:
     level: SquareFreeLevel
     symbols: tuple[tuple[int, int], ...]
-    index_map: dict
+    p1_index: array            # (u % N) * N + v % N -> symbol index, -1 off P^1
     quotient_rank: int
     coords: IntMatrix          # symbol -> lattice coordinates, rows span Z^rank
     section: IntMatrix         # section * coords = identity
@@ -163,10 +149,11 @@ class ManinSymbolSpace:
     op_cache: dict = field(default_factory=dict, repr=False)
 
     def symbol_index(self, c: int, d: int) -> int:
-        pt = _p1_normalize(self.level.value, c, d)
-        if pt is None:
-            raise ValueError(f"({c} : {d}) is not projective at level {self.level.value}")
-        return self.index_map[pt]
+        n = self.level.value
+        i = self.p1_index[c % n * n + d % n]
+        if i < 0:
+            raise ValueError(f"({c} : {d}) is not projective at level {n}")
+        return i
 
 
 def build_space(n, max_level: int = DESK_LEVEL_BOUND) -> ManinSymbolSpace:
@@ -180,21 +167,22 @@ def build_space(n, max_level: int = DESK_LEVEL_BOUND) -> ManinSymbolSpace:
     nn = level.value
     if nn > max_level:
         raise ValueError(f"level {nn} is beyond the desk bound {max_level}")
-    symbols = _p1_points(nn)
+    p1_index, symbols = _p1_table(nn)
     if len(symbols) != phi_psi_omega(level)[1]:
         raise RuntimeError(f"projective line count mismatch at level {nn}")
-    index_map = {s: i for i, s in enumerate(symbols)}
     count = len(symbols)
 
     def act(i: int, mat: tuple[int, int, int, int]) -> int:
         u, v = symbols[i]
         a, b, c, d = mat
-        return index_map[_p1_normalize(nn, u * a + v * c, u * b + v * d)]
+        return p1_index[(u * a + v * c) % nn * nn + (u * b + v * d) % nn]
 
     s_of = [act(i, _S) for i in range(count)]
     t_of = [act(i, _T) for i in range(count)]
-    assert all(s_of[s_of[i]] == i for i in range(count))
-    assert all(t_of[t_of[t_of[i]]] == i for i in range(count))
+    if any(s_of[s_of[i]] != i for i in range(count)):
+        raise RuntimeError(f"S does not act as an involution on symbols at level {nn}")
+    if any(t_of[t_of[t_of[i]]] != i for i in range(count)):
+        raise RuntimeError(f"T does not act with order three on symbols at level {nn}")
 
     # one coordinate per two-term orbit; fixed points die rationally
     slot: dict[int, int] = {}
@@ -254,10 +242,12 @@ def build_space(n, max_level: int = DESK_LEVEL_BOUND) -> ManinSymbolSpace:
     coords = IntMatrix(
         [hnf_coordinates(lattice, row) for row in scaled.data], cols=rank_q
     )
-    assert hermite_normal_form(coords) == IntMatrix.identity(rank_q)
+    if hermite_normal_form(coords) != IntMatrix.identity(rank_q):
+        raise RuntimeError(f"symbol images do not span the quotient lattice at level {nn}")
     _, transform = hnf_with_transform(coords)
     section = IntMatrix(transform.data[:rank_q], cols=count)
-    assert section * coords == IntMatrix.identity(rank_q)
+    if section * coords != IntMatrix.identity(rank_q):
+        raise RuntimeError(f"section does not split the symbol images at level {nn}")
 
     divisors = _divisors(level)
     cusps = CuspSet(
@@ -286,12 +276,14 @@ def build_space(n, max_level: int = DESK_LEVEL_BOUND) -> ManinSymbolSpace:
     cuspidal = hermite_normal_form(left_kernel(boundary))
     if hermite_normal_form(boundary).rows != ncl - 1:
         raise RuntimeError(f"boundary rank breach at level {nn}")
-    assert cuspidal.rows == rank_q - (ncl - 1)
-    assert cuspidal.rows % 2 == 0
+    if cuspidal.rows != rank_q - (ncl - 1):
+        raise RuntimeError(f"cuspidal rank defect at level {nn}")
+    if cuspidal.rows % 2:
+        raise RuntimeError(f"cuspidal rank {cuspidal.rows} is odd at level {nn}")
     return ManinSymbolSpace(
         level=level,
         symbols=symbols,
-        index_map=index_map,
+        p1_index=p1_index,
         quotient_rank=rank_q,
         coords=coords,
         section=section,
@@ -327,19 +319,24 @@ def _merel_family(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(mats)
 
 
-def _merel_symbol_rows(space: ManinSymbolSpace, r: int) -> list[dict[int, int]]:
+def _symbol_range(space: ManinSymbolSpace, which):
+    return range(len(space.symbols)) if which is None else which
+
+
+def _merel_symbol_rows(space: ManinSymbolSpace, r: int, which=None) -> dict[int, dict[int, int]]:
+    """Images under the determinant-r family of the symbols in which (default all)."""
     n = space.level.value
+    table = space.p1_index
     fam = _merel_family(r)
-    rows = []
-    for u, v in space.symbols:
+    rows = {}
+    for i in _symbol_range(space, which):
+        u, v = space.symbols[i]
         acc: dict[int, int] = {}
         for a, b, c, d in fam:
-            pt = _p1_normalize(n, u * a + v * c, u * b + v * d)
-            if pt is None:
-                continue
-            j = space.index_map[pt]
-            acc[j] = acc.get(j, 0) + 1
-        rows.append(acc)
+            j = table[(u * a + v * c) % n * n + (u * b + v * d) % n]
+            if j >= 0:
+                acc[j] = acc.get(j, 0) + 1
+        rows[i] = acc
     return rows
 
 
@@ -360,7 +357,7 @@ def _infty_path(space: ManinSymbolSpace, cusp: tuple[int, int]) -> list[int]:
         if k:
             prev, cur = cur, a0 * cur + prev
         sign = -1 if k % 2 == 0 else 1
-        out.append(space.index_map[_p1_normalize(n, cur, sign * prev)])
+        out.append(space.p1_index[cur % n * n + (sign * prev) % n])
     return out
 
 
@@ -371,10 +368,13 @@ def _add_path(space, acc: dict[int, int], alpha, beta, sign: int) -> None:
         acc[i] = acc.get(i, 0) - sign
 
 
-def _rows_by_paths(space: ManinSymbolSpace, r: int, with_scaling: bool) -> list[dict[int, int]]:
+def _rows_by_paths(
+    space: ManinSymbolSpace, r: int, with_scaling: bool, which=None
+) -> dict[int, dict[int, int]]:
     n = space.level.value
-    rows = []
-    for c, d in space.symbols:
+    rows = {}
+    for i in _symbol_range(space, which):
+        c, d = space.symbols[i]
         a, b, c1, d1 = _sl2_lift(n, c, d)
         acc: dict[int, int] = {}
         for j in range(r):
@@ -383,55 +383,54 @@ def _rows_by_paths(space: ManinSymbolSpace, r: int, with_scaling: bool) -> list[
             _add_path(space, acc, alpha, beta, 1)
         if with_scaling:
             _add_path(space, acc, _reduce_frac(r * b, d1), _reduce_frac(r * a, c1), 1)
-        rows.append({k: v for k, v in acc.items() if v})
+        rows[i] = {k: v for k, v in acc.items() if v}
     return rows
 
 
-def _u_symbol_rows(space: ManinSymbolSpace, q: int) -> list[dict[int, int]]:
-    return _rows_by_paths(space, q, False)
+def _u_symbol_rows(space: ManinSymbolSpace, q: int, which=None) -> dict[int, dict[int, int]]:
+    return _rows_by_paths(space, q, False, which)
 
 
-def _t_symbol_rows_by_paths(space: ManinSymbolSpace, r: int) -> list[dict[int, int]]:
+def _t_symbol_rows_by_paths(space: ManinSymbolSpace, r: int) -> dict[int, dict[int, int]]:
     # independent route to the same operator as the determinant-r family
     return _rows_by_paths(space, r, True)
 
 
-def _image_rows(space: ManinSymbolSpace, symbol_rows: list[dict[int, int]]) -> list[list[int]]:
-    rank_q = space.quotient_rank
-    out = []
-    for srow in symbol_rows:
-        acc = [0] * rank_q
-        for j, mult in srow.items():
-            xr = space.coords.data[j]
-            for t in range(rank_q):
-                acc[t] += mult * xr[t]
-        out.append(acc)
-    return out
+def _cuspidal_lift(space: ManinSymbolSpace):
+    """The cuspidal basis written on symbols, the symbols it touches, and coords sparsely.
 
-
-def _matrix_on_quotient(space: ManinSymbolSpace, symbol_rows) -> IntMatrix:
-    w = IntMatrix(_image_rows(space, symbol_rows), cols=space.quotient_rank)
-    return space.section * w
+    An operator on the cuspidal lattice needs the images of these symbols
+    only: about a third of P^1 at the larger levels.
+    """
+    key = "cuspidal-as-symbols"
+    if key not in space.op_cache:
+        lifted = space.cuspidal * space.section
+        rows = [{s: x for s, x in enumerate(row) if x} for row in lifted.data]
+        support = sorted(set().union(*rows))
+        sparse = [[(t, x) for t, x in enumerate(row) if x] for row in space.coords.data]
+        space.op_cache[key] = (rows, support, sparse)
+    return space.op_cache[key]
 
 
 def _matrix_on_cuspidal(space: ManinSymbolSpace, symbol_rows) -> IntMatrix:
-    rank_q = space.quotient_rank
+    """Operator on the cuspidal basis from symbol images; reads symbol_rows[s] on the support."""
     two_g = space.cuspidal.rows
     if two_g == 0:
         return IntMatrix([], cols=0)
-    w = _image_rows(space, symbol_rows)
-    key = "cuspidal-as-symbols"
-    if key not in space.op_cache:
-        space.op_cache[key] = space.cuspidal * space.section
-    lifted = space.op_cache[key]
-    out = []
-    for row in lifted.data:
+    lifted, support, sparse = _cuspidal_lift(space)
+    rank_q = space.quotient_rank
+    images = {}
+    for s_idx in support:
         img = [0] * rank_q
-        for s_idx, coef in enumerate(row):
-            if coef:
-                wr = w[s_idx]
-                for t in range(rank_q):
-                    img[t] += coef * wr[t]
+        for j, mult in symbol_rows[s_idx].items():
+            for t, y in sparse[j]:
+                img[t] += mult * y
+        images[s_idx] = img
+    out = []
+    for row in lifted:
+        img = [0] * rank_q
+        for s_idx, coef in row.items():
+            img = [a + coef * b for a, b in zip(img, images[s_idx])]
         coords = hnf_coordinates(space.cuspidal, img)
         if coords is None:
             raise RuntimeError(
@@ -457,10 +456,11 @@ def _factorize(n: int) -> dict[int, int]:
 def _prime_matrix(space: ManinSymbolSpace, p: int) -> IntMatrix:
     key = ("prime", p)
     if key not in space.op_cache:
+        support = _cuspidal_lift(space)[1]
         if space.level.value % p == 0:
-            rows = _u_symbol_rows(space, p)
+            rows = _u_symbol_rows(space, p, support)
         else:
-            rows = _merel_symbol_rows(space, p)
+            rows = _merel_symbol_rows(space, p, support)
         space.op_cache[key] = _matrix_on_cuspidal(space, rows)
     return space.op_cache[key]
 
@@ -486,9 +486,12 @@ def hecke_matrix(space: ManinSymbolSpace, n: int) -> IntMatrix:
     """Matrix of the n-th Hecke operator on the cuspidal lattice basis."""
     if n < 1:
         raise ValueError("operator index must be positive")
-    out = IntMatrix.identity(space.cuspidal.rows)
-    for p, e in sorted(_factorize(n).items()):
-        out = out * _prime_power_matrix(space, p, e)
+    factors = [_prime_power_matrix(space, p, e) for p, e in sorted(_factorize(n).items())]
+    if not factors:
+        return IntMatrix.identity(space.cuspidal.rows)
+    out = factors[0]
+    for factor in factors[1:]:
+        out = out * factor
     return out
 
 
@@ -503,6 +506,7 @@ class HeckeRingModel:
     basis: IntMatrix
     genus: int
     coord_cache: dict = field(default_factory=dict, repr=False)
+    probe: dict = field(default_factory=dict, repr=False)  # filled by _probe
 
 
 @dataclass(frozen=True, eq=False)
@@ -574,14 +578,104 @@ def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
     )
 
 
+def _times(vec: list[int], m: IntMatrix) -> list[int]:
+    """Row vector times matrix."""
+    out = [0] * m.cols
+    for x, row in zip(vec, m.data):
+        if x:
+            out = [a + x * b for a, b in zip(out, row)]
+    return out
+
+
+def _probe(ring: HeckeRingModel) -> dict:
+    """A probe vector v with rank{v b_j} = g, once the ring lattice is certified.
+
+    The ring lattice R, with basis b_j, holds T_1 = 1 and is checked to be
+    closed under the products b_i b_j, so R is a ring: once each prime
+    operator in use is checked to lie in R (_certified_prime), every T_k
+    does.  Since t -> v t is injective on the Q-span of R when the v b_j
+    are independent, the ring coordinates of T_k are then the unique
+    integer solution of v T_k = sum c_j v b_j, a system of width 2g
+    instead of (2g)^2.
+    """
+    state = ring.probe
+    if state:
+        return state
+    n, g = ring.space.level.value, ring.genus
+    two_g = 2 * g
+    mats = [
+        IntMatrix([b[i * two_g:(i + 1) * two_g] for i in range(two_g)], cols=two_g)
+        for b in ring.basis.data
+    ]
+    for i, bi in enumerate(mats):
+        for bj in mats[i:]:
+            if hnf_coordinates(ring.basis, _vec(bi * bj)) is None:
+                raise RuntimeError(f"ring lattice not closed under products at level {n}")
+    # v is the first unit vector e_i that separates (e_0 does not at N=105);
+    # v b_j is then row i of b_j
+    for i in range(two_g):
+        h, u = hnf_with_transform(IntMatrix([b.data[i] for b in mats], cols=two_g))
+        if any(h.data[-1]):
+            break
+    else:
+        raise RuntimeError(f"no probe vector separates the ring lattice at level {n}")
+    v = [int(i == j) for j in range(two_g)]
+    state.update(hnf=h, transform=u, primes=set(), images={1: v})
+    return state
+
+
+def _certified_prime(ring: HeckeRingModel, p: int) -> IntMatrix:
+    """The prime operator at p, checked (once) to lie in the ring lattice."""
+    mat = _prime_matrix(ring.space, p)
+    checked = ring.probe["primes"]
+    if p not in checked:
+        if hnf_coordinates(ring.basis, _vec(mat)) is None:
+            raise RuntimeError(
+                f"operator {p} escapes the ring lattice at level {ring.space.level.value}"
+            )
+        checked.add(p)
+    return mat
+
+
+def _probe_image(ring: HeckeRingModel, k: int) -> list[int]:
+    """v T_k, in hecke_matrix's factor order: v T_c, then the top prime power.
+
+    Only the images with k within the ring bound are kept: they are the
+    cofactors every larger k starts from.
+    """
+    images = ring.probe["images"]
+    if k in images:
+        return images[k]
+    factors = _factorize(k)
+    p = max(factors)
+    e = factors[p]
+    x = _probe_image(ring, k // p**e)
+    a = _certified_prime(ring, p)
+    if ring.space.level.value % p == 0:
+        for _ in range(e):
+            x = _times(x, a)
+    else:
+        prev, x = x, _times(x, a)
+        for _ in range(e - 1):
+            prev, x = x, [s - p * t for s, t in zip(_times(x, a), prev)]
+    if k <= ring.bound:
+        images[k] = x
+    return x
+
+
 def _op_coords(ring: HeckeRingModel, k: int) -> tuple[int, ...]:
+    """Coordinates of T_k over the ring basis, solved on the probe vector."""
     if k not in ring.coord_cache:
-        coords = hnf_coordinates(ring.basis, _vec(hecke_matrix(ring.space, k)))
-        if coords is None:
+        state = _probe(ring)
+        d = hnf_coordinates(state["hnf"], _probe_image(ring, k))
+        if d is None:
             raise RuntimeError(
                 f"operator {k} escapes the ring lattice at level {ring.space.level.value}"
             )
-        ring.coord_cache[k] = tuple(coords)
+        u = state["transform"].data
+        ring.coord_cache[k] = tuple(
+            sum(x * row[j] for x, row in zip(d, u)) for j in range(ring.genus)
+        )
     return ring.coord_cache[k]
 
 
@@ -610,18 +704,29 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
         )
     g = ring.genus
     bound = ring.bound
-    rows: list[list[int]] = []
+    ideal = IntMatrix([], cols=g)  # HNF of every generator row so far
     names: list[str] = []
 
+    def absorb(name: str, rows: list[list[int]]) -> None:
+        # each generator's rows are reduced into the current HNF; once it has
+        # full rank, its determinant d puts d*Z^g inside, so entries reduce mod d
+        nonlocal ideal
+        names.append(name)
+        if ideal.rows == g:
+            d = prod(row[i] for i, row in enumerate(ideal.data))
+            rows = [[x % d for x in row] for row in rows]
+        ideal = hermite_normal_form(IntMatrix(list(ideal.data) + rows, cols=g))
+
     def add_u_rows(p: int, shift: int) -> None:
-        names.append(f"U{p}-{shift}")
+        rows = []
         for k in range(1, bound + 1):
             ck = _op_coords(ring, k * p)
             base = _op_coords(ring, k)
             rows.append([x - shift * y for x, y in zip(ck, base)])
+        absorb(f"U{p}-{shift}", rows)
 
     def add_t_rows(r: int) -> None:
-        names.append(f"T{r}-{r + 1}")
+        rows = []
         for k in range(1, bound + 1):
             c = list(_op_coords(ring, k * r))
             if k % r == 0:
@@ -629,12 +734,12 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
                 c = [x + r * y for x, y in zip(c, lower)]
             base = _op_coords(ring, k)
             rows.append([x - (r + 1) * y for x, y in zip(c, base)])
+        absorb(f"T{r}-{r + 1}", rows)
 
     def measure() -> tuple[int | None, tuple[int, ...]]:
-        h = hermite_normal_form(IntMatrix(rows, cols=g))
-        if h.rows < g:
+        if ideal.rows < g:
             return None, ()
-        eds = elementary_divisors(h)
+        eds = elementary_divisors(ideal)
         return prod(eds), eds
 
     for p in ring.space.level.primes:
@@ -666,7 +771,7 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     return EisensteinIdealModel(
         level=n, m=m, index=t, elementary_divisors=eds,
         generator_names=tuple(names), prime_bound=r, stabilization=tuple(log),
-        ideal_basis=hermite_normal_form(IntMatrix(rows, cols=g)), zero_ring=False,
+        ideal_basis=ideal, zero_ring=False,
     )
 
 

@@ -108,7 +108,7 @@ def eisenstein_series(n, m: int, precision: int = 200) -> QExpansion:
     """Apply the plus word over primes of M, then the minus word over N/M, to e.
 
     M = 1 is allowed (pure minus word).  The constant term comes out as
-    prod_{p | M} (1 - p) when M = N and 0 otherwise; this is asserted.
+    prod_{p | M} (1 - p) when M = N and 0 otherwise; this is checked.
     """
     level = n if isinstance(n, SquareFreeLevel) else SquareFreeLevel(n)
     m = int(m)
@@ -127,7 +127,8 @@ def eisenstein_series(n, m: int, precision: int = 200) -> QExpansion:
             expected *= 1 - p
     else:
         expected = 0
-    assert f.coeffs[0] == expected, "constant term of the operator word is forced"
+    if f.coeffs[0] != expected:
+        raise RuntimeError("constant term of the operator word is forced")
     return f
 
 
@@ -260,7 +261,7 @@ def level_lowering_identity_check(
 def weight4_G(primes, precision: int = 200) -> QExpansion:
     """Plus word in weight 4 over the given primes, applied to E4.
 
-    The constant term is asserted equal to prod (1 - p^3).
+    The constant term is checked equal to prod (1 - p^3).
     """
     primes = [int(p) for p in primes]
     if not primes:
@@ -272,5 +273,6 @@ def weight4_G(primes, precision: int = 200) -> QExpansion:
     for p in primes:
         f = level_raise(f, p, 4, "+")
         expected *= 1 - p**3
-    assert f.coeffs[0] == expected, "constant term of the weight-4 word is forced"
+    if f.coeffs[0] != expected:
+        raise RuntimeError("constant term of the weight-4 word is forced")
     return f

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+import eislab
 from eislab.cli import build_parser, main
 
 
@@ -242,6 +245,45 @@ def test_verify_modsym_cap(capsys):
         capsys, "verify", "--suite", "index-vs-order", "--max-level", "500"
     )
     assert code == 2
+
+
+def test_hecke_index_level_cap(capsys):
+    assert run_usage_error(capsys, "hecke-index", "--level", "71", "--m", "71") == 2
+    assert run_usage_error(capsys, "hecke-index", "--level", "401", "--m", "401") == 2
+
+
+def test_maximal_ideals_level_cap(capsys):
+    assert run_usage_error(capsys, "maximal-ideals", "--level", "71") == 2
+
+
+def test_modsym_level_cap_env_override(capsys, monkeypatch):
+    monkeypatch.setenv("EISLAB_MAX_LEVEL", "71")
+    code, out, err = run(capsys, "hecke-index", "--level", "71", "--m", "71")
+    assert code == 0
+    assert out.startswith("level=71 m=71 ")
+    assert "runtimes grow quickly" in err
+
+
+@pytest.mark.parametrize("fault", [RuntimeError, AssertionError])
+def test_internal_fault_exit_code(capsys, monkeypatch, fault):
+    def broken(n, m):
+        raise fault("invariant broken")
+
+    monkeypatch.setattr("eislab.cli.cached_index", broken)
+    code, out, err = run(capsys, "hecke-index", "--level", "11", "--m", "11")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "hecke-index" in err and "level=11" in err and "m=11" in err
+    assert "invariant broken" in err
+
+
+def test_src_has_no_assert():
+    # python -O strips asserts; invariants must raise
+    for path in sorted(Path(eislab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, f"{path.name}: assert on lines {found}"
 
 
 def test_output_file(tmp_path, capsys):

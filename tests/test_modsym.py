@@ -1,9 +1,16 @@
 import random
+from math import gcd
 
 import pytest
 
 from eislab.divlattice import SquareFreeLevel
-from eislab.exactnum import IntMatrix, hnf_coordinates, phi_psi_omega
+from eislab.exactnum import (
+    IntMatrix,
+    hermite_normal_form,
+    hnf_coordinates,
+    phi_psi_omega,
+    xgcd,
+)
 from eislab.modsym import (
     boundary_and_cusps,
     build_space,
@@ -14,15 +21,19 @@ from eislab.modsym import (
     eisenstein_index,
     enumerate_eisenstein_maximal,
     hecke_matrix,
+    hecke_ring,
     m1_index_witnesses,
     verify_main_theorem,
+    _cuspidal_lift,
     _cusps_equivalent,
     _matrix_on_cuspidal,
-    _matrix_on_quotient,
     _merel_family,
     _merel_symbol_rows,
+    _op_coords,
+    _p1_table,
     _rows_by_paths,
     _t_symbol_rows_by_paths,
+    _vec,
 )
 
 SQUAREFREE = [n for n in range(7, 71)
@@ -42,6 +53,58 @@ def genus_oracle(n):
     g12 = 12 + psi - 3 * nu2 - 4 * nu3 - 6 * nu_inf
     assert g12 % 12 == 0
     return g12 // 12
+
+
+def p1_normalize(n, u, v):
+    """Canonical representative of (u : v), or None when gcd(u, v, n) > 1.
+
+    Reference normalisation by extended gcd, the oracle for the symbol
+    table and its symbol order.
+    """
+    u %= n
+    v %= n
+    if u == 0:
+        return (0, 1) if gcd(v, n) == 1 else None
+    g, s, _ = xgcd(u, n)
+    if gcd(g, v) != 1:
+        return None
+    s %= n
+    # s must be a unit; shifting by n/g keeps u*s = g
+    while gcd(s, n) != 1:
+        s = (s + n // g) % n
+    v = s * v % n
+    if g == 1:
+        return (1, v)
+    # the units fixing the first slot are 1 + k*(n/g); minimize the second
+    step = n // g
+    jump = v * step % n
+    best = v
+    t = 1
+    for _ in range(1, g):
+        v = (v + jump) % n
+        t = (t + step) % n
+        if v < best and gcd(t, n) == 1:
+            best = v
+    return (g, best)
+
+
+def image_rows(space, symbol_rows):
+    # every symbol's image on the quotient basis, dense
+    rank_q = space.quotient_rank
+    out = []
+    for i in range(len(space.symbols)):
+        acc = [0] * rank_q
+        for j, mult in symbol_rows[i].items():
+            xr = space.coords.data[j]
+            for t in range(rank_q):
+                acc[t] += mult * xr[t]
+        out.append(acc)
+    return out
+
+
+def matrix_on_quotient(space, symbol_rows):
+    w = IntMatrix(image_rows(space, symbol_rows), cols=space.quotient_rank)
+    return space.section * w
 
 
 def eta_block(d, terms):
@@ -160,7 +223,7 @@ def test_identity_paths_recover_symbols():
     for n in (11, 14, 30):
         space = cached_space(n)
         rows = _rows_by_paths(space, 1, False)
-        assert _matrix_on_quotient(space, rows) == IntMatrix.identity(space.quotient_rank)
+        assert matrix_on_quotient(space, rows) == IntMatrix.identity(space.quotient_rank)
 
 
 def test_boundary_well_defined_and_ranked():
@@ -262,7 +325,7 @@ def test_boundary_sees_operator_degree():
     # a prime-r operator moves each cusp class to itself r+1 times over
     for n, r in ((11, 2), (14, 3), (30, 7)):
         space = cached_space(n)
-        full = _matrix_on_quotient(space, _merel_symbol_rows(space, r))
+        full = matrix_on_quotient(space, _merel_symbol_rows(space, r))
         assert full * space.boundary == space.boundary.scale(r + 1), (n, r)
 
 
@@ -412,3 +475,75 @@ def test_cached_layers_are_shared():
     assert cached_space(11) is cached_space(11)
     assert cached_ring(11).space is cached_space(11)
     assert cached_index(11, 11) is cached_index(11, 11)
+
+
+def test_p1_table_matches_normalisation():
+    # the table against the extended-gcd normalisation it replaced, with the
+    # old symbol order (sorted canonical points)
+    levels = [n for n in range(2, 71) if all(n % (p * p) for p in (2, 3, 5, 7))]
+    for n in levels + [130]:
+        table, points = _p1_table(n)
+        canon = [[p1_normalize(n, u, v) for v in range(n)] for u in range(n)]
+        assert points == tuple(sorted({pt for row in canon for pt in row if pt})), n
+        for u in range(n):
+            for v in range(n):
+                i = table[u * n + v]
+                assert (i < 0) if canon[u][v] is None else points[i] == canon[u][v], (n, u, v)
+
+
+def test_restricted_images_match_full():
+    # operators read symbol images on the support of the cuspidal lift only
+    for n, r in ((35, 3), (70, 11), (66, 7)):
+        space = cached_space(n)
+        support = _cuspidal_lift(space)[1]
+        assert len(support) < len(space.symbols)
+        full = _matrix_on_cuspidal(space, _merel_symbol_rows(space, r))
+        assert _matrix_on_cuspidal(space, _merel_symbol_rows(space, r, support)) == full
+        assert hecke_matrix(space, r) == full
+
+
+def test_probe_coordinates_match_full_width():
+    for n in (11, 35, 70):
+        ring = cached_ring(n)
+        for k in range(1, 3 * ring.bound + 1):
+            full = hnf_coordinates(ring.basis, _vec(hecke_matrix(ring.space, k)))
+            assert full is not None, (n, k)
+            assert _op_coords(ring, k) == tuple(full), (n, k)
+
+
+def _generator_rows(ring, names):
+    # the rows eisenstein_index builds for each named generator
+    rows = []
+    for name in names:
+        head, shift = name[1:].split("-")
+        p, shift = int(head), int(shift)
+        for k in range(1, ring.bound + 1):
+            c = list(_op_coords(ring, k * p))
+            if name[0] == "T" and k % p == 0:
+                c = [x + p * y for x, y in zip(c, _op_coords(ring, k // p))]
+            rows.append([x - shift * y for x, y in zip(c, _op_coords(ring, k))])
+    return rows
+
+
+def test_incremental_index_hnf_matches_one_shot():
+    for n in (11, 35, 66, 70):
+        ring = cached_ring(n)
+        for m in (d for d in range(1, n + 1) if n % d == 0):
+            model = cached_index(n, m)
+            rows = _generator_rows(ring, model.generator_names)
+            one_shot = hermite_normal_form(IntMatrix(rows, cols=ring.genus))
+            assert model.ideal_basis == one_shot, (n, m)
+
+
+def test_planted_prime_operator_escapes_ring():
+    # a wrong prime operator must trip the ring-lattice certificate
+    for n, r in ((11, 3), (35, 13)):
+        space = build_space(n)
+        ring = hecke_ring(space)
+        assert r > ring.bound
+        wrong = [list(row) for row in hecke_matrix(build_space(n), r).data]
+        wrong[0][0] += 1
+        space.op_cache[("prime", r)] = IntMatrix(wrong)
+        _op_coords(ring, 2)
+        with pytest.raises(RuntimeError, match="escapes the ring lattice"):
+            _op_coords(ring, r)
