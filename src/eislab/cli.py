@@ -14,16 +14,12 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
+# eislab.modsym is imported inside the commands and suites that use it, so
+# the lattice and series commands do not pay for loading it.
 from eislab.cuspgroup import order_closed_form, order_with_oracle
 from eislab.divlattice import DivisorTable, SquareFreeLevel
-from eislab.modsym import (
-    cached_index,
-    compare_index_order,
-    enumerate_eisenstein_maximal,
-    m1_index_witnesses,
-    verify_main_theorem,
-)
 from eislab.qseries import (
     eigenform_violations,
     eisenstein_series,
@@ -136,6 +132,8 @@ def _emit(cfg: RunConfig, data, text_lines, csv_table) -> None:
 # single-query commands
 
 def _cmd_cusp_order(cfg: RunConfig) -> int:
+    if cfg.oracle:
+        _check_bound(cfg.level, LATTICE_CAP, "lattice", "--level")
     res = (
         order_with_oracle(cfg.level, cfg.m)
         if cfg.oracle
@@ -201,6 +199,8 @@ def _cmd_residues(cfg: RunConfig) -> int:
 def _cmd_hecke_index(cfg: RunConfig) -> int:
     _check_bound(cfg.level, MODSYM_CAP, "modular-symbol", "--level")
     SquareFreeLevel(cfg.level)
+    from eislab.modsym import cached_index, compare_index_order
+
     model = cached_index(cfg.level, cfg.m)
     data = {
         "level": model.level,
@@ -233,6 +233,8 @@ def _cmd_hecke_index(cfg: RunConfig) -> int:
 
 def _cmd_maximal_ideals(cfg: RunConfig) -> int:
     _check_bound(cfg.level, MODSYM_CAP, "modular-symbol", "--level")
+    from eislab.modsym import enumerate_eisenstein_maximal
+
     records = enumerate_eisenstein_maximal(cfg.level)
     data = {
         "level": cfg.level,
@@ -307,6 +309,8 @@ def _suite_qidentity(bound: int) -> list[dict]:
 
 
 def _suite_index_vs_order(bound: int) -> list[dict]:
+    from eislab.modsym import compare_index_order
+
     cases = []
     for level in _squarefree_levels(bound):
         for m in sorted(_proper_divisors(level)):
@@ -330,6 +334,8 @@ def _suite_index_vs_order(bound: int) -> list[dict]:
 
 
 def _suite_nonmaximal(bound: int) -> list[dict]:
+    from eislab.modsym import m1_index_witnesses
+
     cases = []
     for level in _squarefree_levels(bound):
         try:
@@ -348,6 +354,8 @@ def _suite_nonmaximal(bound: int) -> list[dict]:
 
 
 def _suite_main_theorem(bound: int) -> list[dict]:
+    from eislab.modsym import verify_main_theorem
+
     cases = []
     for level in _squarefree_levels(bound):
         try:
@@ -428,7 +436,12 @@ _HANDLERS = {
 }
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    A build costs about a millisecond, more than most cached queries.
+    """
     parser = argparse.ArgumentParser(
         prog="eislab",
         description="Cuspidal class orders, shifted-Hecke ideal indices, and"

@@ -12,21 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
+from operator import mul
 
-from .divlattice import (
-    DivisorTable,
-    SquareFreeLevel,
-    build_tables,
-    sgn,
-)
+from .divlattice import SquareFreeLevel, build_tables, sgn
 from .exactnum import (
     IntMatrix,
+    determinant,
     elementary_divisors,
-    hermite_normal_form,
-    hnf_coordinates,
+    hnf_mod_det,
     is_prime,
-    left_kernel,
     num,
     phi_psi_omega,
 )
@@ -67,7 +62,7 @@ def cuspidal_class(n, m) -> CuspidalDivisorClass:
     """Coefficient vector of sum_{d | M} (-1)^omega(d) P_d over the divisor order."""
     level = _level_of(n)
     m = _check_m(level, m)
-    table = DivisorTable(level)
+    table = _tables(level.value)[0]
     coeffs = tuple(
         (-1) ** d.omega if m % d.value == 0 else 0 for d in table.divisors
     )
@@ -105,124 +100,96 @@ def _tables(n: int):
 
 
 def unit_exponent_lattice(n) -> IntMatrix:
-    """Generators (rows) of the admissible exponent vectors on eta generators.
+    """HNF basis (rows) of the admissible exponent vectors on eta generators.
 
     Admissible means: degree zero, sum(e_d * d) = 0 mod 24,
-    sum(e_d * N/d) = 0 mod 24, and prod(d^e_d) a rational square.  The
-    square condition is the per-prime exponent parity; congruences are
-    encoded through auxiliary unknowns and projected away.
+    sum(e_d * N/d) = 0 mod 24, and prod(d^e_d) a rational square, i.e. even
+    exponent sums over each prime.  Degree zero fixes e_N = -sum of the
+    others, which turns the rest into congruences x*B = 0 mod
+    (24, 24, 2, ..., 2) on the other s - 1 exponents x.  The lattice of
+    (x*B + y*diag(24, 24, 2, ..., 2), x) has determinant 576 * 2^n; the rows
+    of its HNF with zeros in the congruence columns are the HNF of the x.
     """
     level = _level_of(n)
     table, _, _ = _tables(level.value)
     s = len(table)
-    nprimes = level.n
-    cols = 3 + nprimes
+    moduli = [24, 24] + [2] * level.n
+    k = len(moduli)
     rows = []
-    for d in table.divisors:
-        rows.append(
-            [1, d.value, level.value // d.value]
-            + [b for b in d.bits]
-        )
-    rows.append([0, 24, 0] + [0] * nprimes)
-    rows.append([0, 0, 24] + [0] * nprimes)
-    for t in range(nprimes):
-        aux = [0, 0, 0] + [0] * nprimes
-        aux[3 + t] = 2
-        rows.append(aux)
-    kernel = left_kernel(IntMatrix(rows, cols=cols))
-    projected = [row[:s] for row in kernel.data]
-    return hermite_normal_form(IntMatrix(projected, cols=s))
+    for i, d in enumerate(table.divisors[:-1]):
+        unit = [0] * (s - 1)
+        unit[i] = 1
+        congruences = [d.value - level.value, level.value // d.value - 1]
+        congruences += [b - 1 for b in d.bits]
+        rows.append([c % q for c, q in zip(congruences, moduli)] + unit)
+    for t, q in enumerate(moduli):
+        row = [0] * (k + s - 1)
+        row[t] = q
+        rows.append(row)
+    h = hnf_mod_det(rows, 576 << level.n)
+    return IntMatrix(
+        [list(row[k:]) + [-sum(row[k:])] for row in h.data[k:]], cols=s
+    )
 
 
 @lru_cache(maxsize=None)
 def principal_lattice_basis(n: int) -> IntMatrix:
-    """HNF basis of the lattice of principal divisors supported on the cusps."""
+    """HNF basis of the lattice of principal divisors supported on the cusps.
+
+    Principal divisors have degree zero, so dropping the last cusp leaves a
+    square full-rank system; its HNF is taken modulo its determinant and the
+    last coordinate is put back as minus the row sum.
+    """
     level = SquareFreeLevel(n)
     table, lam24, _ = _tables(level.value)
     s = len(table)
     exps = unit_exponent_lattice(level)
+    columns = list(zip(*lam24.data))
     gens = []
     for e in exps.data:
-        v = [sum(e[j] * lam24[j][i] for j in range(s)) for i in range(s)]
+        v = [sum(map(mul, e, col)) for col in columns]
+        if sum(v):
+            raise RuntimeError("unit divisor must have degree zero")
         row = []
-        for x in v:
+        for x in v[:-1]:
             q, r = divmod(x, 24)
             if r:
                 raise RuntimeError("unit divisor must be integral on every cusp")
             row.append(q)
         gens.append(row)
-    basis = hermite_normal_form(IntMatrix(gens, cols=s))
-    if basis.rows != s - 1:
+    det = abs(determinant(gens))
+    if not det:
         raise RuntimeError("principal lattice must fill the degree-0 hyperplane")
-    return basis
-
-
-def _rational_coordinates(basis: IntMatrix, v) -> list[Fraction]:
-    """Coordinates of v over the HNF rows of basis, solved over the rationals."""
-    w = [Fraction(x) for x in v]
-    coeffs = []
-    for row in basis.data:
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None:
-            coeffs.append(Fraction(0))
-            continue
-        c = w[p] / row[p]
-        if c:
-            w = [x - c * y for x, y in zip(w, row)]
-        coeffs.append(c)
-    if any(w):
-        raise RuntimeError("class vector leaves the rational span of the lattice")
-    return coeffs
+    h = hnf_mod_det(gens, det)
+    return IntMatrix([list(row) + [-sum(row)] for row in h.data], cols=s)
 
 
 def order_lattice_oracle(n, m) -> int:
     """Smallest k >= 1 with k * C_{M,N} in the principal lattice.
 
     The class sits inside the rational span of the lattice, so its image in
-    span/lattice has order lcm of the coordinate denominators.  Solving the
-    triangular HNF system stays cheap even where a covolume comparison via
-    Smith form hits intermediate coefficient blow-up (first at N = 210).
+    span/lattice has order the lcm of its coordinate denominators.  The
+    triangular HNF system is solved fraction-free: where a pivot does not
+    divide the current entry, the order and the vector are scaled by
+    pivot/gcd, which keeps the order the least common multiple so far.
     """
     level = _level_of(n)
     m = _check_m(level, m)
     basis = principal_lattice_basis(level.value)
-    coeffs = cuspidal_class(level, m).coeffs
-    x = _rational_coordinates(basis, coeffs)
+    w = list(cuspidal_class(level, m).coeffs)
     order = 1
-    for c in x:
-        order = order * c.denominator // gcd(order, c.denominator)
+    for row in basis.data:
+        p = next(j for j, x in enumerate(row) if x)
+        f = row[p] // gcd(w[p], row[p])
+        if f > 1:
+            order *= f
+            w = [f * x for x in w]
+        q = w[p] // row[p]
+        if q:
+            w = [x - q * y for x, y in zip(w, row)]
+    if any(w):
+        raise RuntimeError("class vector leaves the rational span of the lattice")
     return order
-
-
-def order_by_covolume(n, m) -> int:
-    """Covolume-ratio route: index drop when the class joins the lattice.
-
-    Two Smith forms per call; exact but slow at 4-prime levels.  Kept as an
-    independent small-level cross-check for the solver above.
-    """
-    level = _level_of(n)
-    m = _check_m(level, m)
-    basis = principal_lattice_basis(level.value)
-    coeffs = cuspidal_class(level, m).coeffs
-    ed_l = prod(elementary_divisors(basis))
-    enlarged = IntMatrix(list(basis.data) + [coeffs], cols=basis.cols)
-    ed_e = prod(elementary_divisors(enlarged))
-    k, rem = divmod(ed_l, ed_e)
-    if rem:
-        raise RuntimeError("lattice covolumes must divide")
-    return k
-
-
-def order_by_search(n, m, k_max: int = 100000) -> int:
-    """Brute-force cross-check: step k until k * C lands in the lattice."""
-    level = _level_of(n)
-    m = _check_m(level, m)
-    basis = principal_lattice_basis(level.value)
-    coeffs = cuspidal_class(level, m).coeffs
-    for k in range(1, k_max + 1):
-        if hnf_coordinates(basis, [k * c for c in coeffs]) is not None:
-            return k
-    raise AssertionError(f"no multiple of the class up to {k_max} is principal")
 
 
 def order_with_oracle(n, m) -> OrderResult:

@@ -157,25 +157,27 @@ class DivisorTable:
 
 
 def build_tables(n) -> tuple[DivisorTable, IntMatrix, IntMatrix]:
-    """(DivisorTable, 24*Lambda, A) for square-free n; identity checked."""
+    """(DivisorTable, 24*Lambda, A) for square-free n; identity checked.
+
+    Entry (a, b) of 24*Lambda is a box b = N*gcd(a, b)^2/(a*b), the product
+    of the primes on which a and b agree; A carries it with the sign
+    sgn(a box b) = (-1)^(omega(a) + omega(b)).
+    """
     level = n if isinstance(n, SquareFreeLevel) else SquareFreeLevel(n)
     table = DivisorTable(level)
-    s = len(table)
+    values = [d.value for d in table.divisors]
+    signs = [-1 if d.omega % 2 else 1 for d in table.divisors]
     box_vals = [
-        [box_add(table[i], table[j]).value for j in range(s)] for i in range(s)
+        [level.value * gcd(a, b) ** 2 // (a * b) for b in values] for a in values
     ]
-    lam24 = IntMatrix(box_vals, cols=s)
+    lam24 = IntMatrix(box_vals)
     amat = IntMatrix(
         [
-            [
-                sgn(box_add(table[i], table[j])) * box_vals[i][j]
-                for j in range(s)
-            ]
-            for i in range(s)
-        ],
-        cols=s,
+            [sa * sb * x for sb, x in zip(signs, row)]
+            for sa, row in zip(signs, box_vals)
+        ]
     )
     phi, psi, _ = phi_psi_omega(level)
-    if lam24 * amat != IntMatrix.identity(s).scale(phi * psi):
+    if lam24 * amat != IntMatrix.identity(len(table)).scale(phi * psi):
         raise AssertionError(f"(24*Lambda)*A != phi*psi*I at N={level.value}")
     return table, lam24, amat

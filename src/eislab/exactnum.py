@@ -7,7 +7,7 @@ the primitives in this module.  All arithmetic is exact; no floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 
 def num(x, den=None):
@@ -61,24 +61,34 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i in range(2, bound + 1) if mark[i]]
 
 
+TRIAL_DIVISION_LIMIT = 10**6
+
+
 def factor_squarefree(n: int) -> tuple[int, ...]:
     """Strictly increasing prime factors of a square-free n >= 1.
 
-    Raises ValueError when n is not square-free.  Trial division only;
-    inputs stay small at desk scale.
+    Raises ValueError when n is not square-free.  Trial division stops at
+    TRIAL_DIVISION_LIMIT; a cofactor left below the square of the next
+    trial divisor is prime, and a larger one raises ValueError, so every
+    input costs at most half a million divisions.
     """
     if n < 1:
         raise ValueError(f"level must be positive, got {n}")
     primes = []
     m = n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p <= TRIAL_DIVISION_LIMIT:
         if m % p == 0:
             m //= p
             if m % p == 0:
                 raise ValueError(f"{n} is not square-free (divisible by {p}^2)")
             primes.append(p)
         p += 1 if p == 2 else 2
+    if p * p <= m:
+        raise ValueError(
+            f"{n} has no prime factor up to {TRIAL_DIVISION_LIMIT} and a cofactor"
+            f" {m} too large to certify prime by trial division"
+        )
     if m > 1:
         primes.append(m)
     return tuple(primes)
@@ -255,6 +265,85 @@ def hermite_normal_form(M: IntMatrix) -> IntMatrix:
     a = M.tolist()
     rank = _hnf_inplace(a, None)
     return IntMatrix(a[:rank], cols=M.cols)
+
+
+def determinant(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
+
+    Every division is exact, so entries never exceed the size of a minor.
+    """
+    a = [[int(x) for x in row] for row in rows]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        p, row_k = a[k][k], a[k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], row_k)]
+        prev = p
+    return sign * prev
+
+
+def hnf_mod_det(rows, d: int) -> IntMatrix:
+    """Row HNF of a square nonsingular integer matrix, given d = |det(rows)|.
+
+    Domich-Kannan-Trotter (Cohen, GTM 138, Algorithm 2.4.8): column j is
+    cleared with gcd row operations on the rows without a pivot yet, all
+    entries reduced modulo a running modulus R.  R starts at d; the lattice
+    still to be reduced has determinant dividing R, so it contains R*Z^k and
+    the reduction changes nothing.  Each pivot is gcd(column entry, R),
+    which is R itself when the column is 0 mod R, and R is then divided by
+    it.  A last pass reduces the entries above the pivots into [0, pivot),
+    in ascending column order, giving the same canonical form as
+    hermite_normal_form.  The reduction is sound for any multiple of |det|,
+    but d must be |det| exactly: a ValueError is raised unless the pivots
+    multiply to d.
+    """
+    n = len(rows)
+    if d < 1:
+        raise ValueError(f"d must be positive, got {d}")
+    if any(len(row) != n for row in rows):
+        raise ValueError("hnf_mod_det needs a square matrix")
+    # active rows keep only the columns from j on
+    active = [[int(x) % d for x in row] for row in rows]
+    out = []
+    mod = d
+    for j in range(n):
+        head = [x % mod for x in active.pop()]
+        if not head[0]:
+            head[0] = mod
+        for i, row in enumerate(active):
+            x = row[0] % mod
+            if not x:
+                continue
+            g, s, t = xgcd(head[0], x)
+            a, b = head[0] // g, x // g
+            head, active[i] = (
+                [(s * p + t * q) % mod for p, q in zip(head, row)],
+                [(a * q - b * p) % mod for p, q in zip(head, row)],
+            )
+        g, u, _ = xgcd(head[0], mod)
+        out.append([0] * j + [g] + [u * x % mod for x in head[1:]])
+        mod //= g
+        active = [row[1:] for row in active]
+    for j in range(n):
+        row_j, p = out[j], out[j][j]
+        for i in range(j):
+            q = out[i][j] // p
+            if q:
+                out[i] = [x - q * y for x, y in zip(out[i], row_j)]
+    pivots = prod(out[j][j] for j in range(n))
+    if pivots != d:
+        raise ValueError(f"d = {d} is not |det|: the pivots multiply to {pivots}")
+    return IntMatrix(out, cols=n)
 
 
 def hnf_with_transform(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

@@ -48,7 +48,8 @@ def _sweep_levels():
 def test_criterion_1_closed_form_matches_lattice_oracle():
     t0 = time.perf_counter()
     checks = 0
-    for level in _squarefree(7, 210):
+    # 210 is the first 4-prime level, 2310 the only 5-prime one under the cap
+    for level in _squarefree(7, 210) + [SquareFreeLevel(2310)]:
         n = level.value
         phi = phi_psi_omega(level)[0]
         for m in _proper_divisors(n):
@@ -66,7 +67,7 @@ def test_criterion_1_closed_form_matches_lattice_oracle():
             checks += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 30, f"budget blown: {elapsed:.1f}s"
-    print(f"PASS: criterion 1, {checks} order checks to level 210 in {elapsed:.2f}s")
+    print(f"PASS: criterion 1, {checks} order checks to level 210 and at 2310 in {elapsed:.2f}s")
 
 
 def test_criterion_2_divisor_box_algebra_exhaustive():

@@ -4,6 +4,9 @@ import ast
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -264,12 +267,56 @@ def test_modsym_level_cap_env_override(capsys, monkeypatch):
     assert "runtimes grow quickly" in err
 
 
+def test_cusp_order_oracle_level_cap(capsys, monkeypatch):
+    # the closed form has no cap; the oracle obeys the lattice cap
+    assert run(capsys, "cusp-order", "--level", "2311", "--m", "2311")[0] == 0
+    argv = ("cusp-order", "--level", "2311", "--m", "2311", "--oracle")
+    assert run_usage_error(capsys, *argv) == 2
+    monkeypatch.setenv("EISLAB_MAX_LEVEL", "2311")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == "N=2311 M=2311 order=385 h=1 oracle=385 agreed=yes\n"
+    assert "runtimes grow quickly" in err
+
+
+def _eislab_subprocess(*args, timeout):
+    env = dict(os.environ, PYTHONPATH=str(Path(eislab.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+def test_huge_level_refused_in_bounded_time():
+    huge = "1000000000000000003"
+    proc = _eislab_subprocess(
+        "-m", "eislab.cli", "cusp-order", "--level", huge, "--m", huge, timeout=10
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "too large to certify prime" in proc.stderr
+
+
+def test_cli_import_leaves_modsym_unloaded():
+    proc = _eislab_subprocess(
+        "-c", "import sys, eislab.cli; print('eislab.modsym' in sys.modules)", timeout=60
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
+
+
+def test_parser_built_once_per_process(capsys):
+    build_parser.cache_clear()
+    for _ in range(3):
+        assert run(capsys, "cusp-order", "--level", "11", "--m", "11")[0] == 0
+    assert build_parser.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("fault", [RuntimeError, AssertionError])
 def test_internal_fault_exit_code(capsys, monkeypatch, fault):
     def broken(n, m):
         raise fault("invariant broken")
 
-    monkeypatch.setattr("eislab.cli.cached_index", broken)
+    monkeypatch.setattr("eislab.modsym.cached_index", broken)
     code, out, err = run(capsys, "hecke-index", "--level", "11", "--m", "11")
     assert code == 3
     assert out == ""

@@ -1,33 +1,132 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from eislab.cuspgroup import (
+    _check_m,
+    _level_of,
+    _tables,
     cuspidal_class,
     cuspidal_group_structure,
     e_vector,
-    order_by_covolume,
-    order_by_search,
     order_closed_form,
     order_lattice_oracle,
     order_with_oracle,
+    principal_lattice_basis,
     unit_exponent_lattice,
 )
 from eislab.divlattice import DivisorTable, SquareFreeLevel
-from eislab.exactnum import phi_psi_omega
+from eislab.exactnum import (
+    IntMatrix,
+    elementary_divisors,
+    hermite_normal_form,
+    hnf_coordinates,
+    left_kernel,
+    phi_psi_omega,
+)
 
 
 def _squarefree(lo, hi):
     out = []
     for n in range(lo, hi + 1):
-        if all(n % (p * p) for p in (2, 3, 5, 7, 11, 13)):
-            out.append(n)
+        try:
+            SquareFreeLevel(n)
+        except ValueError:
+            continue
+        out.append(n)
     return out
 
 
 def _proper_divisors(n):
     return [m for m in range(2, n + 1) if n % m == 0]
+
+
+# --- reference routes: slower or older computations of the same objects ----
+
+def order_by_covolume(n, m) -> int:
+    """Covolume-ratio route: index drop when the class joins the lattice.
+
+    Two Smith forms per call; exact but slow at 4-prime levels.  Kept as an
+    independent small-level cross-check for the solver.
+    """
+    level = _level_of(n)
+    m = _check_m(level, m)
+    basis = principal_lattice_basis(level.value)
+    coeffs = cuspidal_class(level, m).coeffs
+    ed_l = prod(elementary_divisors(basis))
+    enlarged = IntMatrix(list(basis.data) + [coeffs], cols=basis.cols)
+    ed_e = prod(elementary_divisors(enlarged))
+    k, rem = divmod(ed_l, ed_e)
+    if rem:
+        raise RuntimeError("lattice covolumes must divide")
+    return k
+
+
+def order_by_search(n, m, k_max: int = 100000) -> int:
+    """Brute-force cross-check: step k until k * C lands in the lattice."""
+    level = _level_of(n)
+    m = _check_m(level, m)
+    basis = principal_lattice_basis(level.value)
+    coeffs = cuspidal_class(level, m).coeffs
+    for k in range(1, k_max + 1):
+        if hnf_coordinates(basis, [k * c for c in coeffs]) is not None:
+            return k
+    raise AssertionError(f"no multiple of the class up to {k_max} is principal")
+
+
+def rational_coordinates(basis: IntMatrix, v) -> list[Fraction]:
+    """Coordinates of v over the HNF rows of basis, solved over the rationals."""
+    w = [Fraction(x) for x in v]
+    coeffs = []
+    for row in basis.data:
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None:
+            coeffs.append(Fraction(0))
+            continue
+        c = w[p] / row[p]
+        if c:
+            w = [x - c * y for x, y in zip(w, row)]
+        coeffs.append(c)
+    if any(w):
+        raise RuntimeError("class vector leaves the rational span of the lattice")
+    return coeffs
+
+
+def order_by_fractions(n, m) -> int:
+    """The oracle's order as the lcm of the Fraction coordinates' denominators."""
+    basis = principal_lattice_basis(n)
+    order = 1
+    for c in rational_coordinates(basis, cuspidal_class(n, m).coeffs):
+        order = order * c.denominator // gcd(order, c.denominator)
+    return order
+
+
+def unit_lattice_by_kernel(n) -> IntMatrix:
+    """Admissible eta exponents as a projected left kernel over all s coordinates."""
+    level = SquareFreeLevel(n)
+    table = DivisorTable(level)
+    s, nprimes = len(table), level.n
+    rows = [[1, d.value, n // d.value] + list(d.bits) for d in table.divisors]
+    rows.append([0, 24, 0] + [0] * nprimes)
+    rows.append([0, 0, 24] + [0] * nprimes)
+    for t in range(nprimes):
+        aux = [0] * (3 + nprimes)
+        aux[3 + t] = 2
+        rows.append(aux)
+    kernel = left_kernel(IntMatrix(rows, cols=3 + nprimes))
+    return hermite_normal_form(IntMatrix([row[:s] for row in kernel.data], cols=s))
+
+
+def principal_lattice_by_hnf(n) -> IntMatrix:
+    """Principal divisors as the plain HNF of the unit divisors on all s cusps."""
+    _, lam24, _ = _tables(n)
+    gens = unit_lattice_by_kernel(n) * lam24
+    if any(x % 24 for row in gens.data for x in row):
+        raise RuntimeError("unit divisor must be integral on every cusp")
+    return hermite_normal_form(
+        IntMatrix([[x // 24 for x in row] for row in gens.data], cols=lam24.cols)
+    )
 
 
 def test_class_vector_examples():
@@ -94,6 +193,22 @@ def test_covolume_route_cross_check():
     for n in (11, 19, 30, 42, 66, 105):
         for m in _proper_divisors(n):
             assert order_by_covolume(n, m) == order_lattice_oracle(n, m), (n, m)
+
+
+def test_unit_lattice_matches_kernel_route():
+    for n in _squarefree(2, 1155):
+        assert unit_exponent_lattice(n) == unit_lattice_by_kernel(n), n
+
+
+def test_principal_lattice_matches_plain_hnf():
+    for n in _squarefree(2, 1155):
+        assert principal_lattice_basis(n) == principal_lattice_by_hnf(n), n
+
+
+def test_integer_oracle_matches_fraction_solve():
+    for n in _squarefree(2, 330):
+        for m in _proper_divisors(n):
+            assert order_lattice_oracle(n, m) == order_by_fractions(n, m), (n, m)
 
 
 def test_unit_exponent_lattice_rank():

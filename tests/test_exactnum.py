@@ -7,9 +7,11 @@ from math import gcd, prod
 
 from eislab.exactnum import (
     IntMatrix,
+    determinant,
     elementary_divisors,
     factor_squarefree,
     hermite_normal_form,
+    hnf_mod_det,
     hnf_coordinates,
     hnf_with_transform,
     is_prime,
@@ -104,6 +106,20 @@ def test_factor_squarefree():
             pass
         else:
             raise AssertionError(f"expected ValueError for {bad}")
+
+
+def test_factor_squarefree_bounded_trial_division():
+    # a cofactor below 10^12 with no factor up to 10^6 is prime
+    assert factor_squarefree(999999999989) == (999999999989,)
+    assert factor_squarefree(2 * 3 * 999999999989) == (2, 3, 999999999989)
+    # anything larger cannot be certified by trial division and is refused
+    for hard in (10**18 + 3, 1000003 * 1000033, 2 * 1000003 * 1000033):
+        try:
+            factor_squarefree(hard)
+        except ValueError as exc:
+            assert "too large to certify prime" in str(exc)
+        else:
+            raise AssertionError(f"expected ValueError for {hard}")
 
 
 def test_phi_psi_omega_examples():
@@ -230,6 +246,59 @@ def test_hnf_preserves_row_lattice():
             assert hnf_coordinates(h, row) is not None
         hm = hermite_normal_form(IntMatrix(list(m.data) + list(h.data), cols=c))
         assert hm == h
+
+
+def test_determinant_matches_cofactor_expansion():
+    rng = random.Random(37)
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        m = _rand_matrix(rng, n, n, -6, 6)
+        if n and rng.random() < 0.3:
+            m[-1] = list(m[0])  # singular
+        assert determinant(m) == _det(m)
+
+
+def _nonsingular(rng, n):
+    while True:
+        m = _rand_matrix(rng, n, n)
+        shape = rng.random()
+        if shape < 0.25:
+            # triangular: pivots fixed up front, most columns 0 mod the modulus
+            m = [[x if j >= i else 0 for j, x in enumerate(row)] for i, row in enumerate(m)]
+        elif shape < 0.5:
+            # a common factor makes some column 0 modulo the running modulus
+            k = rng.randint(2, 6)
+            m = [[k * x for x in row] if i % 2 else row for i, row in enumerate(m)]
+        det = determinant(m)
+        if det:
+            return m, abs(det)
+
+
+def test_hnf_mod_det_matches_hnf():
+    rng = random.Random(41)
+    for _ in range(400):
+        m, det = _nonsingular(rng, rng.randint(1, 7))
+        assert hnf_mod_det(m, det) == hermite_normal_form(IntMatrix(m))
+    assert hnf_mod_det([], 1) == IntMatrix([], cols=0)
+
+
+def test_hnf_mod_det_rejects_wrong_d():
+    rng = random.Random(43)
+    for _ in range(100):
+        m, det = _nonsingular(rng, rng.randint(1, 6))
+        for wrong in (2 * det, det + 1, 0, -det):
+            try:
+                hnf_mod_det(m, wrong)
+            except ValueError:
+                pass
+            else:
+                raise AssertionError(f"accepted d={wrong} for |det|={det}")
+    try:
+        hnf_mod_det([[1, 2]], 1)
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("accepted a non-square matrix")
 
 
 def test_hnf_with_transform():
