@@ -29,6 +29,7 @@ from eislab.qseries import (
 
 LATTICE_CAP = 2310
 MODSYM_CAP = 70
+PREC_CAP = 10**5  # eis builds a list of --prec coefficients
 
 SUITES = (
     "lattice-oracle",
@@ -394,7 +395,7 @@ _SUITE_RUNNERS = {
 
 def _cmd_verify(cfg: RunConfig) -> int:
     suite = cfg.suite
-    bound = cfg.max_level or _SUITE_DEFAULT_BOUND[suite]
+    bound = _SUITE_DEFAULT_BOUND[suite] if cfg.max_level is None else cfg.max_level
     _check_bound(bound, _SUITE_CAP[suite], suite)
     cases = _SUITE_RUNNERS[suite](bound)
     failures = [c for c in cases if not c["ok"]]
@@ -510,6 +511,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError("--m must be positive")
     if cfg.precision < 2:
         raise ValueError("--prec must be at least 2")
+    if cfg.precision > PREC_CAP:
+        raise ValueError(f"--prec {cfg.precision} exceeds the precision cap {PREC_CAP}")
     return cfg
 
 

@@ -467,28 +467,3 @@ def elementary_divisors(M: IntMatrix) -> tuple[int, ...]:
         if d.data[i][i]:
             out.append(d.data[i][i])
     return tuple(out)
-
-
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if a[i][j]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][j]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][j]:
-                c = a[i][j]
-                a[i] = [x - c * y for x, y in zip(a[i], a[r])]
-        pivots.append(j)
-        r += 1
-    return a[:r], pivots

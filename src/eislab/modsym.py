@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from eislab.cuspgroup import order_closed_form
 from eislab.divlattice import SquareFreeLevel
@@ -25,7 +24,6 @@ from eislab.exactnum import (
     left_kernel,
     phi_psi_omega,
     primes_up_to,
-    rref,
     xgcd,
 )
 
@@ -156,6 +154,63 @@ class ManinSymbolSpace:
         return i
 
 
+def _eliminate(row: dict[int, int], other: dict[int, int], c: int) -> dict[int, int]:
+    """The primitive combination a*row - b*other (a > 0) with no entry at column c.
+
+    other[c] is positive, so a is too and row keeps the sign of its pivot.
+    """
+    g = gcd(other[c], row[c])
+    a, b = other[c] // g, row[c] // g
+    out = {k: a * x for k, x in row.items()}
+    for k, y in other.items():
+        z = out[k] - b * y if k in out else -b * y
+        if z:
+            out[k] = z
+        else:
+            del out[k]
+    g = gcd(*out.values())
+    return {k: x // g for k, x in out.items()} if g > 1 else out
+
+
+def _relation_quotient(relations: list[dict[int, int]], kept: int) -> list[list[int]]:
+    """Each of the kept coordinates written over the free ones, times a common den.
+
+    Sparse fraction-free Gauss-Jordan over the relation rows ({col: int},
+    at most three entries each).  A new row is reduced by the pivot rows,
+    its content divided out, and its lowest column becomes its pivot
+    (made positive), which is then cleared from the older pivot rows.  The
+    pivot rows stay primitive multiples of the reduced row echelon form,
+    which is unique: pivot j with row r says x_j = -sum_f r_f x_f / r_j over
+    the free columns f.  A primitive row's pivot is the lcm of those
+    denominators, so den, the lcm of the pivots, clears all of them.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for rel in relations:
+        row = rel
+        for c in [c for c in row if c in pivots]:
+            row = _eliminate(row, pivots[c], c)
+        if not row:
+            continue
+        c = min(row)
+        if row[c] < 0:
+            row = {k: -x for k, x in row.items()}
+        for j, prow in pivots.items():
+            if c in prow:
+                pivots[j] = _eliminate(prow, row, c)
+        pivots[c] = row
+    free = [j for j in range(kept) if j not in pivots]
+    den = lcm(*(prow[j] for j, prow in pivots.items()))
+    out = []
+    for j in range(kept):
+        prow = pivots.get(j)
+        if prow is None:
+            out.append([den if f == j else 0 for f in free])
+        else:
+            scale = den // prow[j]
+            out.append([-prow.get(f, 0) * scale for f in free])
+    return out
+
+
 def build_space(n, max_level: int = DESK_LEVEL_BOUND) -> ManinSymbolSpace:
     """Manin-symbol presentation at square-free level n.
 
@@ -198,44 +253,30 @@ def build_space(n, max_level: int = DESK_LEVEL_BOUND) -> ManinSymbolSpace:
             subst[i] = (slot[j], -1)
     kept = len(slot)
 
-    rows = []
+    relations = []
     for i in range(count):
         o2 = t_of[i]
         o3 = t_of[o2]
         if i > o2 or i > o3:
             continue
-        row = [Fraction(0)] * kept
+        row: dict[int, int] = {}
         for member in (i, o2, o3):
             sub = subst[member]
             if sub is not None:
-                row[sub[0]] += sub[1]
-        if any(row):
-            rows.append(row)
-    reduced, pivots = rref(rows) if rows else ([], [])
-    free = [j for j in range(kept) if j not in set(pivots)]
-    rank_q = len(free)
-    pos = {j: t for t, j in enumerate(free)}
-    expr = [None] * kept
-    for j in free:
-        vec = [Fraction(0)] * rank_q
-        vec[pos[j]] = Fraction(1)
-        expr[j] = vec
-    for row, j in zip(reduced, pivots):
-        expr[j] = [-row[f] for f in free]
-
-    rational = []
-    for i in range(count):
-        sub = subst[i]
-        if sub is None:
-            rational.append([Fraction(0)] * rank_q)
-        else:
-            rational.append([sub[1] * x for x in expr[sub[0]]])
-    den = 1
-    for row in rational:
-        for x in row:
-            if x.denominator != 1:
-                den = den * x.denominator // gcd(den, x.denominator)
-    scaled = IntMatrix([[int(x * den) for x in row] for row in rational], cols=rank_q)
+                row[sub[0]] = row.get(sub[0], 0) + sub[1]
+        row = {c: x for c, x in row.items() if x}
+        if row:
+            relations.append(row)
+    slot_images = _relation_quotient(relations, kept)
+    rank_q = len(slot_images[0]) if slot_images else 0
+    zero = [0] * rank_q
+    scaled = IntMatrix(
+        [
+            zero if sub is None else [sub[1] * x for x in slot_images[sub[0]]]
+            for sub in subst
+        ],
+        cols=rank_q,
+    )
     lattice = hermite_normal_form(scaled)
     if lattice.rows != rank_q:
         raise RuntimeError(f"quotient lattice rank defect at level {nn}")
@@ -561,13 +602,68 @@ def _vec(m: IntMatrix) -> list[int]:
     return [x for row in m.data for x in row]
 
 
+def _reduce_above_pivots(h: list[list[int]], pivots) -> None:
+    """Make echelon rows with positive pivots an HNF: entries above pivots into [0, pivot).
+
+    Columns go in ascending order: a row subtraction at one pivot column
+    changes only later columns of the row it reduces.
+    """
+    for j, c in enumerate(pivots):
+        row = h[j]
+        for k in range(j):
+            q = h[k][c] // row[c]
+            if q:
+                h[k] = [x - q * y for x, y in zip(h[k], row)]
+
+
+def _hnf_insert(h: list[list[int]], v: list[int]) -> None:
+    """Add the row v to the lattice of h, a list of HNF rows, keeping h in HNF.
+
+    v walks the pivot columns in order: a pivot that divides v's entry
+    takes one row subtraction, otherwise an xgcd step replaces the pivot
+    row and leaves v zero there.  What is left of v becomes a new pivot row
+    (made positive) where no pivot is; a last pass reduces the entries
+    above the pivots into [0, pivot), in ascending column order.
+    """
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+    i = 0
+    while True:
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            break
+        while i < len(h) and pivots[i] < c:
+            i += 1
+        if i == len(h) or pivots[i] > c:
+            h.insert(i, v if v[c] > 0 else [-x for x in v])
+            pivots.insert(i, c)
+            break
+        row, x = h[i], v[c]
+        if x % row[c] == 0:
+            q = x // row[c]
+            v = [a - q * b for a, b in zip(v, row)]
+        else:
+            e, s, t = xgcd(row[c], x)
+            a, b = row[c] // e, x // e
+            h[i] = [s * y + t * z for y, z in zip(row, v)]
+            v = [a * z - b * y for y, z in zip(row, v)]
+        i += 1
+    _reduce_above_pivots(h, pivots)
+
+
 def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
-    """Lattice spanned by the operators up to the weight-two spanning bound."""
+    """Lattice spanned by the operators up to the weight-two spanning bound.
+
+    The operators enter the HNF one at a time (_hnf_insert), so it never
+    holds more than g + 1 rows of width (2g)^2; all `bound` rows at once
+    would be the largest allocation of a sweep to level 130.
+    """
     psi = len(space.symbols)
     bound = -(-psi // 6)
     ops = tuple(hecke_matrix(space, k) for k in range(1, bound + 1))
-    vecs = IntMatrix([_vec(op) for op in ops], cols=(2 * space.genus) ** 2)
-    basis = hermite_normal_form(vecs)
+    rows: list[list[int]] = []
+    for op in ops:
+        _hnf_insert(rows, _vec(op))
+    basis = IntMatrix(rows, cols=(2 * space.genus) ** 2)
     if basis.rows != space.genus:
         raise RuntimeError(
             f"operator lattice rank {basis.rows} != genus {space.genus}"
@@ -587,6 +683,67 @@ def _times(vec: list[int], m: IntMatrix) -> list[int]:
     return out
 
 
+def _pack(rows: list[list[int]], w: int) -> list[int]:
+    """Each row as the integer sum of x_c * 2^(w*c)."""
+    return [sum(x << (w * c) for c, x in enumerate(row) if x) for row in rows]
+
+
+def _start_width(g: int, top: int) -> int:
+    # 24 bits above the largest product entry; no level up to 130 widens
+    return (4 * g * top * top).bit_length() + 24
+
+
+def _check_closed(n: int, basis: IntMatrix) -> list[list[int]]:
+    """Coordinates of each product b_i b_j (i <= j) over the ring basis, in order.
+
+    Raises unless every such product lies in the ring lattice.  The basis
+    rows H_k are the b_k flattened, in HNF.  The coordinates c of b_i b_j
+    are fixed by its g pivot entries (g dot products of length 2g, then a
+    triangular solve), and a non-integral c_k raises.  The whole identity
+    b_i b_j = sum c_k H_k is then one integer comparison: a matrix packs as
+    sum x_q * 2^(w*q) over its flat entries q, and row r of b_i b_j packs as
+    sum_s b_i[r][s] * packed(row s of b_j).  The packed sides are equal
+    exactly when every entry e of the difference is 0, provided that
+    |e| < 2^(w-1).  The bound |e| <= 2g max|b|^2 + sum |c_k| max|b| is
+    checked for every pair before it is compared, and w widens (all rows
+    are repacked) whenever it is not met.
+    """
+    g = basis.rows
+    two_g = 2 * g
+    mats = [[b[r * two_g:(r + 1) * two_g] for r in range(two_g)] for b in basis.data]
+    pivots = [next(q for q, x in enumerate(row) if x) for row in basis.data]
+    at_pivots = IntMatrix([[row[q] for q in pivots] for row in basis.data], cols=g)
+    top = max(abs(x) for row in basis.data for x in row)
+    w = _start_width(g, top)
+    packed_w = None
+    out = []
+    for i, bi in enumerate(mats):
+        for j in range(i, g):
+            bj = mats[j]
+            coeffs = hnf_coordinates(at_pivots, [
+                sum(x * bj[t][q % two_g] for t, x in enumerate(bi[q // two_g]) if x)
+                for q in pivots
+            ])
+            if coeffs is None:
+                raise RuntimeError(f"ring lattice not closed under products at level {n}")
+            bound = two_g * top * top + sum(map(abs, coeffs)) * top
+            while bound >= 1 << (w - 1):
+                w *= 2
+            if packed_w != w:
+                packed_w, stride = w, two_g * w
+                packed = [_pack(m, w) for m in mats]
+                flat = [sum(x << (stride * r) for r, x in enumerate(p)) for p in packed]
+            product = 0
+            for row in reversed(bi):
+                product = (product << stride) + sum(
+                    x * y for x, y in zip(row, packed[j]) if x
+                )
+            if product != sum(c * h for c, h in zip(coeffs, flat) if c):
+                raise RuntimeError(f"ring lattice not closed under products at level {n}")
+            out.append(coeffs)
+    return out
+
+
 def _probe(ring: HeckeRingModel) -> dict:
     """A probe vector v with rank{v b_j} = g, once the ring lattice is certified.
 
@@ -603,18 +760,13 @@ def _probe(ring: HeckeRingModel) -> dict:
         return state
     n, g = ring.space.level.value, ring.genus
     two_g = 2 * g
-    mats = [
-        IntMatrix([b[i * two_g:(i + 1) * two_g] for i in range(two_g)], cols=two_g)
-        for b in ring.basis.data
-    ]
-    for i, bi in enumerate(mats):
-        for bj in mats[i:]:
-            if hnf_coordinates(ring.basis, _vec(bi * bj)) is None:
-                raise RuntimeError(f"ring lattice not closed under products at level {n}")
+    _check_closed(n, ring.basis)
     # v is the first unit vector e_i that separates (e_0 does not at N=105);
     # v b_j is then row i of b_j
     for i in range(two_g):
-        h, u = hnf_with_transform(IntMatrix([b.data[i] for b in mats], cols=two_g))
+        h, u = hnf_with_transform(
+            IntMatrix([b[i * two_g:(i + 1) * two_g] for b in ring.basis.data], cols=two_g)
+        )
         if any(h.data[-1]):
             break
     else:
@@ -686,6 +838,34 @@ def _next_generator_prime(r: int, n: int) -> int:
     return r
 
 
+def _hnf_insert_mod(h: list[list[int]], v: list[int], d: int) -> int:
+    """Add v to the lattice of h, a full-rank triangular basis with pivot product d.
+
+    h changes in place; the new pivot product is returned.  The lattice
+    contains d*Z^g, so v and each changed row are kept modulo d.  Column by
+    column, a pivot that divides v's entry takes one row subtraction;
+    otherwise an xgcd step replaces the pivot by the gcd, which divides d by
+    the same factor (the new, smaller lattice determinant), and v is cleared
+    there.  Entries above the pivots are left to _reduce_above_pivots.
+    """
+    v = [x % d for x in v]
+    for j, row in enumerate(h):
+        x = v[j]
+        if not x:
+            continue
+        p = row[j]
+        if x % p == 0:
+            q = x // p
+            v = [0] * (j + 1) + [(a - q * b) % d for a, b in zip(v[j + 1:], row[j + 1:])]
+            continue
+        e, s, t = xgcd(p, x)
+        a, b = p // e, x // e
+        d //= a
+        h[j] = [0] * j + [e] + [(s * y + t * z) % d for y, z in zip(row[j + 1:], v[j + 1:])]
+        v = [0] * (j + 1) + [(a * z - b * y) % d for y, z in zip(row[j + 1:], v[j + 1:])]
+    return d
+
+
 def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     """Index of the ideal shifting each operator to its cusp-count value.
 
@@ -704,18 +884,22 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
         )
     g = ring.genus
     bound = ring.bound
-    ideal = IntMatrix([], cols=g)  # HNF of every generator row so far
+    ideal: list[list[int]] = []  # triangular basis of every generator row so far
+    det = 0  # product of its pivots once it has full rank
     names: list[str] = []
 
     def absorb(name: str, rows: list[list[int]]) -> None:
-        # each generator's rows are reduced into the current HNF; once it has
-        # full rank, its determinant d puts d*Z^g inside, so entries reduce mod d
-        nonlocal ideal
+        # once the ideal has full rank, its determinant d puts d*Z^g inside,
+        # and each row is inserted into the triangular basis modulo d
+        nonlocal ideal, det
         names.append(name)
-        if ideal.rows == g:
-            d = prod(row[i] for i, row in enumerate(ideal.data))
-            rows = [[x % d for x in row] for row in rows]
-        ideal = hermite_normal_form(IntMatrix(list(ideal.data) + rows, cols=g))
+        if det:
+            for row in rows:
+                det = _hnf_insert_mod(ideal, row, det)
+        else:
+            ideal = hermite_normal_form(IntMatrix(ideal + rows, cols=g)).tolist()
+            if len(ideal) == g:
+                det = prod(row[i] for i, row in enumerate(ideal))
 
     def add_u_rows(p: int, shift: int) -> None:
         rows = []
@@ -736,33 +920,32 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
             rows.append([x - (r + 1) * y for x, y in zip(c, base)])
         absorb(f"T{r}-{r + 1}", rows)
 
-    def measure() -> tuple[int | None, tuple[int, ...]]:
-        if ideal.rows < g:
-            return None, ()
-        eds = elementary_divisors(ideal)
-        return prod(eds), eds
-
     for p in ring.space.level.primes:
         add_u_rows(p, 1 if m % p == 0 else p)
     start = [r for r in primes_up_to(bound) if n % r]
     for r in start:
         add_t_rows(r)
-    t, eds = measure()
+    t = det or None
     r = start[-1] if start else 1
     log = [(r, t)]
     stable = 0
     while stable < 2:
         r = _next_generator_prime(r, n)
         add_t_rows(r)
-        t2, eds2 = measure()
+        t2 = det or None
         log.append((r, t2))
         if t2 is not None and t2 == t:
             stable += 1
         else:
             stable = 0
-        t, eds = t2, eds2
+        t = t2
         if r > 20 * bound + 100:
             raise RuntimeError(f"index failed to stabilize at level {n}, m={m}")
+    _reduce_above_pivots(ideal, range(g))
+    basis = IntMatrix(ideal, cols=g)
+    eds = elementary_divisors(basis)
+    if prod(eds) != t:
+        raise RuntimeError(f"Smith form disagrees with the index at level {n}, m={m}")
     nontrivial = [e for e in eds if e != 1]
     if len(nontrivial) > 1:
         raise RuntimeError(
@@ -771,7 +954,7 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     return EisensteinIdealModel(
         level=n, m=m, index=t, elementary_divisors=eds,
         generator_names=tuple(names), prime_bound=r, stabilization=tuple(log),
-        ideal_basis=ideal, zero_ring=False,
+        ideal_basis=basis, zero_ring=False,
     )
 
 

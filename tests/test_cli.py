@@ -90,6 +90,17 @@ def test_usage_error_low_precision(capsys):
     assert code == 2
 
 
+def test_usage_error_precision_above_cap(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series must not be computed")
+
+    monkeypatch.setattr("eislab.cli.eisenstein_series", refuse)
+    code = run_usage_error(
+        capsys, "eis", "--level", "11", "--m", "11", "--prec", "100000001"
+    )
+    assert code == 2
+
+
 def test_csv_rejected_where_unsupported(capsys):
     code = run_usage_error(
         capsys, "residues", "--level", "11", "--m", "11", "--format", "csv"
@@ -248,6 +259,13 @@ def test_verify_modsym_cap(capsys):
         capsys, "verify", "--suite", "index-vs-order", "--max-level", "500"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_verify_rejects_nonpositive_max_level(capsys, bound):
+    assert run_usage_error(
+        capsys, "verify", "--suite", "index-vs-order", "--max-level", bound
+    ) == 2
 
 
 def test_hecke_index_level_cap(capsys):

@@ -18,7 +18,6 @@ from eislab.exactnum import (
     left_kernel,
     num,
     phi_psi_omega,
-    rref,
     saturation,
     smith_normal_form,
     xgcd,
@@ -352,16 +351,3 @@ def test_left_kernel():
 def test_saturation_examples():
     assert saturation(IntMatrix([[2, 0], [0, 2]])) == IntMatrix.identity(2)
     assert saturation(IntMatrix([[0, 3, 6]])) == IntMatrix([[0, 1, 2]])
-
-
-def test_rref_small():
-    rows = [
-        [Fraction(1), Fraction(2), Fraction(3)],
-        [Fraction(2), Fraction(4), Fraction(7)],
-    ]
-    red, pivots = rref(rows)
-    assert pivots == [0, 2]
-    assert red == [
-        [Fraction(1), Fraction(2), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(1)],
-    ]

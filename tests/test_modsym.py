@@ -1,8 +1,10 @@
 import random
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
 
+from eislab import modsym
 from eislab.divlattice import SquareFreeLevel
 from eislab.exactnum import (
     IntMatrix,
@@ -24,13 +26,18 @@ from eislab.modsym import (
     hecke_ring,
     m1_index_witnesses,
     verify_main_theorem,
+    _check_closed,
     _cuspidal_lift,
     _cusps_equivalent,
+    _hnf_insert,
+    _hnf_insert_mod,
     _matrix_on_cuspidal,
     _merel_family,
     _merel_symbol_rows,
     _op_coords,
     _p1_table,
+    _reduce_above_pivots,
+    _relation_quotient,
     _rows_by_paths,
     _t_symbol_rows_by_paths,
     _vec,
@@ -38,6 +45,53 @@ from eislab.modsym import (
 
 SQUAREFREE = [n for n in range(7, 71)
               if all(n % (p * p) for p in (2, 3, 5, 7))]
+
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots = []
+    r = 0
+    for j in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][j]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][j]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][j]:
+                c = a[i][j]
+                a[i] = [x - c * y for x, y in zip(a[i], a[r])]
+        pivots.append(j)
+        r += 1
+    return a[:r], pivots
+
+
+def relation_quotient_by_fractions(relations, kept):
+    """The Fraction route to _relation_quotient: rref of the dense relation rows.
+
+    Each kept coordinate over the free ones, scaled by the lcm of every
+    denominator (each coordinate is some symbol's image, so this is the
+    common denominator of all symbol images).
+    """
+    rows = []
+    for rel in relations:
+        row = [Fraction(0)] * kept
+        for c, x in rel.items():
+            row[c] += x
+        rows.append(row)
+    reduced, pivots = rref(rows) if rows else ([], [])
+    free = [j for j in range(kept) if j not in set(pivots)]
+    expr = {j: [Fraction(int(f == j)) for f in free] for j in free}
+    for row, j in zip(reduced, pivots):
+        expr[j] = [-row[f] for f in free]
+    den = lcm(*(x.denominator for row in expr.values() for x in row))
+    return [[int(x * den) for x in expr[j]] for j in range(kept)]
 
 
 def genus_oracle(n):
@@ -344,6 +398,48 @@ def test_ring_rank_matches_genus():
     assert model.operators[0] == IntMatrix.identity(2)
 
 
+def test_hnf_insert_matches_hnf():
+    rng = random.Random(53)
+    for _ in range(300):
+        r, c = rng.randint(1, 7), rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.3:
+            rows.append([rng.randint(-3, 3) * x for x in rows[0]])
+        h = []
+        for row in rows:
+            _hnf_insert(h, list(row))
+        assert IntMatrix(h, cols=c) == hermite_normal_form(IntMatrix(rows, cols=c)), rows
+
+
+def test_hnf_insert_mod_matches_hnf():
+    # full rank: rows go in modulo the determinant, reduced above pivots once
+    rng = random.Random(59)
+    for _ in range(300):
+        g = rng.randint(1, 5)
+        start = hermite_normal_form(
+            IntMatrix([[rng.randint(-6, 6) for _ in range(g)] for _ in range(g + 1)], cols=g)
+        )
+        if start.rows < g:
+            continue
+        h = start.tolist()
+        d = prod(row[i] for i, row in enumerate(h))
+        extra = [[rng.randint(-40, 40) for _ in range(g)] for _ in range(rng.randint(1, 4))]
+        for row in extra:
+            d = _hnf_insert_mod(h, row, d)
+        _reduce_above_pivots(h, range(g))
+        expected = hermite_normal_form(IntMatrix(start.tolist() + extra, cols=g))
+        assert IntMatrix(h, cols=g) == expected, (start, extra)
+        assert d == prod(row[i] for i, row in enumerate(expected.data))
+
+
+def test_ring_basis_matches_one_shot_hnf():
+    # the ring HNF takes one operator at a time; all at once is the reference
+    for n in (11, 35, 70, 105):
+        ring = cached_ring(n)
+        vecs = IntMatrix([_vec(op) for op in ring.operators], cols=(2 * ring.genus) ** 2)
+        assert ring.basis == hermite_normal_form(vecs), n
+
+
 def test_ring_closed_under_products():
     ring = cached_ring(30)
     ops = ring.operators
@@ -526,7 +622,7 @@ def _generator_rows(ring, names):
 
 
 def test_incremental_index_hnf_matches_one_shot():
-    for n in (11, 35, 66, 70):
+    for n in (11, 35, 66, 70, 105):
         ring = cached_ring(n)
         for m in (d for d in range(1, n + 1) if n % d == 0):
             model = cached_index(n, m)
@@ -547,3 +643,107 @@ def test_planted_prime_operator_escapes_ring():
         _op_coords(ring, 2)
         with pytest.raises(RuntimeError, match="escapes the ring lattice"):
             _op_coords(ring, r)
+
+
+def test_rref_small():
+    rows = [
+        [Fraction(1), Fraction(2), Fraction(3)],
+        [Fraction(2), Fraction(4), Fraction(7)],
+    ]
+    red, pivots = rref(rows)
+    assert pivots == [0, 2]
+    assert red == [
+        [Fraction(1), Fraction(2), Fraction(0)],
+        [Fraction(0), Fraction(0), Fraction(1)],
+    ]
+
+
+def test_integer_quotient_matches_fraction_route(monkeypatch):
+    seen = []
+
+    def by_fractions(relations, kept):
+        out = relation_quotient_by_fractions(relations, kept)
+        assert _relation_quotient(relations, kept) == out
+        seen.append(kept)
+        return out
+
+    levels = [n for n in range(2, 71) if all(n % (p * p) for p in (2, 3, 5, 7))]
+    levels += [105, 110, 130]
+    for n in levels:
+        with monkeypatch.context() as patch:
+            patch.setattr(modsym, "_relation_quotient", by_fractions)
+            old = build_space(n, max_level=n)
+        new = cached_space(n)
+        assert old.coords == new.coords, n
+        assert old.boundary == new.boundary, n
+        assert old.cuspidal == new.cuspidal, n
+        assert old.genus == new.genus, n
+    assert len(seen) == len(levels)
+
+
+def _as_matrices(basis):
+    two_g = 2 * basis.rows
+    return [
+        IntMatrix([b[r * two_g:(r + 1) * two_g] for r in range(two_g)], cols=two_g)
+        for b in basis.data
+    ]
+
+
+def _full_width_products(basis):
+    mats = _as_matrices(basis)
+    return [
+        hnf_coordinates(basis, _vec(bi * bj))
+        for i, bi in enumerate(mats)
+        for bj in mats[i:]
+    ]
+
+
+def _planted_basis(basis):
+    # one entry of b_0 changed at a row and a column that no pivot position
+    # uses: every pivot entry of every product, and so every coordinate the
+    # triangular solve reads, is unchanged; only the full comparison sees it
+    two_g = 2 * basis.rows
+    pivots = [next(q for q, x in enumerate(row) if x) for row in basis.data]
+    t0 = min(set(range(two_g)) - {q // two_g for q in pivots})
+    s0 = min(set(range(two_g)) - {q % two_g for q in pivots})
+    q0 = t0 * two_g + s0
+    assert q0 > pivots[0]
+    data = basis.tolist()
+    data[0][q0] += 1
+    planted = IntMatrix(data, cols=basis.cols)
+    assert hermite_normal_form(planted) == planted
+    assert None in _full_width_products(planted)
+    return planted
+
+
+def test_packed_closure_matches_full_width():
+    for n in (11, 35, 70, 105):
+        ring = cached_ring(n)
+        assert _check_closed(n, ring.basis) == _full_width_products(ring.basis), n
+
+
+def test_planted_product_escapes_ring():
+    for n in (11, 35, 70):
+        with pytest.raises(RuntimeError, match="not closed under products"):
+            _check_closed(n, _planted_basis(cached_ring(n).basis))
+
+
+def test_packed_closure_widens_past_a_small_start(monkeypatch):
+    widths = []
+    pack = modsym._pack
+
+    def spy(rows, w):
+        widths.append(w)
+        return pack(rows, w)
+
+    monkeypatch.setattr(modsym, "_start_width", lambda g, top: 2)
+    monkeypatch.setattr(modsym, "_pack", spy)
+    basis = cached_ring(35).basis
+    full = _full_width_products(basis)
+    assert _check_closed(35, basis) == full
+    top = max(abs(x) for row in basis.data for x in row)
+    # every comparison ran at a width that meets the bound of every pair
+    bound = max(2 * basis.rows * top * top + sum(map(abs, c)) * top for c in full)
+    assert min(widths) > 2 and bound < 1 << (min(widths) - 1)
+    with pytest.raises(RuntimeError, match="not closed under products"):
+        _check_closed(35, _planted_basis(basis))
