@@ -179,5 +179,5 @@ def build_tables(n) -> tuple[DivisorTable, IntMatrix, IntMatrix]:
     )
     phi, psi, _ = phi_psi_omega(level)
     if lam24 * amat != IntMatrix.identity(len(table)).scale(phi * psi):
-        raise AssertionError(f"(24*Lambda)*A != phi*psi*I at N={level.value}")
+        raise RuntimeError(f"(24*Lambda)*A != phi*psi*I at N={level.value}")
     return table, lam24, amat

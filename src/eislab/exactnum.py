@@ -213,48 +213,64 @@ def _mul(a: list[list[int]], b: list[list[int]], bc: int) -> list[list[int]]:
     return out
 
 
-def _hnf_inplace(a: list[list[int]], u: list[list[int]] | None) -> int:
-    """Row-style Hermite reduction of a; mirrors row ops into u.  Returns rank."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if a[i][j]:
-                if piv is None:
-                    piv = i
-                    continue
-                # two-row gcd step keeps the transform unimodular
-                g, s, t = xgcd(a[piv][j], a[i][j])
-                x, y = a[piv][j] // g, a[i][j] // g
-                rp, ri = a[piv], a[i]
-                a[piv] = [s * p + t * q for p, q in zip(rp, ri)]
-                a[i] = [x * q - y * p for p, q in zip(rp, ri)]
-                if u is not None:
-                    rp, ri = u[piv], u[i]
-                    u[piv] = [s * p + t * q for p, q in zip(rp, ri)]
-                    u[i] = [x * q - y * p for p, q in zip(rp, ri)]
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        if u is not None:
-            u[r], u[piv] = u[piv], u[r]
-        if a[r][j] < 0:
-            a[r] = [-x for x in a[r]]
-            if u is not None:
-                u[r] = [-x for x in u[r]]
-        p = a[r][j]
-        for i in range(r):
-            if a[i][j]:
-                q = a[i][j] // p
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                if u is not None:
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        r += 1
-    return r
+def _reduce_above_pivots(h: list[list[int]], pivots) -> None:
+    """Make echelon rows with positive pivots an HNF: entries above pivots into [0, pivot).
+
+    Columns go in ascending order: a row subtraction at one pivot column
+    changes only later columns of the row it reduces.
+    """
+    for j, c in enumerate(pivots):
+        row = h[j]
+        for k in range(j):
+            q = h[k][c] // row[c]
+            if q:
+                h[k] = [x - q * y for x, y in zip(h[k], row)]
+
+
+def _hnf_insert(h: list[list[int]], pivots: list[int], v, end: int | None = None) -> None:
+    """Add the row v to the lattice of the echelon rows h, whose pivot columns are pivots.
+
+    h and pivots change in place.  v walks the pivot columns in order: a
+    pivot that divides v's entry takes one row subtraction, otherwise an
+    xgcd step replaces the pivot row by one with the gcd as its pivot and
+    leaves v zero there.  What is left of v becomes a new pivot row (made
+    positive) at its first nonzero column before end (default: all of
+    them); a remainder that vanishes there is dropped.  Pivots stay
+    positive, but the entries above them are left to one
+    _reduce_above_pivots after the last row.
+    """
+    if end is None:
+        end = len(v)
+    i = c = 0
+    while True:
+        c = next((j for j in range(c, end) if v[j]), None)
+        if c is None:
+            return
+        while i < len(pivots) and pivots[i] < c:
+            i += 1
+        if i == len(pivots) or pivots[i] > c:
+            h.insert(i, v if v[c] > 0 else [-x for x in v])
+            pivots.insert(i, c)
+            return
+        row, x = h[i], v[c]
+        if x % row[c] == 0:
+            q = x // row[c]
+            v = [a - q * b for a, b in zip(v, row)]
+        else:
+            e, s, t = xgcd(row[c], x)
+            a, b = row[c] // e, x // e
+            h[i] = [s * y + t * z for y, z in zip(row, v)]
+            v = [a * z - b * y for y, z in zip(row, v)]
+        i += 1
+
+
+def _echelon(rows, end: int | None = None) -> tuple[list[list[int]], list[int]]:
+    """Echelon rows of the lattice of rows, and their pivot columns, by _hnf_insert."""
+    h: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        _hnf_insert(h, pivots, row, end)
+    return h, pivots
 
 
 def hermite_normal_form(M: IntMatrix) -> IntMatrix:
@@ -262,9 +278,9 @@ def hermite_normal_form(M: IntMatrix) -> IntMatrix:
 
     Pivots are positive, entries above each pivot reduced into [0, pivot).
     """
-    a = M.tolist()
-    rank = _hnf_inplace(a, None)
-    return IntMatrix(a[:rank], cols=M.cols)
+    h, pivots = _echelon(M.data)
+    _reduce_above_pivots(h, pivots)
+    return IntMatrix(h, cols=M.cols)
 
 
 def determinant(rows) -> int:
@@ -334,24 +350,45 @@ def hnf_mod_det(rows, d: int) -> IntMatrix:
         out.append([0] * j + [g] + [u * x % mod for x in head[1:]])
         mod //= g
         active = [row[1:] for row in active]
-    for j in range(n):
-        row_j, p = out[j], out[j][j]
-        for i in range(j):
-            q = out[i][j] // p
-            if q:
-                out[i] = [x - q * y for x, y in zip(out[i], row_j)]
+    _reduce_above_pivots(out, range(n))
     pivots = prod(out[j][j] for j in range(n))
     if pivots != d:
         raise ValueError(f"d = {d} is not |det|: the pivots multiply to {pivots}")
     return IntMatrix(out, cols=n)
 
 
+def _augmented(M: IntMatrix):
+    """The rows (x*M, x) of [M | I], x running over the unit vectors."""
+    for i, row in enumerate(M.data):
+        yield [*row, *(int(i == j) for j in range(M.rows))]
+
+
 def hnf_with_transform(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """(H, U) with U unimodular, U*M = H, H in row HNF with zero rows kept."""
-    a = M.tolist()
-    u = [[1 if i == j else 0 for j in range(M.rows)] for i in range(M.rows)]
-    _hnf_inplace(a, u)
-    return IntMatrix(a, cols=M.cols), IntMatrix(u, cols=M.rows)
+    """(H, U) with U unimodular, U*M = H, H in row HNF with zero rows kept.
+
+    One HNF of [M | I]: it has M.rows rows, those with a pivot in M's
+    columns first, and H and U are its two blocks.
+    """
+    n = M.cols
+    h, pivots = _echelon(_augmented(M))
+    _reduce_above_pivots(h, pivots)
+    return IntMatrix([r[:n] for r in h], cols=n), IntMatrix([r[n:] for r in h], cols=M.rows)
+
+
+def _left_inverse(M: IntMatrix) -> IntMatrix | None:
+    """S with S*M = I, or None when the rows of M do not span Z^cols.
+
+    The HNF of [M | I] as in hnf_with_transform, dropping every row that
+    vanishes on M's columns, so at most M.cols rows are held.  Their M block
+    is I exactly when there are M.cols of them with every pivot 1; their I
+    block is then S.
+    """
+    n = M.cols
+    h, pivots = _echelon(_augmented(M), n)
+    if len(h) != n or any(r[c] != 1 for r, c in zip(h, pivots)):
+        return None
+    _reduce_above_pivots(h, pivots)
+    return IntMatrix([r[n:] for r in h], cols=M.rows)
 
 
 def left_kernel(M: IntMatrix) -> IntMatrix:

@@ -16,6 +16,10 @@ from eislab.cuspgroup import order_closed_form
 from eislab.divlattice import SquareFreeLevel
 from eislab.exactnum import (
     IntMatrix,
+    _echelon,
+    _hnf_insert,
+    _left_inverse,
+    _reduce_above_pivots,
     elementary_divisors,
     hermite_normal_form,
     hnf_coordinates,
@@ -140,7 +144,6 @@ class ManinSymbolSpace:
     coords: IntMatrix          # symbol -> lattice coordinates, rows span Z^rank
     section: IntMatrix         # section * coords = identity
     cusps: CuspSet
-    symbol_boundary: IntMatrix
     boundary: IntMatrix        # on the quotient basis
     cuspidal: IntMatrix        # HNF basis of ker(boundary)
     genus: int
@@ -283,10 +286,9 @@ def build_space(n, max_level: int = DESK_LEVEL_BOUND) -> ManinSymbolSpace:
     coords = IntMatrix(
         [hnf_coordinates(lattice, row) for row in scaled.data], cols=rank_q
     )
-    if hermite_normal_form(coords) != IntMatrix.identity(rank_q):
+    section = _left_inverse(coords)
+    if section is None:
         raise RuntimeError(f"symbol images do not span the quotient lattice at level {nn}")
-    _, transform = hnf_with_transform(coords)
-    section = IntMatrix(transform.data[:rank_q], cols=count)
     if section * coords != IntMatrix.identity(rank_q):
         raise RuntimeError(f"section does not split the symbol images at level {nn}")
 
@@ -302,18 +304,14 @@ def build_space(n, max_level: int = DESK_LEVEL_BOUND) -> ManinSymbolSpace:
         row[cusps.classify(_reduce_frac(a, c1))] += 1
         row[cusps.classify(_reduce_frac(b, d1))] -= 1
         brows.append(row)
-    symbol_boundary = IntMatrix(brows, cols=ncl)
-    # combinations that die in the quotient must have no boundary
-    for i in range(rank_q, count):
-        krow = transform.data[i]
-        img = [0] * ncl
-        for s_idx, x in enumerate(krow):
-            if x:
-                for j in range(ncl):
-                    img[j] += x * brows[s_idx][j]
-        if any(img):
+    # the relations span the kernel of the quotient over Q, so the boundary
+    # is well defined there when it kills each one (every member checks its own)
+    for i in range(count):
+        pair = zip(brows[i], brows[s_of[i]])
+        orbit = zip(brows[i], brows[t_of[i]], brows[t_of[t_of[i]]])
+        if any(x + y for x, y in pair) or any(x + y + z for x, y, z in orbit):
             raise RuntimeError(f"boundary not well-defined on the quotient at level {nn}")
-    boundary = section * symbol_boundary
+    boundary = section * IntMatrix(brows, cols=ncl)
     cuspidal = hermite_normal_form(left_kernel(boundary))
     if hermite_normal_form(boundary).rows != ncl - 1:
         raise RuntimeError(f"boundary rank breach at level {nn}")
@@ -329,15 +327,10 @@ def build_space(n, max_level: int = DESK_LEVEL_BOUND) -> ManinSymbolSpace:
         coords=coords,
         section=section,
         cusps=cusps,
-        symbol_boundary=symbol_boundary,
         boundary=boundary,
         cuspidal=cuspidal,
         genus=cuspidal.rows // 2,
     )
-
-
-def boundary_and_cusps(space: ManinSymbolSpace) -> tuple[CuspSet, IntMatrix]:
-    return space.cusps, space.boundary
 
 
 # ---------------------------------------------------------------------------
@@ -602,54 +595,6 @@ def _vec(m: IntMatrix) -> list[int]:
     return [x for row in m.data for x in row]
 
 
-def _reduce_above_pivots(h: list[list[int]], pivots) -> None:
-    """Make echelon rows with positive pivots an HNF: entries above pivots into [0, pivot).
-
-    Columns go in ascending order: a row subtraction at one pivot column
-    changes only later columns of the row it reduces.
-    """
-    for j, c in enumerate(pivots):
-        row = h[j]
-        for k in range(j):
-            q = h[k][c] // row[c]
-            if q:
-                h[k] = [x - q * y for x, y in zip(h[k], row)]
-
-
-def _hnf_insert(h: list[list[int]], v: list[int]) -> None:
-    """Add the row v to the lattice of h, a list of HNF rows, keeping h in HNF.
-
-    v walks the pivot columns in order: a pivot that divides v's entry
-    takes one row subtraction, otherwise an xgcd step replaces the pivot
-    row and leaves v zero there.  What is left of v becomes a new pivot row
-    (made positive) where no pivot is; a last pass reduces the entries
-    above the pivots into [0, pivot), in ascending column order.
-    """
-    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
-    i = 0
-    while True:
-        c = next((j for j, x in enumerate(v) if x), None)
-        if c is None:
-            break
-        while i < len(h) and pivots[i] < c:
-            i += 1
-        if i == len(h) or pivots[i] > c:
-            h.insert(i, v if v[c] > 0 else [-x for x in v])
-            pivots.insert(i, c)
-            break
-        row, x = h[i], v[c]
-        if x % row[c] == 0:
-            q = x // row[c]
-            v = [a - q * b for a, b in zip(v, row)]
-        else:
-            e, s, t = xgcd(row[c], x)
-            a, b = row[c] // e, x // e
-            h[i] = [s * y + t * z for y, z in zip(row, v)]
-            v = [a * z - b * y for y, z in zip(row, v)]
-        i += 1
-    _reduce_above_pivots(h, pivots)
-
-
 def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
     """Lattice spanned by the operators up to the weight-two spanning bound.
 
@@ -660,9 +605,8 @@ def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
     psi = len(space.symbols)
     bound = -(-psi // 6)
     ops = tuple(hecke_matrix(space, k) for k in range(1, bound + 1))
-    rows: list[list[int]] = []
-    for op in ops:
-        _hnf_insert(rows, _vec(op))
+    rows, pivots = _echelon(_vec(op) for op in ops)
+    _reduce_above_pivots(rows, pivots)
     basis = IntMatrix(rows, cols=(2 * space.genus) ** 2)
     if basis.rows != space.genus:
         raise RuntimeError(
@@ -884,22 +828,23 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
         )
     g = ring.genus
     bound = ring.bound
-    ideal: list[list[int]] = []  # triangular basis of every generator row so far
+    ideal: list[list[int]] = []  # echelon basis of every generator row so far
+    pivots: list[int] = []
     det = 0  # product of its pivots once it has full rank
     names: list[str] = []
 
     def absorb(name: str, rows: list[list[int]]) -> None:
         # once the ideal has full rank, its determinant d puts d*Z^g inside,
         # and each row is inserted into the triangular basis modulo d
-        nonlocal ideal, det
+        nonlocal det
         names.append(name)
-        if det:
-            for row in rows:
+        for row in rows:
+            if det:
                 det = _hnf_insert_mod(ideal, row, det)
-        else:
-            ideal = hermite_normal_form(IntMatrix(ideal + rows, cols=g)).tolist()
-            if len(ideal) == g:
-                det = prod(row[i] for i, row in enumerate(ideal))
+            else:
+                _hnf_insert(ideal, pivots, row)
+                if len(ideal) == g:
+                    det = prod(r[i] for i, r in enumerate(ideal))
 
     def add_u_rows(p: int, shift: int) -> None:
         rows = []
@@ -941,7 +886,7 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
         t = t2
         if r > 20 * bound + 100:
             raise RuntimeError(f"index failed to stabilize at level {n}, m={m}")
-    _reduce_above_pivots(ideal, range(g))
+    _reduce_above_pivots(ideal, pivots)
     basis = IntMatrix(ideal, cols=g)
     eds = elementary_divisors(basis)
     if prod(eds) != t:

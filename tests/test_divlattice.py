@@ -3,6 +3,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
+from eislab import divlattice
 from eislab.divlattice import (
     Divisor,
     DivisorTable,
@@ -112,6 +115,13 @@ def test_a_N_equals_box_value():
 def test_build_tables_identity_n10():
     table, lam24, amat = build_tables(10)
     assert lam24 * amat == IntMatrix.identity(4).scale(72)
+
+
+def test_build_tables_identity_breach_raises(monkeypatch):
+    # a failed identity is an invariant breach, a RuntimeError like every other
+    monkeypatch.setattr(divlattice, "phi_psi_omega", lambda level: (1, 1, 0))
+    with pytest.raises(RuntimeError, match="phi\\*psi"):
+        build_tables(10)
 
 
 def test_lambda_entries_are_divisors():

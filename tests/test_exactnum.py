@@ -7,6 +7,10 @@ from math import gcd, prod
 
 from eislab.exactnum import (
     IntMatrix,
+    _echelon,
+    _hnf_insert,
+    _left_inverse,
+    _reduce_above_pivots,
     determinant,
     elementary_divisors,
     factor_squarefree,
@@ -22,6 +26,69 @@ from eislab.exactnum import (
     smith_normal_form,
     xgcd,
 )
+
+
+def _hnf_inplace(a: list[list[int]], u: list[list[int]] | None) -> int:
+    """Row-style Hermite reduction of a; mirrors row ops into u.  Returns rank.
+
+    Pairwise xgcd steps down each column, then the entries above the new
+    pivot are reduced: the reference every row-insertion HNF is checked on.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    r = 0
+    for j in range(n):
+        if r == m:
+            break
+        piv = None
+        for i in range(r, m):
+            if a[i][j]:
+                if piv is None:
+                    piv = i
+                    continue
+                # two-row gcd step keeps the transform unimodular
+                g, s, t = xgcd(a[piv][j], a[i][j])
+                x, y = a[piv][j] // g, a[i][j] // g
+                rp, ri = a[piv], a[i]
+                a[piv] = [s * p + t * q for p, q in zip(rp, ri)]
+                a[i] = [x * q - y * p for p, q in zip(rp, ri)]
+                if u is not None:
+                    rp, ri = u[piv], u[i]
+                    u[piv] = [s * p + t * q for p, q in zip(rp, ri)]
+                    u[i] = [x * q - y * p for p, q in zip(rp, ri)]
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        if u is not None:
+            u[r], u[piv] = u[piv], u[r]
+        if a[r][j] < 0:
+            a[r] = [-x for x in a[r]]
+            if u is not None:
+                u[r] = [-x for x in u[r]]
+        p = a[r][j]
+        for i in range(r):
+            if a[i][j]:
+                q = a[i][j] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                if u is not None:
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+        r += 1
+    return r
+
+
+def reference_hnf(M: IntMatrix) -> IntMatrix:
+    """Row HNF of M, zero rows dropped, by the pairwise-xgcd reference."""
+    a = M.tolist()
+    rank = _hnf_inplace(a, None)
+    return IntMatrix(a[:rank], cols=M.cols)
+
+
+def reference_hnf_with_transform(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """(H, U) with U*M = H, zero rows kept, by the pairwise-xgcd reference."""
+    a = M.tolist()
+    u = [[int(i == j) for j in range(M.rows)] for i in range(M.rows)]
+    _hnf_inplace(a, u)
+    return IntMatrix(a, cols=M.cols), IntMatrix(u, cols=M.rows)
 
 
 def _det(m: list[list[int]]) -> int:
@@ -306,6 +373,8 @@ def test_hnf_with_transform():
         r, c = rng.randint(1, 5), rng.randint(1, 4)
         m = IntMatrix(_rand_matrix(rng, r, c))
         h, u = hnf_with_transform(m)
+        assert h == reference_hnf_with_transform(m)[0]
+        assert (u.rows, u.cols) == (r, r)
         assert u * m == h
         assert abs(_det(u.tolist())) == 1
 
@@ -343,7 +412,10 @@ def test_left_kernel():
         k = left_kernel(m)
         if k.rows:
             assert (k * m).is_zero()
-        assert k.rows == r - hermite_normal_form(m).rows
+        assert k.rows == r - reference_hnf(m).rows
+        h, u = reference_hnf_with_transform(m)
+        ref = [u.data[i] for i in range(r) if not any(h.data[i])]
+        assert reference_hnf(k) == reference_hnf(IntMatrix(ref, cols=r))
         if k.rows:
             assert saturation(k) == hermite_normal_form(k)
 
@@ -351,3 +423,46 @@ def test_left_kernel():
 def test_saturation_examples():
     assert saturation(IntMatrix([[2, 0], [0, 2]])) == IntMatrix.identity(2)
     assert saturation(IntMatrix([[0, 3, 6]])) == IntMatrix([[0, 1, 2]])
+
+
+def test_hnf_insert_matches_hnf():
+    rng = random.Random(53)
+    for _ in range(300):
+        r, c = rng.randint(1, 7), rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.3:
+            rows.append([rng.randint(-3, 3) * x for x in rows[0]])
+        h, pivots = [], []
+        for row in rows:
+            _hnf_insert(h, pivots, list(row))
+            assert pivots == [next(j for j, x in enumerate(r) if x) for r in h]
+        _reduce_above_pivots(h, pivots)
+        expected = reference_hnf(IntMatrix(rows, cols=c))
+        assert IntMatrix(h, cols=c) == expected, rows
+        assert hermite_normal_form(IntMatrix(rows, cols=c)) == expected, rows
+
+
+def _spans(m: IntMatrix) -> bool:
+    return reference_hnf(m) == IntMatrix.identity(m.cols)
+
+
+def test_left_inverse():
+    rng = random.Random(61)
+    spanning = 0
+    for _ in range(300):
+        c = rng.randint(1, 4)
+        m = IntMatrix(_rand_matrix(rng, rng.randint(c, c + 4), c, -3, 3))
+        s = _left_inverse(m)
+        if _spans(m):
+            spanning += 1
+            assert s is not None and s * m == IntMatrix.identity(c), m
+        else:
+            assert s is None, m
+    assert spanning > 100
+    # no entry at all, rank deficient, and an index-2 sublattice of Z^2
+    for m in ([[2]], [[1, 2], [2, 4], [3, 6]], [[1, 1], [1, -1], [2, 0]]):
+        assert not _spans(IntMatrix(m))
+        assert _left_inverse(IntMatrix(m)) is None, m
+    # rows vanishing on the columns are dropped, not held
+    h, pivots = _echelon([[2, 1, 0, 0], [3, 0, 1, 0], [6, 0, 0, 1]], 1)
+    assert pivots == [0] and len(h) == 1 and h[0][0] == 1

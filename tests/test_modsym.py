@@ -8,13 +8,13 @@ from eislab import modsym
 from eislab.divlattice import SquareFreeLevel
 from eislab.exactnum import (
     IntMatrix,
+    _reduce_above_pivots,
     hermite_normal_form,
     hnf_coordinates,
     phi_psi_omega,
     xgcd,
 )
 from eislab.modsym import (
-    boundary_and_cusps,
     build_space,
     cached_index,
     cached_ring,
@@ -29,19 +29,18 @@ from eislab.modsym import (
     _check_closed,
     _cuspidal_lift,
     _cusps_equivalent,
-    _hnf_insert,
     _hnf_insert_mod,
     _matrix_on_cuspidal,
     _merel_family,
     _merel_symbol_rows,
     _op_coords,
     _p1_table,
-    _reduce_above_pivots,
     _relation_quotient,
     _rows_by_paths,
     _t_symbol_rows_by_paths,
     _vec,
 )
+from test_exactnum import reference_hnf
 
 SQUAREFREE = [n for n in range(7, 71)
               if all(n % (p * p) for p in (2, 3, 5, 7))]
@@ -283,11 +282,27 @@ def test_identity_paths_recover_symbols():
 def test_boundary_well_defined_and_ranked():
     for n in (11, 15, 30):
         space = cached_space(n)
-        cusps, boundary = boundary_and_cusps(space)
+        cusps, boundary = space.cusps, space.boundary
         assert boundary.rows == space.quotient_rank
         assert boundary.cols == len(cusps.labels)
-        from eislab.exactnum import hermite_normal_form
-        assert hermite_normal_form(boundary).rows == len(cusps.labels) - 1
+        assert reference_hnf(boundary).rows == len(cusps.labels) - 1
+
+
+def test_planted_boundary_fault_is_caught(monkeypatch):
+    # a lift moved off its symbol gives that one symbol a wrong boundary,
+    # which the relations through it must expose
+    lift = modsym._sl2_lift
+    calls = []
+
+    def faulty(n, c, d):
+        a, b, c1, d1 = lift(n, c, d)
+        calls.append((c, d))
+        return (a, a + b, c1, c1 + d1) if len(calls) == 5 else (a, b, c1, d1)
+
+    monkeypatch.setattr(modsym, "_sl2_lift", faulty)
+    with pytest.raises(RuntimeError, match="boundary not well-defined"):
+        build_space(70)
+    assert len(calls) >= 5
 
 
 def test_merel_family_shape():
@@ -398,25 +413,12 @@ def test_ring_rank_matches_genus():
     assert model.operators[0] == IntMatrix.identity(2)
 
 
-def test_hnf_insert_matches_hnf():
-    rng = random.Random(53)
-    for _ in range(300):
-        r, c = rng.randint(1, 7), rng.randint(1, 6)
-        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(c)] for _ in range(r)]
-        if rng.random() < 0.3:
-            rows.append([rng.randint(-3, 3) * x for x in rows[0]])
-        h = []
-        for row in rows:
-            _hnf_insert(h, list(row))
-        assert IntMatrix(h, cols=c) == hermite_normal_form(IntMatrix(rows, cols=c)), rows
-
-
 def test_hnf_insert_mod_matches_hnf():
     # full rank: rows go in modulo the determinant, reduced above pivots once
     rng = random.Random(59)
     for _ in range(300):
         g = rng.randint(1, 5)
-        start = hermite_normal_form(
+        start = reference_hnf(
             IntMatrix([[rng.randint(-6, 6) for _ in range(g)] for _ in range(g + 1)], cols=g)
         )
         if start.rows < g:
@@ -427,7 +429,7 @@ def test_hnf_insert_mod_matches_hnf():
         for row in extra:
             d = _hnf_insert_mod(h, row, d)
         _reduce_above_pivots(h, range(g))
-        expected = hermite_normal_form(IntMatrix(start.tolist() + extra, cols=g))
+        expected = reference_hnf(IntMatrix(start.tolist() + extra, cols=g))
         assert IntMatrix(h, cols=g) == expected, (start, extra)
         assert d == prod(row[i] for i, row in enumerate(expected.data))
 
@@ -437,7 +439,7 @@ def test_ring_basis_matches_one_shot_hnf():
     for n in (11, 35, 70, 105):
         ring = cached_ring(n)
         vecs = IntMatrix([_vec(op) for op in ring.operators], cols=(2 * ring.genus) ** 2)
-        assert ring.basis == hermite_normal_form(vecs), n
+        assert ring.basis == reference_hnf(vecs), n
 
 
 def test_ring_closed_under_products():
@@ -627,7 +629,7 @@ def test_incremental_index_hnf_matches_one_shot():
         for m in (d for d in range(1, n + 1) if n % d == 0):
             model = cached_index(n, m)
             rows = _generator_rows(ring, model.generator_names)
-            one_shot = hermite_normal_form(IntMatrix(rows, cols=ring.genus))
+            one_shot = reference_hnf(IntMatrix(rows, cols=ring.genus))
             assert model.ideal_basis == one_shot, (n, m)
 
 
