@@ -398,12 +398,6 @@ def left_kernel(M: IntMatrix) -> IntMatrix:
     return IntMatrix(rows, cols=M.rows)
 
 
-def saturation(M: IntMatrix) -> IntMatrix:
-    """HNF basis of (Q-span of rows of M) intersected with Z^cols."""
-    ker = left_kernel(M.transpose())
-    return hermite_normal_form(left_kernel(ker.transpose()))
-
-
 def hnf_coordinates(H: IntMatrix, v) -> list[int] | None:
     """Integer coordinates of v over the HNF rows of H, or None if outside."""
     w = [int(x) for x in v]

@@ -23,7 +23,6 @@ from eislab.exactnum import (
     elementary_divisors,
     hermite_normal_form,
     hnf_coordinates,
-    hnf_with_transform,
     is_prime,
     left_kernel,
     phi_psi_omega,
@@ -539,8 +538,7 @@ class HeckeRingModel:
     operators: tuple[IntMatrix, ...]
     basis: IntMatrix
     genus: int
-    coord_cache: dict = field(default_factory=dict, repr=False)
-    probe: dict = field(default_factory=dict, repr=False)  # filled by _probe
+    cache: dict = field(default_factory=dict, repr=False)  # product table, prime rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -618,15 +616,6 @@ def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
     )
 
 
-def _times(vec: list[int], m: IntMatrix) -> list[int]:
-    """Row vector times matrix."""
-    out = [0] * m.cols
-    for x, row in zip(vec, m.data):
-        if x:
-            out = [a + x * b for a, b in zip(out, row)]
-    return out
-
-
 def _pack(rows: list[list[int]], w: int) -> list[int]:
     """Each row as the integer sum of x_c * 2^(w*c)."""
     return [sum(x << (w * c) for c, x in enumerate(row) if x) for row in rows]
@@ -640,7 +629,9 @@ def _start_width(g: int, top: int) -> int:
 def _check_closed(n: int, basis: IntMatrix) -> list[list[int]]:
     """Coordinates of each product b_i b_j (i <= j) over the ring basis, in order.
 
-    Raises unless every such product lies in the ring lattice.  The basis
+    Raises unless every such product lies in the ring lattice.  The
+    coordinates fill the product table (_product_table) that every
+    generator row of the index is read from.  The basis
     rows H_k are the b_k flattened, in HNF.  The coordinates c of b_i b_j
     are fixed by its g pivot entries (g dot products of length 2g, then a
     triangular solve), and a non-integral c_k raises.  The whole identity
@@ -688,91 +679,48 @@ def _check_closed(n: int, basis: IntMatrix) -> list[list[int]]:
     return out
 
 
-def _probe(ring: HeckeRingModel) -> dict:
-    """A probe vector v with rank{v b_j} = g, once the ring lattice is certified.
+def _product_table(ring: HeckeRingModel) -> list[list[list[int]]]:
+    """table[i][j]: coordinates of b_i b_j over the ring basis, certified by _check_closed.
 
-    The ring lattice R, with basis b_j, holds T_1 = 1 and is checked to be
-    closed under the products b_i b_j, so R is a ring: once each prime
-    operator in use is checked to lie in R (_certified_prime), every T_k
-    does.  Since t -> v t is injective on the Q-span of R when the v b_j
-    are independent, the ring coordinates of T_k are then the unique
-    integer solution of v T_k = sum c_j v b_j, a system of width 2g
-    instead of (2g)^2.
+    The Hecke ring is commutative, so the table is symmetric and the pairs
+    i <= j fill it.
     """
-    state = ring.probe
-    if state:
-        return state
-    n, g = ring.space.level.value, ring.genus
-    two_g = 2 * g
-    _check_closed(n, ring.basis)
-    # v is the first unit vector e_i that separates (e_0 does not at N=105);
-    # v b_j is then row i of b_j
-    for i in range(two_g):
-        h, u = hnf_with_transform(
-            IntMatrix([b[i * two_g:(i + 1) * two_g] for b in ring.basis.data], cols=two_g)
-        )
-        if any(h.data[-1]):
-            break
-    else:
-        raise RuntimeError(f"no probe vector separates the ring lattice at level {n}")
-    v = [int(i == j) for j in range(two_g)]
-    state.update(hnf=h, transform=u, primes=set(), images={1: v})
-    return state
+    table = ring.cache.get("table")
+    if table is None:
+        g = ring.genus
+        products = iter(_check_closed(ring.space.level.value, ring.basis))
+        table = [[None] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i, g):
+                table[i][j] = table[j][i] = next(products)
+        ring.cache["table"] = table
+    return table
 
 
-def _certified_prime(ring: HeckeRingModel, p: int) -> IntMatrix:
-    """The prime operator at p, checked (once) to lie in the ring lattice."""
-    mat = _prime_matrix(ring.space, p)
-    checked = ring.probe["primes"]
-    if p not in checked:
-        if hnf_coordinates(ring.basis, _vec(mat)) is None:
+def _prime_rows(ring: HeckeRingModel, p: int) -> list[list[int]]:
+    """Row j: the coordinates of T_p b_j over the ring basis (U_p when p | N).
+
+    The coordinates c of T_p come from its membership solve in the ring
+    lattice, which raises when T_p escapes it; then T_p b_j is
+    sum_i c_i b_i b_j, read off the product table.
+    """
+    key = ("prime", p)
+    if key not in ring.cache:
+        c = hnf_coordinates(ring.basis, _vec(_prime_matrix(ring.space, p)))
+        if c is None:
             raise RuntimeError(
                 f"operator {p} escapes the ring lattice at level {ring.space.level.value}"
             )
-        checked.add(p)
-    return mat
-
-
-def _probe_image(ring: HeckeRingModel, k: int) -> list[int]:
-    """v T_k, in hecke_matrix's factor order: v T_c, then the top prime power.
-
-    Only the images with k within the ring bound are kept: they are the
-    cofactors every larger k starts from.
-    """
-    images = ring.probe["images"]
-    if k in images:
-        return images[k]
-    factors = _factorize(k)
-    p = max(factors)
-    e = factors[p]
-    x = _probe_image(ring, k // p**e)
-    a = _certified_prime(ring, p)
-    if ring.space.level.value % p == 0:
-        for _ in range(e):
-            x = _times(x, a)
-    else:
-        prev, x = x, _times(x, a)
-        for _ in range(e - 1):
-            prev, x = x, [s - p * t for s, t in zip(_times(x, a), prev)]
-    if k <= ring.bound:
-        images[k] = x
-    return x
-
-
-def _op_coords(ring: HeckeRingModel, k: int) -> tuple[int, ...]:
-    """Coordinates of T_k over the ring basis, solved on the probe vector."""
-    if k not in ring.coord_cache:
-        state = _probe(ring)
-        d = hnf_coordinates(state["hnf"], _probe_image(ring, k))
-        if d is None:
-            raise RuntimeError(
-                f"operator {k} escapes the ring lattice at level {ring.space.level.value}"
-            )
-        u = state["transform"].data
-        ring.coord_cache[k] = tuple(
-            sum(x * row[j] for x, row in zip(d, u)) for j in range(ring.genus)
-        )
-    return ring.coord_cache[k]
+        table = _product_table(ring)
+        rows = []
+        for j in range(ring.genus):
+            row = [0] * ring.genus
+            for ci, products in zip(c, table):
+                if ci:
+                    row = [a + ci * b for a, b in zip(row, products[j])]
+            rows.append(row)
+        ring.cache[key] = rows
+    return ring.cache[key]
 
 
 def _next_generator_prime(r: int, n: int) -> int:
@@ -816,6 +764,9 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     Level primes dividing m are shifted by 1, the others by themselves;
     primes away from the level are shifted by r + 1.  The generator prime
     bound grows until the index survives two consecutive extra primes.
+    A generator t = T_p - s adds the principal ideal t*T, spanned by the g
+    products t*b_j: the rows of _prime_rows(ring, p) with s taken off the
+    diagonal.  Their coordinates are shared by every m.
     """
     n = ring.space.level.value
     if m < 1 or n % m:
@@ -827,18 +778,19 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
             zero_ring=True,
         )
     g = ring.genus
-    bound = ring.bound
     ideal: list[list[int]] = []  # echelon basis of every generator row so far
     pivots: list[int] = []
     det = 0  # product of its pivots once it has full rank
     names: list[str] = []
 
-    def absorb(name: str, rows: list[list[int]]) -> None:
+    def absorb(name: str, p: int, shift: int) -> None:
         # once the ideal has full rank, its determinant d puts d*Z^g inside,
         # and each row is inserted into the triangular basis modulo d
         nonlocal det
         names.append(name)
-        for row in rows:
+        for j, row in enumerate(_prime_rows(ring, p)):
+            row = row.copy()
+            row[j] -= shift
             if det:
                 det = _hnf_insert_mod(ideal, row, det)
             else:
@@ -846,28 +798,13 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
                 if len(ideal) == g:
                     det = prod(r[i] for i, r in enumerate(ideal))
 
-    def add_u_rows(p: int, shift: int) -> None:
-        rows = []
-        for k in range(1, bound + 1):
-            ck = _op_coords(ring, k * p)
-            base = _op_coords(ring, k)
-            rows.append([x - shift * y for x, y in zip(ck, base)])
-        absorb(f"U{p}-{shift}", rows)
-
     def add_t_rows(r: int) -> None:
-        rows = []
-        for k in range(1, bound + 1):
-            c = list(_op_coords(ring, k * r))
-            if k % r == 0:
-                lower = _op_coords(ring, k // r)
-                c = [x + r * y for x, y in zip(c, lower)]
-            base = _op_coords(ring, k)
-            rows.append([x - (r + 1) * y for x, y in zip(c, base)])
-        absorb(f"T{r}-{r + 1}", rows)
+        absorb(f"T{r}-{r + 1}", r, r + 1)
 
     for p in ring.space.level.primes:
-        add_u_rows(p, 1 if m % p == 0 else p)
-    start = [r for r in primes_up_to(bound) if n % r]
+        shift = 1 if m % p == 0 else p
+        absorb(f"U{p}-{shift}", p, shift)
+    start = [r for r in primes_up_to(ring.bound) if n % r]
     for r in start:
         add_t_rows(r)
     t = det or None
@@ -884,7 +821,7 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
         else:
             stable = 0
         t = t2
-        if r > 20 * bound + 100:
+        if r > 20 * ring.bound + 100:
             raise RuntimeError(f"index failed to stabilize at level {n}, m={m}")
     _reduce_above_pivots(ideal, pivots)
     basis = IntMatrix(ideal, cols=g)

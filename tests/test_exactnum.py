@@ -22,10 +22,15 @@ from eislab.exactnum import (
     left_kernel,
     num,
     phi_psi_omega,
-    saturation,
     smith_normal_form,
     xgcd,
 )
+
+
+def saturation(M: IntMatrix) -> IntMatrix:
+    """HNF basis of (Q-span of rows of M) intersected with Z^cols."""
+    ker = left_kernel(M.transpose())
+    return hermite_normal_form(left_kernel(ker.transpose()))
 
 
 def _hnf_inplace(a: list[list[int]], u: list[list[int]] | None) -> int:
