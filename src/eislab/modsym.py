@@ -783,11 +783,11 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     det = 0  # product of its pivots once it has full rank
     names: list[str] = []
 
-    def absorb(name: str, p: int, shift: int) -> None:
+    def absorb(kind: str, p: int, shift: int) -> None:
         # once the ideal has full rank, its determinant d puts d*Z^g inside,
         # and each row is inserted into the triangular basis modulo d
         nonlocal det
-        names.append(name)
+        names.append(f"{kind}{p}-{shift}")
         for j, row in enumerate(_prime_rows(ring, p)):
             row = row.copy()
             row[j] -= shift
@@ -798,22 +798,18 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
                 if len(ideal) == g:
                     det = prod(r[i] for i, r in enumerate(ideal))
 
-    def add_t_rows(r: int) -> None:
-        absorb(f"T{r}-{r + 1}", r, r + 1)
-
     for p in ring.space.level.primes:
-        shift = 1 if m % p == 0 else p
-        absorb(f"U{p}-{shift}", p, shift)
+        absorb("U", p, 1 if m % p == 0 else p)
     start = [r for r in primes_up_to(ring.bound) if n % r]
     for r in start:
-        add_t_rows(r)
+        absorb("T", r, r + 1)
     t = det or None
     r = start[-1] if start else 1
     log = [(r, t)]
     stable = 0
     while stable < 2:
         r = _next_generator_prime(r, n)
-        add_t_rows(r)
+        absorb("T", r, r + 1)
         t2 = det or None
         log.append((r, t2))
         if t2 is not None and t2 == t:
