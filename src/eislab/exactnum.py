@@ -1,4 +1,4 @@
-"""Exact integers, rationals, and integer-matrix normal forms.
+"""Exact integers and integer-matrix normal forms.
 
 Everything downstream (divisor tables, unit lattices, Hecke rings) runs on
 the primitives in this module.  All arithmetic is exact; no floats anywhere.
@@ -6,17 +6,7 @@ the primitives in this module.  All arithmetic is exact; no floats anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt, prod
-
-
-def num(x, den=None):
-    """Numerator of x in lowest terms; sign carried on the numerator."""
-    if den is not None:
-        x = Fraction(x, den)
-    elif not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator
+from math import gcd, isqrt, lcm, prod
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -35,18 +25,8 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d <= isqrt(n):
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Primality by _factor, so n past its trial-division reach raises ValueError."""
+    return n > 1 and _factor(n) == {n: 1}
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -64,34 +44,45 @@ def primes_up_to(bound: int) -> list[int]:
 TRIAL_DIVISION_LIMIT = 10**6
 
 
-def factor_squarefree(n: int) -> tuple[int, ...]:
-    """Strictly increasing prime factors of a square-free n >= 1.
+def _factor(n: int) -> dict[int, int]:
+    """{p: e} with n = prod p^e for n >= 1, primes ascending, by trial division.
 
-    Raises ValueError when n is not square-free.  Trial division stops at
-    TRIAL_DIVISION_LIMIT; a cofactor left below the square of the next
-    trial divisor is prime, and a larger one raises ValueError, so every
-    input costs at most half a million divisions.
+    Trial division stops at TRIAL_DIVISION_LIMIT; a cofactor left below the
+    square of the next trial divisor is prime, and a larger one raises
+    ValueError, so every input costs at most half a million divisions.
     """
     if n < 1:
-        raise ValueError(f"level must be positive, got {n}")
-    primes = []
+        raise ValueError(f"only positive integers factor, got {n}")
+    out: dict[int, int] = {}
     m = n
     p = 2
     while p * p <= m and p <= TRIAL_DIVISION_LIMIT:
-        if m % p == 0:
+        while m % p == 0:
             m //= p
-            if m % p == 0:
-                raise ValueError(f"{n} is not square-free (divisible by {p}^2)")
-            primes.append(p)
+            out[p] = out.get(p, 0) + 1
         p += 1 if p == 2 else 2
     if p * p <= m:
         raise ValueError(
-            f"{n} has no prime factor up to {TRIAL_DIVISION_LIMIT} and a cofactor"
-            f" {m} too large to certify prime by trial division"
+            f"{n} leaves a cofactor {m} with no prime factor up to"
+            f" {TRIAL_DIVISION_LIMIT}, too large to certify prime by trial division"
         )
     if m > 1:
-        primes.append(m)
-    return tuple(primes)
+        out[m] = 1
+    return out
+
+
+def factor_squarefree(n: int) -> tuple[int, ...]:
+    """Strictly increasing prime factors of a square-free n >= 1, by _factor.
+
+    Raises ValueError when n is not square-free or _factor refuses it.
+    """
+    if n < 1:
+        raise ValueError(f"level must be positive, got {n}")
+    factors = _factor(n)
+    square = next((p for p, e in factors.items() if e > 1), None)
+    if square is not None:
+        raise ValueError(f"{n} is not square-free (divisible by {square}^2)")
+    return tuple(factors)
 
 
 def phi_psi_omega(n) -> tuple[int, int, int]:
@@ -420,81 +411,27 @@ def hnf_coordinates(H: IntMatrix, v) -> list[int] | None:
     return coeffs
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """(U, D, V) with U*M*V = D diagonal, d_i | d_{i+1}, U and V unimodular."""
-    m, n = M.rows, M.cols
-    a = M.tolist()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    t = 0
-    while t < min(m, n):
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[t], a[i0] = a[i0], a[t]
-        u[t], u[i0] = u[i0], u[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        for row in v:
-            row[t], row[j0] = row[j0], row[t]
-        clean = False
-        while not clean:
-            clean = True
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
-                        clean = False
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    for row in v:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        for row in v:
-                            row[t], row[j] = row[j], row[t]
-                        clean = False
-            if clean:
-                p = a[t][t]
-                stop = False
-                for i in range(t + 1, m):
-                    for j in range(t + 1, n):
-                        if a[i][j] % p:
-                            a[t] = [x + y for x, y in zip(a[t], a[i])]
-                            u[t] = [x + y for x, y in zip(u[t], u[i])]
-                            clean = False
-                            stop = True
-                            break
-                    if stop:
-                        break
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return IntMatrix(u, cols=m), IntMatrix(a, cols=n), IntMatrix(v, cols=n)
-
-
 def elementary_divisors(M: IntMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, 1s included."""
-    _, d, _ = smith_normal_form(M)
-    out = []
-    for i in range(min(d.rows, d.cols)):
-        if d.data[i][i]:
-            out.append(d.data[i][i])
-    return tuple(out)
+    """Smith form diagonal d_1 | d_2 | ... | d_n of a square nonsingular M, 1s included.
+
+    Kannan-Bachem (Cohen, GTM 138, section 2.4): with d = |det M|, the row
+    HNF modulo d (hnf_mod_det) is taken of the matrix and then of its
+    transpose, in turn, until it is diagonal.  Unimodular row operations and
+    transposes leave Z^n / Z^n M the same group up to isomorphism, and the
+    entries never exceed d.  The diagonal is then put
+    into a divisibility chain, (d_i, d_j) -> (gcd, lcm) for i < j.  Raises
+    ValueError unless M is square and nonsingular.
+    """
+    if M.rows != M.cols:
+        raise ValueError("elementary_divisors needs a square matrix")
+    d = abs(determinant(M.data))
+    if not d:
+        raise ValueError("elementary_divisors needs a nonsingular matrix")
+    h = hnf_mod_det(M.data, d)
+    while any(x for i, row in enumerate(h.data) for x in row[i + 1:]):
+        h = hnf_mod_det(h.transpose().data, d)
+    diag = [h[i][i] for i in range(h.rows)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    return tuple(diag)

@@ -13,10 +13,11 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 
 from eislab.cuspgroup import order_closed_form
-from eislab.divlattice import SquareFreeLevel
+from eislab.divlattice import DivisorTable, SquareFreeLevel
 from eislab.exactnum import (
     IntMatrix,
     _echelon,
+    _factor,
     _hnf_insert,
     _left_inverse,
     _reduce_above_pivots,
@@ -100,13 +101,6 @@ def _cusps_equivalent(n: int, x: tuple[int, int], y: tuple[int, int]) -> bool:
     a2, c2 = y
     g = gcd(c1 * c2, n)
     return (_inverse_like(a1, c1) * c2 - _inverse_like(a2, c2) * c1) % g == 0
-
-
-def _divisors(level: SquareFreeLevel) -> tuple[int, ...]:
-    ds = [1]
-    for p in level.primes:
-        ds += [d * p for d in ds]
-    return tuple(sorted(ds))
 
 
 @dataclass(frozen=True)
@@ -291,7 +285,7 @@ def build_space(n, max_level: int = DESK_LEVEL_BOUND) -> ManinSymbolSpace:
     if section * coords != IntMatrix.identity(rank_q):
         raise RuntimeError(f"section does not split the symbol images at level {nn}")
 
-    divisors = _divisors(level)
+    divisors = tuple(sorted(d.value for d in DivisorTable(level).divisors))
     cusps = CuspSet(
         level=level, labels=divisors, representatives=tuple((1, d) for d in divisors)
     )
@@ -473,19 +467,6 @@ def _matrix_on_cuspidal(space: ManinSymbolSpace, symbol_rows) -> IntMatrix:
     return IntMatrix(out, cols=two_g)
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _prime_matrix(space: ManinSymbolSpace, p: int) -> IntMatrix:
     key = ("prime", p)
     if key not in space.op_cache:
@@ -519,7 +500,7 @@ def hecke_matrix(space: ManinSymbolSpace, n: int) -> IntMatrix:
     """Matrix of the n-th Hecke operator on the cuspidal lattice basis."""
     if n < 1:
         raise ValueError("operator index must be positive")
-    factors = [_prime_power_matrix(space, p, e) for p, e in sorted(_factorize(n).items())]
+    factors = [_prime_power_matrix(space, p, e) for p, e in _factor(n).items()]
     if not factors:
         return IntMatrix.identity(space.cuspidal.rows)
     out = factors[0]
@@ -535,7 +516,6 @@ def hecke_matrix(space: ManinSymbolSpace, n: int) -> IntMatrix:
 class HeckeRingModel:
     space: ManinSymbolSpace
     bound: int
-    operators: tuple[IntMatrix, ...]
     basis: IntMatrix
     genus: int
     cache: dict = field(default_factory=dict, repr=False)  # product table, prime rows
@@ -596,14 +576,14 @@ def _vec(m: IntMatrix) -> list[int]:
 def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
     """Lattice spanned by the operators up to the weight-two spanning bound.
 
-    The operators enter the HNF one at a time (_hnf_insert), so it never
-    holds more than g + 1 rows of width (2g)^2; all `bound` rows at once
-    would be the largest allocation of a sweep to level 130.
+    The operators are formed and enter the HNF one at a time (_hnf_insert),
+    and none is kept, so it never holds more than g + 1 rows of width
+    (2g)^2; all `bound` rows at once would be the largest allocation of a
+    sweep to level 130.
     """
     psi = len(space.symbols)
     bound = -(-psi // 6)
-    ops = tuple(hecke_matrix(space, k) for k in range(1, bound + 1))
-    rows, pivots = _echelon(_vec(op) for op in ops)
+    rows, pivots = _echelon(_vec(hecke_matrix(space, k)) for k in range(1, bound + 1))
     _reduce_above_pivots(rows, pivots)
     basis = IntMatrix(rows, cols=(2 * space.genus) ** 2)
     if basis.rows != space.genus:
@@ -611,9 +591,7 @@ def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
             f"operator lattice rank {basis.rows} != genus {space.genus}"
             f" at level {space.level.value}"
         )
-    return HeckeRingModel(
-        space=space, bound=bound, operators=ops, basis=basis, genus=space.genus
-    )
+    return HeckeRingModel(space=space, bound=bound, basis=basis, genus=space.genus)
 
 
 def _pack(rows: list[list[int]], w: int) -> list[int]:
@@ -854,47 +832,25 @@ def cached_index(n: int, m: int) -> EisensteinIdealModel:
     return eisenstein_index(cached_ring(n), m)
 
 
-def _prime_factors(n: int) -> list[int]:
-    return sorted(_factorize(n)) if n > 1 else []
-
-
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _odd_part(n: int) -> int:
-    while n % 2 == 0:
-        n //= 2
-    return n
-
-
 def compare_index_order(n: int, m: int) -> IndexComparisonReport:
     """Ideal index against the closed-form cusp order, with the parity split.
 
     Exact agreement is demanded when m is proper and the cofactor is odd;
-    otherwise only the odd parts must match.  An odd prime appearing more
-    often in the order than in the index is a breach and aborts.
+    otherwise only the odd parts must match, so an odd prime appearing more
+    often in the order than in the index is always a violation.
     """
     n, m = int(n), int(m)
     model = cached_index(n, m)
     t = model.index
     c = order_closed_form(n, m).closed_form_order
-    support = _prime_factors(t * c)
-    alpha = tuple((l, _valuation(t, l)) for l in support)
-    beta = tuple((l, _valuation(c, l)) for l in support)
-    for l in support:
-        if l != 2 and _valuation(t, l) < _valuation(c, l):
-            raise RuntimeError(
-                f"odd exponent drop at level {n}, m={m}, prime {l}: index {t}, order {c}"
-            )
+    ft, fc = _factor(t), _factor(c)
+    support = sorted(ft.keys() | fc.keys())
+    alpha = tuple((l, ft.get(l, 0)) for l in support)
+    beta = tuple((l, fc.get(l, 0)) for l in support)
     exact = m != n and ((n // m) % 2 == 1)
     if t == c:
         verdict = "equal"
-    elif not exact and _odd_part(t) == _odd_part(c):
+    elif not exact and all(a == b for a, b in zip(alpha, beta) if a[0] != 2):
         verdict = "equal-up-to-2-power"
     else:
         verdict = "violation"
@@ -912,7 +868,7 @@ def m1_index_witnesses(n: int) -> tuple[tuple[int, int | None], ...]:
     level = SquareFreeLevel(n)
     t = cached_index(level.value, 1).index
     out = []
-    for l in _prime_factors(t):
+    for l in _factor(t):
         if l == 2:
             continue
         out.append((l, next((q for q in level.primes if q % l == 1), None)))
@@ -928,11 +884,11 @@ def enumerate_eisenstein_maximal(n: int) -> list[MaximalIdealRecord]:
     """
     level = SquareFreeLevel(n)
     records = []
-    for m in _divisors(level):
+    for m in sorted(d.value for d in DivisorTable(level).divisors):
         if m == 1:
             continue
         t = cached_index(level.value, m).index
-        for l in _prime_factors(t):
+        for l in _factor(t):
             if any(q % l == 1 for q in level.primes if m % q):
                 continue
             up = tuple((p, 1 if m % p == 0 else p % l) for p in level.primes)

@@ -343,6 +343,26 @@ def test_internal_fault_exit_code(capsys, monkeypatch, fault):
     assert "invariant broken" in err
 
 
+@pytest.mark.parametrize("suite", ["index-vs-order", "nonmaximal"])
+def test_verify_suite_internal_fault_exit_code(capsys, monkeypatch, suite):
+    # a broken invariant inside a suite is a fault, never a failed case
+    def broken(n, m):
+        raise RuntimeError("escapes the ring lattice")
+
+    monkeypatch.setattr("eislab.modsym.cached_index", broken)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-level", "11")
+    assert code == 3
+    assert out == ""
+    assert "internal fault in verify" in err and "escapes the ring lattice" in err
+
+
+def test_verify_qidentity_past_prime_250(capsys):
+    # level 502 = 2 * 251 needs precision 2 * 251 > 500 for its prime 251
+    code, out, _ = run(capsys, "verify", "--suite", "qidentity", "--max-level", "502")
+    assert code == 0
+    assert out.splitlines()[-1] == "OK"
+
+
 def test_src_has_no_assert():
     # python -O strips asserts; invariants must raise
     for path in sorted(Path(eislab.__file__).parent.glob("*.py")):

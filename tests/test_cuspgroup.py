@@ -19,12 +19,13 @@ from eislab.cuspgroup import (
 from eislab.divlattice import DivisorTable, SquareFreeLevel
 from eislab.exactnum import (
     IntMatrix,
-    elementary_divisors,
+    determinant,
     hermite_normal_form,
     hnf_coordinates,
     left_kernel,
     phi_psi_omega,
 )
+from test_exactnum import _divisor_chain_oracle, reference_elementary_divisors
 
 
 def _squarefree(lo, hi):
@@ -47,16 +48,17 @@ def _proper_divisors(n):
 def order_by_covolume(n, m) -> int:
     """Covolume-ratio route: index drop when the class joins the lattice.
 
-    Two Smith forms per call; exact but slow at 4-prime levels.  Kept as an
-    independent small-level cross-check for the solver.
+    Two reference Smith forms per call, of non-square matrices; exact but
+    slow at 4-prime levels.  Kept as an independent small-level cross-check
+    for the solver.
     """
     level = _level_of(n)
     m = _check_m(level, m)
     basis = principal_lattice_basis(level.value)
     coeffs = cuspidal_class(level, m).coeffs
-    ed_l = prod(elementary_divisors(basis))
+    ed_l = prod(reference_elementary_divisors(basis))
     enlarged = IntMatrix(list(basis.data) + [coeffs], cols=basis.cols)
-    ed_e = prod(elementary_divisors(enlarged))
+    ed_e = prod(reference_elementary_divisors(enlarged))
     k, rem = divmod(ed_l, ed_e)
     if rem:
         raise RuntimeError("lattice covolumes must divide")
@@ -249,6 +251,29 @@ def test_e_vector_example_n10():
 def test_group_structure_examples():
     assert cuspidal_group_structure(11) == (5,)
     assert cuspidal_group_structure(13) == ()
+
+
+# 3-prime levels where the unreduced reference Smith form does not finish
+# in 2 s; the determinantal-divisor oracle stands in for it there
+REFERENCE_SNF_STALLS = {938, 1702, 2054, 2294}
+
+
+def test_group_structure_at_every_level_to_the_cap():
+    # the coordinate block is rebuilt here as cuspidal_group_structure builds it
+    for n in _squarefree(1, 2310):
+        structure = cuspidal_group_structure(n)
+        basis = principal_lattice_basis(n)
+        block = [[sum(row[: j + 1]) for j in range(basis.cols - 1)] for row in basis.data]
+        assert prod(structure) == abs(determinant(block)), n
+        assert all(b % a == 0 for a, b in zip(structure, structure[1:])), n
+        assert all(d > 1 for d in structure), n
+        if SquareFreeLevel(n).n > 3:
+            continue
+        if n in REFERENCE_SNF_STALLS:
+            reference = _divisor_chain_oracle(block)
+        else:
+            reference = reference_elementary_divisors(IntMatrix(block, cols=basis.cols - 1))
+        assert structure == tuple(d for d in reference if d > 1), n
 
 
 def test_group_exponent_divisible_by_class_orders():

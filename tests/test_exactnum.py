@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
+
+import pytest
 
 from eislab.exactnum import (
     IntMatrix,
     _echelon,
+    _factor,
     _hnf_insert,
     _left_inverse,
     _reduce_above_pivots,
@@ -20,9 +22,7 @@ from eislab.exactnum import (
     hnf_with_transform,
     is_prime,
     left_kernel,
-    num,
     phi_psi_omega,
-    smith_normal_form,
     xgcd,
 )
 
@@ -81,6 +81,86 @@ def _hnf_inplace(a: list[list[int]], u: list[list[int]] | None) -> int:
     return r
 
 
+def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(U, D, V) with U*M*V = D diagonal, d_i | d_{i+1}, U and V unimodular.
+
+    Pivoting on the smallest entry with unreduced row and column
+    operations: the reference every Smith form is checked on.
+    """
+    m, n = M.rows, M.cols
+    a = M.tolist()
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    t = 0
+    while t < min(m, n):
+        piv = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = a[i][j]
+                if x and (best is None or abs(x) < best):
+                    best = abs(x)
+                    piv = (i, j)
+        if piv is None:
+            break
+        i0, j0 = piv
+        a[t], a[i0] = a[i0], a[t]
+        u[t], u[i0] = u[i0], u[t]
+        for row in a:
+            row[t], row[j0] = row[j0], row[t]
+        for row in v:
+            row[t], row[j0] = row[j0], row[t]
+        clean = False
+        while not clean:
+            clean = True
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+                        u[t], u[i] = u[i], u[t]
+                        clean = False
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    for row in a:
+                        row[j] -= q * row[t]
+                    for row in v:
+                        row[j] -= q * row[t]
+                    if a[t][j]:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
+                        for row in v:
+                            row[t], row[j] = row[j], row[t]
+                        clean = False
+            if clean:
+                p = a[t][t]
+                stop = False
+                for i in range(t + 1, m):
+                    for j in range(t + 1, n):
+                        if a[i][j] % p:
+                            a[t] = [x + y for x, y in zip(a[t], a[i])]
+                            u[t] = [x + y for x, y in zip(u[t], u[i])]
+                            clean = False
+                            stop = True
+                            break
+                    if stop:
+                        break
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return IntMatrix(u, cols=m), IntMatrix(a, cols=n), IntMatrix(v, cols=n)
+
+
+def reference_elementary_divisors(M: IntMatrix) -> tuple[int, ...]:
+    """Nonzero diagonal of the reference Smith form, 1s included; any shape."""
+    _, d, _ = smith_normal_form(M)
+    return tuple(d[i][i] for i in range(min(d.rows, d.cols)) if d[i][i])
+
+
 def reference_hnf(M: IntMatrix) -> IntMatrix:
     """Row HNF of M, zero rows dropped, by the pairwise-xgcd reference."""
     a = M.tolist()
@@ -113,18 +193,26 @@ def _det(m: list[list[int]]) -> int:
 
 def _divisor_chain_oracle(m: list[list[int]]) -> list[int]:
     # determinantal divisors: gcd of all k x k minors, independent of any
-    # elimination strategy
+    # elimination strategy.  Each k x k minor is expanded along its first
+    # row over the (k - 1) x (k - 1) minors kept from the step before.
     rows, cols = len(m), len(m[0])
+    minors = {((), ()): 1}
     chain = []
     prev = 1
     for k in range(1, min(rows, cols) + 1):
+        step = {}
         g = 0
         for ri in combinations(range(rows), k):
             for ci in combinations(range(cols), k):
-                sub = [[m[i][j] for j in ci] for i in ri]
-                g = gcd(g, _det(sub))
+                x = sum(
+                    (-1) ** j * m[ri[0]][c] * minors[ri[1:], ci[:j] + ci[j + 1:]]
+                    for j, c in enumerate(ci)
+                )
+                step[ri, ci] = x
+                g = gcd(g, x)
         if g == 0:
             break
+        minors = step
         chain.append(g // prev)
         prev = g
     return chain
@@ -132,23 +220,6 @@ def _divisor_chain_oracle(m: list[list[int]]) -> list[int]:
 
 def _rand_matrix(rng, r, c, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
-
-
-def test_num_examples():
-    assert num(Fraction(10, 24)) == 5
-    assert num(Fraction(1, 4)) == 1
-    assert num(7) == 7
-    assert num(10, 24) == 5
-    assert num(-10, 24) == -5
-
-
-def test_num_zero_denominator_rejected():
-    try:
-        num(1, 0)
-    except ZeroDivisionError:
-        pass
-    else:
-        raise AssertionError("expected error on zero denominator")
 
 
 def test_xgcd():
@@ -191,6 +262,25 @@ def test_factor_squarefree_bounded_trial_division():
             assert "too large to certify prime" in str(exc)
         else:
             raise AssertionError(f"expected ValueError for {hard}")
+
+
+def test_factor_reassembles():
+    rng = random.Random(17)
+    for n in [1, 2, 1024, 999999999989 * 9, *(rng.randint(1, 10**9) for _ in range(200))]:
+        factors = _factor(n)
+        assert list(factors) == sorted(factors)
+        assert all(is_prime(p) and e > 0 for p, e in factors.items())
+        assert prod(p**e for p, e in factors.items()) == n
+    assert _factor(2**10 * 3**4 * 1000003) == {2: 10, 3: 4, 1000003: 1}
+    for bad in (0, -5):
+        with pytest.raises(ValueError):
+            _factor(bad)
+
+
+def test_is_prime_bounded():
+    assert is_prime(999999999989) and not is_prime(999999999989 * 3)
+    with pytest.raises(ValueError, match="too large to certify prime"):
+        is_prime(10**18 + 3)
 
 
 def test_phi_psi_omega_examples():
@@ -239,7 +329,10 @@ def test_snf_random_properties():
             for j in range(d.cols):
                 if i != j:
                     assert d[i][j] == 0
-        assert list(elementary_divisors(m)) == _divisor_chain_oracle(m.tolist())
+        chain = _divisor_chain_oracle(m.tolist())
+        assert list(reference_elementary_divisors(m)) == chain
+        if r == c and _det(m.tolist()):
+            assert list(elementary_divisors(m)) == chain
 
 
 def test_snf_permutation_invariance():
@@ -248,13 +341,15 @@ def test_snf_permutation_invariance():
         r = rng.randint(2, 4)
         c = rng.randint(2, 4)
         rows = _rand_matrix(rng, r, c)
-        ed = elementary_divisors(IntMatrix(rows))
+        # the modular Smith form takes square nonsingular input only
+        snf = elementary_divisors if r == c and _det(rows) else reference_elementary_divisors
+        ed = snf(IntMatrix(rows))
         shuffled = rows[:]
         rng.shuffle(shuffled)
         perm = list(range(c))
         rng.shuffle(perm)
         shuffled = [[row[p] for p in perm] for row in shuffled]
-        assert elementary_divisors(IntMatrix(shuffled)) == ed
+        assert snf(IntMatrix(shuffled)) == ed
 
 
 def test_snf_product_is_abs_det():
@@ -268,6 +363,39 @@ def test_snf_product_is_abs_det():
             continue
         assert prod(elementary_divisors(IntMatrix(m))) == abs(det)
         checked += 1
+
+
+def test_elementary_divisors_match_reference():
+    # entries in [-2, 2] keep the unreduced reference fast up to size 8;
+    # P * D * Q with a random diagonal D gives longer divisor chains
+    rng = random.Random(29)
+    for n in range(1, 9):
+        small = []
+        while len(small) < 6:
+            m = IntMatrix(_rand_matrix(rng, n, n, -2, 2))
+            if determinant(m.data):
+                small.append(m)
+        for m in small:
+            assert elementary_divisors(m) == reference_elementary_divisors(m), m
+        chained = []
+        while len(chained) < 4:
+            p, q = _rand_matrix(rng, n, n, -3, 3), _rand_matrix(rng, n, n, -3, 3)
+            d = [[rng.choice((1, 2, 3, 4, 6, 12)) * (i == j) for j in range(n)] for i in range(n)]
+            m = IntMatrix(p) * IntMatrix(d) * IntMatrix(q)
+            if determinant(m.data):
+                chained.append(m)
+        for m in small + chained:
+            ed = elementary_divisors(m)
+            assert list(ed) == _divisor_chain_oracle(m.tolist()), m
+            assert all(b % a == 0 for a, b in zip(ed, ed[1:])), m
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1, 2, 3]], [[1, 2], [2, 4]], [[0, 0], [0, 0]], [[1], [2]]]
+)
+def test_elementary_divisors_reject_singular_or_nonsquare(rows):
+    with pytest.raises(ValueError):
+        elementary_divisors(IntMatrix(rows))
 
 
 def test_hnf_identity():

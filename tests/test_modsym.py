@@ -10,6 +10,7 @@ from eislab import modsym
 from eislab.divlattice import SquareFreeLevel
 from eislab.exactnum import (
     IntMatrix,
+    _factor,
     _reduce_above_pivots,
     hermite_normal_form,
     hnf_coordinates,
@@ -32,7 +33,6 @@ from eislab.modsym import (
     _check_closed,
     _cuspidal_lift,
     _cusps_equivalent,
-    _factorize,
     _hnf_insert_mod,
     _matrix_on_cuspidal,
     _merel_family,
@@ -415,7 +415,7 @@ def test_ring_rank_matches_genus():
     assert cached_ring(35).basis.rows == 3
     model = cached_ring(11)
     assert model.bound == 2
-    assert model.operators[0] == IntMatrix.identity(2)
+    assert hecke_matrix(model.space, 1) == IntMatrix.identity(2)
 
 
 def test_hnf_insert_mod_matches_hnf():
@@ -443,13 +443,14 @@ def test_ring_basis_matches_one_shot_hnf():
     # the ring HNF takes one operator at a time; all at once is the reference
     for n in (11, 35, 70, 105):
         ring = cached_ring(n)
-        vecs = IntMatrix([_vec(op) for op in ring.operators], cols=(2 * ring.genus) ** 2)
+        ops = [hecke_matrix(ring.space, k) for k in range(1, ring.bound + 1)]
+        vecs = IntMatrix([_vec(op) for op in ops], cols=(2 * ring.genus) ** 2)
         assert ring.basis == reference_hnf(vecs), n
 
 
 def test_ring_closed_under_products():
     ring = cached_ring(30)
-    ops = ring.operators
+    ops = [hecke_matrix(ring.space, k) for k in range(1, ring.bound + 1)]
     for i in range(1, ring.bound + 1):
         for j in range(i, ring.bound + 1):
             if i * j > ring.bound:
@@ -665,7 +666,7 @@ def _probe_image(ring, k: int) -> list[int]:
     images = ring.cache["probe"]["images"]
     if k in images:
         return images[k]
-    factors = _factorize(k)
+    factors = _factor(k)
     p = max(factors)
     e = factors[p]
     x = _probe_image(ring, k // p**e)
