@@ -6,7 +6,11 @@ the primitives in this module.  All arithmetic is exact; no floats anywhere.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import chain
 from math import gcd, isqrt, lcm, prod
+from operator import index
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -104,7 +108,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols: int | None = None):
-        rows = [tuple(int(x) for x in row) for row in data]
+        rows = [tuple(map(index, row)) for row in data]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -160,7 +164,7 @@ class IntMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        return IntMatrix(_mul(self.tolist(), other.tolist(), other.cols), cols=other.cols)
+        return IntMatrix(_mul(self.data, other.data, other.cols), cols=other.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -191,17 +195,77 @@ class IntMatrix:
         return all(x == 0 for row in self.data for x in row)
 
 
-def _mul(a: list[list[int]], b: list[list[int]], bc: int) -> list[list[int]]:
-    out = []
-    for row in a:
-        acc = [0] * bc
-        for k, x in enumerate(row):
-            if x:
-                brow = b[k]
-                for j in range(bc):
-                    acc[j] += x * brow[j]
-        out.append(acc)
-    return out
+def _width(bound: int) -> int:
+    """Digit width, a multiple of 64 bits, for signed digits of absolute value <= bound."""
+    return 64 * (bound.bit_length() // 64 + 1)
+
+
+def _bias(n: int, k: int) -> int:
+    """2^(w-1) in each of n digits of k = w/8 bytes."""
+    return int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
+
+
+def _pack_rows(rows, n: int, w: int) -> list[int]:
+    """Each row of n entries x_c, |x_c| < 2^(w-1), as the integer sum x_c * 2^(w*c).
+
+    w is a multiple of 64.  The entries are written as w-bit two's
+    complements (one array('q') at w = 64), and XOR with the bias 2^(w-1)
+    per digit turns each into x_c + 2^(w-1), which subtracting the bias
+    undoes.  _unpack_rows is the inverse.
+    """
+    k = w // 8
+    flat = chain.from_iterable(rows)
+    if w == 64:
+        digits = array("q", flat)
+        if sys.byteorder == "big":
+            digits.byteswap()
+        raw = digits.tobytes()
+    else:
+        raw = b"".join(x.to_bytes(k, "little", signed=True) for x in flat)
+    bias, size = _bias(n, k), n * k
+    return [
+        (int.from_bytes(raw[i:i + size], "little") ^ bias) - bias
+        for i in range(0, len(rows) * size, size)
+    ]
+
+
+def _unpack_rows(packed: list[int], n: int, w: int) -> list[list[int]]:
+    """The n digits of each x = sum d_c * 2^(w*c) in packed, given |d_c| < 2^(w-1).
+
+    The inverse of _pack_rows: adding the bias 2^(w-1) to every digit makes
+    them all non-negative with no carries, and XOR with the same bias then
+    leaves each digit's w-bit two's complement.
+    """
+    k = w // 8
+    bias = _bias(n, k)
+    raw = b"".join(((x + bias) ^ bias).to_bytes(n * k, "little") for x in packed)
+    if w == 64:
+        digits = array("q", raw)
+        if sys.byteorder == "big":
+            digits.byteswap()
+        flat = digits.tolist()
+    else:
+        flat = [
+            int.from_bytes(raw[i:i + k], "little", signed=True)
+            for i in range(0, len(raw), k)
+        ]
+    return [flat[i * n:(i + 1) * n] for i in range(len(packed))]
+
+
+def _mul(a, b, bc: int) -> list[list[int]]:
+    """Rows of the product a*b (bc columns), each one sum of packed rows of b.
+
+    Every product entry is at most the largest row L1 norm of a times the
+    largest entry of b, so at a width that keeps that below 2^(w-1) (and
+    every entry of b below it too) the packed sum unpacks digit by digit.
+    """
+    if not bc:
+        return [[] for _ in a]
+    top = max(max(map(max, b), default=0), -min(map(min, b), default=0))
+    l1 = max((sum(map(abs, row)) for row in a), default=0)
+    w = _width(max(l1, 1) * top)
+    packed = _pack_rows(b, bc, w)
+    return _unpack_rows([sum(x * y for x, y in zip(row, packed) if x) for row in a], bc, w)
 
 
 def _reduce_above_pivots(h: list[list[int]], pivots) -> None:
@@ -215,7 +279,7 @@ def _reduce_above_pivots(h: list[list[int]], pivots) -> None:
         for k in range(j):
             q = h[k][c] // row[c]
             if q:
-                h[k] = [x - q * y for x, y in zip(h[k], row)]
+                h[k] = [*h[k][:c], *[x - q * y for x, y in zip(h[k][c:], row[c:])]]
 
 
 def _hnf_insert(h: list[list[int]], pivots: list[int], v, end: int | None = None) -> None:
@@ -244,14 +308,15 @@ def _hnf_insert(h: list[list[int]], pivots: list[int], v, end: int | None = None
             pivots.insert(i, c)
             return
         row, x = h[i], v[c]
+        # both rows vanish before column c
         if x % row[c] == 0:
             q = x // row[c]
-            v = [a - q * b for a, b in zip(v, row)]
+            v = [0] * c + [a - q * b for a, b in zip(v[c:], row[c:])]
         else:
             e, s, t = xgcd(row[c], x)
             a, b = row[c] // e, x // e
-            h[i] = [s * y + t * z for y, z in zip(row, v)]
-            v = [a * z - b * y for y, z in zip(row, v)]
+            h[i] = [0] * c + [s * y + t * z for y, z in zip(row[c:], v[c:])]
+            v = [0] * c + [a * z - b * y for y, z in zip(row[c:], v[c:])]
         i += 1
 
 
@@ -279,7 +344,7 @@ def determinant(rows) -> int:
 
     Every division is exact, so entries never exceed the size of a minor.
     """
-    a = [[int(x) for x in row] for row in rows]
+    a = [list(map(index, row)) for row in rows]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
@@ -320,7 +385,7 @@ def hnf_mod_det(rows, d: int) -> IntMatrix:
     if any(len(row) != n for row in rows):
         raise ValueError("hnf_mod_det needs a square matrix")
     # active rows keep only the columns from j on
-    active = [[int(x) % d for x in row] for row in rows]
+    active = [[index(x) % d for x in row] for row in rows]
     out = []
     mod = d
     for j in range(n):
@@ -390,22 +455,28 @@ def left_kernel(M: IntMatrix) -> IntMatrix:
 
 
 def hnf_coordinates(H: IntMatrix, v) -> list[int] | None:
-    """Integer coordinates of v over the HNF rows of H, or None if outside."""
-    w = [int(x) for x in v]
+    """Integer coordinates of v over the HNF rows of H, or None if outside.
+
+    Each pivot is looked for after the previous one, and a row is
+    subtracted from its pivot column on, where all of its entries are.
+    """
+    w = list(map(index, v))
     if len(w) != H.cols:
         raise ValueError("vector length mismatch")
     coeffs = []
+    p = 0
     for row in H.data:
-        p = next((j for j, x in enumerate(row) if x), None)
+        p = next((j for j in range(p, H.cols) if row[j]), None)
         if p is None:
-            coeffs.append(0)
-            continue
+            coeffs.extend([0] * (H.rows - len(coeffs)))
+            break
         c, rem = divmod(w[p], row[p])
         if rem:
             return None
         if c:
-            w = [x - c * y for x, y in zip(w, row)]
+            w[p:] = [x - c * y for x, y in zip(w[p:], row[p:])]
         coeffs.append(c)
+        p += 1
     if any(w):
         return None
     return coeffs
@@ -416,10 +487,7 @@ def elementary_divisors(M: IntMatrix) -> tuple[int, ...]:
 
     Kannan-Bachem (Cohen, GTM 138, section 2.4): with d = |det M|, the row
     HNF modulo d (hnf_mod_det) is taken of the matrix and then of its
-    transpose, in turn, until it is diagonal.  Unimodular row operations and
-    transposes leave Z^n / Z^n M the same group up to isomorphism, and the
-    entries never exceed d.  The diagonal is then put
-    into a divisibility chain, (d_i, d_j) -> (gcd, lcm) for i < j.  Raises
+    transpose, in turn, until it is diagonal (_smith_from_hnf).  Raises
     ValueError unless M is square and nonsingular.
     """
     if M.rows != M.cols:
@@ -427,7 +495,18 @@ def elementary_divisors(M: IntMatrix) -> tuple[int, ...]:
     d = abs(determinant(M.data))
     if not d:
         raise ValueError("elementary_divisors needs a nonsingular matrix")
-    h = hnf_mod_det(M.data, d)
+    return _smith_from_hnf(hnf_mod_det(M.data, d), d)
+
+
+def _smith_from_hnf(h: IntMatrix, d: int) -> tuple[int, ...]:
+    """Smith form diagonal of a square row HNF h with d = |det h|, its pivot product.
+
+    The transpose is put into row HNF modulo d (hnf_mod_det) in turn until
+    it is diagonal.  Unimodular row operations and transposes leave
+    Z^n / Z^n h the same group up to isomorphism, and the entries never
+    exceed d.  The diagonal is then put into a divisibility chain,
+    (d_i, d_j) -> (gcd, lcm) for i < j.
+    """
     while any(x for i, row in enumerate(h.data) for x in row[i + 1:]):
         h = hnf_mod_det(h.transpose().data, d)
     diag = [h[i][i] for i in range(h.rows)]

@@ -20,8 +20,12 @@ from eislab.exactnum import (
     _factor,
     _hnf_insert,
     _left_inverse,
+    _mul,
+    _pack_rows,
     _reduce_above_pivots,
-    elementary_divisors,
+    _smith_from_hnf,
+    _unpack_rows,
+    _width,
     hermite_normal_form,
     hnf_coordinates,
     is_prime,
@@ -141,13 +145,6 @@ class ManinSymbolSpace:
     cuspidal: IntMatrix        # HNF basis of ker(boundary)
     genus: int
     op_cache: dict = field(default_factory=dict, repr=False)
-
-    def symbol_index(self, c: int, d: int) -> int:
-        n = self.level.value
-        i = self.p1_index[c % n * n + d % n]
-        if i < 0:
-            raise ValueError(f"({c} : {d}) is not projective at level {n}")
-        return i
 
 
 def _eliminate(row: dict[int, int], other: dict[int, int], c: int) -> dict[int, int]:
@@ -418,13 +415,8 @@ def _u_symbol_rows(space: ManinSymbolSpace, q: int, which=None) -> dict[int, dic
     return _rows_by_paths(space, q, False, which)
 
 
-def _t_symbol_rows_by_paths(space: ManinSymbolSpace, r: int) -> dict[int, dict[int, int]]:
-    # independent route to the same operator as the determinant-r family
-    return _rows_by_paths(space, r, True)
-
-
 def _cuspidal_lift(space: ManinSymbolSpace):
-    """The cuspidal basis written on symbols, the symbols it touches, and coords sparsely.
+    """The cuspidal basis written on symbols, and the symbols it touches.
 
     An operator on the cuspidal lattice needs the images of these symbols
     only: about a third of P^1 at the larger levels.
@@ -433,38 +425,60 @@ def _cuspidal_lift(space: ManinSymbolSpace):
     if key not in space.op_cache:
         lifted = space.cuspidal * space.section
         rows = [{s: x for s, x in enumerate(row) if x} for row in lifted.data]
-        support = sorted(set().union(*rows))
-        sparse = [[(t, x) for t, x in enumerate(row) if x] for row in space.coords.data]
-        space.op_cache[key] = (rows, support, sparse)
+        space.op_cache[key] = (rows, sorted(set().union(*rows)))
     return space.op_cache[key]
 
 
 def _matrix_on_cuspidal(space: ManinSymbolSpace, symbol_rows) -> IntMatrix:
-    """Operator on the cuspidal basis from symbol images; reads symbol_rows[s] on the support."""
+    """Operator on the cuspidal basis from symbol images; reads symbol_rows[s] on the support.
+
+    The image of each lifted basis vector is one sum of the symbols'
+    coordinate rows packed as integers (exactnum._pack_rows), unpacked once.
+    Its entries are at most max|coords| times the lifted row's sum of
+    |coef| * (L1 norm of the symbol's image), which fixes the width.
+    cuspidal is the saturated left kernel of boundary, so an image lies in
+    the cuspidal lattice exactly when image * boundary = 0; its coordinates
+    then follow from its entries at the pivot columns of cuspidal, by a
+    triangular solve for all images at once.  The packed rows are built
+    per call.
+    """
     two_g = space.cuspidal.rows
     if two_g == 0:
         return IntMatrix([], cols=0)
-    lifted, support, sparse = _cuspidal_lift(space)
-    rank_q = space.quotient_rank
-    images = {}
-    for s_idx in support:
-        img = [0] * rank_q
-        for j, mult in symbol_rows[s_idx].items():
-            for t, y in sparse[j]:
-                img[t] += mult * y
-        images[s_idx] = img
-    out = []
-    for row in lifted:
-        img = [0] * rank_q
-        for s_idx, coef in row.items():
-            img = [a + coef * b for a, b in zip(img, images[s_idx])]
-        coords = hnf_coordinates(space.cuspidal, img)
-        if coords is None:
-            raise RuntimeError(
-                f"cuspidal lattice not stable under the operator at level {space.level.value}"
-            )
-        out.append(coords)
-    return IntMatrix(out, cols=two_g)
+    lifted, support = _cuspidal_lift(space)
+    coords = space.coords.data
+    top = max(max(map(max, coords)), -min(map(min, coords)))
+    weight = {s: sum(map(abs, symbol_rows[s].values())) for s in support}
+    reach = max(sum(abs(coef) * weight[s] for s, coef in row.items()) for row in lifted)
+    w = _width(top * max(reach, 1))
+    packed = _pack_rows(coords, space.quotient_rank, w)
+    image = {
+        s: sum(mult * packed[j] for j, mult in symbol_rows[s].items()) for s in support
+    }
+    images = _unpack_rows(
+        [sum(coef * image[s] for s, coef in row.items()) for row in lifted],
+        space.quotient_rank,
+        w,
+    )
+    fault = f"cuspidal lattice not stable under the operator at level {space.level.value}"
+    if any(map(any, _mul(images, space.boundary.data, space.boundary.cols))):
+        raise RuntimeError(fault)
+    # X * A = Y, A the cuspidal basis and Y the images on its pivot columns
+    # (A is upper triangular there), one column of X at a time
+    basis = space.cuspidal.data
+    cols: list[list[int]] = []
+    for row in basis:
+        q = next(q for q, x in enumerate(row) if x)
+        col = [img[q] for img in images]
+        for above, done in zip(basis, cols):
+            if above[q]:
+                col = [y - above[q] * x for y, x in zip(col, done)]
+        if row[q] != 1:
+            if any(y % row[q] for y in col):
+                raise RuntimeError(fault)
+            col = [y // row[q] for y in col]
+        cols.append(col)
+    return IntMatrix(zip(*cols), cols=two_g)
 
 
 def _prime_matrix(space: ManinSymbolSpace, p: int) -> IntMatrix:
@@ -736,6 +750,36 @@ def _hnf_insert_mod(h: list[list[int]], v: list[int], d: int) -> int:
     return d
 
 
+def _unit_coords(ring: HeckeRingModel) -> list[int]:
+    """Coordinates of T_1, the identity, over the ring basis."""
+    e = ring.cache.get("one")
+    if e is None:
+        e = hnf_coordinates(ring.basis, _vec(IntMatrix.identity(2 * ring.genus)))
+        if e is None:
+            raise RuntimeError(
+                f"operator 1 escapes the ring lattice at level {ring.space.level.value}"
+            )
+        ring.cache["one"] = e
+    return e
+
+
+def _contains_mod(h: list[list[int]], v: list[int], d: int) -> bool:
+    """Whether v lies in the lattice of h, a full-rank triangular basis with pivot product d.
+
+    The lattice contains d*Z^g, so v is kept modulo d.  Column by column,
+    v is in the lattice exactly when each pivot divides v's entry, which one
+    row subtraction then clears.
+    """
+    v = [x % d for x in v]
+    for j, row in enumerate(h):
+        q, r = divmod(v[j], row[j])
+        if r:
+            return False
+        if q:
+            v = [0] * (j + 1) + [(a - q * b) % d for a, b in zip(v[j + 1:], row[j + 1:])]
+    return True
+
+
 def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     """Index of the ideal shifting each operator to its cusp-count value.
 
@@ -744,7 +788,10 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     bound grows until the index survives two consecutive extra primes.
     A generator t = T_p - s adds the principal ideal t*T, spanned by the g
     products t*b_j: the rows of _prime_rows(ring, p) with s taken off the
-    diagonal.  Their coordinates are shared by every m.
+    diagonal.  Their coordinates are shared by every m.  Once the ideal J
+    has full rank, t itself (sum_j e_j t*b_j, with e the coordinates of
+    T_1) is tested first: when t is in J, so is every t*b_j, J being an
+    ideal, and its g rows are skipped.
     """
     n = ring.space.level.value
     if m < 1 or n % m:
@@ -756,6 +803,7 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
             zero_ring=True,
         )
     g = ring.genus
+    one = _unit_coords(ring)
     ideal: list[list[int]] = []  # echelon basis of every generator row so far
     pivots: list[int] = []
     det = 0  # product of its pivots once it has full rank
@@ -766,7 +814,15 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
         # and each row is inserted into the triangular basis modulo d
         nonlocal det
         names.append(f"{kind}{p}-{shift}")
-        for j, row in enumerate(_prime_rows(ring, p)):
+        rows = _prime_rows(ring, p)
+        if det:
+            gen = [-shift * x for x in one]
+            for x, row in zip(one, rows):
+                if x:
+                    gen = [a + x * b for a, b in zip(gen, row)]
+            if _contains_mod(ideal, gen, det):
+                return
+        for j, row in enumerate(rows):
             row = row.copy()
             row[j] -= shift
             if det:
@@ -799,7 +855,9 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
             raise RuntimeError(f"index failed to stabilize at level {n}, m={m}")
     _reduce_above_pivots(ideal, pivots)
     basis = IntMatrix(ideal, cols=g)
-    eds = elementary_divisors(basis)
+    # the ideal basis is a row HNF with pivot product t: the Smith form
+    # starts from it
+    eds = _smith_from_hnf(basis, t)
     if prod(eds) != t:
         raise RuntimeError(f"Smith form disagrees with the index at level {n}, m={m}")
     nontrivial = [e for e in eds if e != 1]

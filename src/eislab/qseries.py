@@ -1,7 +1,7 @@
 """Truncated q-expansions with exact integer coefficients.
 
-Carries the weight-2 series e = 1 - 24 sum sigma(n) q^n, the weight-4
-series E4, the level-raising operators g(z) -> g(z) - c * g(pz), the
+Carries the weight-2 series e = 1 - 24 sum sigma(n) q^n, the
+level-raising operators g(z) -> g(z) - c * g(pz), the
 composite Eisenstein series attached to a divisor M of N, Hecke operators
 on expansions, and the cusp-residue closed forms.
 """
@@ -78,14 +78,6 @@ def series_e(precision: int) -> QExpansion:
         raise ValueError("precision must be at least 1")
     sig = sigma_sieve(precision)
     return QExpansion(0, precision, [1] + [-24 * s for s in sig[1:]])
-
-
-def series_E4(precision: int) -> QExpansion:
-    """1 + 240 sum_{n>=1} sigma_3(n) q^n."""
-    if precision < 1:
-        raise ValueError("precision must be at least 1")
-    sig = sigma_sieve(precision, 3)
-    return QExpansion(0, precision, [1] + [240 * s for s in sig[1:]])
 
 
 def level_raise(g: QExpansion, p: int, k: int, sign) -> QExpansion:
@@ -256,23 +248,3 @@ def level_lowering_identity_check(
         if lhs.coeffs[j] != rhs:
             return IdentityCheck(False, j, precision)
     return IdentityCheck(True, None, precision)
-
-
-def weight4_G(primes, precision: int = 200) -> QExpansion:
-    """Plus word in weight 4 over the given primes, applied to E4.
-
-    The constant term is checked equal to prod (1 - p^3).
-    """
-    primes = [int(p) for p in primes]
-    if not primes:
-        raise ValueError("prime list must be nonempty")
-    if len(set(primes)) != len(primes):
-        raise ValueError("primes must be distinct")
-    f = series_E4(precision)
-    expected = 1
-    for p in primes:
-        f = level_raise(f, p, 4, "+")
-        expected *= 1 - p**3
-    if f.coeffs[0] != expected:
-        raise RuntimeError("constant term of the weight-4 word is forced")
-    return f

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
@@ -12,7 +13,9 @@ from eislab.exactnum import (
     _factor,
     _hnf_insert,
     _left_inverse,
+    _mul,
     _reduce_above_pivots,
+    _width,
     determinant,
     elementary_divisors,
     factor_squarefree,
@@ -535,6 +538,55 @@ def test_hnf_coordinates_roundtrip():
                 for j in range(c)
             ]
             assert back == off
+
+
+def test_non_integer_entries_raise():
+    # 7/2 and 2.9 must not become 3 and 2
+    for x in (Fraction(7, 2), 2.9):
+        with pytest.raises(TypeError):
+            IntMatrix([[x, 2]])
+        with pytest.raises(TypeError):
+            hnf_coordinates(IntMatrix.identity(2), [x, 2])
+
+
+def _naive_product(a, b, bc):
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(bc)] for row in a]
+
+
+def test_packed_product_matches_naive():
+    rng = random.Random(41)
+    top = 1 << 63
+    near = [top - 1, top - 2, -top, 1 - top, -1, 0, 1]
+    cases = []
+    for _ in range(30):
+        r, k, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        cases.append((_rand_matrix(rng, r, k), _rand_matrix(rng, k, c)))
+    for _ in range(10):
+        r, k, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = [[rng.choice((-1, 0, 1)) for _ in range(k)] for _ in range(r)]
+        b = [[rng.choice(near) for _ in range(c)] for _ in range(k)]
+        cases.append((a, b))
+    for _ in range(10):
+        r, k, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = _rand_matrix(rng, r, k)
+        b = [[rng.randint(-(1 << 80), 1 << 80) for _ in range(c)] for _ in range(k)]
+        cases.append((a, b))
+    cases += [
+        ([[1, 0, 0]], [[top - 1], [5], [-7]]),   # the largest 64-bit digit
+        ([[3, -4, 5]], [[1], [2], [-7]]),
+        ([[2], [-3]], [[5, -6, 7]]),
+        ([[]], []),
+    ]
+    widths = set()
+    for a, b in cases:
+        bc = len(b[0]) if b else 3
+        widths.add(_width(max(1, *(sum(map(abs, row)) for row in a))
+                          * max((abs(x) for row in b for x in row), default=0)))
+        assert _mul(a, b, bc) == _naive_product(a, b, bc), (a, b)
+    assert {64, 128} <= widths
+    assert _mul([[1, 2], [3, 4]], [[], []], 0) == [[], []]
+    m = IntMatrix([[top, -top], [1, 1]])
+    assert (m * m).tolist() == _naive_product(m.data, m.data, 2)
 
 
 def test_left_kernel():

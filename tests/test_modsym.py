@@ -42,7 +42,6 @@ from eislab.modsym import (
     _prime_rows,
     _relation_quotient,
     _rows_by_paths,
-    _t_symbol_rows_by_paths,
     _vec,
 )
 from test_exactnum import reference_hnf
@@ -310,12 +309,35 @@ def test_planted_boundary_fault_is_caught(monkeypatch):
     assert len(calls) >= 5
 
 
+def test_planted_symbol_image_leaves_cuspidal_lattice():
+    # one support symbol's image gains a symbol with nonzero boundary: the
+    # images through it leave the cuspidal lattice
+    for n, r in ((11, 2), (35, 3), (70, 3)):
+        space = build_space(n)
+        support = _cuspidal_lift(space)[1]
+        rows = _merel_symbol_rows(space, r, support)
+        assert _matrix_on_cuspidal(space, rows) == hecke_matrix(space, r)
+        j = next(
+            j for j in range(len(space.symbols))
+            if not (IntMatrix([space.coords[j]]) * space.boundary).is_zero()
+        )
+        s = support[0]
+        rows[s] = {**rows[s], j: rows[s].get(j, 0) + 1}
+        with pytest.raises(RuntimeError, match="cuspidal lattice not stable"):
+            _matrix_on_cuspidal(space, rows)
+
+
 def test_merel_family_shape():
     for n, size in ((2, 4), (3, 7)):
         fam = _merel_family(n)
         assert len(fam) == size
         assert all(a * d - b * c == n for a, b, c, d in fam)
         assert all(a > b >= 0 and d > c >= 0 for a, b, c, d in fam)
+
+
+def _t_symbol_rows_by_paths(space, r):
+    # independent route to the same operator as the determinant-r family
+    return _rows_by_paths(space, r, True)
 
 
 def test_prime_action_two_routes_agree():
@@ -779,6 +801,28 @@ def test_planted_prime_operator_escapes_ring():
             eisenstein_index(ring, n)
 
 
+def test_planted_ring_without_identity_is_refused():
+    # the index reads its generators through the coordinates of T_1
+    ring = cached_ring(11)
+    doubled = modsym.HeckeRingModel(
+        space=ring.space, bound=ring.bound, basis=ring.basis.scale(2), genus=ring.genus
+    )
+    with pytest.raises(RuntimeError, match="operator 1 escapes the ring lattice"):
+        eisenstein_index(doubled, 11)
+
+
+def test_planted_smith_form_disagrees_with_index(monkeypatch):
+    smith = modsym._smith_from_hnf
+
+    def off_by_two(h, d):
+        *head, last = smith(h, d)
+        return (*head, 2 * last)
+
+    monkeypatch.setattr(modsym, "_smith_from_hnf", off_by_two)
+    with pytest.raises(RuntimeError, match="Smith form disagrees with the index"):
+        eisenstein_index(hecke_ring(build_space(11)), 11)
+
+
 def test_index_models_above_the_golden_range():
     # every cached_index field, every m, at the levels the bench golden
     # sees only the index and verdict of
@@ -794,6 +838,46 @@ def test_index_models_above_the_golden_range():
             ]
             h.update(json.dumps(record).encode() + b"\n")
     assert h.hexdigest()[:16] == "c827d44a94382fd2"
+
+
+def _index_fields(t):
+    return [
+        t.level, t.m, t.index, list(t.elementary_divisors),
+        list(t.generator_names), t.prime_bound,
+        [list(step) for step in t.stabilization],
+        t.ideal_basis.tolist(), t.zero_ring,
+    ]
+
+
+def test_index_models_through_level_70():
+    # every cached_index field, every m, at every square-free level 7-70
+    h = hashlib.sha256()
+    for n in SQUAREFREE:
+        for m in (d for d in range(1, n + 1) if n % d == 0):
+            h.update(json.dumps(_index_fields(cached_index(n, m))).encode() + b"\n")
+    assert h.hexdigest()[:16] == "3795604aa0e2a72c"
+
+
+def test_index_without_the_generator_skip(monkeypatch):
+    # a generator already in the ideal adds nothing: inserting all of its
+    # rows instead gives the same model, stabilization trace included
+    levels = [n for n in range(2, 71) if all(n % (p * p) for p in (2, 3, 5, 7))]
+    pairs = [(n, m) for n in levels + [105] for m in range(1, n + 1) if n % m == 0]
+    skipped = []
+    contains = modsym._contains_mod
+
+    def spy(*args):
+        skipped.append(contains(*args))
+        return skipped[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modsym, "_contains_mod", spy)
+        with_skip = [_index_fields(eisenstein_index(cached_ring(n), m)) for n, m in pairs]
+    assert any(skipped) and not all(skipped)
+    monkeypatch.setattr(modsym, "_contains_mod", lambda *args: False)
+    for (n, m), fields in zip(pairs, with_skip):
+        assert _index_fields(eisenstein_index(cached_ring(n), m)) == fields, (n, m)
+        assert _index_fields(cached_index(n, m)) == fields, (n, m)
 
 
 def test_rref_small():

@@ -12,11 +12,37 @@ from eislab.qseries import (
     level_lowering_identity_check,
     level_raise,
     residues,
-    series_E4,
     series_e,
     sigma_sieve,
-    weight4_G,
 )
+
+
+def series_E4(precision: int) -> QExpansion:
+    """1 + 240 sum_{n>=1} sigma_3(n) q^n."""
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
+    sig = sigma_sieve(precision, 3)
+    return QExpansion(0, precision, [1] + [240 * s for s in sig[1:]])
+
+
+def weight4_G(primes, precision: int = 200) -> QExpansion:
+    """Plus word in weight 4 over the given primes, applied to E4.
+
+    The constant term is checked equal to prod (1 - p^3).
+    """
+    primes = [int(p) for p in primes]
+    if not primes:
+        raise ValueError("prime list must be nonempty")
+    if len(set(primes)) != len(primes):
+        raise ValueError("primes must be distinct")
+    f = series_E4(precision)
+    expected = 1
+    for p in primes:
+        f = level_raise(f, p, 4, "+")
+        expected *= 1 - p**3
+    if f.coeffs[0] != expected:
+        raise RuntimeError("constant term of the weight-4 word is forced")
+    return f
 
 
 def _squarefree(lo, hi):
