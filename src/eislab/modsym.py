@@ -764,20 +764,12 @@ def _unit_coords(ring: HeckeRingModel) -> list[int]:
 
 
 def _contains_mod(h: list[list[int]], v: list[int], d: int) -> bool:
-    """Whether v lies in the lattice of h, a full-rank triangular basis with pivot product d.
+    """Whether v lies in the lattice of h: inserting it keeps the pivot product d.
 
-    The lattice contains d*Z^g, so v is kept modulo d.  Column by column,
-    v is in the lattice exactly when each pivot divides v's entry, which one
-    row subtraction then clears.
+    _hnf_insert_mod replaces rows of h but never changes one in place, so it
+    runs on a shallow copy and h stays as it was.
     """
-    v = [x % d for x in v]
-    for j, row in enumerate(h):
-        q, r = divmod(v[j], row[j])
-        if r:
-            return False
-        if q:
-            v = [0] * (j + 1) + [(a - q * b) % d for a, b in zip(v[j + 1:], row[j + 1:])]
-    return True
+    return _hnf_insert_mod(list(h), v, d) == d
 
 
 def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:

@@ -7,6 +7,7 @@ from math import gcd, prod
 
 import pytest
 
+from eislab import exactnum
 from eislab.exactnum import (
     IntMatrix,
     _echelon,
@@ -553,7 +554,7 @@ def _naive_product(a, b, bc):
     return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(bc)] for row in a]
 
 
-def test_packed_product_matches_naive():
+def test_packed_product_matches_naive(monkeypatch):
     rng = random.Random(41)
     top = 1 << 63
     near = [top - 1, top - 2, -top, 1 - top, -1, 0, 1]
@@ -582,7 +583,11 @@ def test_packed_product_matches_naive():
         bc = len(b[0]) if b else 3
         widths.add(_width(max(1, *(sum(map(abs, row)) for row in a))
                           * max((abs(x) for row in b for x in row), default=0)))
-        assert _mul(a, b, bc) == _naive_product(a, b, bc), (a, b)
+        # array('q') digits at w = 64 on a little-endian machine, and the
+        # to_bytes digits that every other machine and width use
+        for little in {exactnum._LITTLE, False}:
+            monkeypatch.setattr(exactnum, "_LITTLE", little)
+            assert _mul(a, b, bc) == _naive_product(a, b, bc), (a, b, little)
     assert {64, 128} <= widths
     assert _mul([[1, 2], [3, 4]], [[], []], 0) == [[], []]
     m = IntMatrix([[top, -top], [1, 1]])
