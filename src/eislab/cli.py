@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 # eislab.modsym is imported inside the commands and suites that use it, so
@@ -31,43 +30,9 @@ LATTICE_CAP = 2310
 MODSYM_CAP = 70
 PREC_CAP = 10**5  # eis builds a list of --prec coefficients
 
-SUITES = (
-    "lattice-oracle",
-    "eigenform",
-    "qidentity",
-    "index-vs-order",
-    "nonmaximal",
-    "main-theorem",
-)
-_SUITE_DEFAULT_BOUND = {
-    "lattice-oracle": 210,
-    "eigenform": 100,
-    "qidentity": 100,
-    "index-vs-order": 70,
-    "nonmaximal": 70,
-    "main-theorem": 70,
-}
-_SUITE_CAP = {
-    "lattice-oracle": LATTICE_CAP,
-    "eigenform": LATTICE_CAP,
-    "qidentity": LATTICE_CAP,
-    "index-vs-order": MODSYM_CAP,
-    "nonmaximal": MODSYM_CAP,
-    "main-theorem": MODSYM_CAP,
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    level: int | None = None
-    m: int | None = None
-    precision: int = 24
-    fmt: str = "text"
-    suite: str | None = None
-    max_level: int | None = None
-    output: str | None = None
-    oracle: bool = False
+# the columns of one index-against-order comparison, as cases and csv rows
+_INDEX_KEYS = ("level", "m", "order", "h", "index", "verdict")
+_INDEX_HEADER = ["N", "M", "order", "h", "index", "verdict"]
 
 
 def _squarefree_levels(bound: int, low: int = 7) -> list[SquareFreeLevel]:
@@ -108,12 +73,40 @@ def _check_bound(bound: int, static_cap: int, what: str, flag: str = "--max-leve
         )
 
 
-def _emit(cfg: RunConfig, data, text_lines, csv_table) -> None:
-    if cfg.fmt == "json":
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Refuse out-of-range values that the parser's int types let through.
+
+    A command without one of these flags passes its check.
+    """
+    for name in ("level", "m"):
+        if getattr(args, name, 1) < 1:
+            raise ValueError(f"--{name} must be positive")
+    prec = getattr(args, "prec", 2)
+    if prec < 2:
+        raise ValueError("--prec must be at least 2")
+    if prec > PREC_CAP:
+        raise ValueError(f"--prec {prec} exceeds the precision cap {PREC_CAP}")
+
+
+def _index_case(n: int, m: int) -> dict:
+    from eislab.modsym import compare_index_order
+
+    rep = compare_index_order(n, m)
+    h = order_closed_form(n, m).h
+    values = (rep.level, rep.m, rep.cusp_order, h, rep.index, rep.verdict)
+    return dict(zip(_INDEX_KEYS, values))
+
+
+def _index_csv(cases: list[dict]) -> tuple:
+    return _INDEX_HEADER, [[c[k] for k in _INDEX_KEYS] for c in cases]
+
+
+def _emit(args: argparse.Namespace, data, text_lines, csv_table) -> None:
+    if args.format == "json":
         out = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         if csv_table is None:
-            raise ValueError(f"csv output is not available for {cfg.command}")
+            raise ValueError(f"csv output is not available for {args.command}")
         header, rows = csv_table
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -122,8 +115,8 @@ def _emit(cfg: RunConfig, data, text_lines, csv_table) -> None:
         out = buf.getvalue()
     else:
         out = "\n".join(text_lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
     else:
         sys.stdout.write(out)
@@ -132,13 +125,13 @@ def _emit(cfg: RunConfig, data, text_lines, csv_table) -> None:
 # ---------------------------------------------------------------------------
 # single-query commands
 
-def _cmd_cusp_order(cfg: RunConfig) -> int:
-    if cfg.oracle:
-        _check_bound(cfg.level, LATTICE_CAP, "lattice", "--level")
+def _cmd_cusp_order(args: argparse.Namespace) -> int:
+    if args.oracle:
+        _check_bound(args.level, LATTICE_CAP, "lattice", "--level")
     res = (
-        order_with_oracle(cfg.level, cfg.m)
-        if cfg.oracle
-        else order_closed_form(cfg.level, cfg.m)
+        order_with_oracle(args.level, args.m)
+        if args.oracle
+        else order_closed_form(args.level, args.m)
     )
     data = {
         "level": res.level,
@@ -149,20 +142,20 @@ def _cmd_cusp_order(cfg: RunConfig) -> int:
     line = f"N={res.level} M={res.m} order={res.closed_form_order} h={res.h}"
     header = ["N", "M", "order", "h"]
     row = [res.level, res.m, res.closed_form_order, res.h]
-    if cfg.oracle:
+    if args.oracle:
         data["oracle_order"] = res.oracle_order
         data["agreed"] = res.agreed
         line += f" oracle={res.oracle_order} agreed={'yes' if res.agreed else 'no'}"
         header.append("oracle_order")
         row.append(res.oracle_order)
-    _emit(cfg, data, [line], (header, [row]))
+    _emit(args, data, [line], (header, [row]))
     return 0 if (res.agreed is not False) else 1
 
 
-def _cmd_table(cfg: RunConfig) -> int:
-    _check_bound(cfg.max_level, LATTICE_CAP, "order-table")
+def _cmd_table(args: argparse.Namespace) -> int:
+    _check_bound(args.max_level, LATTICE_CAP, "order-table")
     rows = []
-    for level in _squarefree_levels(cfg.max_level):
+    for level in _squarefree_levels(args.max_level):
         for m in _proper_divisors(level):
             res = order_closed_form(level, m)
             rows.append((res.level, res.m, res.closed_form_order, res.h))
@@ -170,39 +163,39 @@ def _cmd_table(cfg: RunConfig) -> int:
         {"level": n, "m": m, "order": order, "h": h} for n, m, order, h in rows
     ]
     text = ["N M order h"] + [" ".join(str(x) for x in row) for row in rows]
-    _emit(cfg, data, text, (["N", "M", "order", "h"], [list(r) for r in rows]))
+    _emit(args, data, text, (["N", "M", "order", "h"], [list(r) for r in rows]))
     return 0
 
 
-def _cmd_eis(cfg: RunConfig) -> int:
-    f = eisenstein_series(cfg.level, cfg.m, cfg.precision)
-    data = {"level": cfg.level, "m": cfg.m, **f.to_jsonable()}
+def _cmd_eis(args: argparse.Namespace) -> int:
+    f = eisenstein_series(args.level, args.m, args.prec)
+    data = {"level": args.level, "m": args.m, **f.to_jsonable()}
     text = [
-        f"series at level {cfg.level}, m {cfg.m}, {f.precision} terms",
+        f"series at level {args.level}, m {args.m}, {f.precision} terms",
         "coeffs " + " ".join(str(c) for c in f.coeffs),
     ]
-    _emit(cfg, data, text, None)
+    _emit(args, data, text, None)
     return 0
 
 
-def _cmd_residues(cfg: RunConfig) -> int:
-    reports = residues(cfg.level, cfg.m)
+def _cmd_residues(args: argparse.Namespace) -> int:
+    reports = residues(args.level, args.m)
     data = {
-        "level": cfg.level,
-        "m": cfg.m,
+        "level": args.level,
+        "m": args.m,
         "residues": [{"cusp": r.cusp, "value": str(r.value)} for r in reports],
     }
     text = [f"P_{r.cusp}: {r.value}" for r in reports]
-    _emit(cfg, data, text, None)
+    _emit(args, data, text, None)
     return 0
 
 
-def _cmd_hecke_index(cfg: RunConfig) -> int:
-    _check_bound(cfg.level, MODSYM_CAP, "modular-symbol", "--level")
-    SquareFreeLevel(cfg.level)
-    from eislab.modsym import cached_index, compare_index_order
+def _cmd_hecke_index(args: argparse.Namespace) -> int:
+    _check_bound(args.level, MODSYM_CAP, "modular-symbol", "--level")
+    SquareFreeLevel(args.level)
+    from eislab.modsym import cached_index
 
-    model = cached_index(cfg.level, cfg.m)
+    model = cached_index(args.level, args.m)
     data = {
         "level": model.level,
         "m": model.m,
@@ -221,24 +214,19 @@ def _cmd_hecke_index(cfg: RunConfig) -> int:
         + " ".join(f"{r}:{t}" for r, t in model.stabilization),
     ]
     csv_table = None
-    if cfg.m != 1:
-        rep = compare_index_order(cfg.level, cfg.m)
-        order = order_closed_form(cfg.level, cfg.m)
-        csv_table = (
-            ["N", "M", "order", "h", "index", "verdict"],
-            [[rep.level, rep.m, rep.cusp_order, order.h, rep.index, rep.verdict]],
-        )
-    _emit(cfg, data, text, csv_table)
+    if args.format == "csv" and args.m != 1:
+        csv_table = _index_csv([_index_case(args.level, args.m)])
+    _emit(args, data, text, csv_table)
     return 0
 
 
-def _cmd_maximal_ideals(cfg: RunConfig) -> int:
-    _check_bound(cfg.level, MODSYM_CAP, "modular-symbol", "--level")
+def _cmd_maximal_ideals(args: argparse.Namespace) -> int:
+    _check_bound(args.level, MODSYM_CAP, "modular-symbol", "--level")
     from eislab.modsym import enumerate_eisenstein_maximal
 
-    records = enumerate_eisenstein_maximal(cfg.level)
+    records = enumerate_eisenstein_maximal(args.level)
     data = {
-        "level": cfg.level,
+        "level": args.level,
         "records": [
             {
                 "ell": r.ell,
@@ -254,7 +242,7 @@ def _cmd_maximal_ideals(cfg: RunConfig) -> int:
         + " ".join(f"U{p}={v}" for p, v in r.up_eigenvalues)
         for r in records
     ] or ["no maximal ideals in the census"]
-    _emit(cfg, data, text, None)
+    _emit(args, data, text, None)
     return 0
 
 
@@ -310,23 +298,11 @@ def _suite_qidentity(bound: int) -> list[dict]:
 
 
 def _suite_index_vs_order(bound: int) -> list[dict]:
-    from eislab.modsym import compare_index_order
-
     cases = []
     for level in _squarefree_levels(bound):
         for m in sorted(_proper_divisors(level)):
-            rep = compare_index_order(level.value, m)
-            cases.append(
-                {
-                    "level": level.value,
-                    "m": m,
-                    "order": rep.cusp_order,
-                    "h": order_closed_form(level, m).h,
-                    "index": rep.index,
-                    "verdict": rep.verdict,
-                    "ok": rep.verdict != "violation",
-                }
-            )
+            case = _index_case(level.value, m)
+            cases.append({**case, "ok": case["verdict"] != "violation"})
     return cases
 
 
@@ -375,21 +351,23 @@ def _suite_main_theorem(bound: int) -> list[dict]:
     return cases
 
 
-_SUITE_RUNNERS = {
-    "lattice-oracle": _suite_lattice_oracle,
-    "eigenform": _suite_eigenform,
-    "qidentity": _suite_qidentity,
-    "index-vs-order": _suite_index_vs_order,
-    "nonmaximal": _suite_nonmaximal,
-    "main-theorem": _suite_main_theorem,
+# suite name -> (runner, default --max-level, cap), in the order --suite lists them
+_SUITE_TABLE = {
+    "lattice-oracle": (_suite_lattice_oracle, 210, LATTICE_CAP),
+    "eigenform": (_suite_eigenform, 100, LATTICE_CAP),
+    "qidentity": (_suite_qidentity, 100, LATTICE_CAP),
+    "index-vs-order": (_suite_index_vs_order, 70, MODSYM_CAP),
+    "nonmaximal": (_suite_nonmaximal, 70, MODSYM_CAP),
+    "main-theorem": (_suite_main_theorem, 70, MODSYM_CAP),
 }
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    suite = cfg.suite
-    bound = _SUITE_DEFAULT_BOUND[suite] if cfg.max_level is None else cfg.max_level
-    _check_bound(bound, _SUITE_CAP[suite], suite)
-    cases = _SUITE_RUNNERS[suite](bound)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    suite = args.suite
+    runner, default_bound, cap = _SUITE_TABLE[suite]
+    bound = default_bound if args.max_level is None else args.max_level
+    _check_bound(bound, cap, suite)
+    cases = runner(bound)
     failures = [c for c in cases if not c["ok"]]
     data = {
         "suite": suite,
@@ -404,17 +382,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
         f" up to level {bound}"
     )
     text.append("OK" if not failures else "FAIL")
-    csv_table = None
-    if suite == "index-vs-order":
-        csv_table = (
-            ["N", "M", "order", "h", "index", "verdict"],
-            [
-                [c["level"], c["m"], c.get("order"), c.get("h"),
-                 c.get("index"), c.get("verdict")]
-                for c in cases
-            ],
-        )
-    _emit(cfg, data, text, csv_table)
+    csv_table = _index_csv(cases) if suite == "index-vs-order" else None
+    _emit(args, data, text, csv_table)
     return 0 if not failures else 1
 
 
@@ -478,34 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("verify", help="run one verification suite")
-    sp.add_argument("--suite", choices=SUITES, required=True)
+    sp.add_argument("--suite", choices=tuple(_SUITE_TABLE), required=True)
     sp.add_argument("--max-level", type=int, default=None)
     common(sp, ("text", "json", "csv"))
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        level=getattr(args, "level", None),
-        m=getattr(args, "m", None),
-        precision=getattr(args, "prec", 24),
-        fmt=args.format,
-        suite=getattr(args, "suite", None),
-        max_level=getattr(args, "max_level", None),
-        output=args.output,
-        oracle=getattr(args, "oracle", False),
-    )
-    if cfg.level is not None and cfg.level < 1:
-        raise ValueError("--level must be positive")
-    if cfg.m is not None and cfg.m < 1:
-        raise ValueError("--m must be positive")
-    if cfg.precision < 2:
-        raise ValueError("--prec must be at least 2")
-    if cfg.precision > PREC_CAP:
-        raise ValueError(f"--prec {cfg.precision} exceeds the precision cap {PREC_CAP}")
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -513,8 +459,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.command](cfg)
+        _check_ranges(args)
+        return _HANDLERS[args.command](args)
     except ValueError as exc:
         parser.error(str(exc))
     except Exception as exc:

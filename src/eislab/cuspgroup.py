@@ -46,10 +46,6 @@ class OrderResult:
     outside_hypothesis: bool = False
 
 
-def _level_of(n) -> SquareFreeLevel:
-    return n if isinstance(n, SquareFreeLevel) else SquareFreeLevel(n)
-
-
 def _check_m(level: SquareFreeLevel, m: int) -> int:
     m = int(m)
     if m == 1 or m < 1 or level.value % m:
@@ -59,7 +55,7 @@ def _check_m(level: SquareFreeLevel, m: int) -> int:
 
 def cuspidal_class(n, m) -> CuspidalDivisorClass:
     """Coefficient vector of sum_{d | M} (-1)^omega(d) P_d over the divisor order."""
-    level = _level_of(n)
+    level = SquareFreeLevel(n)
     m = _check_m(level, m)
     table = _tables(level.value)[0]
     coeffs = tuple(
@@ -78,7 +74,7 @@ def _h_factor(level: SquareFreeLevel, m: int) -> int:
 
 def order_closed_form(n, m) -> OrderResult:
     """Numerator of phi(N)*psi(N/M)/24 times h; h = 2 only for prime M = N or N/2, M = 1 mod 8."""
-    level = _level_of(n)
+    level = SquareFreeLevel(n)
     m = _check_m(level, m)
     x = phi_psi_omega(level)[0] * phi_psi_omega(level.value // m)[1]
     h = _h_factor(level, m)
@@ -108,7 +104,7 @@ def unit_exponent_lattice(n) -> IntMatrix:
     (x*B + y*diag(24, 24, 2, ..., 2), x) has determinant 576 * 2^n; the rows
     of its HNF with zeros in the congruence columns are the HNF of the x.
     """
-    level = _level_of(n)
+    level = SquareFreeLevel(n)
     table, _, _ = _tables(level.value)
     s = len(table)
     moduli = [24, 24] + [2] * level.n
@@ -171,7 +167,7 @@ def order_lattice_oracle(n, m) -> int:
     divide the current entry, the order and the vector are scaled by
     pivot/gcd, which keeps the order the least common multiple so far.
     """
-    level = _level_of(n)
+    level = SquareFreeLevel(n)
     m = _check_m(level, m)
     basis = principal_lattice_basis(level.value)
     w = list(cuspidal_class(level, m).coeffs)
@@ -212,7 +208,7 @@ def e_vector(n, m) -> list[Fraction]:
     d_{s+1-a}/(d_{s+1-a}, M).  The linear-algebra route multiplies the
     inverse table matrix against the class vector.  Both must agree.
     """
-    level = _level_of(n)
+    level = SquareFreeLevel(n)
     m = _check_m(level, m)
     table, _, amat = _tables(level.value)
     s = len(table)
@@ -245,7 +241,7 @@ def cuspidal_group_structure(n) -> tuple[int, ...]:
     divisors (coordinates: prefix sums), it is square and nonsingular, and
     its Smith form is the group.
     """
-    level = _level_of(n)
+    level = SquareFreeLevel(n)
     basis = principal_lattice_basis(level.value)
     s = basis.cols
     coords = []

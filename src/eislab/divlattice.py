@@ -17,7 +17,11 @@ MAX_PRIME_COUNT = 20  # table size is 2^n rows; past this is out of desk scale
 
 
 class SquareFreeLevel:
-    """A square-free positive integer with its ordered prime factorization."""
+    """A square-free positive integer with its ordered prime factorization.
+
+    Given a SquareFreeLevel it copies it without factoring again, so
+    ``SquareFreeLevel(n)`` is the one way to turn an argument into a level.
+    """
 
     __slots__ = ("value", "primes", "n")
 
@@ -163,7 +167,7 @@ def build_tables(n) -> tuple[DivisorTable, IntMatrix, IntMatrix]:
     of the primes on which a and b agree; A carries it with the sign
     sgn(a box b) = (-1)^(omega(a) + omega(b)).
     """
-    level = n if isinstance(n, SquareFreeLevel) else SquareFreeLevel(n)
+    level = SquareFreeLevel(n)
     table = DivisorTable(level)
     values = [d.value for d in table.divisors]
     signs = [-1 if d.omega % 2 else 1 for d in table.divisors]

@@ -211,7 +211,7 @@ def build_space(n, max_level: int = DESK_LEVEL_BOUND) -> ManinSymbolSpace:
     re-coordinatizes so the integer symbol images span the full lattice,
     classifies boundary cusps, and cuts out the cuspidal sublattice.
     """
-    level = n if isinstance(n, SquareFreeLevel) else SquareFreeLevel(n)
+    level = SquareFreeLevel(n)
     nn = level.value
     if nn > max_level:
         raise ValueError(f"level {nn} is beyond the desk bound {max_level}")

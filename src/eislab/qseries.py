@@ -102,7 +102,7 @@ def eisenstein_series(n, m: int, precision: int = 200) -> QExpansion:
     M = 1 is allowed (pure minus word).  The constant term comes out as
     prod_{p | M} (1 - p) when M = N and 0 otherwise; this is checked.
     """
-    level = n if isinstance(n, SquareFreeLevel) else SquareFreeLevel(n)
+    level = SquareFreeLevel(n)
     m = int(m)
     if m < 1 or level.value % m:
         raise ValueError(f"M must divide {level.value}, got {m}")
@@ -158,7 +158,7 @@ def eigenform_violations(
     T_r acts by r + 1 for primes r not dividing N, U_p by 1 for p | M and
     U_q by q for q | N/M, all compared on the usable coefficient prefix.
     """
-    level = n if isinstance(n, SquareFreeLevel) else SquareFreeLevel(n)
+    level = SquareFreeLevel(n)
     if m == 1 or level.value % m:
         raise ValueError(f"M must be a divisor of {level.value} other than 1")
     f = eisenstein_series(level, m, precision)
@@ -193,7 +193,7 @@ def residues(n, m: int) -> list[ResidueReport]:
     denominator dividing N/M and is reported unreduced against any width
     convention.
     """
-    level = n if isinstance(n, SquareFreeLevel) else SquareFreeLevel(n)
+    level = SquareFreeLevel(n)
     m = int(m)
     if m == 1 or m < 1 or level.value % m:
         raise ValueError(f"M must be a divisor of {level.value} other than 1")
@@ -231,7 +231,7 @@ def level_lowering_identity_check(
     n, p: int, precision: int = 500
 ) -> IdentityCheck:
     """Check E_{1,N} - E_{p,N} = (p-1) E_{1,D}(q^p) with D = N/p, coefficientwise."""
-    level = n if isinstance(n, SquareFreeLevel) else SquareFreeLevel(n)
+    level = SquareFreeLevel(n)
     if p not in level.primes:
         raise ValueError(f"{p} does not divide {level.value}")
     d = level.value // p

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import hashlib
 import io
 import json
 import os
@@ -211,6 +212,18 @@ def test_hecke_index_csv_verdict(capsys):
     assert rows[1] == ["11", "11", "5", "1", "5", "equal"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_hecke_index_compares_only_for_csv(capsys, monkeypatch, fmt):
+    def refuse(n, m):
+        raise AssertionError("only csv output shows the comparison")
+
+    monkeypatch.setattr("eislab.modsym.compare_index_order", refuse)
+    monkeypatch.setattr("eislab.cli.order_closed_form", refuse)
+    argv = ("hecke-index", "--level", "11", "--m", "11", "--format", fmt)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
 def test_maximal_ideals_text(capsys):
     code, out, _ = run(capsys, "maximal-ideals", "--level", "11")
     assert code == 0
@@ -363,12 +376,28 @@ def test_verify_qidentity_past_prime_250(capsys):
     assert out.splitlines()[-1] == "OK"
 
 
+def _absolute_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
 def test_src_has_no_assert():
-    # python -O strips asserts; invariants must raise
+    # python -O strips asserts; invariants must raise.  The runtime uses only
+    # the standard library, so every absolute import names eislab or stdlib.
+    allowed = set(sys.stdlib_module_names) | {"eislab"}
     for path in sorted(Path(eislab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not found, f"{path.name}: assert on lines {found}"
+        foreign = [
+            (line, name) for line, name in _absolute_imports(tree)
+            if name.partition(".")[0] not in allowed
+        ]
+        assert not foreign, f"{path.name}: non-stdlib imports {foreign}"
 
 
 def test_output_file(tmp_path, capsys):
@@ -384,11 +413,85 @@ def test_output_file(tmp_path, capsys):
     assert text.splitlines()[0] == "N,M,order,h"
 
 
-def test_json_is_byte_stable(capsys):
-    argv = ["maximal-ideals", "--level", "30", "--format", "json"]
-    _, first, _ = run(capsys, *argv)
-    _, second, _ = run(capsys, *argv)
-    assert first == second
+# Every command in every format it supports, each suite at its default bound,
+# the csv refusals and the usage errors: (argv, exit code, first 16 hex digits
+# of the sha256 of stdout, last line of stderr).  Recorded before the handlers
+# read the parsed arguments directly, so a change of one output byte fails.
+NO_OUTPUT = hashlib.sha256(b"").hexdigest()[:16]
+CSV_REFUSED = "eislab: error: csv output is not available for verify"
+PINNED_OUTPUTS = [
+    ("table --max-level 40", 0, "f98be0e5b54245e7", ""),
+    ("table --max-level 40 --format json", 0, "41771af57df6b778", ""),
+    ("table --max-level 40 --format csv", 0, "53ff5421fee6276b", ""),
+    ("cusp-order --level 30 --m 2 --format csv --oracle", 0, "cef4a99502ad6fda", ""),
+    ("cusp-order --level 2310 --m 1155 --format csv --oracle", 0,
+     "3d11844666a96c2f", ""),
+    ("eis --level 30 --m 6 --prec 12 --format json", 0, "5a6ba2e445133511", ""),
+    ("residues --level 30 --m 15", 0, "3e66042c4df05867", ""),
+    ("hecke-index --level 30 --m 15 --format json", 0, "287ae5e827f9a77c", ""),
+    ("hecke-index --level 30 --m 15 --format csv", 0, "af0a91e5edc7cb68", ""),
+    ("hecke-index --level 30 --m 1 --format csv", 2, NO_OUTPUT,
+     "eislab: error: csv output is not available for hecke-index"),
+    ("maximal-ideals --level 30 --format json", 0, "a690c9f92ea69e38", ""),
+    ("verify --suite lattice-oracle --max-level 30 --format json", 0,
+     "94a327bc3c8d8a33", ""),
+    ("verify --suite eigenform --max-level 30 --format json", 0,
+     "c571c2a43ea2fdcf", ""),
+    ("verify --suite qidentity --max-level 30 --format json", 0,
+     "ffc3ed8f5fa229f1", ""),
+    ("verify --suite index-vs-order --max-level 30 --format json", 0,
+     "1b93e4e9633193f4", ""),
+    ("verify --suite index-vs-order --max-level 30 --format csv", 0,
+     "ebf4a7f7a47c3437", ""),
+    ("verify --suite nonmaximal --max-level 30 --format json", 0,
+     "75a72a7333f35169", ""),
+    ("verify --suite main-theorem --max-level 30 --format json", 0,
+     "693e0e95fc513359", ""),
+    ("verify --suite lattice-oracle", 0, "b0bc265e436d35c5", ""),
+    ("verify --suite eigenform", 0, "5da98e1deea08160", ""),
+    ("verify --suite qidentity", 0, "4eaa58cc2339da03", ""),
+    ("verify --suite index-vs-order", 0, "16e9c0f9e0a30732", ""),
+    ("verify --suite nonmaximal", 0, "a69b9b022e55cbd1", ""),
+    ("verify --suite main-theorem", 0, "8d4e2d0275d8e5d3", ""),
+    ("verify --suite lattice-oracle --max-level 30 --format csv", 2, NO_OUTPUT, CSV_REFUSED),
+    ("verify --suite eigenform --max-level 30 --format csv", 2, NO_OUTPUT, CSV_REFUSED),
+    ("verify --suite qidentity --max-level 30 --format csv", 2, NO_OUTPUT, CSV_REFUSED),
+    ("verify --suite nonmaximal --max-level 30 --format csv", 2, NO_OUTPUT, CSV_REFUSED),
+    ("verify --suite main-theorem --max-level 30 --format csv", 2, NO_OUTPUT, CSV_REFUSED),
+    ("verify --suite main-theorem --max-level 0", 2, NO_OUTPUT,
+     "eislab: error: --max-level must be positive"),
+    ("verify --suite main-theorem --max-level 71", 2, NO_OUTPUT,
+     "eislab: error: --max-level 71 exceeds the main-theorem cap 70"
+     " (set EISLAB_MAX_LEVEL to raise it)"),
+    ("cusp-order --level -5 --m 1", 2, NO_OUTPUT,
+     "eislab: error: --level must be positive"),
+    ("hecke-index --level 30 --m 0", 2, NO_OUTPUT,
+     "eislab: error: --m must be positive"),
+    ("eis --level 11 --m 11 --prec 1", 2, NO_OUTPUT,
+     "eislab: error: --prec must be at least 2"),
+    ("eis --level 11 --m 11 --prec 100001", 2, NO_OUTPUT,
+     "eislab: error: --prec 100001 exceeds the precision cap 100000"),
+]
+
+
+def _pinned_run(capsys, argv):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    out = hashlib.sha256(captured.out.encode()).hexdigest()[:16]
+    err = captured.err.splitlines()[-1] if captured.err else ""
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err", PINNED_OUTPUTS, ids=[case[0] for case in PINNED_OUTPUTS]
+)
+def test_output_digests_are_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.delenv("EISLAB_MAX_LEVEL", raising=False)
+    for _ in range(2):  # the second run meets warm caches
+        assert _pinned_run(capsys, argv) == (code, out, err)
 
 
 def test_parser_lists_all_commands():
@@ -399,3 +502,10 @@ def test_parser_lists_all_commands():
         "cusp-order", "table", "eis", "residues",
         "hecke-index", "maximal-ideals", "verify",
     }
+    # argparse's invalid-choice message lists the suites in this order
+    verify = actions[0].choices["verify"]
+    suite = next(a for a in verify._actions if a.dest == "suite")
+    assert suite.choices == (
+        "lattice-oracle", "eigenform", "qidentity",
+        "index-vs-order", "nonmaximal", "main-theorem",
+    )

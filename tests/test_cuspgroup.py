@@ -5,7 +5,6 @@ from math import gcd, prod
 
 from eislab.cuspgroup import (
     _check_m,
-    _level_of,
     _tables,
     cuspidal_class,
     cuspidal_group_structure,
@@ -52,7 +51,7 @@ def order_by_covolume(n, m) -> int:
     slow at 4-prime levels.  Kept as an independent small-level cross-check
     for the solver.
     """
-    level = _level_of(n)
+    level = SquareFreeLevel(n)
     m = _check_m(level, m)
     basis = principal_lattice_basis(level.value)
     coeffs = cuspidal_class(level, m).coeffs
@@ -67,7 +66,7 @@ def order_by_covolume(n, m) -> int:
 
 def order_by_search(n, m, k_max: int = 100000) -> int:
     """Brute-force cross-check: step k until k * C lands in the lattice."""
-    level = _level_of(n)
+    level = SquareFreeLevel(n)
     m = _check_m(level, m)
     basis = principal_lattice_basis(level.value)
     coeffs = cuspidal_class(level, m).coeffs
