@@ -88,6 +88,21 @@ def _check_ranges(args: argparse.Namespace) -> None:
         raise ValueError(f"--prec {prec} exceeds the precision cap {PREC_CAP}")
 
 
+def _check_csv(args: argparse.Namespace) -> None:
+    """Refuse --format csv where there is no table, before any work runs.
+
+    The parser offers csv to the commands with a table; of those, the
+    verify suites other than index-vs-order and hecke-index at m = 1 (no
+    divisor class to compare with) have none.
+    """
+    if args.format != "csv":
+        return
+    if (args.command == "verify" and args.suite != "index-vs-order") or (
+        args.command == "hecke-index" and args.m == 1
+    ):
+        raise ValueError(f"csv output is not available for {args.command}")
+
+
 def _index_case(n: int, m: int) -> dict:
     from eislab.modsym import compare_index_order
 
@@ -105,8 +120,6 @@ def _emit(args: argparse.Namespace, data, text_lines, csv_table) -> None:
     if args.format == "json":
         out = json.dumps(data, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
-        if csv_table is None:
-            raise ValueError(f"csv output is not available for {args.command}")
         header, rows = csv_table
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -214,7 +227,7 @@ def _cmd_hecke_index(args: argparse.Namespace) -> int:
         + " ".join(f"{r}:{t}" for r, t in model.stabilization),
     ]
     csv_table = None
-    if args.format == "csv" and args.m != 1:
+    if args.format == "csv":  # _check_csv has refused m = 1
         csv_table = _index_csv([_index_case(args.level, args.m)])
     _emit(args, data, text, csv_table)
     return 0
@@ -382,7 +395,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f" up to level {bound}"
     )
     text.append("OK" if not failures else "FAIL")
-    csv_table = _index_csv(cases) if suite == "index-vs-order" else None
+    # _check_csv has refused csv for every suite but index-vs-order
+    csv_table = _index_csv(cases) if args.format == "csv" else None
     _emit(args, data, text, csv_table)
     return 0 if not failures else 1
 
@@ -460,6 +474,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_ranges(args)
+        _check_csv(args)
         return _HANDLERS[args.command](args)
     except ValueError as exc:
         parser.error(str(exc))

@@ -35,8 +35,6 @@ from eislab.exactnum import (
     xgcd,
 )
 
-DESK_LEVEL_BOUND = 120  # projective-line enumeration is quadratic in the level
-
 _S = (0, -1, 1, 0)
 _T = (0, -1, 1, -1)
 
@@ -204,7 +202,7 @@ def _relation_quotient(relations: list[dict[int, int]], kept: int) -> list[list[
     return out
 
 
-def build_space(n, max_level: int = DESK_LEVEL_BOUND) -> ManinSymbolSpace:
+def build_space(n) -> ManinSymbolSpace:
     """Manin-symbol presentation at square-free level n.
 
     Builds the rational quotient by the two- and three-term relations,
@@ -213,8 +211,6 @@ def build_space(n, max_level: int = DESK_LEVEL_BOUND) -> ManinSymbolSpace:
     """
     level = SquareFreeLevel(n)
     nn = level.value
-    if nn > max_level:
-        raise ValueError(f"level {nn} is beyond the desk bound {max_level}")
     p1_index, symbols = _p1_table(nn)
     if len(symbols) != phi_psi_omega(level)[1]:
         raise RuntimeError(f"projective line count mismatch at level {nn}")
@@ -343,17 +339,17 @@ def _merel_family(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(mats)
 
 
-def _symbol_range(space: ManinSymbolSpace, which):
-    return range(len(space.symbols)) if which is None else which
+def _merel_symbol_rows(space: ManinSymbolSpace, r: int, which) -> dict[int, dict[int, int]]:
+    """Images under the determinant-r family of the symbols in which.
 
-
-def _merel_symbol_rows(space: ManinSymbolSpace, r: int, which=None) -> dict[int, dict[int, int]]:
-    """Images under the determinant-r family of the symbols in which (default all)."""
+    Merel's theorem gives T_r for r prime to the level and U_r for r
+    dividing it, once the images off P^1(Z/N) (table entry -1) are dropped.
+    """
     n = space.level.value
     table = space.p1_index
     fam = _merel_family(r)
     rows = {}
-    for i in _symbol_range(space, which):
+    for i in which:
         u, v = space.symbols[i]
         acc: dict[int, int] = {}
         for a, b, c, d in fam:
@@ -362,57 +358,6 @@ def _merel_symbol_rows(space: ManinSymbolSpace, r: int, which=None) -> dict[int,
                 acc[j] = acc.get(j, 0) + 1
         rows[i] = acc
     return rows
-
-
-def _infty_path(space: ManinSymbolSpace, cusp: tuple[int, int]) -> list[int]:
-    """The symbol chain carrying {infinity, cusp}, one index per segment."""
-    p, q = cusp
-    if q == 0:
-        return []
-    n = space.level.value
-    terms = []
-    while q:
-        a0, rem = divmod(p, q)
-        terms.append(a0)
-        p, q = q, rem
-    out = []
-    prev, cur = 0, 1  # denominators of successive convergents
-    for k, a0 in enumerate(terms):
-        if k:
-            prev, cur = cur, a0 * cur + prev
-        sign = -1 if k % 2 == 0 else 1
-        out.append(space.p1_index[cur % n * n + (sign * prev) % n])
-    return out
-
-
-def _add_path(space, acc: dict[int, int], alpha, beta, sign: int) -> None:
-    for i in _infty_path(space, beta):
-        acc[i] = acc.get(i, 0) + sign
-    for i in _infty_path(space, alpha):
-        acc[i] = acc.get(i, 0) - sign
-
-
-def _rows_by_paths(
-    space: ManinSymbolSpace, r: int, with_scaling: bool, which=None
-) -> dict[int, dict[int, int]]:
-    n = space.level.value
-    rows = {}
-    for i in _symbol_range(space, which):
-        c, d = space.symbols[i]
-        a, b, c1, d1 = _sl2_lift(n, c, d)
-        acc: dict[int, int] = {}
-        for j in range(r):
-            alpha = _reduce_frac(b + j * d1, r * d1)
-            beta = _reduce_frac(a + j * c1, r * c1)
-            _add_path(space, acc, alpha, beta, 1)
-        if with_scaling:
-            _add_path(space, acc, _reduce_frac(r * b, d1), _reduce_frac(r * a, c1), 1)
-        rows[i] = {k: v for k, v in acc.items() if v}
-    return rows
-
-
-def _u_symbol_rows(space: ManinSymbolSpace, q: int, which=None) -> dict[int, dict[int, int]]:
-    return _rows_by_paths(space, q, False, which)
 
 
 def _cuspidal_lift(space: ManinSymbolSpace):
@@ -484,11 +429,7 @@ def _matrix_on_cuspidal(space: ManinSymbolSpace, symbol_rows) -> IntMatrix:
 def _prime_matrix(space: ManinSymbolSpace, p: int) -> IntMatrix:
     key = ("prime", p)
     if key not in space.op_cache:
-        support = _cuspidal_lift(space)[1]
-        if space.level.value % p == 0:
-            rows = _u_symbol_rows(space, p, support)
-        else:
-            rows = _merel_symbol_rows(space, p, support)
+        rows = _merel_symbol_rows(space, p, _cuspidal_lift(space)[1])
         space.op_cache[key] = _matrix_on_cuspidal(space, rows)
     return space.op_cache[key]
 
@@ -869,7 +810,7 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
 
 @lru_cache(maxsize=None)
 def cached_space(n: int) -> ManinSymbolSpace:
-    return build_space(n, max_level=max(n, DESK_LEVEL_BOUND))
+    return build_space(n)
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
+from eislab.cli import _squarefree_levels
 from eislab.cuspgroup import order_closed_form, order_with_oracle
 from eislab.divlattice import SquareFreeLevel, box_add, build_tables, sgn
 from eislab.exactnum import IntMatrix, is_prime, phi_psi_omega
@@ -27,29 +28,19 @@ from eislab.qseries import (
 )
 
 
-def _squarefree(lo, hi):
-    out = []
-    for n in range(lo, hi + 1):
-        try:
-            out.append(SquareFreeLevel(n))
-        except ValueError:
-            continue
-    return out
-
-
 def _proper_divisors(n):
     return [d for d in range(2, n + 1) if n % d == 0]
 
 
 def _sweep_levels():
-    return _squarefree(7, 70)
+    return _squarefree_levels(70)
 
 
 def test_criterion_1_closed_form_matches_lattice_oracle():
     t0 = time.perf_counter()
     checks = 0
     # 210 is the first 4-prime level, 2310 the only 5-prime one under the cap
-    for level in _squarefree(7, 210) + [SquareFreeLevel(2310)]:
+    for level in _squarefree_levels(210) + [SquareFreeLevel(2310)]:
         n = level.value
         phi = phi_psi_omega(level)[0]
         for m in _proper_divisors(n):
@@ -73,7 +64,7 @@ def test_criterion_1_closed_form_matches_lattice_oracle():
 def test_criterion_2_divisor_box_algebra_exhaustive():
     t0 = time.perf_counter()
     levels = 0
-    for level in _squarefree(1, 2310):
+    for level in _squarefree_levels(2310, 1):
         n = level.value
         table, lam24, amat = build_tables(level)
         divs = table.divisors
@@ -121,7 +112,7 @@ def test_criterion_2_divisor_box_algebra_exhaustive():
 def test_criterion_3_eigenform_systems():
     t0 = time.perf_counter()
     checks = 0
-    for level in _squarefree(2, 100):
+    for level in _squarefree_levels(100, 2):
         for m in _proper_divisors(level.value):
             bad = eigenform_violations(level, m, precision=200, prime_bound=20)
             assert not bad, (level.value, m, bad)
@@ -135,7 +126,7 @@ def test_criterion_4_residue_closed_forms():
     t0 = time.perf_counter()
     assert [(r.cusp, r.value) for r in residues(11, 11)] == [(11, -10), (1, 10)]
     assert {r.cusp: r.value for r in residues(15, 3)}[3] == Fraction(-48, 5)
-    for level in _squarefree(2, 100):
+    for level in _squarefree_levels(100, 2):
         n = level.value
         phi, _, omega = phi_psi_omega(level)
         for m in _proper_divisors(n):
@@ -161,7 +152,7 @@ def test_criterion_4_residue_closed_forms():
 def test_criterion_5_level_lowering_identity():
     t0 = time.perf_counter()
     checks = 0
-    for level in _squarefree(2, 100):
+    for level in _squarefree_levels(100, 2):
         for p in level.primes:
             if level.value // p <= 1:
                 continue

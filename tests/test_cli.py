@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import eislab
-from eislab.cli import build_parser, main
+from eislab.cli import _SUITE_TABLE, build_parser, main
 
 
 def run(capsys, *argv):
@@ -107,6 +107,24 @@ def test_csv_rejected_where_unsupported(capsys):
         capsys, "residues", "--level", "11", "--m", "11", "--format", "csv"
     )
     assert code == 2
+
+
+def test_csv_refused_before_any_work(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the csv refusal must come before any work")
+
+    tableless = [suite for suite in _SUITE_TABLE if suite != "index-vs-order"]
+    for suite in tableless:
+        monkeypatch.setitem(_SUITE_TABLE, suite, (refuse, *_SUITE_TABLE[suite][1:]))
+    monkeypatch.setattr("eislab.modsym.cached_index", refuse)
+    argvs = [("verify", "--suite", suite) for suite in tableless]
+    argvs.append(("hecke-index", "--level", "11", "--m", "1"))
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, argv
+        assert err.endswith(f"csv output is not available for {argv[0]}\n"), argv
 
 
 def test_table_csv_and_json_carry_same_rows(capsys):
@@ -458,6 +476,10 @@ PINNED_OUTPUTS = [
     ("verify --suite qidentity --max-level 30 --format csv", 2, NO_OUTPUT, CSV_REFUSED),
     ("verify --suite nonmaximal --max-level 30 --format csv", 2, NO_OUTPUT, CSV_REFUSED),
     ("verify --suite main-theorem --max-level 30 --format csv", 2, NO_OUTPUT, CSV_REFUSED),
+    # the csv refusal comes before the level cap
+    ("verify --suite main-theorem --max-level 71 --format csv", 2, NO_OUTPUT, CSV_REFUSED),
+    ("hecke-index --level 71 --m 1 --format csv", 2, NO_OUTPUT,
+     "eislab: error: csv output is not available for hecke-index"),
     ("verify --suite main-theorem --max-level 0", 2, NO_OUTPUT,
      "eislab: error: --max-level must be positive"),
     ("verify --suite main-theorem --max-level 71", 2, NO_OUTPUT,

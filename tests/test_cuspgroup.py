@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
+from eislab.cli import _squarefree_levels
 from eislab.cuspgroup import (
     _check_m,
     _tables,
@@ -25,17 +26,6 @@ from eislab.exactnum import (
     phi_psi_omega,
 )
 from test_exactnum import _divisor_chain_oracle, reference_elementary_divisors
-
-
-def _squarefree(lo, hi):
-    out = []
-    for n in range(lo, hi + 1):
-        try:
-            SquareFreeLevel(n)
-        except ValueError:
-            continue
-        out.append(n)
-    return out
 
 
 def _proper_divisors(n):
@@ -136,7 +126,8 @@ def test_class_vector_examples():
 
 
 def test_class_vector_degree_zero():
-    for n in _squarefree(2, 60):
+    for level in _squarefree_levels(60, 2):
+        n = level.value
         for m in _proper_divisors(n):
             assert sum(cuspidal_class(n, m).coeffs) == 0
 
@@ -160,7 +151,8 @@ def test_closed_form_examples():
 
 
 def test_h_two_family_scan():
-    for n in _squarefree(7, 120):
+    for level in _squarefree_levels(120):
+        n = level.value
         for m in _proper_divisors(n):
             res = order_closed_form(n, m)
             expected_h = 2 if (n in (m, 2 * m) and m % 8 == 1 and
@@ -176,7 +168,8 @@ def test_oracle_examples():
 
 
 def test_oracle_agrees_with_closed_form_small():
-    for n in _squarefree(7, 60):
+    for level in _squarefree_levels(60):
+        n = level.value
         for m in _proper_divisors(n):
             res = order_with_oracle(n, m)
             assert res.agreed, (n, m, res)
@@ -197,17 +190,20 @@ def test_covolume_route_cross_check():
 
 
 def test_unit_lattice_matches_kernel_route():
-    for n in _squarefree(2, 1155):
+    for level in _squarefree_levels(1155, 2):
+        n = level.value
         assert unit_exponent_lattice(n) == unit_lattice_by_kernel(n), n
 
 
 def test_principal_lattice_matches_plain_hnf():
-    for n in _squarefree(2, 1155):
+    for level in _squarefree_levels(1155, 2):
+        n = level.value
         assert principal_lattice_basis(n) == principal_lattice_by_hnf(n), n
 
 
 def test_integer_oracle_matches_fraction_solve():
-    for n in _squarefree(2, 330):
+    for level in _squarefree_levels(330, 2):
+        n = level.value
         for m in _proper_divisors(n):
             assert order_lattice_oracle(n, m) == order_by_fractions(n, m), (n, m)
 
@@ -227,7 +223,8 @@ def test_unit_exponent_lattice_rank():
 
 
 def test_e_vector_last_entry_and_m_equals_n():
-    for n in _squarefree(7, 40):
+    for level in _squarefree_levels(40):
+        n = level.value
         phi, psi, omega = phi_psi_omega(n)
         for m in _proper_divisors(n):
             vec = e_vector(n, m)
@@ -259,7 +256,8 @@ REFERENCE_SNF_STALLS = {938, 1702, 2054, 2294}
 
 def test_group_structure_at_every_level_to_the_cap():
     # the coordinate block is rebuilt here as cuspidal_group_structure builds it
-    for n in _squarefree(1, 2310):
+    for level in _squarefree_levels(2310, 1):
+        n = level.value
         structure = cuspidal_group_structure(n)
         basis = principal_lattice_basis(n)
         block = [[sum(row[: j + 1]) for j in range(basis.cols - 1)] for row in basis.data]
@@ -276,7 +274,8 @@ def test_group_structure_at_every_level_to_the_cap():
 
 
 def test_group_exponent_divisible_by_class_orders():
-    for n in _squarefree(7, 60):
+    for level in _squarefree_levels(60):
+        n = level.value
         structure = cuspidal_group_structure(n)
         exponent = structure[-1] if structure else 1
         for m in _proper_divisors(n):

@@ -40,8 +40,9 @@ from eislab.modsym import (
     _p1_table,
     _prime_matrix,
     _prime_rows,
+    _reduce_frac,
     _relation_quotient,
-    _rows_by_paths,
+    _sl2_lift,
     _vec,
 )
 from test_exactnum import reference_hnf
@@ -220,9 +221,6 @@ def test_build_space_rejects_bad_levels():
         build_space(12)
     with pytest.raises(ValueError):
         build_space(45)
-    with pytest.raises(ValueError):
-        build_space(127)
-    build_space(127, max_level=127)
 
 
 def test_quotient_rank_accounts_for_cusps_and_genus():
@@ -275,11 +273,66 @@ def test_cusp_equivalence_is_congruence_invariant():
             assert _cusps_equivalent(n, (a, c), moved)
 
 
+# The continued-fraction route to the prime operators, the reference for
+# Merel's family, which builds every one of them in modsym.  Each coset of
+# determinant r sends a symbol's path {b/d, a/c} to the path between two
+# cusps, and each end is joined to infinity through its convergents.
+
+def _infty_path(space, cusp):
+    """The symbol chain carrying {infinity, cusp}, one index per segment."""
+    p, q = cusp
+    if q == 0:
+        return []
+    n = space.level.value
+    terms = []
+    while q:
+        a0, rem = divmod(p, q)
+        terms.append(a0)
+        p, q = q, rem
+    out = []
+    prev, cur = 0, 1  # denominators of successive convergents
+    for k, a0 in enumerate(terms):
+        if k:
+            prev, cur = cur, a0 * cur + prev
+        sign = -1 if k % 2 == 0 else 1
+        out.append(space.p1_index[cur % n * n + (sign * prev) % n])
+    return out
+
+
+def _add_path(space, acc, alpha, beta):
+    for i in _infty_path(space, beta):
+        acc[i] = acc.get(i, 0) + 1
+    for i in _infty_path(space, alpha):
+        acc[i] = acc.get(i, 0) - 1
+
+
+def _rows_by_paths(space, r, with_scaling, which):
+    n = space.level.value
+    rows = {}
+    for i in which:
+        c, d = space.symbols[i]
+        a, b, c1, d1 = _sl2_lift(n, c, d)
+        acc = {}
+        for j in range(r):
+            alpha = _reduce_frac(b + j * d1, r * d1)
+            beta = _reduce_frac(a + j * c1, r * c1)
+            _add_path(space, acc, alpha, beta)
+        if with_scaling:
+            _add_path(space, acc, _reduce_frac(r * b, d1), _reduce_frac(r * a, c1))
+        rows[i] = {k: v for k, v in acc.items() if v}
+    return rows
+
+
+def _prime_rows_by_paths(space, r, which):
+    # T_r takes the scaling coset diag(r, 1); U_r, r dividing the level, does not
+    return _rows_by_paths(space, r, space.level.value % r != 0, which)
+
+
 def test_identity_paths_recover_symbols():
     # writing each symbol as a geodesic chain must give back its own class
     for n in (11, 14, 30):
         space = cached_space(n)
-        rows = _rows_by_paths(space, 1, False)
+        rows = _rows_by_paths(space, 1, False, range(len(space.symbols)))
         assert matrix_on_quotient(space, rows) == IntMatrix.identity(space.quotient_rank)
 
 
@@ -335,22 +388,18 @@ def test_merel_family_shape():
         assert all(a > b >= 0 and d > c >= 0 for a, b, c, d in fam)
 
 
-def _t_symbol_rows_by_paths(space, r):
-    # independent route to the same operator as the determinant-r family
-    return _rows_by_paths(space, r, True)
-
-
 def test_prime_action_two_routes_agree():
+    # Merel's family, the only route in modsym, against continued fractions:
+    # T_r at a few primes away from the level, U_p at every level prime of
+    # every square-free level 7-70, 105, 110 and 130
     rng = random.Random(43)
     cases = [(11, 2), (11, 3), (14, 3), (15, 2), (30, 7)]
     cases += [(rng.choice((21, 22, 26)), rng.choice((3, 5, 7, 11))) for _ in range(4)]
+    cases += [(n, p) for n in SQUAREFREE + [105, 110, 130] for p in SquareFreeLevel(n).primes]
     for n, r in cases:
-        if n % r == 0:
-            continue
         space = cached_space(n)
-        merel = _matrix_on_cuspidal(space, _merel_symbol_rows(space, r))
-        paths = _matrix_on_cuspidal(space, _t_symbol_rows_by_paths(space, r))
-        assert merel == paths, (n, r)
+        paths = _prime_rows_by_paths(space, r, _cuspidal_lift(space)[1])
+        assert _prime_matrix(space, r) == _matrix_on_cuspidal(space, paths), (n, r)
 
 
 def test_eta_anchor_level_11():
@@ -397,10 +446,11 @@ def test_old_space_relations_level_22():
 def test_hecke_multiplicative_and_commutative():
     space = cached_space(35)
     assert hecke_matrix(space, 6) == hecke_matrix(space, 2) * hecke_matrix(space, 3)
-    direct = _matrix_on_cuspidal(space, _merel_symbol_rows(space, 6))
+    direct = _matrix_on_cuspidal(space, _merel_symbol_rows(space, 6, range(len(space.symbols))))
     assert hecke_matrix(space, 6) == direct
     s11 = cached_space(11)
-    assert hecke_matrix(s11, 4) == _matrix_on_cuspidal(s11, _merel_symbol_rows(s11, 4))
+    four = _merel_symbol_rows(s11, 4, range(len(s11.symbols)))
+    assert hecke_matrix(s11, 4) == _matrix_on_cuspidal(s11, four)
     s30 = cached_space(30)
     pairs = [(2, 3), (5, 7), (3, 7), (2, 11)]
     for a, b in pairs:
@@ -421,7 +471,7 @@ def test_boundary_sees_operator_degree():
     # a prime-r operator moves each cusp class to itself r+1 times over
     for n, r in ((11, 2), (14, 3), (30, 7)):
         space = cached_space(n)
-        full = matrix_on_quotient(space, _merel_symbol_rows(space, r))
+        full = matrix_on_quotient(space, _merel_symbol_rows(space, r, range(len(space.symbols))))
         assert full * space.boundary == space.boundary.scale(r + 1), (n, r)
 
 
@@ -623,7 +673,8 @@ def test_restricted_images_match_full():
         space = cached_space(n)
         support = _cuspidal_lift(space)[1]
         assert len(support) < len(space.symbols)
-        full = _matrix_on_cuspidal(space, _merel_symbol_rows(space, r))
+        every = range(len(space.symbols))
+        full = _matrix_on_cuspidal(space, _merel_symbol_rows(space, r, every))
         assert _matrix_on_cuspidal(space, _merel_symbol_rows(space, r, support)) == full
         assert hecke_matrix(space, r) == full
 
@@ -907,7 +958,7 @@ def test_integer_quotient_matches_fraction_route(monkeypatch):
     for n in levels:
         with monkeypatch.context() as patch:
             patch.setattr(modsym, "_relation_quotient", by_fractions)
-            old = build_space(n, max_level=n)
+            old = build_space(n)
         new = cached_space(n)
         assert old.coords == new.coords, n
         assert old.boundary == new.boundary, n

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from eislab.divlattice import SquareFreeLevel
+from eislab.cli import _squarefree_levels
 from eislab.exactnum import phi_psi_omega
 from eislab.qseries import (
     QExpansion,
@@ -45,14 +45,6 @@ def weight4_G(primes, precision: int = 200) -> QExpansion:
     return f
 
 
-def _squarefree(lo, hi):
-    return [
-        n
-        for n in range(lo, hi + 1)
-        if all(n % (p * p) for p in (2, 3, 5, 7))
-    ]
-
-
 def test_series_e_prefix():
     f = series_e(8)
     assert f.coeffs[:5] == (1, -24, -72, -96, -168)
@@ -85,8 +77,7 @@ def test_level_raise_operator_orders_commute():
     one = level_raise(level_raise(f, 2, 2, "+"), 3, 2, "-")
     other = level_raise(level_raise(f, 3, 2, "-"), 2, 2, "+")
     assert one == other
-    for n in _squarefree(6, 30):
-        level = SquareFreeLevel(n)
+    for level in _squarefree_levels(30, 6):
         m = level.primes[0]
         series = eisenstein_series(level, m, 60)
         g = series_e(60)
@@ -105,7 +96,8 @@ def test_eisenstein_series_n11():
 
 
 def test_eisenstein_series_constant_terms():
-    for n in _squarefree(2, 40):
+    for level in _squarefree_levels(40, 2):
+        n = level.value
         for m in [d for d in range(2, n + 1) if n % d == 0]:
             f = eisenstein_series(n, m, 12)
             if m == n:
@@ -142,7 +134,8 @@ def test_hecke_composite_matches_composition():
 
 
 def test_eigenform_small_sweep():
-    for n in _squarefree(2, 30):
+    for level in _squarefree_levels(30, 2):
+        n = level.value
         for m in [d for d in range(2, n + 1) if n % d == 0]:
             assert eigenform_violations(n, m, precision=200) == [], (n, m)
 
@@ -162,7 +155,8 @@ def test_residue_rational_example():
 
 def test_residue_m_equals_n_consistency():
     # the general-cusp formula at M = N collapses to the constant term value
-    for n in _squarefree(7, 40):
+    for level in _squarefree_levels(40):
+        n = level.value
         phi, _, omega = phi_psi_omega(n)
         rep = residues(n, n)
         assert rep[0].cusp == n
