@@ -336,13 +336,13 @@ def _suite_nonmaximal(bound: int) -> list[dict]:
 
 
 def _suite_main_theorem(bound: int) -> list[dict]:
-    from eislab.modsym import verify_main_theorem
+    from eislab.modsym import FalsifiedExpectation, verify_main_theorem
 
     cases = []
     for level in _squarefree_levels(bound):
         try:
             report = verify_main_theorem(level.value)
-        except RuntimeError as exc:
+        except FalsifiedExpectation as exc:
             cases.append({"level": level.value, "error": str(exc), "ok": False})
             continue
         cases.append(

@@ -268,14 +268,16 @@ def _mul(a, b, bc: int) -> list[list[int]]:
     return _unpack_rows([sum(x * y for x, y in zip(row, packed) if x) for row in a], bc, w)
 
 
-def _reduce_above_pivots(h: list[list[int]], pivots) -> None:
+def _reduce_above_pivots(h: list[list[int]], pivots, start: int = 0) -> None:
     """Make echelon rows with positive pivots an HNF: entries above pivots into [0, pivot).
 
-    Columns go in ascending order: a row subtraction at one pivot column
-    changes only later columns of the row it reduces.
+    Only the pivots from row start on are cleared above: the rows before it
+    must already be reduced against each other.  Columns go in ascending
+    order: a row subtraction at one pivot column changes only later columns
+    of the row it reduces.
     """
-    for j, c in enumerate(pivots):
-        row = h[j]
+    for j in range(start, len(pivots)):
+        c, row = pivots[j], h[j]
         for k in range(j):
             q = h[k][c] // row[c]
             if q:
@@ -283,30 +285,32 @@ def _reduce_above_pivots(h: list[list[int]], pivots) -> None:
 
 
 def _hnf_insert(h: list[list[int]], pivots: list[int], v, end: int | None = None) -> None:
-    """Add the row v to the lattice of the echelon rows h, whose pivot columns are pivots.
+    """Add the row v to the lattice of the HNF rows h, whose pivot columns are pivots.
 
-    h and pivots change in place.  v walks the pivot columns in order: a
-    pivot that divides v's entry takes one row subtraction, otherwise an
-    xgcd step replaces the pivot row by one with the gcd as its pivot and
-    leaves v zero there.  What is left of v becomes a new pivot row (made
-    positive) at its first nonzero column before end (default: all of
-    them); a remainder that vanishes there is dropped.  Pivots stay
-    positive, but the entries above them are left to one
-    _reduce_above_pivots after the last row.
+    h and pivots change in place and stay an HNF.  v walks the pivot
+    columns in order: a pivot that divides v's entry takes one row
+    subtraction, otherwise an xgcd step replaces the pivot row by one with
+    the gcd as its pivot and leaves v zero there.  What is left of v becomes
+    a new pivot row (made positive) at its first nonzero column before end
+    (default: all of them); a remainder that vanishes there is dropped.
+    Then the entries above the pivots are reduced from the first row that
+    changed on (_reduce_above_pivots); the rows before it are untouched.
     """
     if end is None:
         end = len(v)
+    start = len(h)  # the first row that changes
     i = c = 0
     while True:
         c = next((j for j in range(c, end) if v[j]), None)
         if c is None:
-            return
+            break
         while i < len(pivots) and pivots[i] < c:
             i += 1
         if i == len(pivots) or pivots[i] > c:
             h.insert(i, v if v[c] > 0 else [-x for x in v])
             pivots.insert(i, c)
-            return
+            start = min(start, i)
+            break
         row, x = h[i], v[c]
         # both rows vanish before column c
         if x % row[c] == 0:
@@ -317,11 +321,13 @@ def _hnf_insert(h: list[list[int]], pivots: list[int], v, end: int | None = None
             a, b = row[c] // e, x // e
             h[i] = [0] * c + [s * y + t * z for y, z in zip(row[c:], v[c:])]
             v = [0] * c + [a * z - b * y for y, z in zip(row[c:], v[c:])]
+            start = min(start, i)
         i += 1
+    _reduce_above_pivots(h, pivots, start)
 
 
 def _echelon(rows, end: int | None = None) -> tuple[list[list[int]], list[int]]:
-    """Echelon rows of the lattice of rows, and their pivot columns, by _hnf_insert."""
+    """HNF rows of the lattice of rows, and their pivot columns, by _hnf_insert."""
     h: list[list[int]] = []
     pivots: list[int] = []
     for row in rows:
@@ -334,8 +340,7 @@ def hermite_normal_form(M: IntMatrix) -> IntMatrix:
 
     Pivots are positive, entries above each pivot reduced into [0, pivot).
     """
-    h, pivots = _echelon(M.data)
-    _reduce_above_pivots(h, pivots)
+    h, _ = _echelon(M.data)
     return IntMatrix(h, cols=M.cols)
 
 
@@ -426,8 +431,7 @@ def hnf_with_transform(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     columns first, and H and U are its two blocks.
     """
     n = M.cols
-    h, pivots = _echelon(_augmented(M))
-    _reduce_above_pivots(h, pivots)
+    h, _ = _echelon(_augmented(M))
     return IntMatrix([r[:n] for r in h], cols=n), IntMatrix([r[n:] for r in h], cols=M.rows)
 
 
@@ -443,7 +447,6 @@ def _left_inverse(M: IntMatrix) -> IntMatrix | None:
     h, pivots = _echelon(_augmented(M), n)
     if len(h) != n or any(r[c] != 1 for r, c in zip(h, pivots)):
         return None
-    _reduce_above_pivots(h, pivots)
     return IntMatrix([r[n:] for r in h], cols=M.rows)
 
 

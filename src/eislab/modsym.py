@@ -22,7 +22,6 @@ from eislab.exactnum import (
     _left_inverse,
     _mul,
     _pack_rows,
-    _reduce_above_pivots,
     _smith_from_hnf,
     _unpack_rows,
     _width,
@@ -500,6 +499,14 @@ class IndexComparisonReport:
     verdict: str
 
 
+class FalsifiedExpectation(RuntimeError):
+    """The census or the main-theorem check found a case the paper rules out.
+
+    Raised only where the mathematics, not this program, would be wrong;
+    every other RuntimeError is an internal fault.
+    """
+
+
 @dataclass(frozen=True)
 class MaximalIdealRecord:
     ell: int
@@ -538,8 +545,7 @@ def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
     """
     psi = len(space.symbols)
     bound = -(-psi // 6)
-    rows, pivots = _echelon(_vec(hecke_matrix(space, k)) for k in range(1, bound + 1))
-    _reduce_above_pivots(rows, pivots)
+    rows, _ = _echelon(_vec(hecke_matrix(space, k)) for k in range(1, bound + 1))
     basis = IntMatrix(rows, cols=(2 * space.genus) ** 2)
     if basis.rows != space.genus:
         raise RuntimeError(
@@ -663,34 +669,6 @@ def _next_generator_prime(r: int, n: int) -> int:
     return r
 
 
-def _hnf_insert_mod(h: list[list[int]], v: list[int], d: int) -> int:
-    """Add v to the lattice of h, a full-rank triangular basis with pivot product d.
-
-    h changes in place; the new pivot product is returned.  The lattice
-    contains d*Z^g, so v and each changed row are kept modulo d.  Column by
-    column, a pivot that divides v's entry takes one row subtraction;
-    otherwise an xgcd step replaces the pivot by the gcd, which divides d by
-    the same factor (the new, smaller lattice determinant), and v is cleared
-    there.  Entries above the pivots are left to _reduce_above_pivots.
-    """
-    v = [x % d for x in v]
-    for j, row in enumerate(h):
-        x = v[j]
-        if not x:
-            continue
-        p = row[j]
-        if x % p == 0:
-            q = x // p
-            v = [0] * (j + 1) + [(a - q * b) % d for a, b in zip(v[j + 1:], row[j + 1:])]
-            continue
-        e, s, t = xgcd(p, x)
-        a, b = p // e, x // e
-        d //= a
-        h[j] = [0] * j + [e] + [(s * y + t * z) % d for y, z in zip(row[j + 1:], v[j + 1:])]
-        v = [0] * (j + 1) + [(a * z - b * y) % d for y, z in zip(row[j + 1:], v[j + 1:])]
-    return d
-
-
 def _unit_coords(ring: HeckeRingModel) -> list[int]:
     """Coordinates of T_1, the identity, over the ring basis."""
     e = ring.cache.get("one")
@@ -704,13 +682,9 @@ def _unit_coords(ring: HeckeRingModel) -> list[int]:
     return e
 
 
-def _contains_mod(h: list[list[int]], v: list[int], d: int) -> bool:
-    """Whether v lies in the lattice of h: inserting it keeps the pivot product d.
-
-    _hnf_insert_mod replaces rows of h but never changes one in place, so it
-    runs on a shallow copy and h stays as it was.
-    """
-    return _hnf_insert_mod(list(h), v, d) == d
+def _in_ideal(ideal: list[list[int]], v: list[int]) -> bool:
+    """Whether v lies in the lattice of the HNF rows ideal, by its membership solve."""
+    return hnf_coordinates(IntMatrix(ideal, cols=len(v)), v) is not None
 
 
 def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
@@ -723,8 +697,8 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     products t*b_j: the rows of _prime_rows(ring, p) with s taken off the
     diagonal.  Their coordinates are shared by every m.  Once the ideal J
     has full rank, t itself (sum_j e_j t*b_j, with e the coordinates of
-    T_1) is tested first: when t is in J, so is every t*b_j, J being an
-    ideal, and its g rows are skipped.
+    T_1) is tested first, by its membership solve over J's HNF: when t is
+    in J, so is every t*b_j, J being an ideal, and its g rows are skipped.
     """
     n = ring.space.level.value
     if m < 1 or n % m:
@@ -737,47 +711,42 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
         )
     g = ring.genus
     one = _unit_coords(ring)
-    ideal: list[list[int]] = []  # echelon basis of every generator row so far
+    ideal: list[list[int]] = []  # HNF basis of every generator row so far
     pivots: list[int] = []
-    det = 0  # product of its pivots once it has full rank
     names: list[str] = []
 
     def absorb(kind: str, p: int, shift: int) -> None:
-        # once the ideal has full rank, its determinant d puts d*Z^g inside,
-        # and each row is inserted into the triangular basis modulo d
-        nonlocal det
         names.append(f"{kind}{p}-{shift}")
         rows = _prime_rows(ring, p)
-        if det:
+        if len(ideal) == g:
             gen = [-shift * x for x in one]
             for x, row in zip(one, rows):
                 if x:
                     gen = [a + x * b for a, b in zip(gen, row)]
-            if _contains_mod(ideal, gen, det):
+            if _in_ideal(ideal, gen):
                 return
         for j, row in enumerate(rows):
             row = row.copy()
             row[j] -= shift
-            if det:
-                det = _hnf_insert_mod(ideal, row, det)
-            else:
-                _hnf_insert(ideal, pivots, row)
-                if len(ideal) == g:
-                    det = prod(r[i] for i, r in enumerate(ideal))
+            _hnf_insert(ideal, pivots, row)
+
+    def index() -> int | None:
+        # the pivot product once the ideal has full rank
+        return prod(r[c] for r, c in zip(ideal, pivots)) if len(ideal) == g else None
 
     for p in ring.space.level.primes:
         absorb("U", p, 1 if m % p == 0 else p)
     start = [r for r in primes_up_to(ring.bound) if n % r]
     for r in start:
         absorb("T", r, r + 1)
-    t = det or None
+    t = index()
     r = start[-1] if start else 1
     log = [(r, t)]
     stable = 0
     while stable < 2:
         r = _next_generator_prime(r, n)
         absorb("T", r, r + 1)
-        t2 = det or None
+        t2 = index()
         log.append((r, t2))
         if t2 is not None and t2 == t:
             stable += 1
@@ -786,7 +755,6 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
         t = t2
         if r > 20 * ring.bound + 100:
             raise RuntimeError(f"index failed to stabilize at level {n}, m={m}")
-    _reduce_above_pivots(ideal, pivots)
     basis = IntMatrix(ideal, cols=g)
     # the ideal basis is a row HNF with pivot product t: the Smith form
     # starts from it
@@ -888,7 +856,7 @@ def enumerate_eisenstein_maximal(n: int) -> list[MaximalIdealRecord]:
             )
     for l, witness in m1_index_witnesses(level.value):
         if witness is None:
-            raise RuntimeError(
+            raise FalsifiedExpectation(
                 f"odd prime {l} divides the m=1 index at level {n}"
                 f" with no level prime = 1 mod {l}"
             )
@@ -940,5 +908,7 @@ def verify_main_theorem(n: int) -> MainTheoremReport:
                 CaseCheck(2, m, "doubled-composite", ok, f"orders {orders}")
             )
         else:
-            raise RuntimeError(f"record (2, {m}) escapes the residue-2 normalization")
+            raise FalsifiedExpectation(
+                f"record (2, {m}) escapes the residue-2 normalization"
+            )
     return MainTheoremReport(level=nn, checks=tuple(checks), ok=all(c.ok for c in checks))

@@ -133,7 +133,7 @@ def hecke_on_expansion(f: QExpansion, n: int, level) -> QExpansion:
     """
     if n < 1:
         raise ValueError("operator index must be positive")
-    nvalue = level.value if isinstance(level, SquareFreeLevel) else int(level)
+    nvalue = SquareFreeLevel(level).value
     usable = (f.precision - 1) // n + 1
     if usable < 2:
         raise ValueError(

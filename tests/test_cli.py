@@ -374,7 +374,7 @@ def test_internal_fault_exit_code(capsys, monkeypatch, fault):
     assert "invariant broken" in err
 
 
-@pytest.mark.parametrize("suite", ["index-vs-order", "nonmaximal"])
+@pytest.mark.parametrize("suite", ["index-vs-order", "nonmaximal", "main-theorem"])
 def test_verify_suite_internal_fault_exit_code(capsys, monkeypatch, suite):
     # a broken invariant inside a suite is a fault, never a failed case
     def broken(n, m):
@@ -385,6 +385,15 @@ def test_verify_suite_internal_fault_exit_code(capsys, monkeypatch, suite):
     assert code == 3
     assert out == ""
     assert "internal fault in verify" in err and "escapes the ring lattice" in err
+
+
+def test_verify_main_theorem_missing_witness_fails_the_case(capsys, monkeypatch):
+    # a falsified expectation is a failed case (exit 1), not an internal fault
+    monkeypatch.setattr("eislab.modsym.m1_index_witnesses", lambda n: ((3, None),))
+    code, out, err = run(capsys, "verify", "--suite", "main-theorem", "--max-level", "11")
+    assert code == 1
+    assert "internal fault" not in err
+    assert "odd prime 3 divides the m=1 index at level 11" in out
 
 
 def test_verify_qidentity_past_prime_250(capsys):

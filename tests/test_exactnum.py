@@ -15,7 +15,6 @@ from eislab.exactnum import (
     _hnf_insert,
     _left_inverse,
     _mul,
-    _reduce_above_pivots,
     _width,
     determinant,
     elementary_divisors,
@@ -616,20 +615,33 @@ def test_saturation_examples():
 
 
 def test_hnf_insert_matches_hnf():
+    # the rows are the HNF of the rows so far after every single insert
     rng = random.Random(53)
+    inputs = []
     for _ in range(300):
         r, c = rng.randint(1, 7), rng.randint(1, 6)
         rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(c)] for _ in range(r)]
         if rng.random() < 0.3:
             rows.append([rng.randint(-3, 3) * x for x in rows[0]])
+        inputs.append((rows, c))
+    # a full-rank start, then extra rows with larger entries
+    rng = random.Random(59)
+    for _ in range(300):
+        g = rng.randint(1, 5)
+        start = reference_hnf(
+            IntMatrix([[rng.randint(-6, 6) for _ in range(g)] for _ in range(g + 1)], cols=g)
+        )
+        if start.rows < g:
+            continue
+        extra = [[rng.randint(-40, 40) for _ in range(g)] for _ in range(rng.randint(1, 4))]
+        inputs.append((start.tolist() + extra, g))
+    for rows, c in inputs:
         h, pivots = [], []
-        for row in rows:
+        for k, row in enumerate(rows, 1):
             _hnf_insert(h, pivots, list(row))
             assert pivots == [next(j for j, x in enumerate(r) if x) for r in h]
-        _reduce_above_pivots(h, pivots)
-        expected = reference_hnf(IntMatrix(rows, cols=c))
-        assert IntMatrix(h, cols=c) == expected, rows
-        assert hermite_normal_form(IntMatrix(rows, cols=c)) == expected, rows
+            assert IntMatrix(h, cols=c) == reference_hnf(IntMatrix(rows[:k], cols=c)), rows[:k]
+        assert hermite_normal_form(IntMatrix(rows, cols=c)) == IntMatrix(h, cols=c), rows
 
 
 def _spans(m: IntMatrix) -> bool:

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 import pytest
 
@@ -11,7 +11,6 @@ from eislab.divlattice import SquareFreeLevel
 from eislab.exactnum import (
     IntMatrix,
     _factor,
-    _reduce_above_pivots,
     hermite_normal_form,
     hnf_coordinates,
     hnf_with_transform,
@@ -33,7 +32,6 @@ from eislab.modsym import (
     _check_closed,
     _cuspidal_lift,
     _cusps_equivalent,
-    _hnf_insert_mod,
     _matrix_on_cuspidal,
     _merel_family,
     _merel_symbol_rows,
@@ -490,27 +488,6 @@ def test_ring_rank_matches_genus():
     assert hecke_matrix(model.space, 1) == IntMatrix.identity(2)
 
 
-def test_hnf_insert_mod_matches_hnf():
-    # full rank: rows go in modulo the determinant, reduced above pivots once
-    rng = random.Random(59)
-    for _ in range(300):
-        g = rng.randint(1, 5)
-        start = reference_hnf(
-            IntMatrix([[rng.randint(-6, 6) for _ in range(g)] for _ in range(g + 1)], cols=g)
-        )
-        if start.rows < g:
-            continue
-        h = start.tolist()
-        d = prod(row[i] for i, row in enumerate(h))
-        extra = [[rng.randint(-40, 40) for _ in range(g)] for _ in range(rng.randint(1, 4))]
-        for row in extra:
-            d = _hnf_insert_mod(h, row, d)
-        _reduce_above_pivots(h, range(g))
-        expected = reference_hnf(IntMatrix(start.tolist() + extra, cols=g))
-        assert IntMatrix(h, cols=g) == expected, (start, extra)
-        assert d == prod(row[i] for i, row in enumerate(expected.data))
-
-
 def test_ring_basis_matches_one_shot_hnf():
     # the ring HNF takes one operator at a time; all at once is the reference
     for n in (11, 35, 70, 105):
@@ -915,17 +892,17 @@ def test_index_without_the_generator_skip(monkeypatch):
     levels = [n for n in range(2, 71) if all(n % (p * p) for p in (2, 3, 5, 7))]
     pairs = [(n, m) for n in levels + [105] for m in range(1, n + 1) if n % m == 0]
     skipped = []
-    contains = modsym._contains_mod
+    contains = modsym._in_ideal
 
     def spy(*args):
         skipped.append(contains(*args))
         return skipped[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(modsym, "_contains_mod", spy)
+        patch.setattr(modsym, "_in_ideal", spy)
         with_skip = [_index_fields(eisenstein_index(cached_ring(n), m)) for n, m in pairs]
     assert any(skipped) and not all(skipped)
-    monkeypatch.setattr(modsym, "_contains_mod", lambda *args: False)
+    monkeypatch.setattr(modsym, "_in_ideal", lambda *args: False)
     for (n, m), fields in zip(pairs, with_skip):
         assert _index_fields(eisenstein_index(cached_ring(n), m)) == fields, (n, m)
         assert _index_fields(cached_index(n, m)) == fields, (n, m)
