@@ -1,8 +1,9 @@
 """Modular symbols for Gamma_0(N) at square-free level.
 
-Manin symbols, the integral cuspidal lattice, Hecke matrices, the Hecke
-ring as a lattice of endomorphisms, shifted-operator ideals with their
-indices, and the census of maximal ideals sitting above them.
+Manin symbols, the integral cuspidal lattice and its star-fixed half, Hecke
+matrices on that half, the Hecke ring as a lattice of endomorphisms,
+shifted-operator ideals with their indices, and the census of maximal ideals
+sitting above them.
 """
 
 from __future__ import annotations
@@ -140,6 +141,7 @@ class ManinSymbolSpace:
     cusps: CuspSet
     boundary: IntMatrix        # on the quotient basis
     cuspidal: IntMatrix        # HNF basis of ker(boundary)
+    plus: IntMatrix            # HNF basis of the star-fixed part of cuspidal
     genus: int
     op_cache: dict = field(default_factory=dict, repr=False)
 
@@ -201,12 +203,43 @@ def _relation_quotient(relations: list[dict[int, int]], kept: int) -> list[list[
     return out
 
 
+def _solve_over(basis: IntMatrix, images: list[list[int]], fault: str) -> IntMatrix:
+    """X with X * basis = images, for a row HNF basis; raises fault when there is none.
+
+    X is read from the images' entries at the pivot columns of basis (upper
+    triangular there), by one triangular solve for all images, one column
+    of X at a time; a non-integral entry raises.  The pivot entries fix X
+    only inside the span of basis, so X * basis is then compared with the
+    images whole.
+    """
+    data = basis.data
+    cols: list[list[int]] = []
+    for row in data:
+        q = next(q for q, x in enumerate(row) if x)
+        col = [img[q] for img in images]
+        for above, done in zip(data, cols):
+            if above[q]:
+                col = [y - above[q] * x for y, x in zip(col, done)]
+        if row[q] != 1:
+            if any(y % row[q] for y in col):
+                raise RuntimeError(fault)
+            col = [y // row[q] for y in col]
+        cols.append(col)
+    x = [list(r) for r in zip(*cols)]
+    if _mul(x, data, basis.cols) != images:
+        raise RuntimeError(fault)
+    return IntMatrix(x, cols=basis.rows)
+
+
 def build_space(n) -> ManinSymbolSpace:
     """Manin-symbol presentation at square-free level n.
 
     Builds the rational quotient by the two- and three-term relations,
     re-coordinatizes so the integer symbol images span the full lattice,
-    classifies boundary cusps, and cuts out the cuspidal sublattice.
+    classifies boundary cusps, and cuts out the cuspidal sublattice and its
+    rank-g half fixed by the star involution (u : v) -> -(-u : v).  The
+    Hecke ring acts faithfully on that half (Stein, Modular Forms: A
+    Computational Approach, ch. 8), so every operator is taken there.
     """
     level = SquareFreeLevel(n)
     nn = level.value
@@ -304,6 +337,20 @@ def build_space(n) -> ManinSymbolSpace:
         raise RuntimeError(f"cuspidal rank defect at level {nn}")
     if cuspidal.rows % 2:
         raise RuntimeError(f"cuspidal rank {cuspidal.rows} is odd at level {nn}")
+    genus = cuspidal.rows // 2
+    # the star on the cuspidal basis: each lifted basis row's symbols sent
+    # to -(-u : v)
+    flipped = [[-y for y in coords.data[p1_index[-u % nn * nn + v]]] for u, v in symbols]
+    star_images = _mul((cuspidal * section).data, flipped, rank_q)
+    star = _solve_over(
+        cuspidal, star_images, f"cuspidal lattice not stable under star at level {nn}"
+    )
+    ident = IntMatrix.identity(cuspidal.rows)
+    if star * star != ident:
+        raise RuntimeError(f"star is not an involution at level {nn}")
+    plus = hermite_normal_form(left_kernel(star - ident) * cuspidal)
+    if plus.rows != genus:
+        raise RuntimeError(f"star-fixed rank {plus.rows} != genus {genus} at level {nn}")
     return ManinSymbolSpace(
         level=level,
         symbols=symbols,
@@ -314,7 +361,8 @@ def build_space(n) -> ManinSymbolSpace:
         cusps=cusps,
         boundary=boundary,
         cuspidal=cuspidal,
-        genus=cuspidal.rows // 2,
+        plus=plus,
+        genus=genus,
     )
 
 
@@ -360,34 +408,33 @@ def _merel_symbol_rows(space: ManinSymbolSpace, r: int, which) -> dict[int, dict
 
 
 def _cuspidal_lift(space: ManinSymbolSpace):
-    """The cuspidal basis written on symbols, and the symbols it touches.
+    """The star-fixed cuspidal basis written on symbols, and the symbols it touches.
 
-    An operator on the cuspidal lattice needs the images of these symbols
-    only: about a third of P^1 at the larger levels.
+    An operator on that lattice needs the images of these symbols only:
+    about a third of P^1 at the larger levels.
     """
-    key = "cuspidal-as-symbols"
+    key = "plus-as-symbols"
     if key not in space.op_cache:
-        lifted = space.cuspidal * space.section
+        lifted = space.plus * space.section
         rows = [{s: x for s, x in enumerate(row) if x} for row in lifted.data]
         space.op_cache[key] = (rows, sorted(set().union(*rows)))
     return space.op_cache[key]
 
 
 def _matrix_on_cuspidal(space: ManinSymbolSpace, symbol_rows) -> IntMatrix:
-    """Operator on the cuspidal basis from symbol images; reads symbol_rows[s] on the support.
+    """Operator on the star-fixed cuspidal basis from symbol images; reads symbol_rows[s] on the support.
 
     The image of each lifted basis vector is one sum of the symbols'
     coordinate rows packed as integers (exactnum._pack_rows), unpacked once.
     Its entries are at most max|coords| times the lifted row's sum of
     |coef| * (L1 norm of the symbol's image), which fixes the width.
     cuspidal is the saturated left kernel of boundary, so an image lies in
-    the cuspidal lattice exactly when image * boundary = 0; its coordinates
-    then follow from its entries at the pivot columns of cuspidal, by a
-    triangular solve for all images at once.  The packed rows are built
-    per call.
+    the cuspidal lattice exactly when image * boundary = 0.  Its
+    coordinates over plus then come from _solve_over, whose whole
+    comparison also refuses an image that is cuspidal but not star-fixed.
+    The packed rows are built per call.
     """
-    two_g = space.cuspidal.rows
-    if two_g == 0:
+    if space.genus == 0:
         return IntMatrix([], cols=0)
     lifted, support = _cuspidal_lift(space)
     coords = space.coords.data
@@ -407,22 +454,7 @@ def _matrix_on_cuspidal(space: ManinSymbolSpace, symbol_rows) -> IntMatrix:
     fault = f"cuspidal lattice not stable under the operator at level {space.level.value}"
     if any(map(any, _mul(images, space.boundary.data, space.boundary.cols))):
         raise RuntimeError(fault)
-    # X * A = Y, A the cuspidal basis and Y the images on its pivot columns
-    # (A is upper triangular there), one column of X at a time
-    basis = space.cuspidal.data
-    cols: list[list[int]] = []
-    for row in basis:
-        q = next(q for q, x in enumerate(row) if x)
-        col = [img[q] for img in images]
-        for above, done in zip(basis, cols):
-            if above[q]:
-                col = [y - above[q] * x for y, x in zip(col, done)]
-        if row[q] != 1:
-            if any(y % row[q] for y in col):
-                raise RuntimeError(fault)
-            col = [y // row[q] for y in col]
-        cols.append(col)
-    return IntMatrix(zip(*cols), cols=two_g)
+    return _solve_over(space.plus, images, fault)
 
 
 def _prime_matrix(space: ManinSymbolSpace, p: int) -> IntMatrix:
@@ -451,12 +483,12 @@ def _prime_power_matrix(space: ManinSymbolSpace, p: int, e: int) -> IntMatrix:
 
 
 def hecke_matrix(space: ManinSymbolSpace, n: int) -> IntMatrix:
-    """Matrix of the n-th Hecke operator on the cuspidal lattice basis."""
+    """Matrix of the n-th Hecke operator on the star-fixed cuspidal basis (g x g)."""
     if n < 1:
         raise ValueError("operator index must be positive")
     factors = [_prime_power_matrix(space, p, e) for p, e in _factor(n).items()]
     if not factors:
-        return IntMatrix.identity(space.cuspidal.rows)
+        return IntMatrix.identity(space.genus)
     out = factors[0]
     for factor in factors[1:]:
         out = out * factor
@@ -538,15 +570,16 @@ def _vec(m: IntMatrix) -> list[int]:
 def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
     """Lattice spanned by the operators up to the weight-two spanning bound.
 
-    The operators are formed and enter the HNF one at a time (_hnf_insert),
-    and none is kept, so it never holds more than g + 1 rows of width
-    (2g)^2; all `bound` rows at once would be the largest allocation of a
-    sweep to level 130.
+    The operators are g x g, on the star-fixed cuspidal lattice, which
+    they act on faithfully.  They are formed and enter the HNF one at a
+    time (_hnf_insert), and none is kept, so it never holds more than g + 1
+    rows of width g^2; all `bound` rows at once would be the largest
+    allocation of a sweep to level 130.
     """
     psi = len(space.symbols)
     bound = -(-psi // 6)
     rows, _ = _echelon(_vec(hecke_matrix(space, k)) for k in range(1, bound + 1))
-    basis = IntMatrix(rows, cols=(2 * space.genus) ** 2)
+    basis = IntMatrix(rows, cols=space.genus ** 2)
     if basis.rows != space.genus:
         raise RuntimeError(
             f"operator lattice rank {basis.rows} != genus {space.genus}"
@@ -561,8 +594,9 @@ def _pack(rows: list[list[int]], w: int) -> list[int]:
 
 
 def _start_width(g: int, top: int) -> int:
-    # 24 bits above the largest product entry; no level up to 130 widens
-    return (4 * g * top * top).bit_length() + 24
+    # 24 bits above the largest product entry; no level up to 210 widens,
+    # and 330 widens once
+    return (g * top * top).bit_length() + 24
 
 
 def _check_closed(n: int, basis: IntMatrix) -> list[list[int]]:
@@ -571,20 +605,19 @@ def _check_closed(n: int, basis: IntMatrix) -> list[list[int]]:
     Raises unless every such product lies in the ring lattice.  The
     coordinates fill the product table (_product_table) that every
     generator row of the index is read from.  The basis
-    rows H_k are the b_k flattened, in HNF.  The coordinates c of b_i b_j
-    are fixed by its g pivot entries (g dot products of length 2g, then a
-    triangular solve), and a non-integral c_k raises.  The whole identity
+    rows H_k are the g x g matrices b_k flattened, in HNF.  The coordinates
+    c of b_i b_j are fixed by its g pivot entries (g dot products of length
+    g, then a triangular solve), and a non-integral c_k raises.  The whole identity
     b_i b_j = sum c_k H_k is then one integer comparison: a matrix packs as
     sum x_q * 2^(w*q) over its flat entries q, and row r of b_i b_j packs as
     sum_s b_i[r][s] * packed(row s of b_j).  The packed sides are equal
     exactly when every entry e of the difference is 0, provided that
-    |e| < 2^(w-1).  The bound |e| <= 2g max|b|^2 + sum |c_k| max|b| is
+    |e| < 2^(w-1).  The bound |e| <= g max|b|^2 + sum |c_k| max|b| is
     checked for every pair before it is compared, and w widens (all rows
     are repacked) whenever it is not met.
     """
     g = basis.rows
-    two_g = 2 * g
-    mats = [[b[r * two_g:(r + 1) * two_g] for r in range(two_g)] for b in basis.data]
+    mats = [[b[r * g:(r + 1) * g] for r in range(g)] for b in basis.data]
     pivots = [next(q for q, x in enumerate(row) if x) for row in basis.data]
     at_pivots = IntMatrix([[row[q] for q in pivots] for row in basis.data], cols=g)
     top = max(abs(x) for row in basis.data for x in row)
@@ -595,16 +628,16 @@ def _check_closed(n: int, basis: IntMatrix) -> list[list[int]]:
         for j in range(i, g):
             bj = mats[j]
             coeffs = hnf_coordinates(at_pivots, [
-                sum(x * bj[t][q % two_g] for t, x in enumerate(bi[q // two_g]) if x)
+                sum(x * bj[t][q % g] for t, x in enumerate(bi[q // g]) if x)
                 for q in pivots
             ])
             if coeffs is None:
                 raise RuntimeError(f"ring lattice not closed under products at level {n}")
-            bound = two_g * top * top + sum(map(abs, coeffs)) * top
+            bound = g * top * top + sum(map(abs, coeffs)) * top
             while bound >= 1 << (w - 1):
                 w *= 2
             if packed_w != w:
-                packed_w, stride = w, two_g * w
+                packed_w, stride = w, g * w
                 packed = [_pack(m, w) for m in mats]
                 flat = [sum(x << (stride * r) for r, x in enumerate(p)) for p in packed]
             product = 0
@@ -673,7 +706,7 @@ def _unit_coords(ring: HeckeRingModel) -> list[int]:
     """Coordinates of T_1, the identity, over the ring basis."""
     e = ring.cache.get("one")
     if e is None:
-        e = hnf_coordinates(ring.basis, _vec(IntMatrix.identity(2 * ring.genus)))
+        e = hnf_coordinates(ring.basis, _vec(IntMatrix.identity(ring.genus)))
         if e is None:
             raise RuntimeError(
                 f"operator 1 escapes the ring lattice at level {ring.space.level.value}"

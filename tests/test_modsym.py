@@ -2,7 +2,8 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -14,7 +15,9 @@ from eislab.exactnum import (
     hermite_normal_form,
     hnf_coordinates,
     hnf_with_transform,
+    left_kernel,
     phi_psi_omega,
+    primes_up_to,
     xgcd,
 )
 from eislab.modsym import (
@@ -378,6 +381,114 @@ def test_planted_symbol_image_leaves_cuspidal_lattice():
             _matrix_on_cuspidal(space, rows)
 
 
+# The full 2g route, the reference for the operators on the star-fixed half
+# plus: the whole cuspidal basis lifted to symbols, each symbol sent to a
+# row on the quotient basis, and the sums written over the cuspidal HNF.
+
+REFERENCE_LEVELS = SQUAREFREE + [105, 110, 130]
+
+
+def _on_full_cuspidal(space, image_of):
+    """Matrix on the cuspidal basis of the map sending symbol s to the quotient row image_of(s)."""
+    out = []
+    for row in (space.cuspidal * space.section).data:
+        img = [0] * space.quotient_rank
+        for s, x in enumerate(row):
+            if x:
+                img = [a + x * b for a, b in zip(img, image_of(s))]
+        c = hnf_coordinates(space.cuspidal, img)
+        assert c is not None
+        out.append(c)
+    return IntMatrix(out, cols=space.cuspidal.rows)
+
+
+@lru_cache(maxsize=None)
+def _full_star(n):
+    # (u : v) -> -(-u : v)
+    space = cached_space(n)
+
+    def image_of(s):
+        u, v = space.symbols[s]
+        return [-x for x in space.coords[space.p1_index[-u % n * n + v]]]
+
+    return _on_full_cuspidal(space, image_of)
+
+
+@lru_cache(maxsize=None)
+def _full_prime_matrix(n, p):
+    space = cached_space(n)
+    support = sorted({s for row in (space.cuspidal * space.section).data
+                      for s, x in enumerate(row) if x})
+    rows = _merel_symbol_rows(space, p, support)
+
+    def image_of(s):
+        out = [0] * space.quotient_rank
+        for j, mult in rows[s].items():
+            out = [a + mult * b for a, b in zip(out, space.coords[j])]
+        return out
+
+    return _on_full_cuspidal(space, image_of)
+
+
+def _plus_over_cuspidal(space):
+    # the rows of plus as coordinates over the cuspidal basis
+    return IntMatrix([hnf_coordinates(space.cuspidal, row) for row in space.plus.data],
+                     cols=space.cuspidal.rows)
+
+
+def test_star_is_an_involution_commuting_with_the_full_operators():
+    for n in REFERENCE_LEVELS:
+        space = cached_space(n)
+        two_g = space.cuspidal.rows
+        star = _full_star(n)
+        assert star * star == IntMatrix.identity(two_g), n
+        bound = -(-len(space.symbols) // 6)
+        for p in primes_up_to(bound):
+            t = _full_prime_matrix(n, p)
+            assert star * t == t * star, (n, p)
+        # plus has rank g and is the saturated star-fixed sublattice: its
+        # rows are fixed and their coordinates extend to a unimodular basis
+        assert space.plus.rows == space.genus == two_g // 2, n
+        c = _plus_over_cuspidal(space)
+        assert c * star == c, n
+        assert space.genus == 0 or hermite_normal_form(c.transpose()) == (
+            IntMatrix.identity(space.genus)
+        ), n
+
+
+def test_operators_are_the_full_ones_restricted_to_plus():
+    for n in REFERENCE_LEVELS:
+        space = cached_space(n)
+        c = _plus_over_cuspidal(space)
+        for p in primes_up_to(-(-len(space.symbols) // 6)):
+            images = c * _full_prime_matrix(n, p) * space.cuspidal
+            restricted = [hnf_coordinates(space.plus, row) for row in images.data]
+            assert hecke_matrix(space, p) == IntMatrix(restricted, cols=space.genus), (n, p)
+
+
+def test_planted_image_cuspidal_but_not_star_fixed():
+    # one support symbol's image gains a vector of the star's -1 lattice,
+    # times the pivot product of plus: every image stays cuspidal and the
+    # pivot solve stays integral, so only the whole comparison sees it
+    for n, r in ((11, 2), (35, 3), (70, 3)):
+        space = build_space(n)
+        ident = IntMatrix.identity(space.cuspidal.rows)
+        minus = (left_kernel(_full_star(n) + ident) * space.cuspidal).data[0]
+        assert (IntMatrix([minus]) * space.boundary).is_zero()
+        scale = prod(next(x for x in row if x) for row in space.plus.data)
+        planted = IntMatrix([[scale * x for x in minus]]) * space.section
+        support = _cuspidal_lift(space)[1]
+        rows = _merel_symbol_rows(space, r, support)
+        s = support[0]
+        acc = dict(rows[s])
+        for j, x in enumerate(planted.data[0]):
+            if x:
+                acc[j] = acc.get(j, 0) + x
+        rows[s] = {j: x for j, x in acc.items() if x}
+        with pytest.raises(RuntimeError, match="cuspidal lattice not stable"):
+            _matrix_on_cuspidal(space, rows)
+
+
 def test_merel_family_shape():
     for n, size in ((2, 4), (3, 7)):
         fam = _merel_family(n)
@@ -404,7 +515,7 @@ def test_eta_anchor_level_11():
     space = cached_space(11)
     coeffs = eta_product([(1, 2), (11, 2)], 16)
     assert coeffs[1:6] == [1, -2, -1, 2, 1]
-    ident = IntMatrix.identity(2)
+    ident = IntMatrix.identity(space.genus)
     for r in (2, 3, 5, 7, 13):
         assert hecke_matrix(space, r) == ident.scale(coeffs[r]), r
     assert hecke_matrix(space, 11) == ident.scale(coeffs[11])
@@ -416,7 +527,7 @@ def test_eta_anchor_level_14():
     space = cached_space(14)
     coeffs = eta_product([(1, 1), (2, 1), (7, 1), (14, 1)], 16)
     assert coeffs[1:8] == [1, -1, -2, 1, 0, 2, 1]
-    ident = IntMatrix.identity(2)
+    ident = IntMatrix.identity(space.genus)
     for r in (2, 3, 5, 7, 11, 13):
         assert hecke_matrix(space, r) == ident.scale(coeffs[r]), r
 
@@ -425,7 +536,7 @@ def test_eta_anchor_level_15():
     space = cached_space(15)
     coeffs = eta_product([(1, 1), (3, 1), (5, 1), (15, 1)], 16)
     assert coeffs[1:5] == [1, -1, -1, -1]
-    ident = IntMatrix.identity(2)
+    ident = IntMatrix.identity(space.genus)
     for r in (2, 3, 5, 7, 11, 13):
         assert hecke_matrix(space, r) == ident.scale(coeffs[r]), r
 
@@ -433,7 +544,7 @@ def test_eta_anchor_level_15():
 def test_old_space_relations_level_22():
     space = cached_space(22)
     assert space.genus == 2
-    ident = IntMatrix.identity(4)
+    ident = IntMatrix.identity(space.genus)
     u2 = hecke_matrix(space, 2)
     assert (u2 * u2 + u2.scale(2) + ident.scale(2)).is_zero()
     assert hecke_matrix(space, 11) == ident
@@ -455,7 +566,7 @@ def test_hecke_multiplicative_and_commutative():
         ta = hecke_matrix(s30, a)
         tb = hecke_matrix(s30, b)
         assert ta * tb == tb * ta, (a, b)
-    assert hecke_matrix(s30, 1) == IntMatrix.identity(2 * s30.genus)
+    assert hecke_matrix(s30, 1) == IntMatrix.identity(s30.genus)
 
 
 def test_level_prime_powers_repeat_u():
@@ -485,7 +596,7 @@ def test_ring_rank_matches_genus():
     assert cached_ring(35).basis.rows == 3
     model = cached_ring(11)
     assert model.bound == 2
-    assert hecke_matrix(model.space, 1) == IntMatrix.identity(2)
+    assert hecke_matrix(model.space, 1) == IntMatrix.identity(model.space.genus)
 
 
 def test_ring_basis_matches_one_shot_hnf():
@@ -493,7 +604,7 @@ def test_ring_basis_matches_one_shot_hnf():
     for n in (11, 35, 70, 105):
         ring = cached_ring(n)
         ops = [hecke_matrix(ring.space, k) for k in range(1, ring.bound + 1)]
-        vecs = IntMatrix([_vec(op) for op in ops], cols=(2 * ring.genus) ** 2)
+        vecs = IntMatrix([_vec(op) for op in ops], cols=ring.genus ** 2)
         assert ring.basis == reference_hnf(vecs), n
 
 
@@ -677,26 +788,28 @@ def _probe(ring) -> dict:
     operator in use is checked to lie in R (_certified_prime), every T_k
     does.  Since t -> v t is injective on the Q-span of R when the v b_j
     are independent, the ring coordinates of T_k are then the unique
-    integer solution of v T_k = sum c_j v b_j, a system of width 2g
-    instead of (2g)^2.
+    integer solution of v T_k = sum c_j v b_j, a system of width g
+    instead of g^2.
     """
     state = ring.cache.setdefault("probe", {})
     if state:
         return state
     n, g = ring.space.level.value, ring.genus
-    two_g = 2 * g
     _check_closed(n, ring.basis)
-    # v is the first unit vector e_i that separates (e_0 does not at N=105);
-    # v b_j is then row i of b_j
-    for i in range(two_g):
-        h, u = hnf_with_transform(
-            IntMatrix([b[i * two_g:(i + 1) * two_g] for b in ring.basis.data], cols=two_g)
-        )
+    # v is the first unit vector e_i that separates (none does at N=66),
+    # else the first (1, k, k^2, ..., k^(g-1)), k = 1, 2, ..., that does;
+    # v b_j is sum_i v_i (row i of b_j)
+    units = [[int(i == j) for j in range(g)] for i in range(g)]
+    for v in units + [[k ** j for j in range(g)] for k in range(1, g + 2)]:
+        h, u = hnf_with_transform(IntMatrix(
+            [[sum(x * b[i * g + c] for i, x in enumerate(v) if x) for c in range(g)]
+             for b in ring.basis.data],
+            cols=g,
+        ))
         if any(h.data[-1]):
             break
     else:
         raise RuntimeError(f"no probe vector separates the ring lattice at level {n}")
-    v = [int(i == j) for j in range(two_g)]
     state.update(hnf=h, transform=u, primes=set(), images={1: v})
     return state
 
@@ -814,8 +927,9 @@ def test_table_rows_span_each_generator_ideal():
 
 def test_planted_prime_operator_escapes_ring():
     # a wrong prime operator must fail its membership solve, both in the
-    # per-prime rows and in the index that reads them
-    for n, r in ((11, 3), (35, 13)):
+    # per-prime rows and in the index that reads them (at genus 1 the ring
+    # is all of Z, which no 1 x 1 operator escapes)
+    for n, r in ((22, 7), (35, 13)):
         space = build_space(n)
         ring = hecke_ring(space)
         assert r > ring.bound
@@ -851,23 +965,6 @@ def test_planted_smith_form_disagrees_with_index(monkeypatch):
         eisenstein_index(hecke_ring(build_space(11)), 11)
 
 
-def test_index_models_above_the_golden_range():
-    # every cached_index field, every m, at the levels the bench golden
-    # sees only the index and verdict of
-    h = hashlib.sha256()
-    for n in (105, 110, 130):
-        for m in (d for d in range(1, n + 1) if n % d == 0):
-            t = cached_index(n, m)
-            record = [
-                t.level, t.m, t.index, list(t.elementary_divisors),
-                list(t.generator_names), t.prime_bound,
-                [list(step) for step in t.stabilization],
-                t.ideal_basis.tolist(), t.zero_ring,
-            ]
-            h.update(json.dumps(record).encode() + b"\n")
-    assert h.hexdigest()[:16] == "c827d44a94382fd2"
-
-
 def _index_fields(t):
     return [
         t.level, t.m, t.index, list(t.elementary_divisors),
@@ -877,13 +974,38 @@ def _index_fields(t):
     ]
 
 
-def test_index_models_through_level_70():
-    # every cached_index field, every m, at every square-free level 7-70
-    h = hashlib.sha256()
-    for n in SQUAREFREE:
+def _index_digests(levels):
+    """Digests of every cached_index field but ideal_basis, and of ideal_basis, every m.
+
+    ideal_basis is written over the ring basis, which depends on the lattice
+    the operators act on; every other field belongs to the ring itself.
+    """
+    fields, basis = hashlib.sha256(), hashlib.sha256()
+    for n in levels:
         for m in (d for d in range(1, n + 1) if n % d == 0):
-            h.update(json.dumps(_index_fields(cached_index(n, m))).encode() + b"\n")
-    assert h.hexdigest()[:16] == "3795604aa0e2a72c"
+            record = _index_fields(cached_index(n, m))
+            basis.update(json.dumps(record.pop(7)).encode() + b"\n")
+            fields.update(json.dumps(record).encode() + b"\n")
+    return fields.hexdigest()[:16], basis.hexdigest()[:16]
+
+
+def test_index_models_above_the_golden_range():
+    # every cached_index field but ideal_basis, every m, at the levels the
+    # bench golden sees only the index and verdict of
+    assert _index_digests((105, 110, 130))[0] == "8d2583927601d326"
+
+
+def test_index_models_through_level_70():
+    # every cached_index field but ideal_basis, every m, at every
+    # square-free level 7-70
+    assert _index_digests(SQUAREFREE)[0] == "5f3adb54fd2c51f1"
+
+
+def test_ideal_basis_pinned():
+    # with the ring on the full 2g cuspidal lattice these were
+    # 97656357d15e9a05 and be3ccebb6c80a258
+    assert _index_digests(SQUAREFREE)[1] == "52053d9b4e7397d0"
+    assert _index_digests((105, 110, 130))[1] == "5662361d5e9a8821"
 
 
 def test_index_without_the_generator_skip(monkeypatch):
@@ -945,11 +1067,8 @@ def test_integer_quotient_matches_fraction_route(monkeypatch):
 
 
 def _as_matrices(basis):
-    two_g = 2 * basis.rows
-    return [
-        IntMatrix([b[r * two_g:(r + 1) * two_g] for r in range(two_g)], cols=two_g)
-        for b in basis.data
-    ]
+    g = basis.rows
+    return [IntMatrix([b[r * g:(r + 1) * g] for r in range(g)], cols=g) for b in basis.data]
 
 
 def _full_width_products(basis):
@@ -964,12 +1083,14 @@ def _full_width_products(basis):
 def _planted_basis(basis):
     # one entry of b_0 changed at a row and a column that no pivot position
     # uses: every pivot entry of every product, and so every coordinate the
-    # triangular solve reads, is unchanged; only the full comparison sees it
-    two_g = 2 * basis.rows
+    # triangular solve reads, is unchanged; only the full comparison sees it.
+    # The g pivots must leave a row and a column of the g x g matrices free,
+    # which they do not at 11, 22 or 35
+    g = basis.rows
     pivots = [next(q for q, x in enumerate(row) if x) for row in basis.data]
-    t0 = min(set(range(two_g)) - {q // two_g for q in pivots})
-    s0 = min(set(range(two_g)) - {q % two_g for q in pivots})
-    q0 = t0 * two_g + s0
+    t0 = min(set(range(g)) - {q // g for q in pivots})
+    s0 = min(set(range(g)) - {q % g for q in pivots})
+    q0 = t0 * g + s0
     assert q0 > pivots[0]
     data = basis.tolist()
     data[0][q0] += 1
@@ -986,7 +1107,7 @@ def test_packed_closure_matches_full_width():
 
 
 def test_planted_product_escapes_ring():
-    for n in (11, 35, 70):
+    for n in (30, 66, 70):
         with pytest.raises(RuntimeError, match="not closed under products"):
             _check_closed(n, _planted_basis(cached_ring(n).basis))
 
@@ -1001,12 +1122,12 @@ def test_packed_closure_widens_past_a_small_start(monkeypatch):
 
     monkeypatch.setattr(modsym, "_start_width", lambda g, top: 2)
     monkeypatch.setattr(modsym, "_pack", spy)
-    basis = cached_ring(35).basis
+    basis = cached_ring(30).basis
     full = _full_width_products(basis)
-    assert _check_closed(35, basis) == full
+    assert _check_closed(30, basis) == full
     top = max(abs(x) for row in basis.data for x in row)
     # every comparison ran at a width that meets the bound of every pair
-    bound = max(2 * basis.rows * top * top + sum(map(abs, c)) * top for c in full)
+    bound = max(basis.rows * top * top + sum(map(abs, c)) * top for c in full)
     assert min(widths) > 2 and bound < 1 << (min(widths) - 1)
     with pytest.raises(RuntimeError, match="not closed under products"):
-        _check_closed(35, _planted_basis(basis))
+        _check_closed(30, _planted_basis(basis))
