@@ -103,6 +103,24 @@ def _check_csv(args: argparse.Namespace) -> None:
         raise ValueError(f"csv output is not available for {args.command}")
 
 
+def _check_output(args: argparse.Namespace) -> None:
+    """Refuse an --output path that cannot be written, before any work runs.
+
+    The file is still written only at the end (_emit); here the path must
+    not be a directory, and its directory must exist and be writable.
+    """
+    path = args.output
+    if not path:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ValueError(f"--output {path} is a directory")
+    if not os.path.isdir(folder):
+        raise ValueError(f"--output {path}: no directory {folder}")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ValueError(f"--output {path} is not writable")
+
+
 def _index_case(n: int, m: int) -> dict:
     from eislab.modsym import compare_index_order
 
@@ -475,6 +493,7 @@ def main(argv=None) -> int:
     try:
         _check_ranges(args)
         _check_csv(args)
+        _check_output(args)
         return _HANDLERS[args.command](args)
     except ValueError as exc:
         parser.error(str(exc))

@@ -441,11 +441,23 @@ def _left_inverse(M: IntMatrix) -> IntMatrix | None:
     The HNF of [M | I] as in hnf_with_transform, dropping every row that
     vanishes on M's columns, so at most M.cols rows are held.  Their M block
     is I exactly when there are M.cols of them with every pivot 1; their I
-    block is then S.
+    block is then S.  The fold stops as soon as the M block is I: every
+    later row reduces to zero on M's columns through pivots of 1 and is
+    dropped, so it would change nothing.  With no columns the block is I
+    from the start, and S has no rows.
     """
     n = M.cols
-    h, pivots = _echelon(_augmented(M), n)
-    if len(h) != n or any(r[c] != 1 for r, c in zip(h, pivots)):
+    h: list[list[int]] = []
+    pivots: list[int] = []
+
+    def spans() -> bool:
+        return len(h) == n and all(r[c] == 1 for r, c in zip(h, pivots))
+
+    for row in _augmented(M):
+        if spans():
+            break
+        _hnf_insert(h, pivots, row, n)
+    if not spans():
         return None
     return IntMatrix([r[n:] for r in h], cols=M.rows)
 

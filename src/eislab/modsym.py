@@ -231,11 +231,49 @@ def _solve_over(basis: IntMatrix, images: list[list[int]], fault: str) -> IntMat
     return IntMatrix(x, cols=basis.rows)
 
 
+def _symbol_lattice(
+    nn: int, subst: list[tuple[int, int] | None], slot_images: list[list[int]], rank_q: int
+) -> tuple[IntMatrix, IntMatrix]:
+    """Lattice coordinates of every symbol, and a section S with S * coords = I.
+
+    Symbol i's image is 0 (S-fixed, subst[i] None) or sign times the image
+    of its two-term slot, so all lattice work runs on the slot rows: their
+    HNF is the lattice, one coordinate solve per slot, and the section is
+    the left inverse of the slot coordinates.  Its column k goes to the
+    representative of slot k, the symbol i < S(i); the other columns stay
+    zero.  The fold over all symbols would meet each slot's representative
+    first and in slot order, and every other row of it (a -1 copy or a zero)
+    lies in the lattice already folded and changes nothing, so this is the
+    same section.
+    """
+    lattice = hermite_normal_form(IntMatrix(slot_images, cols=rank_q))
+    if lattice.rows != rank_q:
+        raise RuntimeError(f"quotient lattice rank defect at level {nn}")
+    slot_coords = [hnf_coordinates(lattice, row) for row in slot_images]
+    zero = [0] * rank_q
+    coords = IntMatrix(
+        [zero if sub is None else [sub[1] * x for x in slot_coords[sub[0]]] for sub in subst],
+        cols=rank_q,
+    )
+    slot_section = _left_inverse(IntMatrix(slot_coords, cols=rank_q))
+    if slot_section is None:
+        raise RuntimeError(f"symbol images do not span the quotient lattice at level {nn}")
+    reps = [i for i, sub in enumerate(subst) if sub is not None and sub[1] == 1]
+    section = []
+    for row in slot_section.data:
+        out = [0] * len(subst)
+        for i, x in zip(reps, row):
+            out[i] = x
+        section.append(out)
+    return coords, IntMatrix(section, cols=len(subst))
+
+
 def build_space(n) -> ManinSymbolSpace:
     """Manin-symbol presentation at square-free level n.
 
     Builds the rational quotient by the two- and three-term relations,
-    re-coordinatizes so the integer symbol images span the full lattice,
+    re-coordinatizes so the integer symbol images span the full lattice
+    (on the two-term slots, about half the symbols: _symbol_lattice),
     classifies boundary cusps, and cuts out the cuspidal sublattice and its
     rank-g half fixed by the star involution (u : v) -> -(-u : v).  The
     Hecke ring acts faithfully on that half (Stein, Modular Forms: A
@@ -290,23 +328,7 @@ def build_space(n) -> ManinSymbolSpace:
             relations.append(row)
     slot_images = _relation_quotient(relations, kept)
     rank_q = len(slot_images[0]) if slot_images else 0
-    zero = [0] * rank_q
-    scaled = IntMatrix(
-        [
-            zero if sub is None else [sub[1] * x for x in slot_images[sub[0]]]
-            for sub in subst
-        ],
-        cols=rank_q,
-    )
-    lattice = hermite_normal_form(scaled)
-    if lattice.rows != rank_q:
-        raise RuntimeError(f"quotient lattice rank defect at level {nn}")
-    coords = IntMatrix(
-        [hnf_coordinates(lattice, row) for row in scaled.data], cols=rank_q
-    )
-    section = _left_inverse(coords)
-    if section is None:
-        raise RuntimeError(f"symbol images do not span the quotient lattice at level {nn}")
+    coords, section = _symbol_lattice(nn, subst, slot_images, rank_q)
     if section * coords != IntMatrix.identity(rank_q):
         raise RuntimeError(f"section does not split the symbol images at level {nn}")
 

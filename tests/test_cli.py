@@ -440,6 +440,24 @@ def test_output_file(tmp_path, capsys):
     assert text.splitlines()[0] == "N,M,order,h"
 
 
+def test_unwritable_output_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the --output refusal must come before any work")
+
+    for suite in _SUITE_TABLE:
+        monkeypatch.setitem(_SUITE_TABLE, suite, (refuse, *_SUITE_TABLE[suite][1:]))
+    missing = tmp_path / "missing" / "cases.json"
+    for target, reason in ((missing, "no directory"), (tmp_path, "is a directory")):
+        for suite in _SUITE_TABLE:
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--suite", suite, "--max-level", "11", "--output", str(target)])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2, (suite, target)
+            assert f"eislab: error: --output {target}" in err and reason in err, err
+    assert not missing.parent.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 # Every command in every format it supports, each suite at its default bound,
 # the csv refusals and the usage errors: (argv, exit code, first 16 hex digits
 # of the sha256 of stdout, last line of stderr).  Recorded before the handlers
@@ -460,6 +478,9 @@ PINNED_OUTPUTS = [
     ("hecke-index --level 30 --m 1 --format csv", 2, NO_OUTPUT,
      "eislab: error: csv output is not available for hecke-index"),
     ("maximal-ideals --level 30 --format json", 0, "a690c9f92ea69e38", ""),
+    # level 1 has no slot at all, level 6 a genus-0 space
+    ("maximal-ideals --level 1", 0, "39073e734d2a1a2a", ""),
+    ("hecke-index --level 6 --m 6 --format json", 0, "1381ff7a8b02a74e", ""),
     ("verify --suite lattice-oracle --max-level 30 --format json", 0,
      "94a327bc3c8d8a33", ""),
     ("verify --suite eigenform --max-level 30 --format json", 0,

@@ -10,6 +10,7 @@ import pytest
 from eislab import exactnum
 from eislab.exactnum import (
     IntMatrix,
+    _augmented,
     _echelon,
     _factor,
     _hnf_insert,
@@ -169,6 +170,15 @@ def reference_hnf(M: IntMatrix) -> IntMatrix:
     a = M.tolist()
     rank = _hnf_inplace(a, None)
     return IntMatrix(a[:rank], cols=M.cols)
+
+
+def left_inverse_by_full_fold(M: IntMatrix) -> IntMatrix | None:
+    """S with S*M = I, or None: the fold of every row of [M | I], with no early stop."""
+    n = M.cols
+    h, pivots = _echelon(_augmented(M), n)
+    if len(h) != n or any(r[c] != 1 for r, c in zip(h, pivots)):
+        return None
+    return IntMatrix([r[n:] for r in h], cols=M.rows)
 
 
 def reference_hnf_with_transform(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -649,22 +659,57 @@ def _spans(m: IntMatrix) -> bool:
 
 
 def test_left_inverse():
+    # against the full fold: seeded random inputs, spanning or not
     rng = random.Random(61)
+    cases = [
+        IntMatrix(_rand_matrix(rng, rng.randint(c, c + 4), c, -3, 3))
+        for c in (rng.randint(1, 4) for _ in range(300))
+    ]
+    # unimodular rows first, then redundant rows after they span: the early
+    # stop skips them, so a redundant row off the lattice would show
+    rng = random.Random(67)
+    for _ in range(100):
+        c = rng.randint(1, 5)
+        start = [[int(i == j) for j in range(c)] for i in range(c)]
+        for _ in range(rng.randint(0, 6)):
+            i, j = rng.randrange(c), rng.randrange(c)
+            if i != j:
+                start[i] = [x + rng.randint(-3, 3) * y for x, y in zip(start[i], start[j])]
+        rng.shuffle(start)
+        cases.append(IntMatrix(start + _rand_matrix(rng, rng.randint(1, 6), c, -50, 50)))
+    # no entry at all, rank deficient, index-2 and index-3 sublattices
+    cases += [
+        IntMatrix(m)
+        for m in ([[2]], [[1, 2], [2, 4], [3, 6]], [[1, 1], [1, -1], [2, 0]],
+                  [[3, 0], [0, 1], [6, 5]], [[0, 0, 0]] * 4)
+    ]
+    # no rows and no columns, no rows, no columns
+    cases += [IntMatrix([], cols=0), IntMatrix([], cols=3), IntMatrix([[]] * 4, cols=0)]
     spanning = 0
-    for _ in range(300):
-        c = rng.randint(1, 4)
-        m = IntMatrix(_rand_matrix(rng, rng.randint(c, c + 4), c, -3, 3))
+    for m in cases:
         s = _left_inverse(m)
+        assert s == left_inverse_by_full_fold(m), m
         if _spans(m):
             spanning += 1
-            assert s is not None and s * m == IntMatrix.identity(c), m
+            assert s is not None and s * m == IntMatrix.identity(m.cols), m
+            assert (s.rows, s.cols) == (m.cols, m.rows), m
         else:
             assert s is None, m
-    assert spanning > 100
-    # no entry at all, rank deficient, and an index-2 sublattice of Z^2
-    for m in ([[2]], [[1, 2], [2, 4], [3, 6]], [[1, 1], [1, -1], [2, 0]]):
-        assert not _spans(IntMatrix(m))
-        assert _left_inverse(IntMatrix(m)) is None, m
+    assert 200 < spanning < len(cases) - 100
+    assert _left_inverse(IntMatrix([[]] * 4, cols=0)) == IntMatrix([], cols=4)
     # rows vanishing on the columns are dropped, not held
     h, pivots = _echelon([[2, 1, 0, 0], [3, 0, 1, 0], [6, 0, 0, 1]], 1)
     assert pivots == [0] and len(h) == 1 and h[0][0] == 1
+
+
+def test_left_inverse_folds_only_until_the_block_is_identity(monkeypatch):
+    inserted = []
+
+    def counting(h, pivots, v, end=None):
+        inserted.append(v[:end])
+        return _hnf_insert(h, pivots, v, end)
+
+    monkeypatch.setattr(exactnum, "_hnf_insert", counting)
+    m = IntMatrix([[2, 0], [1, 0], [0, 1], [5, 7], [9, 9]])
+    assert _left_inverse(m) == IntMatrix([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
+    assert inserted == [[2, 0], [1, 0], [0, 1]]

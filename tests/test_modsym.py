@@ -7,7 +7,7 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from eislab import modsym
+from eislab import exactnum, modsym
 from eislab.divlattice import SquareFreeLevel
 from eislab.exactnum import (
     IntMatrix,
@@ -46,7 +46,7 @@ from eislab.modsym import (
     _sl2_lift,
     _vec,
 )
-from test_exactnum import reference_hnf
+from test_exactnum import left_inverse_by_full_fold, reference_hnf
 
 SQUAREFREE = [n for n in range(7, 71)
               if all(n % (p * p) for p in (2, 3, 5, 7))]
@@ -219,9 +219,26 @@ def test_genus_matches_oracle():
 
 def test_build_space_rejects_bad_levels():
     with pytest.raises(ValueError):
+        build_space(4)
+    with pytest.raises(ValueError):
         build_space(12)
     with pytest.raises(ValueError):
         build_space(45)
+
+
+def test_build_space_at_the_smallest_levels():
+    # genus 0 throughout; level 1 has one symbol, S-fixed, so no slot at all
+    for n in (1, 2, 3, 5, 6):
+        space = build_space(n)
+        psi = phi_psi_omega(SquareFreeLevel(n))[1]
+        rank = len(space.cusps.labels) - 1
+        assert len(space.symbols) == psi, n
+        assert (space.genus, space.cuspidal.rows, space.plus.rows) == (0, 0, 0), n
+        assert space.quotient_rank == rank, n
+        assert (space.coords.rows, space.coords.cols) == (psi, rank), n
+        assert (space.section.rows, space.section.cols) == (rank, psi), n
+        assert space.section * space.coords == IntMatrix.identity(rank), n
+    assert build_space(1).section == IntMatrix([], cols=1)
 
 
 def test_quotient_rank_accounts_for_cusps_and_genus():
@@ -1064,6 +1081,87 @@ def test_integer_quotient_matches_fraction_route(monkeypatch):
         assert old.cuspidal == new.cuspidal, n
         assert old.genus == new.genus, n
     assert len(seen) == len(levels)
+
+
+def symbol_lattice_by_symbol_rows(nn, subst, slot_images, rank_q):
+    """coords and section by one solve and one fold row per symbol, S-fixed included.
+
+    The symbol images are the slot images times the sign of each symbol, or
+    zero; the lattice is their HNF, and the section the full fold of
+    [coords | I] over all psi(N) symbols.
+    """
+    zero = [0] * rank_q
+    scaled = IntMatrix(
+        [zero if sub is None else [sub[1] * x for x in slot_images[sub[0]]] for sub in subst],
+        cols=rank_q,
+    )
+    lattice = hermite_normal_form(scaled)
+    assert lattice.rows == rank_q, nn
+    coords = IntMatrix([hnf_coordinates(lattice, row) for row in scaled.data], cols=rank_q)
+    section = left_inverse_by_full_fold(coords)
+    assert section is not None, nn
+    return coords, section
+
+
+SPACE_FIELDS = ("coords", "section", "boundary", "cuspidal", "plus", "quotient_rank", "genus")
+
+
+def test_slot_route_matches_symbol_rows(monkeypatch):
+    seen = []
+
+    def by_symbol_rows(nn, *args):
+        seen.append(nn)
+        return symbol_lattice_by_symbol_rows(nn, *args)
+
+    levels = [n for n in range(1, 71) if all(n % (p * p) for p in (2, 3, 5, 7))]
+    levels += [105, 110, 130, 190, 210]
+    for n in levels:
+        with monkeypatch.context() as patch:
+            patch.setattr(modsym, "_symbol_lattice", by_symbol_rows)
+            old = build_space(n)
+        new = build_space(n)
+        for name in SPACE_FIELDS:
+            assert getattr(old, name) == getattr(new, name), (n, name)
+    assert seen == levels
+
+
+def test_space_work_is_one_solve_per_slot(monkeypatch):
+    # deterministic counts, not a timing: the ψ(N)-row route made one
+    # coordinate solve and one fold row per symbol (252 of each at N = 130)
+    solves, folded, in_fold = [], [], []
+
+    def counting_solve(lattice, v):
+        solves.append(v)
+        return hnf_coordinates(lattice, v)
+
+    insert = exactnum._hnf_insert
+
+    def counting_insert(*args):
+        if in_fold:
+            folded.append(args[2])
+        return insert(*args)
+
+    left_inverse = modsym._left_inverse
+
+    def marked_left_inverse(m):
+        in_fold.append(m)
+        try:
+            return left_inverse(m)
+        finally:
+            in_fold.pop()
+
+    monkeypatch.setattr(modsym, "hnf_coordinates", counting_solve)
+    monkeypatch.setattr(exactnum, "_hnf_insert", counting_insert)
+    monkeypatch.setattr(modsym, "_left_inverse", marked_left_inverse)
+    n = 130
+    space = build_space(n)
+    fixed = sum(
+        space.p1_index[v % n * n + -u % n] == i for i, (u, v) in enumerate(space.symbols)
+    )
+    slots = (len(space.symbols) - fixed) // 2
+    assert (len(space.symbols), fixed, slots) == (252, 4, 124)
+    assert len(solves) == slots
+    assert 0 < len(folded) < slots
 
 
 def _as_matrices(basis):
