@@ -224,6 +224,8 @@ def _cmd_residues(args: argparse.Namespace) -> int:
 def _cmd_hecke_index(args: argparse.Namespace) -> int:
     _check_bound(args.level, MODSYM_CAP, "modular-symbol", "--level")
     SquareFreeLevel(args.level)
+    if args.level % args.m:  # before the space and the ring are built
+        raise ValueError("m must be a positive divisor of the level")
     from eislab.modsym import cached_index
 
     model = cached_index(args.level, args.m)

@@ -210,7 +210,9 @@ def _solve_over(basis: IntMatrix, images: list[list[int]], fault: str) -> IntMat
     triangular there), by one triangular solve for all images, one column
     of X at a time; a non-integral entry raises.  The pivot entries fix X
     only inside the span of basis, so X * basis is then compared with the
-    images whole.
+    images whole.  Every batch solve over a Hermite basis here runs through
+    it: the slot coordinates (_symbol_lattice), the star (build_space), the
+    operators (_matrix_on_cuspidal) and the closure products (_check_closed).
     """
     data = basis.data
     cols: list[list[int]] = []
@@ -238,24 +240,26 @@ def _symbol_lattice(
 
     Symbol i's image is 0 (S-fixed, subst[i] None) or sign times the image
     of its two-term slot, so all lattice work runs on the slot rows: their
-    HNF is the lattice, one coordinate solve per slot, and the section is
-    the left inverse of the slot coordinates.  Its column k goes to the
-    representative of slot k, the symbol i < S(i); the other columns stay
-    zero.  The fold over all symbols would meet each slot's representative
-    first and in slot order, and every other row of it (a -1 copy or a zero)
-    lies in the lattice already folded and changes nothing, so this is the
-    same section.
+    HNF is the lattice, one batched solve (_solve_over) gives every slot's
+    coordinates, and the section is the left inverse of the slot
+    coordinates.  Its column k goes to the representative of slot k, the
+    symbol i < S(i); the other columns stay zero.  The fold over all symbols
+    would meet each slot's representative first and in slot order, and every
+    other row of it (a -1 copy or a zero) lies in the lattice already folded
+    and changes nothing, so this is the same section.
     """
     lattice = hermite_normal_form(IntMatrix(slot_images, cols=rank_q))
     if lattice.rows != rank_q:
         raise RuntimeError(f"quotient lattice rank defect at level {nn}")
-    slot_coords = [hnf_coordinates(lattice, row) for row in slot_images]
+    slot_coords = _solve_over(
+        lattice, slot_images, f"slot images escape their own lattice at level {nn}"
+    )
     zero = [0] * rank_q
     coords = IntMatrix(
         [zero if sub is None else [sub[1] * x for x in slot_coords[sub[0]]] for sub in subst],
         cols=rank_q,
     )
-    slot_section = _left_inverse(IntMatrix(slot_coords, cols=rank_q))
+    slot_section = _left_inverse(slot_coords)
     if slot_section is None:
         raise RuntimeError(f"symbol images do not span the quotient lattice at level {nn}")
     reps = [i for i, sub in enumerate(subst) if sub is not None and sub[1] == 1]
@@ -610,66 +614,30 @@ def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
     return HeckeRingModel(space=space, bound=bound, basis=basis, genus=space.genus)
 
 
-def _pack(rows: list[list[int]], w: int) -> list[int]:
-    """Each row as the integer sum of x_c * 2^(w*c)."""
-    return [sum(x << (w * c) for c, x in enumerate(row) if x) for row in rows]
-
-
-def _start_width(g: int, top: int) -> int:
-    # 24 bits above the largest product entry; no level up to 210 widens,
-    # and 330 widens once
-    return (g * top * top).bit_length() + 24
-
-
 def _check_closed(n: int, basis: IntMatrix) -> list[list[int]]:
     """Coordinates of each product b_i b_j (i <= j) over the ring basis, in order.
 
     Raises unless every such product lies in the ring lattice.  The
     coordinates fill the product table (_product_table) that every
-    generator row of the index is read from.  The basis
-    rows H_k are the g x g matrices b_k flattened, in HNF.  The coordinates
-    c of b_i b_j are fixed by its g pivot entries (g dot products of length
-    g, then a triangular solve), and a non-integral c_k raises.  The whole identity
-    b_i b_j = sum c_k H_k is then one integer comparison: a matrix packs as
-    sum x_q * 2^(w*q) over its flat entries q, and row r of b_i b_j packs as
-    sum_s b_i[r][s] * packed(row s of b_j).  The packed sides are equal
-    exactly when every entry e of the difference is 0, provided that
-    |e| < 2^(w-1).  The bound |e| <= g max|b|^2 + sum |c_k| max|b| is
-    checked for every pair before it is compared, and w widens (all rows
-    are repacked) whenever it is not met.
+    generator row of the index is read from.  The basis rows are the g x g
+    matrices b_k flattened, in HNF.  For each i, one packed product (_mul)
+    of b_i with the b_j, j >= i, laid side by side (g rows of width
+    g(g - i)) gives every b_i b_j, and one _solve_over gives their
+    coordinates and compares them with the products whole.  One solve per
+    i, not one for all g(g + 1)/2 products, holds the products of one b_i
+    at a time.
     """
     g = basis.rows
+    fault = f"ring lattice not closed under products at level {n}"
     mats = [[b[r * g:(r + 1) * g] for r in range(g)] for b in basis.data]
-    pivots = [next(q for q, x in enumerate(row) if x) for row in basis.data]
-    at_pivots = IntMatrix([[row[q] for q in pivots] for row in basis.data], cols=g)
-    top = max(abs(x) for row in basis.data for x in row)
-    w = _start_width(g, top)
-    packed_w = None
     out = []
     for i, bi in enumerate(mats):
-        for j in range(i, g):
-            bj = mats[j]
-            coeffs = hnf_coordinates(at_pivots, [
-                sum(x * bj[t][q % g] for t, x in enumerate(bi[q // g]) if x)
-                for q in pivots
-            ])
-            if coeffs is None:
-                raise RuntimeError(f"ring lattice not closed under products at level {n}")
-            bound = g * top * top + sum(map(abs, coeffs)) * top
-            while bound >= 1 << (w - 1):
-                w *= 2
-            if packed_w != w:
-                packed_w, stride = w, g * w
-                packed = [_pack(m, w) for m in mats]
-                flat = [sum(x << (stride * r) for r, x in enumerate(p)) for p in packed]
-            product = 0
-            for row in reversed(bi):
-                product = (product << stride) + sum(
-                    x * y for x, y in zip(row, packed[j]) if x
-                )
-            if product != sum(c * h for c, h in zip(coeffs, flat) if c):
-                raise RuntimeError(f"ring lattice not closed under products at level {n}")
-            out.append(coeffs)
+        side = [[x for bj in mats[i:] for x in bj[s]] for s in range(g)]
+        wide = _mul(bi, side, g * (g - i))
+        products = [
+            [x for row in wide for x in row[k * g:(k + 1) * g]] for k in range(g - i)
+        ]
+        out.extend(_solve_over(basis, products, fault).tolist())
     return out
 
 

@@ -127,6 +127,22 @@ def test_csv_refused_before_any_work(capsys, monkeypatch):
         assert err.endswith(f"csv output is not available for {argv[0]}\n"), argv
 
 
+def test_non_divisor_m_refused_before_any_build(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the divisor refusal must come before any build")
+
+    # cached_index too, since an earlier test may have cached the space
+    monkeypatch.setattr("eislab.modsym.build_space", refuse)
+    monkeypatch.setattr("eislab.modsym.cached_index", refuse)
+    monkeypatch.setenv("EISLAB_MAX_LEVEL", "330")
+    for level, m in ((30, 7), (210, 11), (330, 7)):
+        with pytest.raises(SystemExit) as exc:
+            main(["hecke-index", "--level", str(level), "--m", str(m)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, (level, m)
+        assert err.endswith("error: m must be a positive divisor of the level\n"), err
+
+
 def test_table_csv_and_json_carry_same_rows(capsys):
     code, csv_out, _ = run(
         capsys, "table", "--max-level", "15", "--format", "csv"
@@ -519,6 +535,8 @@ PINNED_OUTPUTS = [
      "eislab: error: --level must be positive"),
     ("hecke-index --level 30 --m 0", 2, NO_OUTPUT,
      "eislab: error: --m must be positive"),
+    ("hecke-index --level 30 --m 7", 2, NO_OUTPUT,
+     "eislab: error: m must be a positive divisor of the level"),
     ("eis --level 11 --m 11 --prec 1", 2, NO_OUTPUT,
      "eislab: error: --prec must be at least 2"),
     ("eis --level 11 --m 11 --prec 100001", 2, NO_OUTPUT,
