@@ -1,9 +1,9 @@
 """Modular symbols for Gamma_0(N) at square-free level.
 
-Manin symbols, the integral cuspidal lattice and its star-fixed half, Hecke
-matrices on that half, the Hecke ring as a lattice of endomorphisms,
-shifted-operator ideals with their indices, and the census of maximal ideals
-sitting above them.
+Manin symbols, the integral cuspidal lattice and its star-fixed half, prime
+Hecke matrices on that half, the Hecke ring as the lattice v T of a cyclic
+vector v, shifted-operator ideals with their indices, and the census of
+maximal ideals sitting above them.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 
 from eislab.cuspgroup import order_closed_form
 from eislab.divlattice import DivisorTable, SquareFreeLevel
@@ -212,7 +213,8 @@ def _solve_over(basis: IntMatrix, images: list[list[int]], fault: str) -> IntMat
     only inside the span of basis, so X * basis is then compared with the
     images whole.  Every batch solve over a Hermite basis here runs through
     it: the slot coordinates (_symbol_lattice), the star (build_space), the
-    operators (_matrix_on_cuspidal) and the closure products (_check_closed).
+    operators (_matrix_on_cuspidal), and the ring lattice under each prime
+    operator and v over it (_prime_rows, _unit_coords).
     """
     data = basis.data
     cols: list[list[int]] = []
@@ -491,36 +493,6 @@ def _prime_matrix(space: ManinSymbolSpace, p: int) -> IntMatrix:
     return space.op_cache[key]
 
 
-def _prime_power_matrix(space: ManinSymbolSpace, p: int, e: int) -> IntMatrix:
-    key = ("power", p, e)
-    if key in space.op_cache:
-        return space.op_cache[key]
-    a = _prime_matrix(space, p)
-    m = a
-    if space.level.value % p == 0:
-        for _ in range(e - 1):
-            m = m * a
-    else:
-        prev = IntMatrix.identity(a.rows)
-        for _ in range(e - 1):
-            prev, m = m, a * m - prev.scale(p)
-    space.op_cache[key] = m
-    return m
-
-
-def hecke_matrix(space: ManinSymbolSpace, n: int) -> IntMatrix:
-    """Matrix of the n-th Hecke operator on the star-fixed cuspidal basis (g x g)."""
-    if n < 1:
-        raise ValueError("operator index must be positive")
-    factors = [_prime_power_matrix(space, p, e) for p, e in _factor(n).items()]
-    if not factors:
-        return IntMatrix.identity(space.genus)
-    out = factors[0]
-    for factor in factors[1:]:
-        out = out * factor
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the Hecke ring and its shifted-operator ideals
 
@@ -528,9 +500,10 @@ def hecke_matrix(space: ManinSymbolSpace, n: int) -> IntMatrix:
 class HeckeRingModel:
     space: ManinSymbolSpace
     bound: int
-    basis: IntMatrix
+    basis: IntMatrix           # L = v T, the HNF of the orbit v T_k, k <= bound
     genus: int
-    cache: dict = field(default_factory=dict, repr=False)  # product table, prime rows
+    vector: tuple[int, ...]    # the cyclic vector v, in plus coordinates
+    cache: dict = field(default_factory=dict, repr=False)  # prime rows, unit coordinates
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,99 +562,96 @@ class MainTheoremReport:
     ok: bool
 
 
-def _vec(m: IntMatrix) -> list[int]:
-    return [x for row in m.data for x in row]
+def _candidates(g: int):
+    """Candidate cyclic vectors: the unit vectors, then (1, k, ..., k^(g-1)) for k <= g + 1."""
+    for i in range(g):
+        yield [int(i == j) for j in range(g)]
+    for k in range(1, g + 2):
+        yield [k ** j for j in range(g)]
+
+
+def _orbit(space: ManinSymbolSpace, v: list[int], bound: int) -> list[list[int]]:
+    """w(k) = v T_k for k = 1, ..., bound, from the prime operators only.
+
+    With p the smallest prime of k, w(k) = w(k/p) T_p, less p w(k/p^2) when
+    p does not divide the level and p^2 divides k: T_{p^e} = T_p T_{p^(e-1)}
+    - p T_{p^(e-2)} away from the level, and U_p^e is the plain power.
+    Each product is a dot product with the columns of T_p: packing T_p for
+    one row (_mul) costs more than the product itself.
+    """
+    n = space.level.value
+    cols: dict[int, list[tuple[int, ...]]] = {}
+    w = [None, v]
+    for k in range(2, bound + 1):
+        p = min(_factor(k))
+        if p not in cols:
+            cols[p] = list(zip(*_prime_matrix(space, p).data))
+        x = [sum(map(mul, w[k // p], col)) for col in cols[p]]
+        if n % p and k % (p * p) == 0:
+            x = [a - p * b for a, b in zip(x, w[k // (p * p)])]
+        w.append(x)
+    return w[1:]
 
 
 def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
-    """Lattice spanned by the operators up to the weight-two spanning bound.
+    """The Hecke ring T as the lattice L = v T, for a cyclic vector v of the star-fixed half.
 
-    The operators are g x g, on the star-fixed cuspidal lattice, which
-    they act on faithfully.  They are formed and enter the HNF one at a
-    time (_hnf_insert), and none is kept, so it never holds more than g + 1
-    rows of width g^2; all `bound` rows at once would be the largest
-    allocation of a sweep to level 130.
+    T is commutative, so when the w(k) = v T_k, k up to the weight-two
+    spanning bound, span Q^g, t -> v t is injective on T tensor Q: v t = 0
+    gives (v s) t = (v t) s = 0 for every s, so t kills Q^g.  The first
+    candidate v whose orbit (_orbit) has rank g is taken, and L is the HNF
+    of that orbit.  Then L T_p lies in L for every prime p up to the bound
+    (_prime_rows, which raises otherwise), so L is a module over the ring
+    those primes generate, holding v: L = v T.  Ideals and indices are read
+    on L, which is g wide where the operators themselves are g^2 wide.
     """
     psi = len(space.symbols)
     bound = -(-psi // 6)
-    rows, _ = _echelon(_vec(hecke_matrix(space, k)) for k in range(1, bound + 1))
-    basis = IntMatrix(rows, cols=space.genus ** 2)
-    if basis.rows != space.genus:
-        raise RuntimeError(
-            f"operator lattice rank {basis.rows} != genus {space.genus}"
-            f" at level {space.level.value}"
-        )
-    return HeckeRingModel(space=space, bound=bound, basis=basis, genus=space.genus)
-
-
-def _check_closed(n: int, basis: IntMatrix) -> list[list[int]]:
-    """Coordinates of each product b_i b_j (i <= j) over the ring basis, in order.
-
-    Raises unless every such product lies in the ring lattice.  The
-    coordinates fill the product table (_product_table) that every
-    generator row of the index is read from.  The basis rows are the g x g
-    matrices b_k flattened, in HNF.  For each i, one packed product (_mul)
-    of b_i with the b_j, j >= i, laid side by side (g rows of width
-    g(g - i)) gives every b_i b_j, and one _solve_over gives their
-    coordinates and compares them with the products whole.  One solve per
-    i, not one for all g(g + 1)/2 products, holds the products of one b_i
-    at a time.
-    """
-    g = basis.rows
-    fault = f"ring lattice not closed under products at level {n}"
-    mats = [[b[r * g:(r + 1) * g] for r in range(g)] for b in basis.data]
-    out = []
-    for i, bi in enumerate(mats):
-        side = [[x for bj in mats[i:] for x in bj[s]] for s in range(g)]
-        wide = _mul(bi, side, g * (g - i))
-        products = [
-            [x for row in wide for x in row[k * g:(k + 1) * g]] for k in range(g - i)
-        ]
-        out.extend(_solve_over(basis, products, fault).tolist())
-    return out
-
-
-def _product_table(ring: HeckeRingModel) -> list[list[list[int]]]:
-    """table[i][j]: coordinates of b_i b_j over the ring basis, certified by _check_closed.
-
-    The Hecke ring is commutative, so the table is symmetric and the pairs
-    i <= j fill it.
-    """
-    table = ring.cache.get("table")
-    if table is None:
-        g = ring.genus
-        products = iter(_check_closed(ring.space.level.value, ring.basis))
-        table = [[None] * g for _ in range(g)]
-        for i in range(g):
-            for j in range(i, g):
-                table[i][j] = table[j][i] = next(products)
-        ring.cache["table"] = table
-    return table
+    g = space.genus
+    for v in _candidates(g):
+        rows, _ = _echelon(_orbit(space, v, bound))
+        if len(rows) == g:
+            break
+    else:
+        raise RuntimeError(f"no candidate vector is cyclic at level {space.level.value}")
+    ring = HeckeRingModel(
+        space=space, bound=bound, basis=IntMatrix(rows, cols=g), genus=g, vector=tuple(v)
+    )
+    for p in primes_up_to(bound):
+        _prime_rows(ring, p)
+    return ring
 
 
 def _prime_rows(ring: HeckeRingModel, p: int) -> list[list[int]]:
-    """Row j: the coordinates of T_p b_j over the ring basis (U_p when p | N).
+    """Row j: the coordinates of b_j T_p over the ring lattice L (U_p when p | N).
 
-    The coordinates c of T_p come from its membership solve in the ring
-    lattice, which raises when T_p escapes it; then T_p b_j is
-    sum_i c_i b_i b_j, read off the product table.
+    b_j = v t_j is row j of L, so row j also gives t_j T_p over the ring
+    basis t_1, ..., t_g.  One _solve_over reads them, and raises unless L T_p
+    lies in L: for p up to the bound that is the closure certificate
+    hecke_ring runs.  A prime above the bound must first commute with every
+    T_q, q up to the bound.  v is cyclic, so the commutant of T tensor Q is
+    T tensor Q itself, and T_p is some t in it; v t in L = v T then puts t
+    in T.  A matrix that only maps L into L (with L = Z^g, any integer one)
+    fails the commutation.
     """
     key = ("prime", p)
     if key not in ring.cache:
-        c = hnf_coordinates(ring.basis, _vec(_prime_matrix(ring.space, p)))
-        if c is None:
-            raise RuntimeError(
-                f"operator {p} escapes the ring lattice at level {ring.space.level.value}"
-            )
-        table = _product_table(ring)
-        rows = []
-        for j in range(ring.genus):
-            row = [0] * ring.genus
-            for ci, products in zip(c, table):
-                if ci:
-                    row = [a + ci * b for a, b in zip(row, products[j])]
-            rows.append(row)
-        ring.cache[key] = rows
+        space, g = ring.space, ring.genus
+        fault = f"operator {p} escapes the ring lattice at level {space.level.value}"
+        t = _prime_matrix(space, p).data
+        if p > ring.bound:
+            tq = [_prime_matrix(space, q).data for q in primes_up_to(ring.bound)]
+            # one packed product each way: T_p times the T_q side by side,
+            # and the T_q stacked times T_p
+            side = _mul(t, [[x for s in tq for x in s[r]] for r in range(g)], g * len(tq))
+            stack = _mul([row for s in tq for row in s], t, g)
+            if any(
+                side[r][i * g:(i + 1) * g] != stack[i * g + r]
+                for i in range(len(tq)) for r in range(g)
+            ):
+                raise RuntimeError(fault)
+        images = _mul(ring.basis.data, t, g)
+        ring.cache[key] = _solve_over(ring.basis, images, fault).tolist()
     return ring.cache[key]
 
 
@@ -693,15 +663,11 @@ def _next_generator_prime(r: int, n: int) -> int:
 
 
 def _unit_coords(ring: HeckeRingModel) -> list[int]:
-    """Coordinates of T_1, the identity, over the ring basis."""
+    """Coordinates of T_1, the identity, over the ring basis: v solved over L."""
     e = ring.cache.get("one")
     if e is None:
-        e = hnf_coordinates(ring.basis, _vec(IntMatrix.identity(ring.genus)))
-        if e is None:
-            raise RuntimeError(
-                f"operator 1 escapes the ring lattice at level {ring.space.level.value}"
-            )
-        ring.cache["one"] = e
+        fault = f"operator 1 escapes the ring lattice at level {ring.space.level.value}"
+        e = ring.cache["one"] = _solve_over(ring.basis, [list(ring.vector)], fault).tolist()[0]
     return e
 
 
@@ -717,11 +683,12 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     primes away from the level are shifted by r + 1.  The generator prime
     bound grows until the index survives two consecutive extra primes.
     A generator t = T_p - s adds the principal ideal t*T, spanned by the g
-    products t*b_j: the rows of _prime_rows(ring, p) with s taken off the
-    diagonal.  Their coordinates are shared by every m.  Once the ideal J
-    has full rank, t itself (sum_j e_j t*b_j, with e the coordinates of
-    T_1) is tested first, by its membership solve over J's HNF: when t is
-    in J, so is every t*b_j, J being an ideal, and its g rows are skipped.
+    products t*t_j over the ring basis: the rows of _prime_rows(ring, p)
+    with s taken off the diagonal.  Their coordinates are shared by every
+    m.  Once the ideal J has full rank, t itself (sum_j e_j t*t_j, with e
+    the coordinates of T_1) is tested first, by its membership solve over
+    J's HNF: when t is in J, so is every t*t_j, J being an ideal, and its g
+    rows are skipped.
     """
     n = ring.space.level.value
     if m < 1 or n % m:

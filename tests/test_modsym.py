@@ -11,6 +11,7 @@ from eislab import exactnum, modsym
 from eislab.divlattice import SquareFreeLevel
 from eislab.exactnum import (
     IntMatrix,
+    _echelon,
     _factor,
     hermite_normal_form,
     hnf_coordinates,
@@ -28,23 +29,23 @@ from eislab.modsym import (
     compare_index_order,
     eisenstein_index,
     enumerate_eisenstein_maximal,
-    hecke_matrix,
     hecke_ring,
     m1_index_witnesses,
     verify_main_theorem,
-    _check_closed,
     _cuspidal_lift,
     _cusps_equivalent,
     _matrix_on_cuspidal,
     _merel_family,
     _merel_symbol_rows,
+    _orbit,
     _p1_table,
     _prime_matrix,
     _prime_rows,
     _reduce_frac,
     _relation_quotient,
     _sl2_lift,
-    _vec,
+    _solve_over,
+    _unit_coords,
 )
 from test_exactnum import left_inverse_by_full_fold, reference_hnf
 
@@ -387,7 +388,7 @@ def test_planted_symbol_image_leaves_cuspidal_lattice():
         space = build_space(n)
         support = _cuspidal_lift(space)[1]
         rows = _merel_symbol_rows(space, r, support)
-        assert _matrix_on_cuspidal(space, rows) == hecke_matrix(space, r)
+        assert _matrix_on_cuspidal(space, rows) == _prime_matrix(space, r)
         j = next(
             j for j in range(len(space.symbols))
             if not (IntMatrix([space.coords[j]]) * space.boundary).is_zero()
@@ -480,7 +481,7 @@ def test_operators_are_the_full_ones_restricted_to_plus():
         for p in primes_up_to(-(-len(space.symbols) // 6)):
             images = c * _full_prime_matrix(n, p) * space.cuspidal
             restricted = [hnf_coordinates(space.plus, row) for row in images.data]
-            assert hecke_matrix(space, p) == IntMatrix(restricted, cols=space.genus), (n, p)
+            assert _prime_matrix(space, p) == IntMatrix(restricted, cols=space.genus), (n, p)
 
 
 def test_planted_image_cuspidal_but_not_star_fixed():
@@ -534,9 +535,9 @@ def test_eta_anchor_level_11():
     assert coeffs[1:6] == [1, -2, -1, 2, 1]
     ident = IntMatrix.identity(space.genus)
     for r in (2, 3, 5, 7, 13):
-        assert hecke_matrix(space, r) == ident.scale(coeffs[r]), r
-    assert hecke_matrix(space, 11) == ident.scale(coeffs[11])
-    char = hecke_matrix(space, 2)
+        assert _prime_matrix(space, r) == ident.scale(coeffs[r]), r
+    assert _prime_matrix(space, 11) == ident.scale(coeffs[11])
+    char = _prime_matrix(space, 2)
     assert (char + ident.scale(2)).is_zero()
 
 
@@ -546,7 +547,7 @@ def test_eta_anchor_level_14():
     assert coeffs[1:8] == [1, -1, -2, 1, 0, 2, 1]
     ident = IntMatrix.identity(space.genus)
     for r in (2, 3, 5, 7, 11, 13):
-        assert hecke_matrix(space, r) == ident.scale(coeffs[r]), r
+        assert _prime_matrix(space, r) == ident.scale(coeffs[r]), r
 
 
 def test_eta_anchor_level_15():
@@ -555,18 +556,18 @@ def test_eta_anchor_level_15():
     assert coeffs[1:5] == [1, -1, -1, -1]
     ident = IntMatrix.identity(space.genus)
     for r in (2, 3, 5, 7, 11, 13):
-        assert hecke_matrix(space, r) == ident.scale(coeffs[r]), r
+        assert _prime_matrix(space, r) == ident.scale(coeffs[r]), r
 
 
 def test_old_space_relations_level_22():
     space = cached_space(22)
     assert space.genus == 2
     ident = IntMatrix.identity(space.genus)
-    u2 = hecke_matrix(space, 2)
+    u2 = _prime_matrix(space, 2)
     assert (u2 * u2 + u2.scale(2) + ident.scale(2)).is_zero()
-    assert hecke_matrix(space, 11) == ident
-    assert hecke_matrix(space, 3) == ident.scale(-1)
-    assert hecke_matrix(space, 7) == ident.scale(-2)
+    assert _prime_matrix(space, 11) == ident
+    assert _prime_matrix(space, 3) == ident.scale(-1)
+    assert _prime_matrix(space, 7) == ident.scale(-2)
 
 
 def test_hecke_multiplicative_and_commutative():
@@ -587,10 +588,14 @@ def test_hecke_multiplicative_and_commutative():
 
 
 def test_level_prime_powers_repeat_u():
-    space = cached_space(14)
-    u2 = hecke_matrix(space, 2)
-    assert hecke_matrix(space, 4) == u2 * u2
-    assert hecke_matrix(space, 8) == u2 * u2 * u2
+    # Merel's determinant-p^e family gives U_p^e at a level prime p
+    for n, p in ((14, 2), (30, 3), (35, 5)):
+        space = cached_space(n)
+        u = _prime_matrix(space, p)
+        for e in (2, 3):
+            rows = _merel_symbol_rows(space, p ** e, _cuspidal_lift(space)[1])
+            assert _matrix_on_cuspidal(space, rows) == hecke_matrix(space, p ** e), (n, p, e)
+        assert hecke_matrix(space, p ** 3) == u * u * u, (n, p)
 
 
 def test_boundary_sees_operator_degree():
@@ -601,11 +606,6 @@ def test_boundary_sees_operator_degree():
         assert full * space.boundary == space.boundary.scale(r + 1), (n, r)
 
 
-def test_hecke_matrix_rejects_bad_index():
-    with pytest.raises(ValueError):
-        hecke_matrix(cached_space(11), 0)
-
-
 def test_ring_rank_matches_genus():
     assert cached_ring(11).basis.rows == 1
     assert cached_ring(7).basis.rows == 0
@@ -613,27 +613,42 @@ def test_ring_rank_matches_genus():
     assert cached_ring(35).basis.rows == 3
     model = cached_ring(11)
     assert model.bound == 2
+    assert model.vector == (1,)
     assert hecke_matrix(model.space, 1) == IntMatrix.identity(model.space.genus)
 
 
 def test_ring_basis_matches_one_shot_hnf():
-    # the ring HNF takes one operator at a time; all at once is the reference
+    # the ring HNF takes the orbit v T_k, k <= bound, one vector at a time
+    # from the prime recursion; v times every full operator, all at once,
+    # is the reference
     for n in (11, 35, 70, 105):
         ring = cached_ring(n)
-        ops = [hecke_matrix(ring.space, k) for k in range(1, ring.bound + 1)]
-        vecs = IntMatrix([_vec(op) for op in ops], cols=ring.genus ** 2)
-        assert ring.basis == reference_hnf(vecs), n
+        v = list(ring.vector)
+        orbit = [_times(v, hecke_matrix(ring.space, k)) for k in range(1, ring.bound + 1)]
+        assert ring.basis == reference_hnf(IntMatrix(orbit, cols=ring.genus)), n
 
 
 def test_ring_closed_under_products():
+    # L T_k lies in L for every k <= bound, composites included
     ring = cached_ring(30)
-    ops = [hecke_matrix(ring.space, k) for k in range(1, ring.bound + 1)]
-    for i in range(1, ring.bound + 1):
-        for j in range(i, ring.bound + 1):
-            if i * j > ring.bound:
-                continue
-            prod_vec = [x for row in (ops[i - 1] * ops[j - 1]).data for x in row]
-            assert hnf_coordinates(ring.basis, prod_vec) is not None, (i, j)
+    for k in range(1, ring.bound + 1):
+        t = hecke_matrix(ring.space, k)
+        for b in ring.basis.data:
+            assert hnf_coordinates(ring.basis, _times(list(b), t)) is not None, k
+
+
+def test_non_cyclic_candidates_fall_through(monkeypatch):
+    # the first unit vector is not cyclic at 30, and no unit vector is at 39
+    # or 66: each ring takes the first candidate whose orbit has rank g
+    for n, v in ((30, (0, 1, 0)), (39, (1, 1, 1)), (66, (1,) * 9)):
+        ring = cached_ring(n)
+        assert ring.vector == v, n
+        first = [int(j == 0) for j in range(ring.genus)]
+        assert len(_echelon(_orbit(ring.space, first, ring.bound))[0]) < ring.genus, n
+    # with no cyclic candidate at all, the ring is refused
+    monkeypatch.setattr(modsym, "_candidates", lambda g: iter([[0] * g, [1] + [0] * (g - 1)]))
+    with pytest.raises(RuntimeError, match="no candidate vector is cyclic"):
+        hecke_ring(cached_space(35))
 
 
 def test_index_anchors():
@@ -781,12 +796,19 @@ def test_restricted_images_match_full():
         every = range(len(space.symbols))
         full = _matrix_on_cuspidal(space, _merel_symbol_rows(space, r, every))
         assert _matrix_on_cuspidal(space, _merel_symbol_rows(space, r, support)) == full
-        assert hecke_matrix(space, r) == full
+        assert _prime_matrix(space, r) == full
 
 
-# The probe-vector route to the coordinates of any T_k over the ring basis:
-# the oracle for the generator rows the index reads off the product table.
-# Its state lives in ring.cache under "probe" and "coords".
+# The g^2-wide route, the reference for the ring as the cyclic module v T:
+# every T_k a g x g matrix (prime powers by the Hecke recursion, composites
+# as products), the ring the HNF of the flattened T_1, ..., T_bound, closed
+# under every product of two basis matrices, and each generator's rows read
+# off that product table.  It takes the production ring's cyclic vector v
+# only to carry its ideals to Z^g.
+
+def _vec(m: IntMatrix) -> list[int]:
+    return [x for row in m.data for x in row]
+
 
 def _times(vec: list[int], m: IntMatrix) -> list[int]:
     """Row vector times matrix."""
@@ -797,109 +819,186 @@ def _times(vec: list[int], m: IntMatrix) -> list[int]:
     return out
 
 
-def _probe(ring) -> dict:
-    """A probe vector v with rank{v b_j} = g, once the ring lattice is certified.
-
-    The ring lattice R, with basis b_j, holds T_1 = 1 and is checked to be
-    closed under the products b_i b_j, so R is a ring: once each prime
-    operator in use is checked to lie in R (_certified_prime), every T_k
-    does.  Since t -> v t is injective on the Q-span of R when the v b_j
-    are independent, the ring coordinates of T_k are then the unique
-    integer solution of v T_k = sum c_j v b_j, a system of width g
-    instead of g^2.
-    """
-    state = ring.cache.setdefault("probe", {})
-    if state:
-        return state
-    n, g = ring.space.level.value, ring.genus
-    _check_closed(n, ring.basis)
-    # v is the first unit vector e_i that separates (none does at N=66),
-    # else the first (1, k, k^2, ..., k^(g-1)), k = 1, 2, ..., that does;
-    # v b_j is sum_i v_i (row i of b_j)
-    units = [[int(i == j) for j in range(g)] for i in range(g)]
-    for v in units + [[k ** j for j in range(g)] for k in range(1, g + 2)]:
-        h, u = hnf_with_transform(IntMatrix(
-            [[sum(x * b[i * g + c] for i, x in enumerate(v) if x) for c in range(g)]
-             for b in ring.basis.data],
-            cols=g,
-        ))
-        if any(h.data[-1]):
-            break
-    else:
-        raise RuntimeError(f"no probe vector separates the ring lattice at level {n}")
-    state.update(hnf=h, transform=u, primes=set(), images={1: v})
-    return state
-
-
-def _certified_prime(ring, p: int) -> IntMatrix:
-    """The prime operator at p, after the index's membership check of it."""
-    _prime_rows(ring, p)
-    return _prime_matrix(ring.space, p)
-
-
-def _probe_image(ring, k: int) -> list[int]:
-    """v T_k, in hecke_matrix's factor order: v T_c, then the top prime power.
-
-    Only the images with k within the ring bound are kept: they are the
-    cofactors every larger k starts from.
-    """
-    images = ring.cache["probe"]["images"]
-    if k in images:
-        return images[k]
-    factors = _factor(k)
-    p = max(factors)
-    e = factors[p]
-    x = _probe_image(ring, k // p**e)
-    a = _certified_prime(ring, p)
-    if ring.space.level.value % p == 0:
-        for _ in range(e):
-            x = _times(x, a)
-    else:
-        prev, x = x, _times(x, a)
+def _prime_power_matrix(space, p: int, e: int) -> IntMatrix:
+    key = ("power", p, e)
+    if key in space.op_cache:
+        return space.op_cache[key]
+    a = _prime_matrix(space, p)
+    m = a
+    if space.level.value % p == 0:
         for _ in range(e - 1):
-            prev, x = x, [s - p * t for s, t in zip(_times(x, a), prev)]
-    if k <= ring.bound:
-        images[k] = x
-    return x
+            m = m * a
+    else:
+        prev = IntMatrix.identity(a.rows)
+        for _ in range(e - 1):
+            prev, m = m, a * m - prev.scale(p)
+    space.op_cache[key] = m
+    return m
 
 
-def _op_coords(ring, k: int) -> tuple[int, ...]:
-    """Coordinates of T_k over the ring basis, solved on the probe vector."""
-    coord_cache = ring.cache.setdefault("coords", {})
-    if k not in coord_cache:
-        state = _probe(ring)
-        d = hnf_coordinates(state["hnf"], _probe_image(ring, k))
-        if d is None:
+def hecke_matrix(space, n: int) -> IntMatrix:
+    """Matrix of the n-th Hecke operator on the star-fixed cuspidal basis (g x g)."""
+    factors = [_prime_power_matrix(space, p, e) for p, e in _factor(n).items()]
+    if not factors:
+        return IntMatrix.identity(space.genus)
+    out = factors[0]
+    for factor in factors[1:]:
+        out = out * factor
+    return out
+
+
+def _check_closed(n: int, basis: IntMatrix) -> list[list[int]]:
+    """Coordinates of each product b_i b_j (i <= j) over the ring basis, in order.
+
+    Raises unless every such product lies in the ring lattice.  The basis
+    rows are the g x g matrices b_k flattened, in HNF.  For each i, one
+    packed product (_mul) of b_i with the b_j, j >= i, laid side by side (g
+    rows of width g(g - i)) gives every b_i b_j, and one _solve_over gives
+    their coordinates and compares them with the products whole.
+    """
+    g = basis.rows
+    fault = f"ring lattice not closed under products at level {n}"
+    mats = [[b[r * g:(r + 1) * g] for r in range(g)] for b in basis.data]
+    out = []
+    for i, bi in enumerate(mats):
+        side = [[x for bj in mats[i:] for x in bj[s]] for s in range(g)]
+        wide = exactnum._mul(bi, side, g * (g - i))
+        products = [
+            [x for row in wide for x in row[k * g:(k + 1) * g]] for k in range(g - i)
+        ]
+        out.extend(_solve_over(basis, products, fault).tolist())
+    return out
+
+
+@lru_cache(maxsize=None)
+def reference_ring(n: int):
+    """The ring at level n as the HNF of the flattened T_k, k <= bound."""
+    ring = cached_ring(n)
+    rows, _ = _echelon(_vec(hecke_matrix(ring.space, k)) for k in range(1, ring.bound + 1))
+    basis = IntMatrix(rows, cols=ring.genus ** 2)
+    assert basis.rows == ring.genus, n
+    return modsym.HeckeRingModel(
+        space=ring.space, bound=ring.bound, basis=basis, genus=ring.genus, vector=ring.vector
+    )
+
+
+def _product_table(ring) -> list[list[list[int]]]:
+    """table[i][j]: coordinates of b_i b_j over the ring basis, certified by _check_closed."""
+    table = ring.cache.get("table")
+    if table is None:
+        g = ring.genus
+        products = iter(_check_closed(ring.space.level.value, ring.basis))
+        table = [[None] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i, g):
+                table[i][j] = table[j][i] = next(products)
+        ring.cache["table"] = table
+    return table
+
+
+def reference_prime_rows(ring, p: int) -> list[list[int]]:
+    """Row j: the coordinates of T_p b_j, sum_i c_i b_i b_j off the product table."""
+    key = ("prime", p)
+    if key not in ring.cache:
+        c = hnf_coordinates(ring.basis, _vec(_prime_matrix(ring.space, p)))
+        if c is None:
             raise RuntimeError(
-                f"operator {k} escapes the ring lattice at level {ring.space.level.value}"
+                f"operator {p} escapes the ring lattice at level {ring.space.level.value}"
             )
-        u = state["transform"].data
-        coord_cache[k] = tuple(
-            sum(x * row[j] for x, row in zip(d, u)) for j in range(ring.genus)
+        table = _product_table(ring)
+        rows = []
+        for j in range(ring.genus):
+            row = [0] * ring.genus
+            for ci, products in zip(c, table):
+                if ci:
+                    row = [a + ci * b for a, b in zip(row, products[j])]
+            rows.append(row)
+        ring.cache[key] = rows
+    return ring.cache[key]
+
+
+def reference_unit_coords(ring) -> list[int]:
+    """Coordinates of T_1, the flattened identity, over the ring basis."""
+    e = ring.cache.get("one")
+    if e is None:
+        e = ring.cache["one"] = hnf_coordinates(
+            ring.basis, _vec(IntMatrix.identity(ring.genus))
         )
-    return coord_cache[k]
+    return e
+
+
+@lru_cache(maxsize=None)
+def reference_index(n: int, m: int):
+    """eisenstein_index on the g^2-wide ring, its rows read off the product table."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modsym, "_prime_rows", reference_prime_rows)
+        patch.setattr(modsym, "_unit_coords", reference_unit_coords)
+        return eisenstein_index(reference_ring(n), m)
+
+
+def _carried(v: list[int], flat) -> list[int]:
+    """v t for the g x g matrix t flattened to one row."""
+    g = len(v)
+    return _times(v, IntMatrix([flat[i * g:(i + 1) * g] for i in range(g)], cols=g))
+
+
+def _ideal_in_plus(model, ring) -> IntMatrix:
+    """v J in Z^g: the ideal's rows times the ring basis, carried by v on the wide ring."""
+    rows = (model.ideal_basis * ring.basis).data
+    if ring.basis.cols != ring.genus:
+        rows = [_carried(list(ring.vector), r) for r in rows]
+    return hermite_normal_form(IntMatrix(rows, cols=ring.genus))
+
+
+EQUALITY_LEVELS = SQUAREFREE + [105, 110, 130, 190, 210]
+
+
+def test_cyclic_route_matches_the_wide_reference():
+    # every index field but ideal_basis, every m, and the ideal lattice v J
+    # in Z^g: the cyclic module against the g^2-wide ring and its table
+    for n in EQUALITY_LEVELS:
+        ring, ref = cached_ring(n), reference_ring(n)
+        for m in (d for d in range(1, n + 1) if n % d == 0):
+            new, old = cached_index(n, m), reference_index(n, m)
+            fields, wide = _index_fields(new), _index_fields(old)
+            del fields[7], wide[7]
+            assert fields == wide, (n, m)
+            if ring.genus:
+                assert _ideal_in_plus(new, ring) == _ideal_in_plus(old, ref), (n, m)
 
 
 def test_probe_coordinates_match_full_width():
+    # v is the probe: the coordinates c of v T_k over L are those of T_k over
+    # the ring basis t_j (row j of L is v t_j), and U with U (v B) = L
+    # carries them to the g^2-wide reference basis B.  The orbit runs to
+    # 3 * bound here, past the prime powers the ring itself needs
     for n in (11, 35, 70):
-        ring = cached_ring(n)
-        for k in range(1, 3 * ring.bound + 1):
-            full = hnf_coordinates(ring.basis, _vec(hecke_matrix(ring.space, k)))
-            assert full is not None, (n, k)
-            assert _op_coords(ring, k) == tuple(full), (n, k)
+        ring, ref = cached_ring(n), reference_ring(n)
+        v, g = list(ring.vector), ring.genus
+        vb = IntMatrix([_carried(v, b) for b in ref.basis.data], cols=g)
+        h, u = hnf_with_transform(vb)
+        assert h == ring.basis, n
+        orbit = _orbit(ring.space, v, 3 * ring.bound)
+        for k, w in enumerate(orbit, 1):
+            t = hecke_matrix(ring.space, k)
+            assert w == _times(v, t), (n, k)
+            c = hnf_coordinates(ring.basis, w)
+            assert c is not None, (n, k)
+            assert _times(c, u) == hnf_coordinates(ref.basis, _vec(t)), (n, k)
 
 
 def _generator_rows(ring, names):
-    # the `bound` rows t*T_k (k <= bound) of each named generator t, on the oracle
+    # the `bound` rows of each named generator t: the coordinates over L of
+    # v T_k t, k <= bound, every operator a full g x g matrix
+    space, v = ring.space, list(ring.vector)
     rows = []
     for name in names:
         head, shift = name[1:].split("-")
-        p, shift = int(head), int(shift)
+        t = hecke_matrix(space, int(head)) - IntMatrix.identity(ring.genus).scale(int(shift))
         for k in range(1, ring.bound + 1):
-            c = list(_op_coords(ring, k * p))
-            if name[0] == "T" and k % p == 0:
-                c = [x + p * y for x, y in zip(c, _op_coords(ring, k // p))]
-            rows.append([x - shift * y for x, y in zip(c, _op_coords(ring, k))])
+            c = hnf_coordinates(ring.basis, _times(_times(v, hecke_matrix(space, k)), t))
+            assert c is not None, (name, k)
+            rows.append(c)
     return rows
 
 
@@ -927,8 +1026,8 @@ def test_incremental_index_hnf_matches_one_shot():
 
 
 def test_table_rows_span_each_generator_ideal():
-    # each generator on its own: g table rows and `bound` oracle rows span
-    # the same principal ideal t*T
+    # each generator on its own: its g rows over L and its `bound` rows
+    # v T_k t span the same principal ideal t*T
     for n in INDEX_LEVELS:
         ring = cached_ring(n)
         names = {
@@ -943,17 +1042,20 @@ def test_table_rows_span_each_generator_ideal():
 
 
 def test_planted_prime_operator_escapes_ring():
-    # a wrong prime operator must fail its membership solve, both in the
-    # per-prime rows and in the index that reads them (at genus 1 the ring
-    # is all of Z, which no 1 x 1 operator escapes)
+    # T_r + E_00 for a prime r above the bound: at 22 and 35 the ring
+    # lattice is Z^g, which that integer matrix maps into itself, so its
+    # solve alone passes; the commutation with every T_q, q <= bound,
+    # refuses it, both in the per-prime rows and in the index that reads
+    # them (at genus 1 every 1 x 1 operator commutes and lies in Z)
     for n, r in ((22, 7), (35, 13)):
         space = build_space(n)
         ring = hecke_ring(space)
         assert r > ring.bound
-        wrong = [list(row) for row in hecke_matrix(build_space(n), r).data]
+        assert ring.basis == IntMatrix.identity(ring.genus)
+        wrong = [list(row) for row in _prime_matrix(build_space(n), r).data]
         wrong[0][0] += 1
         space.op_cache[("prime", r)] = IntMatrix(wrong)
-        _prime_rows(ring, 2)
+        assert _solve_over(ring.basis, wrong, "escapes") == IntMatrix(wrong)
         with pytest.raises(RuntimeError, match="escapes the ring lattice"):
             _prime_rows(ring, r)
         with pytest.raises(RuntimeError, match="escapes the ring lattice"):
@@ -964,7 +1066,8 @@ def test_planted_ring_without_identity_is_refused():
     # the index reads its generators through the coordinates of T_1
     ring = cached_ring(11)
     doubled = modsym.HeckeRingModel(
-        space=ring.space, bound=ring.bound, basis=ring.basis.scale(2), genus=ring.genus
+        space=ring.space, bound=ring.bound, basis=ring.basis.scale(2), genus=ring.genus,
+        vector=ring.vector,
     )
     with pytest.raises(RuntimeError, match="operator 1 escapes the ring lattice"):
         eisenstein_index(doubled, 11)
@@ -991,16 +1094,16 @@ def _index_fields(t):
     ]
 
 
-def _index_digests(levels):
-    """Digests of every cached_index field but ideal_basis, and of ideal_basis, every m.
+def _index_digests(levels, index=cached_index):
+    """Digests of every index field but ideal_basis, and of ideal_basis, every m.
 
-    ideal_basis is written over the ring basis, which depends on the lattice
-    the operators act on; every other field belongs to the ring itself.
+    ideal_basis is written over the ring basis, which depends on the route
+    the ring is built by; every other field belongs to the ring itself.
     """
     fields, basis = hashlib.sha256(), hashlib.sha256()
     for n in levels:
         for m in (d for d in range(1, n + 1) if n % d == 0):
-            record = _index_fields(cached_index(n, m))
+            record = _index_fields(index(n, m))
             basis.update(json.dumps(record.pop(7)).encode() + b"\n")
             fields.update(json.dumps(record).encode() + b"\n")
     return fields.hexdigest()[:16], basis.hexdigest()[:16]
@@ -1019,10 +1122,15 @@ def test_index_models_through_level_70():
 
 
 def test_ideal_basis_pinned():
-    # with the ring on the full 2g cuspidal lattice these were
-    # 97656357d15e9a05 and be3ccebb6c80a258
-    assert _index_digests(SQUAREFREE)[1] == "52053d9b4e7397d0"
-    assert _index_digests((105, 110, 130))[1] == "5662361d5e9a8821"
+    # on the g^2-wide reference ring, whose basis production used until the
+    # cyclic module; with the ring on the full 2g cuspidal lattice these
+    # were 97656357d15e9a05 and be3ccebb6c80a258
+    assert _index_digests(SQUAREFREE, reference_index)[1] == "52053d9b4e7397d0"
+    assert _index_digests((105, 110, 130), reference_index)[1] == "5662361d5e9a8821"
+    # over the basis of L = v T; over the g^2-wide ring basis these were
+    # 52053d9b4e7397d0 and 5662361d5e9a8821
+    assert _index_digests(SQUAREFREE)[1] == "d9bb0ea1f26bad2b"
+    assert _index_digests((105, 110, 130))[1] == "6499e00cd92a8494"
 
 
 def test_index_without_the_generator_skip(monkeypatch):
@@ -1176,58 +1284,44 @@ def test_space_work_is_one_solve_per_slot(monkeypatch):
     assert 0 < len(folded) < slots
 
 
-def _as_matrices(basis):
-    g = basis.rows
-    return [IntMatrix([b[r * g:(r + 1) * g] for r in range(g)], cols=g) for b in basis.data]
-
-
-def _full_width_products(basis):
-    mats = _as_matrices(basis)
-    return [
-        hnf_coordinates(basis, _vec(bi * bj))
-        for i, bi in enumerate(mats)
-        for bj in mats[i:]
-    ]
-
-
-def _planted_basis(basis):
-    # one entry of b_0 changed at a row and a column that no pivot position
-    # uses: every pivot entry of every product, and so every coordinate the
-    # triangular solve reads, is unchanged; only the full comparison sees it.
-    # The g pivots must leave a row and a column of the g x g matrices free,
-    # which they do not at 11, 22 or 35
-    g = basis.rows
-    pivots = [next(q for q, x in enumerate(row) if x) for row in basis.data]
-    t0 = min(set(range(g)) - {q // g for q in pivots})
-    s0 = min(set(range(g)) - {q % g for q in pivots})
-    q0 = t0 * g + s0
-    assert q0 > pivots[0]
-    data = basis.tolist()
-    data[0][q0] += 1
-    planted = IntMatrix(data, cols=basis.cols)
-    assert hermite_normal_form(planted) == planted
-    assert None in _full_width_products(planted)
-    return planted
-
-
 def test_packed_closure_matches_full_width():
+    # each prime's rows from one packed product L T_p and one batched solve,
+    # against one hnf_coordinates call per row b_j T_p
     for n in (11, 30, 35, 70, 105):
         ring = cached_ring(n)
-        assert _check_closed(n, ring.basis) == _full_width_products(ring.basis), n
+        for p in primes_up_to(ring.bound + 10):
+            t = _prime_matrix(ring.space, p)
+            full = [hnf_coordinates(ring.basis, _times(list(b), t)) for b in ring.basis.data]
+            assert _prime_rows(ring, p) == full, (n, p)
 
 
 def test_closure_with_wide_digits():
-    # k * basis is still an HNF, closed with coordinates k * c; at k = 2^70
-    # the packed products run on digits wider than 64 bits, which no level
-    # of the bench workloads reaches
+    # k L is stable under the same operators with the same coordinates, and
+    # k v has the same coordinates over it; at k = 2^70 the packed products
+    # run on digits wider than 64 bits, which no level of the bench
+    # workloads reaches
     k = 2 ** 70
     for n in (30, 70, 105):
-        basis = cached_ring(n).basis
-        scaled = [[k * x for x in c] for c in _check_closed(n, basis)]
-        assert _check_closed(n, basis.scale(k)) == scaled, n
+        ring = cached_ring(n)
+        wide = modsym.HeckeRingModel(
+            space=ring.space, bound=ring.bound, basis=ring.basis.scale(k), genus=ring.genus,
+            vector=tuple(k * x for x in ring.vector),
+        )
+        for p in primes_up_to(ring.bound + 10):
+            assert _prime_rows(wide, p) == _prime_rows(ring, p), (n, p)
+        assert _unit_coords(wide) == _unit_coords(ring), n
 
 
-def test_planted_product_escapes_ring():
-    for n in (30, 66, 70):
-        with pytest.raises(RuntimeError, match="not closed under products"):
-            _check_closed(n, _planted_basis(cached_ring(n).basis))
+def test_planted_product_escapes_ring(monkeypatch):
+    # the orbit's HNF with its first row doubled still has rank g but is not
+    # stable under every T_q, q <= bound: hecke_ring's closure refuses it
+    echelon = modsym._echelon
+
+    def doubled(rows):
+        h, _ = echelon(rows)
+        return echelon([[2 * x for x in h[0]]] + h[1:]) if h else (h, [])
+
+    monkeypatch.setattr(modsym, "_echelon", doubled)
+    for n in (30, 35, 70):
+        with pytest.raises(RuntimeError, match="escapes the ring lattice"):
+            hecke_ring(build_space(n))
