@@ -12,15 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .divlattice import SquareFreeLevel, build_tables, sgn
 from .exactnum import (
     IntMatrix,
-    determinant,
     elementary_divisors,
-    hnf_mod_det,
+    hermite_normal_form,
     is_prime,
     phi_psi_omega,
 )
@@ -101,8 +100,10 @@ def unit_exponent_lattice(n) -> IntMatrix:
     exponent sums over each prime.  Degree zero fixes e_N = -sum of the
     others, which turns the rest into congruences x*B = 0 mod
     (24, 24, 2, ..., 2) on the other s - 1 exponents x.  The lattice of
-    (x*B + y*diag(24, 24, 2, ..., 2), x) has determinant 576 * 2^n; the rows
-    of its HNF with zeros in the congruence columns are the HNF of the x.
+    (x*B + y*diag(24, 24, 2, ..., 2), x) has full rank and determinant
+    576 * 2^n, so its HNF is square with that pivot product (a RuntimeError
+    otherwise); the rows with zeros in the congruence columns are the HNF of
+    the x.
     """
     level = SquareFreeLevel(n)
     table, _, _ = _tables(level.value)
@@ -120,7 +121,10 @@ def unit_exponent_lattice(n) -> IntMatrix:
         row = [0] * (k + s - 1)
         row[t] = q
         rows.append(row)
-    h = hnf_mod_det(rows, 576 << level.n)
+    h = hermite_normal_form(IntMatrix(rows, cols=k + s - 1))
+    pivots = [row[i] for i, row in enumerate(h.data)]
+    if len(pivots) != k + s - 1 or prod(pivots) != 576 << level.n:
+        raise RuntimeError("congruence system must have full rank and determinant 576 * 2^n")
     return IntMatrix(
         [list(row[k:]) + [-sum(row[k:])] for row in h.data[k:]], cols=s
     )
@@ -131,8 +135,8 @@ def principal_lattice_basis(n: int) -> IntMatrix:
     """HNF basis of the lattice of principal divisors supported on the cusps.
 
     Principal divisors have degree zero, so dropping the last cusp leaves a
-    square full-rank system; its HNF is taken modulo its determinant and the
-    last coordinate is put back as minus the row sum.
+    square system that must have full rank s - 1 (a RuntimeError otherwise);
+    the last coordinate of its HNF is put back as minus the row sum.
     """
     level = SquareFreeLevel(n)
     table, lam24, _ = _tables(level.value)
@@ -151,10 +155,9 @@ def principal_lattice_basis(n: int) -> IntMatrix:
                 raise RuntimeError("unit divisor must be integral on every cusp")
             row.append(q)
         gens.append(row)
-    det = abs(determinant(gens))
-    if not det:
+    h = hermite_normal_form(IntMatrix(gens, cols=s - 1))
+    if h.rows != s - 1:
         raise RuntimeError("principal lattice must fill the degree-0 hyperplane")
-    h = hnf_mod_det(gens, det)
     return IntMatrix([list(row) + [-sum(row)] for row in h.data], cols=s)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import chain
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from operator import index
 
 
@@ -268,7 +268,7 @@ def _mul(a, b, bc: int) -> list[list[int]]:
     return _unpack_rows([sum(x * y for x, y in zip(row, packed) if x) for row in a], bc, w)
 
 
-def _reduce_above_pivots(h: list[list[int]], pivots, start: int = 0) -> None:
+def _reduce_above_pivots(h: list[list[int]], pivots: list[int], start: int) -> None:
     """Make echelon rows with positive pivots an HNF: entries above pivots into [0, pivot).
 
     Only the pivots from row start on are cleared above: the rows before it
@@ -342,80 +342,6 @@ def hermite_normal_form(M: IntMatrix) -> IntMatrix:
     """
     h, _ = _echelon(M.data)
     return IntMatrix(h, cols=M.cols)
-
-
-def determinant(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
-
-    Every division is exact, so entries never exceed the size of a minor.
-    """
-    a = [list(map(index, row)) for row in rows]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        p, row_k = a[k][k], a[k]
-        for i in range(k + 1, n):
-            f = a[i][k]
-            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], row_k)]
-        prev = p
-    return sign * prev
-
-
-def hnf_mod_det(rows, d: int) -> IntMatrix:
-    """Row HNF of a square nonsingular integer matrix, given d = |det(rows)|.
-
-    Domich-Kannan-Trotter (Cohen, GTM 138, Algorithm 2.4.8): column j is
-    cleared with gcd row operations on the rows without a pivot yet, all
-    entries reduced modulo a running modulus R.  R starts at d; the lattice
-    still to be reduced has determinant dividing R, so it contains R*Z^k and
-    the reduction changes nothing.  Each pivot is gcd(column entry, R),
-    which is R itself when the column is 0 mod R, and R is then divided by
-    it.  A last pass reduces the entries above the pivots into [0, pivot),
-    in ascending column order, giving the same canonical form as
-    hermite_normal_form.  The reduction is sound for any multiple of |det|,
-    but d must be |det| exactly: a ValueError is raised unless the pivots
-    multiply to d.
-    """
-    n = len(rows)
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
-    if any(len(row) != n for row in rows):
-        raise ValueError("hnf_mod_det needs a square matrix")
-    # active rows keep only the columns from j on
-    active = [[index(x) % d for x in row] for row in rows]
-    out = []
-    mod = d
-    for j in range(n):
-        head = [x % mod for x in active.pop()]
-        if not head[0]:
-            head[0] = mod
-        for i, row in enumerate(active):
-            x = row[0] % mod
-            if not x:
-                continue
-            g, s, t = xgcd(head[0], x)
-            a, b = head[0] // g, x // g
-            head, active[i] = (
-                [(s * p + t * q) % mod for p, q in zip(head, row)],
-                [(a * q - b * p) % mod for p, q in zip(head, row)],
-            )
-        g, u, _ = xgcd(head[0], mod)
-        out.append([0] * j + [g] + [u * x % mod for x in head[1:]])
-        mod //= g
-        active = [row[1:] for row in active]
-    _reduce_above_pivots(out, range(n))
-    pivots = prod(out[j][j] for j in range(n))
-    if pivots != d:
-        raise ValueError(f"d = {d} is not |det|: the pivots multiply to {pivots}")
-    return IntMatrix(out, cols=n)
 
 
 def _augmented(M: IntMatrix):
@@ -500,30 +426,30 @@ def hnf_coordinates(H: IntMatrix, v) -> list[int] | None:
 def elementary_divisors(M: IntMatrix) -> tuple[int, ...]:
     """Smith form diagonal d_1 | d_2 | ... | d_n of a square nonsingular M, 1s included.
 
-    Kannan-Bachem (Cohen, GTM 138, section 2.4): with d = |det M|, the row
-    HNF modulo d (hnf_mod_det) is taken of the matrix and then of its
-    transpose, in turn, until it is diagonal (_smith_from_hnf).  Raises
-    ValueError unless M is square and nonsingular.
+    Kannan-Bachem (Cohen, GTM 138, section 2.4): the row HNF is taken of the
+    matrix and then of its transpose, in turn, until it is diagonal
+    (_smith_from_hnf).  Raises ValueError unless M is square and of full
+    rank, which the HNF shows as one row per column.
     """
     if M.rows != M.cols:
         raise ValueError("elementary_divisors needs a square matrix")
-    d = abs(determinant(M.data))
-    if not d:
+    h = hermite_normal_form(M)
+    if h.rows != M.rows:
         raise ValueError("elementary_divisors needs a nonsingular matrix")
-    return _smith_from_hnf(hnf_mod_det(M.data, d), d)
+    return _smith_from_hnf(h)
 
 
-def _smith_from_hnf(h: IntMatrix, d: int) -> tuple[int, ...]:
-    """Smith form diagonal of a square row HNF h with d = |det h|, its pivot product.
+def _smith_from_hnf(h: IntMatrix) -> tuple[int, ...]:
+    """Smith form diagonal of a square nonsingular row HNF h.
 
-    The transpose is put into row HNF modulo d (hnf_mod_det) in turn until
-    it is diagonal.  Unimodular row operations and transposes leave
-    Z^n / Z^n h the same group up to isomorphism, and the entries never
-    exceed d.  The diagonal is then put into a divisibility chain,
-    (d_i, d_j) -> (gcd, lcm) for i < j.
+    The transpose is put into row HNF in turn until it is diagonal.
+    Unimodular row operations and transposes leave Z^n / Z^n h the same
+    group up to isomorphism, and every HNF has its entries reduced below
+    its pivots, whose product stays |det h|.  The diagonal is then put into
+    a divisibility chain, (d_i, d_j) -> (gcd, lcm) for i < j.
     """
     while any(x for i, row in enumerate(h.data) for x in row[i + 1:]):
-        h = hnf_mod_det(h.transpose().data, d)
+        h = hermite_normal_form(h.transpose())
     diag = [h[i][i] for i in range(h.rows)]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):

@@ -748,7 +748,7 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     basis = IntMatrix(ideal, cols=g)
     # the ideal basis is a row HNF with pivot product t: the Smith form
     # starts from it
-    eds = _smith_from_hnf(basis, t)
+    eds = _smith_from_hnf(basis)
     if prod(eds) != t:
         raise RuntimeError(f"Smith form disagrees with the index at level {n}, m={m}")
     nontrivial = [e for e in eds if e != 1]

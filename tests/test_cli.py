@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import eislab
+from eislab import cuspgroup
 from eislab.cli import _SUITE_TABLE, build_parser, main
+from eislab.exactnum import IntMatrix
 
 
 def run(capsys, *argv):
@@ -388,6 +390,24 @@ def test_internal_fault_exit_code(capsys, monkeypatch, fault):
     assert err.count("\n") == 1
     assert "hecke-index" in err and "level=11" in err and "m=11" in err
     assert "invariant broken" in err
+
+
+def test_lattice_fault_is_internal_not_usage(capsys, monkeypatch):
+    # an HNF that drops its last row on the principal system (7 = 8 - 1
+    # columns at level 30; the congruence system has 12) is a fault, exit 3
+    hnf = cuspgroup.hermite_normal_form
+
+    def short(M):
+        h = hnf(M)
+        return IntMatrix(h.data[:-1], cols=M.cols) if M.cols == 7 else h
+
+    cuspgroup.principal_lattice_basis.cache_clear()
+    cuspgroup._tables.cache_clear()
+    monkeypatch.setattr(cuspgroup, "hermite_normal_form", short)
+    code, out, err = run(capsys, "cusp-order", "--level", "30", "--m", "2", "--oracle")
+    assert code == 3
+    assert out == ""
+    assert "internal fault" in err and "degree-0 hyperplane" in err
 
 
 @pytest.mark.parametrize("suite", ["index-vs-order", "nonmaximal", "main-theorem"])

@@ -3,6 +3,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
+import pytest
+
+from eislab import cuspgroup
 from eislab.cli import _squarefree_levels
 from eislab.cuspgroup import (
     _check_m,
@@ -19,13 +22,12 @@ from eislab.cuspgroup import (
 from eislab.divlattice import DivisorTable, SquareFreeLevel
 from eislab.exactnum import (
     IntMatrix,
-    determinant,
     hermite_normal_form,
     hnf_coordinates,
     left_kernel,
     phi_psi_omega,
 )
-from test_exactnum import _divisor_chain_oracle, reference_elementary_divisors
+from test_exactnum import _divisor_chain_oracle, determinant, reference_elementary_divisors
 
 
 def _proper_divisors(n):
@@ -189,16 +191,48 @@ def test_covolume_route_cross_check():
             assert order_by_covolume(n, m) == order_lattice_oracle(n, m), (n, m)
 
 
+# every square-free level to the lattice cap, then the six-prime levels
+# 2*3*5*7*11*13 and 2*3*5*7*11*17
+REFERENCE_LATTICE_LEVELS = [
+    level.value for level in _squarefree_levels(2310, 2)
+] + [30030, 39270]
+
+
 def test_unit_lattice_matches_kernel_route():
-    for level in _squarefree_levels(1155, 2):
-        n = level.value
+    for n in REFERENCE_LATTICE_LEVELS:
         assert unit_exponent_lattice(n) == unit_lattice_by_kernel(n), n
 
 
 def test_principal_lattice_matches_plain_hnf():
-    for level in _squarefree_levels(1155, 2):
-        n = level.value
+    for n in REFERENCE_LATTICE_LEVELS:
         assert principal_lattice_basis(n) == principal_lattice_by_hnf(n), n
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [lambda h: h.data[:-1], lambda h: [*h.data[:-1], [2 * x for x in h.data[-1]]]],
+    ids=["drops-last-row", "doubles-last-pivot"],
+)
+def test_planted_congruence_hnf_is_refused(monkeypatch, plant):
+    hnf = cuspgroup.hermite_normal_form
+    monkeypatch.setattr(
+        cuspgroup, "hermite_normal_form", lambda M: IntMatrix(plant(hnf(M)), cols=M.cols)
+    )
+    with pytest.raises(RuntimeError, match="congruence system must have full rank"):
+        unit_exponent_lattice(30)
+
+
+def test_planted_rank_drop_in_principal_lattice_is_refused(monkeypatch):
+    exps = cuspgroup.unit_exponent_lattice
+
+    def short(n):
+        e = exps(n)
+        return IntMatrix(e.data[:-1], cols=e.cols)
+
+    monkeypatch.setattr(cuspgroup, "unit_exponent_lattice", short)
+    with pytest.raises(RuntimeError, match="must fill the degree-0 hyperplane"):
+        # past the cache: a basis cached by an earlier test would skip the fault
+        principal_lattice_basis.__wrapped__(30)
 
 
 def test_integer_oracle_matches_fraction_solve():

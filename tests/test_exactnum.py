@@ -16,12 +16,11 @@ from eislab.exactnum import (
     _hnf_insert,
     _left_inverse,
     _mul,
+    _smith_from_hnf,
     _width,
-    determinant,
     elementary_divisors,
     factor_squarefree,
     hermite_normal_form,
-    hnf_mod_det,
     hnf_coordinates,
     hnf_with_transform,
     is_prime,
@@ -204,6 +203,32 @@ def _det(m: list[list[int]]) -> int:
     return total
 
 
+def determinant(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
+
+    Every division is exact, so entries never exceed the size of a minor;
+    the reference for blocks too large for the cofactor expansion.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        p, row_k = a[k][k], a[k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], row_k)]
+        prev = p
+    return sign * prev
+
+
 def _divisor_chain_oracle(m: list[list[int]]) -> list[int]:
     # determinantal divisors: gcd of all k x k minors, independent of any
     # elimination strategy.  Each k x k minor is expanded along its first
@@ -354,7 +379,7 @@ def test_snf_permutation_invariance():
         r = rng.randint(2, 4)
         c = rng.randint(2, 4)
         rows = _rand_matrix(rng, r, c)
-        # the modular Smith form takes square nonsingular input only
+        # elementary_divisors takes square nonsingular input only
         snf = elementary_divisors if r == c and _det(rows) else reference_elementary_divisors
         ed = snf(IntMatrix(rows))
         shuffled = rows[:]
@@ -475,10 +500,10 @@ def _nonsingular(rng, n):
         m = _rand_matrix(rng, n, n)
         shape = rng.random()
         if shape < 0.25:
-            # triangular: pivots fixed up front, most columns 0 mod the modulus
+            # triangular: the pivots are fixed up front
             m = [[x if j >= i else 0 for j, x in enumerate(row)] for i, row in enumerate(m)]
         elif shape < 0.5:
-            # a common factor makes some column 0 modulo the running modulus
+            # a common factor on every other row repeats a pivot
             k = rng.randint(2, 6)
             m = [[k * x for x in row] if i % 2 else row for i, row in enumerate(m)]
         det = determinant(m)
@@ -486,31 +511,16 @@ def _nonsingular(rng, n):
             return m, abs(det)
 
 
-def test_hnf_mod_det_matches_hnf():
+def test_smith_from_hnf_matches_reference():
+    # triangular and common-factor shapes start the transpose rounds from
+    # an HNF that is nearly diagonal or has repeated pivots
     rng = random.Random(41)
-    for _ in range(400):
+    for _ in range(200):
         m, det = _nonsingular(rng, rng.randint(1, 7))
-        assert hnf_mod_det(m, det) == hermite_normal_form(IntMatrix(m))
-    assert hnf_mod_det([], 1) == IntMatrix([], cols=0)
-
-
-def test_hnf_mod_det_rejects_wrong_d():
-    rng = random.Random(43)
-    for _ in range(100):
-        m, det = _nonsingular(rng, rng.randint(1, 6))
-        for wrong in (2 * det, det + 1, 0, -det):
-            try:
-                hnf_mod_det(m, wrong)
-            except ValueError:
-                pass
-            else:
-                raise AssertionError(f"accepted d={wrong} for |det|={det}")
-    try:
-        hnf_mod_det([[1, 2]], 1)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("accepted a non-square matrix")
+        ed = _smith_from_hnf(hermite_normal_form(IntMatrix(m)))
+        assert list(ed) == _divisor_chain_oracle(m), m
+        assert prod(ed) == det, m
+    assert _smith_from_hnf(IntMatrix([], cols=0)) == ()
 
 
 def test_hnf_with_transform():

@@ -1076,8 +1076,8 @@ def test_planted_ring_without_identity_is_refused():
 def test_planted_smith_form_disagrees_with_index(monkeypatch):
     smith = modsym._smith_from_hnf
 
-    def off_by_two(h, d):
-        *head, last = smith(h, d)
+    def off_by_two(h):
+        *head, last = smith(h)
         return (*head, 2 * last)
 
     monkeypatch.setattr(modsym, "_smith_from_hnf", off_by_two)
