@@ -27,7 +27,7 @@ from eislab.qseries import (
 )
 
 LATTICE_CAP = 2310
-MODSYM_CAP = 70
+MODSYM_CAP = 330
 PREC_CAP = 10**5  # eis builds a list of --prec coefficients
 
 # the columns of one index-against-order comparison, as cases and csv rows

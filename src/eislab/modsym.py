@@ -397,32 +397,51 @@ def build_space(n) -> ManinSymbolSpace:
 # ---------------------------------------------------------------------------
 # Hecke action on symbols
 
+def _nearest(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer, halves away from zero (b nonzero)."""
+    q = (2 * abs(a) + abs(b)) // (2 * abs(b))
+    return -q if (a < 0) != (b < 0) else q
+
+
 @lru_cache(maxsize=None)
-def _merel_family(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Determinant-n integer matrices with a > b >= 0 and d > c >= 0."""
-    mats = []
-    for a in range(1, n + 1):
-        for d in range(-(-n // a), n + 2 - a):
-            bc = a * d - n
-            if bc == 0:
-                mats.extend((a, b, 0, d) for b in range(a))
-                mats.extend((a, 0, c, d) for c in range(1, d))
-            elif d > 1:
-                for b in range((bc - 1) // (d - 1) + 1, a):
-                    if bc % b == 0:
-                        mats.append((a, b, bc // b, d))
+def _heilbronn_family(p: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Cremona's Heilbronn matrices of prime determinant p.
+
+    (1, 0, 0, p), then for each r with |r| <= p // 2 the matrices met along
+    the continued fraction of p/r with nearest-integer quotients, halves
+    away from zero (Cremona, Algorithms for Modular Elliptic Curves, 2nd
+    ed., 2.4).  Each step keeps the determinant.  Other quotients give
+    other expansions and the same operators; nearest ones keep the list
+    short (310 matrices at p = 79, against 549 with floor quotients and 789
+    in Merel's family).  p = 2 takes the fixed list of four.
+    """
+    if not is_prime(p):
+        raise RuntimeError(f"the Heilbronn family needs a prime determinant, not {p}")
+    if p == 2:
+        return ((1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2))
+    mats = [(1, 0, 0, p)]
+    for r in range(-(p // 2), p // 2 + 1):
+        x1, x2, y1, y2 = p, -r, 0, 1
+        a, b = -p, r
+        mats.append((x1, x2, y1, y2))
+        while b:
+            q = _nearest(a, b)
+            a, b = -b, a - b * q
+            x1, x2 = x2, q * x2 - x1
+            y1, y2 = y2, q * y2 - y1
+            mats.append((x1, x2, y1, y2))
     return tuple(mats)
 
 
-def _merel_symbol_rows(space: ManinSymbolSpace, r: int, which) -> dict[int, dict[int, int]]:
-    """Images under the determinant-r family of the symbols in which.
+def _heilbronn_symbol_rows(space: ManinSymbolSpace, p: int, which) -> dict[int, dict[int, int]]:
+    """Images under the Heilbronn family of prime p of the symbols in which.
 
-    Merel's theorem gives T_r for r prime to the level and U_r for r
-    dividing it, once the images off P^1(Z/N) (table entry -1) are dropped.
+    The family gives T_p for p prime to the level and U_p for p dividing
+    it, once the images off P^1(Z/N) (table entry -1) are dropped.
     """
     n = space.level.value
     table = space.p1_index
-    fam = _merel_family(r)
+    fam = _heilbronn_family(p)
     rows = {}
     for i in which:
         u, v = space.symbols[i]
@@ -460,17 +479,23 @@ def _matrix_on_cuspidal(space: ManinSymbolSpace, symbol_rows) -> IntMatrix:
     the cuspidal lattice exactly when image * boundary = 0.  Its
     coordinates over plus then come from _solve_over, whose whole
     comparison also refuses an image that is cuspidal but not star-fixed.
-    The packed rows are built per call.
+    max|coords| and the packed rows at each width are kept in op_cache, so
+    the psi(N) rows are packed once per width, not once per operator.
     """
     if space.genus == 0:
         return IntMatrix([], cols=0)
     lifted, support = _cuspidal_lift(space)
-    coords = space.coords.data
-    top = max(max(map(max, coords)), -min(map(min, coords)))
+    cache = space.op_cache
+    if "top" not in cache:
+        coords = space.coords.data
+        cache["top"] = max(max(map(max, coords)), -min(map(min, coords)))
     weight = {s: sum(map(abs, symbol_rows[s].values())) for s in support}
     reach = max(sum(abs(coef) * weight[s] for s, coef in row.items()) for row in lifted)
-    w = _width(top * max(reach, 1))
-    packed = _pack_rows(coords, space.quotient_rank, w)
+    w = _width(cache["top"] * max(reach, 1))
+    key = ("packed", w)
+    if key not in cache:
+        cache[key] = _pack_rows(space.coords.data, space.quotient_rank, w)
+    packed = cache[key]
     image = {
         s: sum(mult * packed[j] for j, mult in symbol_rows[s].items()) for s in support
     }
@@ -488,7 +513,7 @@ def _matrix_on_cuspidal(space: ManinSymbolSpace, symbol_rows) -> IntMatrix:
 def _prime_matrix(space: ManinSymbolSpace, p: int) -> IntMatrix:
     key = ("prime", p)
     if key not in space.op_cache:
-        rows = _merel_symbol_rows(space, p, _cuspidal_lift(space)[1])
+        rows = _heilbronn_symbol_rows(space, p, _cuspidal_lift(space)[1])
         space.op_cache[key] = _matrix_on_cuspidal(space, rows)
     return space.op_cache[key]
 

@@ -318,19 +318,19 @@ def test_verify_rejects_nonpositive_max_level(capsys, bound):
 
 
 def test_hecke_index_level_cap(capsys):
-    assert run_usage_error(capsys, "hecke-index", "--level", "71", "--m", "71") == 2
+    assert run_usage_error(capsys, "hecke-index", "--level", "331", "--m", "331") == 2
     assert run_usage_error(capsys, "hecke-index", "--level", "401", "--m", "401") == 2
 
 
 def test_maximal_ideals_level_cap(capsys):
-    assert run_usage_error(capsys, "maximal-ideals", "--level", "71") == 2
+    assert run_usage_error(capsys, "maximal-ideals", "--level", "331") == 2
 
 
 def test_modsym_level_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("EISLAB_MAX_LEVEL", "71")
-    code, out, err = run(capsys, "hecke-index", "--level", "71", "--m", "71")
+    monkeypatch.setenv("EISLAB_MAX_LEVEL", "331")
+    code, out, err = run(capsys, "hecke-index", "--level", "331", "--m", "331")
     assert code == 0
-    assert out.startswith("level=71 m=71 ")
+    assert out.startswith("level=331 m=331 ")
     assert "runtimes grow quickly" in err
 
 
@@ -542,14 +542,18 @@ PINNED_OUTPUTS = [
     ("verify --suite qidentity --max-level 30 --format csv", 2, NO_OUTPUT, CSV_REFUSED),
     ("verify --suite nonmaximal --max-level 30 --format csv", 2, NO_OUTPUT, CSV_REFUSED),
     ("verify --suite main-theorem --max-level 30 --format csv", 2, NO_OUTPUT, CSV_REFUSED),
-    # the csv refusal comes before the level cap
+    # the csv refusal comes before any work under the level cap (71) and
+    # before the cap itself (331)
     ("verify --suite main-theorem --max-level 71 --format csv", 2, NO_OUTPUT, CSV_REFUSED),
     ("hecke-index --level 71 --m 1 --format csv", 2, NO_OUTPUT,
      "eislab: error: csv output is not available for hecke-index"),
+    ("verify --suite main-theorem --max-level 331 --format csv", 2, NO_OUTPUT, CSV_REFUSED),
+    ("hecke-index --level 331 --m 1 --format csv", 2, NO_OUTPUT,
+     "eislab: error: csv output is not available for hecke-index"),
     ("verify --suite main-theorem --max-level 0", 2, NO_OUTPUT,
      "eislab: error: --max-level must be positive"),
-    ("verify --suite main-theorem --max-level 71", 2, NO_OUTPUT,
-     "eislab: error: --max-level 71 exceeds the main-theorem cap 70"
+    ("verify --suite main-theorem --max-level 331", 2, NO_OUTPUT,
+     "eislab: error: --max-level 331 exceeds the main-theorem cap 330"
      " (set EISLAB_MAX_LEVEL to raise it)"),
     ("cusp-order --level -5 --m 1", 2, NO_OUTPUT,
      "eislab: error: --level must be positive"),

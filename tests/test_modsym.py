@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -34,9 +35,9 @@ from eislab.modsym import (
     verify_main_theorem,
     _cuspidal_lift,
     _cusps_equivalent,
+    _heilbronn_family,
+    _heilbronn_symbol_rows,
     _matrix_on_cuspidal,
-    _merel_family,
-    _merel_symbol_rows,
     _orbit,
     _p1_table,
     _prime_matrix,
@@ -293,9 +294,10 @@ def test_cusp_equivalence_is_congruence_invariant():
 
 
 # The continued-fraction route to the prime operators, the reference for
-# Merel's family, which builds every one of them in modsym.  Each coset of
-# determinant r sends a symbol's path {b/d, a/c} to the path between two
-# cusps, and each end is joined to infinity through its convergents.
+# Cremona's Heilbronn family, which builds every one of them in modsym.
+# Each coset of determinant r sends a symbol's path {b/d, a/c} to the path
+# between two cusps, and each end is joined to infinity through its
+# convergents.
 
 def _infty_path(space, cusp):
     """The symbol chain carrying {infinity, cusp}, one index per segment."""
@@ -347,6 +349,47 @@ def _prime_rows_by_paths(space, r, which):
     return _rows_by_paths(space, r, space.level.value % r != 0, which)
 
 
+# Merel's family, the second reference for the prime operators and the only
+# route here to composite determinants (T_4, T_6, U_p^e).  Every integer
+# matrix (a, b, c, d) of determinant n with a > b >= 0 and d > c >= 0 acts
+# on the symbols as Cremona's Heilbronn matrices do in modsym.
+
+@lru_cache(maxsize=None)
+def merel_family(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Determinant-n integer matrices with a > b >= 0 and d > c >= 0."""
+    mats = []
+    for a in range(1, n + 1):
+        for d in range(-(-n // a), n + 2 - a):
+            bc = a * d - n
+            if bc == 0:
+                mats.extend((a, b, 0, d) for b in range(a))
+                mats.extend((a, 0, c, d) for c in range(1, d))
+            elif d > 1:
+                for b in range((bc - 1) // (d - 1) + 1, a):
+                    if bc % b == 0:
+                        mats.append((a, b, bc // b, d))
+    return tuple(mats)
+
+
+def merel_symbol_rows(space, r, which):
+    """Images under the determinant-r Merel family of the symbols in which.
+
+    Merel's theorem gives T_r for r prime to the level and U_r for r
+    dividing it, once the images off P^1(Z/N) (table entry -1) are dropped.
+    """
+    n = space.level.value
+    rows = {}
+    for i in which:
+        u, v = space.symbols[i]
+        acc = {}
+        for a, b, c, d in merel_family(r):
+            j = space.p1_index[(u * a + v * c) % n * n + (u * b + v * d) % n]
+            if j >= 0:
+                acc[j] = acc.get(j, 0) + 1
+        rows[i] = acc
+    return rows
+
+
 def test_identity_paths_recover_symbols():
     # writing each symbol as a geodesic chain must give back its own class
     for n in (11, 14, 30):
@@ -387,7 +430,7 @@ def test_planted_symbol_image_leaves_cuspidal_lattice():
     for n, r in ((11, 2), (35, 3), (70, 3)):
         space = build_space(n)
         support = _cuspidal_lift(space)[1]
-        rows = _merel_symbol_rows(space, r, support)
+        rows = _heilbronn_symbol_rows(space, r, support)
         assert _matrix_on_cuspidal(space, rows) == _prime_matrix(space, r)
         j = next(
             j for j in range(len(space.symbols))
@@ -437,7 +480,7 @@ def _full_prime_matrix(n, p):
     space = cached_space(n)
     support = sorted({s for row in (space.cuspidal * space.section).data
                       for s, x in enumerate(row) if x})
-    rows = _merel_symbol_rows(space, p, support)
+    rows = _heilbronn_symbol_rows(space, p, support)
 
     def image_of(s):
         out = [0] * space.quotient_rank
@@ -496,7 +539,7 @@ def test_planted_image_cuspidal_but_not_star_fixed():
         scale = prod(next(x for x in row if x) for row in space.plus.data)
         planted = IntMatrix([[scale * x for x in minus]]) * space.section
         support = _cuspidal_lift(space)[1]
-        rows = _merel_symbol_rows(space, r, support)
+        rows = _heilbronn_symbol_rows(space, r, support)
         s = support[0]
         acc = dict(rows[s])
         for j, x in enumerate(planted.data[0]):
@@ -509,16 +552,97 @@ def test_planted_image_cuspidal_but_not_star_fixed():
 
 def test_merel_family_shape():
     for n, size in ((2, 4), (3, 7)):
-        fam = _merel_family(n)
+        fam = merel_family(n)
         assert len(fam) == size
         assert all(a * d - b * c == n for a, b, c, d in fam)
         assert all(a > b >= 0 and d > c >= 0 for a, b, c, d in fam)
 
 
+def test_heilbronn_family_shape():
+    for p, size in ((2, 4), (3, 6), (5, 12), (7, 18), (37, 128), (79, 310)):
+        fam = _heilbronn_family(p)
+        assert len(fam) == size, p
+        assert all(a * d - b * c == p for a, b, c, d in fam), p
+    assert _heilbronn_family(2) == ((1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2))
+    for n in (1, 4, 9, 15):
+        with pytest.raises(RuntimeError, match="needs a prime determinant"):
+            _heilbronn_family(n)
+
+
+def test_heilbronn_rounding_and_planted_gap(monkeypatch):
+    # halves rounded to even (Python's round) give other matrices from p = 5
+    # on, but the same operators: any continued fraction of p/r carries the
+    # path, and nearest quotients only keep it short.  A family without
+    # (1, 0, 0, p) is refused by the stability check at level 11
+    build = modsym._heilbronn_family.__wrapped__
+    space = cached_space(11)
+    away = {p: _prime_matrix(space, p) for p in primes_up_to(40)}
+    with monkeypatch.context() as patch:
+        patch.setattr(modsym, "_nearest", lambda a, b: round(Fraction(a, b)))
+        patch.setattr(modsym, "_heilbronn_family", build)
+        assert build(5) != _heilbronn_family(5)
+        fresh = build_space(11)
+        for p, op in away.items():
+            assert len(build(p)) == len(_heilbronn_family(p)), p
+            assert _prime_matrix(fresh, p) == op, p
+    monkeypatch.setattr(modsym, "_heilbronn_family", lambda p: build(p)[1:])
+    for p in primes_up_to(20):
+        with pytest.raises(RuntimeError, match="cuspidal lattice not stable"):
+            _prime_matrix(build_space(11), p)
+
+
+HEILBRONN_LEVELS = SQUAREFREE + [105, 110, 130, 190, 210]
+
+
+def test_heilbronn_operators_match_merel_reference():
+    # every prime up to bound + 10 and U_p at every level prime: the
+    # Heilbronn operators against Merel's family on the same support
+    for n in HEILBRONN_LEVELS:
+        space = cached_space(n)
+        support = _cuspidal_lift(space)[1]
+        bound = -(-len(space.symbols) // 6)
+        for p in sorted({*primes_up_to(bound + 10), *space.level.primes}):
+            merel = _matrix_on_cuspidal(space, merel_symbol_rows(space, p, support))
+            assert _prime_matrix(space, p) == merel, (n, p)
+
+
+def test_symbol_coordinates_packed_once_per_width(monkeypatch):
+    # deterministic counts, not a timing: over the ring and every index at
+    # N = 130 the psi(N) coordinate rows are packed once for each digit
+    # width, where packing per operator took one pack per prime
+    packs, operators = [], []
+    pack, on_cuspidal = modsym._pack_rows, modsym._matrix_on_cuspidal
+
+    def counting_pack(rows, n, w):
+        packs.append(w)
+        return pack(rows, n, w)
+
+    def counting_on_cuspidal(space, rows):
+        operators.append(space)
+        return on_cuspidal(space, rows)
+
+    monkeypatch.setattr(modsym, "_pack_rows", counting_pack)
+    monkeypatch.setattr(modsym, "_matrix_on_cuspidal", counting_on_cuspidal)
+    n = 130
+    space = build_space(n)
+    ring = hecke_ring(space)
+    for m in (d for d in range(1, n + 1) if n % d == 0):
+        eisenstein_index(ring, m)
+    widths = sorted(k[1] for k in space.op_cache if k[0] == "packed")
+    primes = [k[1] for k in space.op_cache if k[0] == "prime"]
+    assert sorted(packs) == widths and len(set(packs)) == len(packs) <= 2
+    assert len(operators) == len(primes) == 15
+    # a cached pack gives the operator a fresh space packs for itself
+    for p in primes:
+        fresh = dataclasses.replace(space, op_cache={})
+        assert _prime_matrix(fresh, p) == space.op_cache[("prime", p)], p
+    assert len(packs) == len(widths) + len(primes)
+
+
 def test_prime_action_two_routes_agree():
-    # Merel's family, the only route in modsym, against continued fractions:
-    # T_r at a few primes away from the level, U_p at every level prime of
-    # every square-free level 7-70, 105, 110 and 130
+    # the Heilbronn family, the only route in modsym, against continued
+    # fractions: T_r at a few primes away from the level, U_p at every
+    # level prime of every square-free level 7-70, 105, 110 and 130
     rng = random.Random(43)
     cases = [(11, 2), (11, 3), (14, 3), (15, 2), (30, 7)]
     cases += [(rng.choice((21, 22, 26)), rng.choice((3, 5, 7, 11))) for _ in range(4)]
@@ -573,10 +697,10 @@ def test_old_space_relations_level_22():
 def test_hecke_multiplicative_and_commutative():
     space = cached_space(35)
     assert hecke_matrix(space, 6) == hecke_matrix(space, 2) * hecke_matrix(space, 3)
-    direct = _matrix_on_cuspidal(space, _merel_symbol_rows(space, 6, range(len(space.symbols))))
+    direct = _matrix_on_cuspidal(space, merel_symbol_rows(space, 6, range(len(space.symbols))))
     assert hecke_matrix(space, 6) == direct
     s11 = cached_space(11)
-    four = _merel_symbol_rows(s11, 4, range(len(s11.symbols)))
+    four = merel_symbol_rows(s11, 4, range(len(s11.symbols)))
     assert hecke_matrix(s11, 4) == _matrix_on_cuspidal(s11, four)
     s30 = cached_space(30)
     pairs = [(2, 3), (5, 7), (3, 7), (2, 11)]
@@ -593,7 +717,7 @@ def test_level_prime_powers_repeat_u():
         space = cached_space(n)
         u = _prime_matrix(space, p)
         for e in (2, 3):
-            rows = _merel_symbol_rows(space, p ** e, _cuspidal_lift(space)[1])
+            rows = merel_symbol_rows(space, p ** e, _cuspidal_lift(space)[1])
             assert _matrix_on_cuspidal(space, rows) == hecke_matrix(space, p ** e), (n, p, e)
         assert hecke_matrix(space, p ** 3) == u * u * u, (n, p)
 
@@ -602,7 +726,8 @@ def test_boundary_sees_operator_degree():
     # a prime-r operator moves each cusp class to itself r+1 times over
     for n, r in ((11, 2), (14, 3), (30, 7)):
         space = cached_space(n)
-        full = matrix_on_quotient(space, _merel_symbol_rows(space, r, range(len(space.symbols))))
+        every = range(len(space.symbols))
+        full = matrix_on_quotient(space, _heilbronn_symbol_rows(space, r, every))
         assert full * space.boundary == space.boundary.scale(r + 1), (n, r)
 
 
@@ -794,8 +919,8 @@ def test_restricted_images_match_full():
         support = _cuspidal_lift(space)[1]
         assert len(support) < len(space.symbols)
         every = range(len(space.symbols))
-        full = _matrix_on_cuspidal(space, _merel_symbol_rows(space, r, every))
-        assert _matrix_on_cuspidal(space, _merel_symbol_rows(space, r, support)) == full
+        full = _matrix_on_cuspidal(space, _heilbronn_symbol_rows(space, r, every))
+        assert _matrix_on_cuspidal(space, _heilbronn_symbol_rows(space, r, support)) == full
         assert _prime_matrix(space, r) == full
 
 
