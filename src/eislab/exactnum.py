@@ -284,24 +284,22 @@ def _reduce_above_pivots(h: list[list[int]], pivots: list[int], start: int) -> N
                 h[k] = [*h[k][:c], *[x - q * y for x, y in zip(h[k][c:], row[c:])]]
 
 
-def _hnf_insert(h: list[list[int]], pivots: list[int], v, end: int | None = None) -> None:
+def _hnf_insert(h: list[list[int]], pivots: list[int], v) -> None:
     """Add the row v to the lattice of the HNF rows h, whose pivot columns are pivots.
 
     h and pivots change in place and stay an HNF.  v walks the pivot
     columns in order: a pivot that divides v's entry takes one row
     subtraction, otherwise an xgcd step replaces the pivot row by one with
     the gcd as its pivot and leaves v zero there.  What is left of v becomes
-    a new pivot row (made positive) at its first nonzero column before end
-    (default: all of them); a remainder that vanishes there is dropped.
-    Then the entries above the pivots are reduced from the first row that
-    changed on (_reduce_above_pivots); the rows before it are untouched.
+    a new pivot row (made positive) at its first nonzero column; a
+    remainder that vanishes is dropped.  Then the entries above the pivots
+    are reduced from the first row that changed on (_reduce_above_pivots);
+    the rows before it are untouched.
     """
-    if end is None:
-        end = len(v)
     start = len(h)  # the first row that changes
     i = c = 0
     while True:
-        c = next((j for j in range(c, end) if v[j]), None)
+        c = next((j for j in range(c, len(v)) if v[j]), None)
         if c is None:
             break
         while i < len(pivots) and pivots[i] < c:
@@ -326,12 +324,12 @@ def _hnf_insert(h: list[list[int]], pivots: list[int], v, end: int | None = None
     _reduce_above_pivots(h, pivots, start)
 
 
-def _echelon(rows, end: int | None = None) -> tuple[list[list[int]], list[int]]:
+def _echelon(rows) -> tuple[list[list[int]], list[int]]:
     """HNF rows of the lattice of rows, and their pivot columns, by _hnf_insert."""
     h: list[list[int]] = []
     pivots: list[int] = []
     for row in rows:
-        _hnf_insert(h, pivots, row, end)
+        _hnf_insert(h, pivots, row)
     return h, pivots
 
 
@@ -359,33 +357,6 @@ def hnf_with_transform(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     n = M.cols
     h, _ = _echelon(_augmented(M))
     return IntMatrix([r[:n] for r in h], cols=n), IntMatrix([r[n:] for r in h], cols=M.rows)
-
-
-def _left_inverse(M: IntMatrix) -> IntMatrix | None:
-    """S with S*M = I, or None when the rows of M do not span Z^cols.
-
-    The HNF of [M | I] as in hnf_with_transform, dropping every row that
-    vanishes on M's columns, so at most M.cols rows are held.  Their M block
-    is I exactly when there are M.cols of them with every pivot 1; their I
-    block is then S.  The fold stops as soon as the M block is I: every
-    later row reduces to zero on M's columns through pivots of 1 and is
-    dropped, so it would change nothing.  With no columns the block is I
-    from the start, and S has no rows.
-    """
-    n = M.cols
-    h: list[list[int]] = []
-    pivots: list[int] = []
-
-    def spans() -> bool:
-        return len(h) == n and all(r[c] == 1 for r, c in zip(h, pivots))
-
-    for row in _augmented(M):
-        if spans():
-            break
-        _hnf_insert(h, pivots, row, n)
-    if not spans():
-        return None
-    return IntMatrix([r[n:] for r in h], cols=M.rows)
 
 
 def left_kernel(M: IntMatrix) -> IntMatrix:

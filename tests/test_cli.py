@@ -392,6 +392,25 @@ def test_internal_fault_exit_code(capsys, monkeypatch, fault):
     assert "invariant broken" in err
 
 
+def test_non_unimodular_quotient_is_internal_fault(capsys, monkeypatch):
+    # a relation set with pivot 2 patched into build_space is refused as an
+    # internal fault (exit 3), never a counterexample (exit 1)
+    from eislab import modsym
+
+    quotient = modsym._relation_quotient
+    monkeypatch.setattr(
+        modsym, "_relation_quotient", lambda rels, kept, nn: quotient([{0: 2, 1: 1}], kept, nn)
+    )
+    monkeypatch.setattr(
+        modsym, "cached_index",
+        lambda n, m: modsym.eisenstein_index(modsym.hecke_ring(modsym.build_space(n)), m),
+    )
+    code, out, err = run(capsys, "hecke-index", "--level", "30", "--m", "2")
+    assert code == 3
+    assert out == ""
+    assert "internal fault" in err and "not unimodular at level 30" in err
+
+
 def test_lattice_fault_is_internal_not_usage(capsys, monkeypatch):
     # an HNF that drops its last row on the principal system (7 = 8 - 1
     # columns at level 30; the congruence system has 12) is a fault, exit 3
@@ -452,7 +471,9 @@ def test_src_has_no_assert():
     # python -O strips asserts; invariants must raise.  The runtime uses only
     # the standard library, so every absolute import names eislab or stdlib.
     allowed = set(sys.stdlib_module_names) | {"eislab"}
-    for path in sorted(Path(eislab.__file__).parent.glob("*.py")):
+    paths = sorted(Path(eislab.__file__).parent.rglob("*.py"))
+    assert {"cli.py", "exactnum.py", "modsym.py"} <= {path.name for path in paths}
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not found, f"{path.name}: assert on lines {found}"

@@ -10,11 +10,8 @@ import pytest
 from eislab import exactnum
 from eislab.exactnum import (
     IntMatrix,
-    _augmented,
-    _echelon,
     _factor,
     _hnf_insert,
-    _left_inverse,
     _mul,
     _smith_from_hnf,
     _width,
@@ -172,12 +169,16 @@ def reference_hnf(M: IntMatrix) -> IntMatrix:
 
 
 def left_inverse_by_full_fold(M: IntMatrix) -> IntMatrix | None:
-    """S with S*M = I, or None: the fold of every row of [M | I], with no early stop."""
+    """S with S*M = I, or None: the fold of every row of [M | I] (hnf_with_transform).
+
+    The rows of M span Z^cols exactly when the first cols rows of the HNF
+    are I; the transform's first cols rows are then S.
+    """
     n = M.cols
-    h, pivots = _echelon(_augmented(M), n)
-    if len(h) != n or any(r[c] != 1 for r, c in zip(h, pivots)):
+    h, u = hnf_with_transform(M)
+    if h.rows < n or IntMatrix(h.data[:n], cols=n) != IntMatrix.identity(n):
         return None
-    return IntMatrix([r[n:] for r in h], cols=M.rows)
+    return IntMatrix(u.data[:n], cols=M.rows)
 
 
 def reference_hnf_with_transform(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -669,14 +670,14 @@ def _spans(m: IntMatrix) -> bool:
 
 
 def test_left_inverse():
-    # against the full fold: seeded random inputs, spanning or not
+    # the full fold, the reference section of the symbol-row route:
+    # seeded random inputs, spanning or not
     rng = random.Random(61)
     cases = [
         IntMatrix(_rand_matrix(rng, rng.randint(c, c + 4), c, -3, 3))
         for c in (rng.randint(1, 4) for _ in range(300))
     ]
-    # unimodular rows first, then redundant rows after they span: the early
-    # stop skips them, so a redundant row off the lattice would show
+    # unimodular rows first, then redundant rows after they span
     rng = random.Random(67)
     for _ in range(100):
         c = rng.randint(1, 5)
@@ -697,8 +698,7 @@ def test_left_inverse():
     cases += [IntMatrix([], cols=0), IntMatrix([], cols=3), IntMatrix([[]] * 4, cols=0)]
     spanning = 0
     for m in cases:
-        s = _left_inverse(m)
-        assert s == left_inverse_by_full_fold(m), m
+        s = left_inverse_by_full_fold(m)
         if _spans(m):
             spanning += 1
             assert s is not None and s * m == IntMatrix.identity(m.cols), m
@@ -706,20 +706,4 @@ def test_left_inverse():
         else:
             assert s is None, m
     assert 200 < spanning < len(cases) - 100
-    assert _left_inverse(IntMatrix([[]] * 4, cols=0)) == IntMatrix([], cols=4)
-    # rows vanishing on the columns are dropped, not held
-    h, pivots = _echelon([[2, 1, 0, 0], [3, 0, 1, 0], [6, 0, 0, 1]], 1)
-    assert pivots == [0] and len(h) == 1 and h[0][0] == 1
-
-
-def test_left_inverse_folds_only_until_the_block_is_identity(monkeypatch):
-    inserted = []
-
-    def counting(h, pivots, v, end=None):
-        inserted.append(v[:end])
-        return _hnf_insert(h, pivots, v, end)
-
-    monkeypatch.setattr(exactnum, "_hnf_insert", counting)
-    m = IntMatrix([[2, 0], [1, 0], [0, 1], [5, 7], [9, 9]])
-    assert _left_inverse(m) == IntMatrix([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
-    assert inserted == [[2, 0], [1, 0], [0, 1]]
+    assert left_inverse_by_full_fold(IntMatrix([[]] * 4, cols=0)) == IntMatrix([], cols=4)

@@ -84,7 +84,8 @@ def relation_quotient_by_fractions(relations, kept):
 
     Each kept coordinate over the free ones, scaled by the lcm of every
     denominator (each coordinate is some symbol's image, so this is the
-    common denominator of all symbol images).
+    common denominator of all symbol images), the free columns, and that
+    denominator.
     """
     rows = []
     for rel in relations:
@@ -98,7 +99,7 @@ def relation_quotient_by_fractions(relations, kept):
     for row, j in zip(reduced, pivots):
         expr[j] = [-row[f] for f in free]
     den = lcm(*(x.denominator for row in expr.values() for x in row))
-    return [[int(x * den) for x in expr[j]] for j in range(kept)]
+    return [[int(x * den) for x in expr[j]] for j in range(kept)], free, den
 
 
 def genus_oracle(n):
@@ -163,9 +164,17 @@ def image_rows(space, symbol_rows):
     return out
 
 
+def section_matrix(space):
+    """The rank x psi(N) selector S with S * coords = I: row f is e at basis_symbols[f]."""
+    return IntMatrix(
+        [[int(s == i) for s in range(len(space.symbols))] for i in space.basis_symbols],
+        cols=len(space.symbols),
+    )
+
+
 def matrix_on_quotient(space, symbol_rows):
     w = IntMatrix(image_rows(space, symbol_rows), cols=space.quotient_rank)
-    return space.section * w
+    return section_matrix(space) * w
 
 
 def eta_block(d, terms):
@@ -238,9 +247,20 @@ def test_build_space_at_the_smallest_levels():
         assert (space.genus, space.cuspidal.rows, space.plus.rows) == (0, 0, 0), n
         assert space.quotient_rank == rank, n
         assert (space.coords.rows, space.coords.cols) == (psi, rank), n
-        assert (space.section.rows, space.section.cols) == (rank, psi), n
-        assert space.section * space.coords == IntMatrix.identity(rank), n
-    assert build_space(1).section == IntMatrix([], cols=1)
+        assert len(space.basis_symbols) == rank, n
+        assert section_matrix(space) * space.coords == IntMatrix.identity(rank), n
+    assert build_space(1).basis_symbols == ()
+
+
+def test_cuspidal_lift_lies_on_basis_symbols():
+    # coordinate f lifts to basis_symbols[f]: the lift touches no other
+    # symbol, and reading it back at the basis symbols gives plus
+    for n in (11, 30, 70, 130):
+        space = cached_space(n)
+        lifted, support = _cuspidal_lift(space)
+        assert set(support) <= set(space.basis_symbols), n
+        back = [[row.get(i, 0) for i in space.basis_symbols] for row in lifted]
+        assert IntMatrix(back, cols=space.quotient_rank) == space.plus, n
 
 
 def test_quotient_rank_accounts_for_cusps_and_genus():
@@ -452,7 +472,7 @@ REFERENCE_LEVELS = SQUAREFREE + [105, 110, 130]
 def _on_full_cuspidal(space, image_of):
     """Matrix on the cuspidal basis of the map sending symbol s to the quotient row image_of(s)."""
     out = []
-    for row in (space.cuspidal * space.section).data:
+    for row in (space.cuspidal * section_matrix(space)).data:
         img = [0] * space.quotient_rank
         for s, x in enumerate(row):
             if x:
@@ -478,7 +498,7 @@ def _full_star(n):
 @lru_cache(maxsize=None)
 def _full_prime_matrix(n, p):
     space = cached_space(n)
-    support = sorted({s for row in (space.cuspidal * space.section).data
+    support = sorted({s for row in (space.cuspidal * section_matrix(space)).data
                       for s, x in enumerate(row) if x})
     rows = _heilbronn_symbol_rows(space, p, support)
 
@@ -537,7 +557,7 @@ def test_planted_image_cuspidal_but_not_star_fixed():
         minus = (left_kernel(_full_star(n) + ident) * space.cuspidal).data[0]
         assert (IntMatrix([minus]) * space.boundary).is_zero()
         scale = prod(next(x for x in row if x) for row in space.plus.data)
-        planted = IntMatrix([[scale * x for x in minus]]) * space.section
+        planted = IntMatrix([[scale * x for x in minus]]) * section_matrix(space)
         support = _cuspidal_lift(space)[1]
         rows = _heilbronn_symbol_rows(space, r, support)
         s = support[0]
@@ -1294,13 +1314,17 @@ def test_rref_small():
 
 
 def test_integer_quotient_matches_fraction_route(monkeypatch):
+    # the Fraction route's common denominator is 1 at every level: the
+    # quotient is unimodular, and its images are the integer route's
     seen = []
+    quotient = modsym._relation_quotient
 
-    def by_fractions(relations, kept):
-        out = relation_quotient_by_fractions(relations, kept)
-        assert _relation_quotient(relations, kept) == out
+    def by_fractions(relations, kept, nn):
+        images, free, den = relation_quotient_by_fractions(relations, kept)
+        assert den == 1, nn
+        assert quotient(relations, kept, nn) == (images, free), nn
         seen.append(kept)
-        return out
+        return images, free
 
     levels = [n for n in range(2, 71) if all(n % (p * p) for p in (2, 3, 5, 7))]
     levels += [105, 110, 130]
@@ -1316,97 +1340,128 @@ def test_integer_quotient_matches_fraction_route(monkeypatch):
     assert len(seen) == len(levels)
 
 
-def symbol_lattice_by_symbol_rows(nn, subst, slot_images, rank_q):
-    """coords and section by one solve and one fold row per symbol, S-fixed included.
+def test_relation_quotient_refuses_non_unit_pivot():
+    assert _relation_quotient([{0: 1, 1: 1}], 2, 7) == ([[-1], [1]], [1])
+    assert _relation_quotient([], 2, 7) == ([[1, 0], [0, 1]], [0, 1])
+    with pytest.raises(RuntimeError, match="not unimodular at level 7"):
+        _relation_quotient([{0: 2, 1: 1}], 2, 7)
+    # a unit pivot that a later row turns into 2
+    with pytest.raises(RuntimeError, match="not unimodular at level 7"):
+        _relation_quotient([{0: 1, 1: 1, 2: 1}, {0: 1, 1: -1}], 3, 7)
 
-    The symbol images are the slot images times the sign of each symbol, or
-    zero; the lattice is their HNF, and the section the full fold of
-    [coords | I] over all psi(N) symbols.
+
+def slot_substitution(space):
+    """(slot, sign) of every symbol as build_space numbers the two-term slots; None if S-fixed."""
+    n = space.level.value
+    slot, subst = {}, []
+    for i, (u, v) in enumerate(space.symbols):
+        j = space.p1_index[v % n * n + -u % n]
+        if i < j:
+            slot[i] = len(slot)
+            subst.append((slot[i], 1))
+        else:
+            subst.append(None if i == j else (slot[j], -1))
+    return subst
+
+
+def space_by_symbol_rows(space, slot_images):
+    """The lattice route over all psi(N) symbols, S-fixed included.
+
+    The symbol images are the slot images times each symbol's sign, or
+    zero; the lattice is their HNF, coords one hnf_coordinates per symbol,
+    and the section the full fold of [coords | I].  The boundary is the
+    section times every symbol's boundary row, and the star is read from
+    the cuspidal basis lifted through that section.
     """
-    zero = [0] * rank_q
+    n, rank = space.level.value, space.quotient_rank
+    zero = [0] * rank
     scaled = IntMatrix(
-        [zero if sub is None else [sub[1] * x for x in slot_images[sub[0]]] for sub in subst],
-        cols=rank_q,
+        [zero if sub is None else [sub[1] * x for x in slot_images[sub[0]]]
+         for sub in slot_substitution(space)],
+        cols=rank,
     )
     lattice = hermite_normal_form(scaled)
-    assert lattice.rows == rank_q, nn
-    coords = IntMatrix([hnf_coordinates(lattice, row) for row in scaled.data], cols=rank_q)
+    coords = IntMatrix([hnf_coordinates(lattice, row) for row in scaled.data], cols=rank)
     section = left_inverse_by_full_fold(coords)
-    assert section is not None, nn
-    return coords, section
-
-
-SPACE_FIELDS = ("coords", "section", "boundary", "cuspidal", "plus", "quotient_rank", "genus")
+    assert section is not None, n
+    ncl = len(space.cusps.labels)
+    brows = []
+    for c, d in space.symbols:
+        a, b, c1, d1 = _sl2_lift(n, c, d)
+        row = [0] * ncl
+        row[space.cusps.classify(_reduce_frac(a, c1))] += 1
+        row[space.cusps.classify(_reduce_frac(b, d1))] -= 1
+        brows.append(row)
+    boundary = section * IntMatrix(brows, cols=ncl)
+    cuspidal = hermite_normal_form(left_kernel(boundary))
+    flipped = IntMatrix(
+        [[-y for y in coords[space.p1_index[-u % n * n + v]]] for u, v in space.symbols],
+        cols=rank,
+    )
+    star = IntMatrix(
+        [hnf_coordinates(cuspidal, row) for row in (cuspidal * section * flipped).data],
+        cols=cuspidal.rows,
+    )
+    plus = hermite_normal_form(left_kernel(star - IntMatrix.identity(cuspidal.rows)) * cuspidal)
+    return {"lattice": lattice, "coords": coords, "section": section,
+            "boundary": boundary, "cuspidal": cuspidal, "plus": plus}
 
 
 def test_slot_route_matches_symbol_rows(monkeypatch):
-    seen = []
+    # the HNF of every symbol's image is the identity, so coords are the
+    # slot images themselves, and the full-fold section (not the selector)
+    # gives the same boundary, cuspidal lattice and star-fixed half
+    captured = []
+    quotient = modsym._relation_quotient
 
-    def by_symbol_rows(nn, *args):
-        seen.append(nn)
-        return symbol_lattice_by_symbol_rows(nn, *args)
+    def capture(relations, kept, nn):
+        captured.append(quotient(relations, kept, nn))
+        return captured[-1]
 
     levels = [n for n in range(1, 71) if all(n % (p * p) for p in (2, 3, 5, 7))]
     levels += [105, 110, 130, 190, 210]
+    monkeypatch.setattr(modsym, "_relation_quotient", capture)
     for n in levels:
-        with monkeypatch.context() as patch:
-            patch.setattr(modsym, "_symbol_lattice", by_symbol_rows)
-            old = build_space(n)
-        new = build_space(n)
-        for name in SPACE_FIELDS:
-            assert getattr(old, name) == getattr(new, name), (n, name)
-    assert seen == levels
+        space = build_space(n)
+        ref = space_by_symbol_rows(space, captured[-1][0])
+        rank = space.quotient_rank
+        assert ref["lattice"] == IntMatrix.identity(rank), n
+        assert ref["section"] * space.coords == IntMatrix.identity(rank), n
+        assert section_matrix(space) * space.coords == IntMatrix.identity(rank), n
+        for name in ("coords", "boundary", "cuspidal", "plus"):
+            assert ref[name] == getattr(space, name), (n, name)
+        assert space.plus.rows == space.genus, n
+    assert len(captured) == len(levels)
 
 
 def test_space_work_is_one_solve_per_slot(monkeypatch):
-    # deterministic counts, not a timing: the ψ(N)-row route solved for one
-    # row and folded one row per symbol (252 of each at N = 130)
-    solved, folded, in_fold, in_lattice = [], [], [], []
-    solve = modsym._solve_over
+    # deterministic counts, not a timing: the slot route once solved one row
+    # per two-term slot and folded up to one per slot (124 slots at N = 130).
+    # The unimodular quotient reads the coordinates off the elimination, so
+    # up to the boundary's kernel there is no solve and no HNF insertion,
+    # and the whole build makes one solve, of the star on the cuspidal basis
+    events = []
+    solve, insert, kernel = modsym._solve_over, exactnum._hnf_insert, modsym.left_kernel
 
     def counting_solve(basis, images, fault):
-        if in_lattice:
-            solved.extend(images)
+        events.append(("solve", len(images)))
         return solve(basis, images, fault)
 
-    symbol_lattice = modsym._symbol_lattice
-
-    def marked_symbol_lattice(*args):
-        in_lattice.append(args)
-        try:
-            return symbol_lattice(*args)
-        finally:
-            in_lattice.pop()
-
-    insert = exactnum._hnf_insert
-
     def counting_insert(*args):
-        if in_fold:
-            folded.append(args[2])
+        events.append(("insert", None))
         return insert(*args)
 
-    left_inverse = modsym._left_inverse
-
-    def marked_left_inverse(m):
-        in_fold.append(m)
-        try:
-            return left_inverse(m)
-        finally:
-            in_fold.pop()
+    def marked_kernel(m):
+        events.append(("kernel", m.rows))
+        return kernel(m)
 
     monkeypatch.setattr(modsym, "_solve_over", counting_solve)
-    monkeypatch.setattr(modsym, "_symbol_lattice", marked_symbol_lattice)
     monkeypatch.setattr(exactnum, "_hnf_insert", counting_insert)
-    monkeypatch.setattr(modsym, "_left_inverse", marked_left_inverse)
-    n = 130
-    space = build_space(n)
-    fixed = sum(
-        space.p1_index[v % n * n + -u % n] == i for i, (u, v) in enumerate(space.symbols)
-    )
-    slots = (len(space.symbols) - fixed) // 2
-    assert (len(space.symbols), fixed, slots) == (252, 4, 124)
-    assert len(solved) == slots
-    assert 0 < len(folded) < slots
+    monkeypatch.setattr(modsym, "left_kernel", marked_kernel)
+    space = build_space(130)
+    assert (len(space.symbols), space.quotient_rank, space.genus) == (252, 41, 17)
+    assert events[0] == ("kernel", space.quotient_rank)
+    assert [e for e in events if e[0] == "solve"] == [("solve", 2 * space.genus)]
 
 
 def test_packed_closure_matches_full_width():
