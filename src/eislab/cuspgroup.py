@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd, prod
 from operator import mul
 
-from .divlattice import SquareFreeLevel, build_tables, sgn
+from .divlattice import SquareFreeLevel, _check_m, build_tables, sgn
 from .exactnum import (
     IntMatrix,
     elementary_divisors,
@@ -43,13 +43,6 @@ class OrderResult:
     oracle_order: int | None = None
     agreed: bool | None = None
     outside_hypothesis: bool = False
-
-
-def _check_m(level: SquareFreeLevel, m: int) -> int:
-    m = int(m)
-    if m == 1 or m < 1 or level.value % m:
-        raise ValueError(f"M must be a divisor of {level.value} other than 1, got {m}")
-    return m
 
 
 def cuspidal_class(n, m) -> CuspidalDivisorClass:

@@ -48,6 +48,14 @@ class SquareFreeLevel:
         return f"SquareFreeLevel({self.value})"
 
 
+def _check_m(level: SquareFreeLevel, m: int) -> int:
+    """M as an int, refused with ValueError unless it divides the level and is not 1."""
+    m = int(m)
+    if m == 1 or m < 1 or level.value % m:
+        raise ValueError(f"M must be a divisor of {level.value} other than 1, got {m}")
+    return m
+
+
 class Divisor:
     """A divisor of N, stored as the exponent bit-vector over N's primes."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .divlattice import SquareFreeLevel
+from .divlattice import SquareFreeLevel, _check_m
 from .exactnum import is_prime, phi_psi_omega
 
 
@@ -159,8 +159,7 @@ def eigenform_violations(
     U_q by q for q | N/M, all compared on the usable coefficient prefix.
     """
     level = SquareFreeLevel(n)
-    if m == 1 or level.value % m:
-        raise ValueError(f"M must be a divisor of {level.value} other than 1")
+    m = _check_m(level, m)
     f = eisenstein_series(level, m, precision)
     bad = []
     for r in range(2, prime_bound):
@@ -194,9 +193,7 @@ def residues(n, m: int) -> list[ResidueReport]:
     convention.
     """
     level = SquareFreeLevel(n)
-    m = int(m)
-    if m == 1 or m < 1 or level.value % m:
-        raise ValueError(f"M must be a divisor of {level.value} other than 1")
+    m = _check_m(level, m)
     phi, _, omega = phi_psi_omega(level)
     reports = []
     if m == level.value:

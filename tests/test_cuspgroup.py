@@ -8,7 +8,6 @@ import pytest
 from eislab import cuspgroup
 from eislab.cli import _squarefree_levels
 from eislab.cuspgroup import (
-    _check_m,
     _tables,
     cuspidal_class,
     cuspidal_group_structure,
@@ -19,7 +18,7 @@ from eislab.cuspgroup import (
     principal_lattice_basis,
     unit_exponent_lattice,
 )
-from eislab.divlattice import DivisorTable, SquareFreeLevel
+from eislab.divlattice import DivisorTable, SquareFreeLevel, _check_m
 from eislab.exactnum import (
     IntMatrix,
     hermite_normal_form,

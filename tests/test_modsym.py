@@ -34,7 +34,6 @@ from eislab.modsym import (
     m1_index_witnesses,
     verify_main_theorem,
     _cuspidal_lift,
-    _cusps_equivalent,
     _heilbronn_family,
     _heilbronn_symbol_rows,
     _matrix_on_cuspidal,
@@ -42,9 +41,7 @@ from eislab.modsym import (
     _p1_table,
     _prime_matrix,
     _prime_rows,
-    _reduce_frac,
     _relation_quotient,
-    _sl2_lift,
     _solve_over,
     _unit_coords,
 )
@@ -242,7 +239,7 @@ def test_build_space_at_the_smallest_levels():
     for n in (1, 2, 3, 5, 6):
         space = build_space(n)
         psi = phi_psi_omega(SquareFreeLevel(n))[1]
-        rank = len(space.cusps.labels) - 1
+        rank = len(level_divisors(n)) - 1
         assert len(space.symbols) == psi, n
         assert (space.genus, space.cuspidal.rows, space.plus.rows) == (0, 0, 0), n
         assert space.quotient_rank == rank, n
@@ -266,40 +263,41 @@ def test_cuspidal_lift_lies_on_basis_symbols():
 def test_quotient_rank_accounts_for_cusps_and_genus():
     for n in (11, 14, 15, 21, 30, 33):
         space = cached_space(n)
-        classes = len(space.cusps.labels)
+        classes = len(level_divisors(n))
+        assert space.boundary.cols == classes
         assert space.quotient_rank == 2 * space.genus + classes - 1
 
 
 def test_cusp_classes_follow_divisors():
+    # one boundary column per divisor, ascending, and basis symbol (c : d)
+    # has the row [gcd(c, N)] - [gcd(d, N)] over them
     for n in (11, 14, 30, 66):
         space = cached_space(n)
-        level = space.level
-        assert len(space.cusps.labels) == 2 ** len(level.primes)
-        assert all(n % d == 0 for d in space.cusps.labels)
-    assert cached_space(11).cusps.labels == (1, 11)
+        divisors = level_divisors(n)
+        assert space.boundary.cols == len(divisors) == 2 ** len(space.level.primes)
+        for i, row in zip(space.basis_symbols, space.boundary.data):
+            assert list(row) == gcd_boundary_row(n, divisors, *space.symbols[i]), (n, i)
 
 
 def test_cusp_classification_dual_route():
     rng = random.Random(37)
-    from math import gcd
     for n in (14, 15, 30):
-        space = cached_space(n)
+        divisors = level_divisors(n)
         for _ in range(60):
             c = rng.randrange(0, 3 * n)
             a = rng.randrange(1, 3 * n)
             g = gcd(a, c)
             a, c = a // g, c // g
-            label = space.cusps.labels[space.cusps.classify((a, c))]
-            assert label == gcd(c, n)
+            assert divisors[classify_cusp(n, divisors, (a, c))] == gcd(c, n)
 
 
 def test_cusp_equivalence_is_congruence_invariant():
     rng = random.Random(41)
     for n in (11, 14, 30):
-        reps = cached_space(n).cusps.representatives
+        reps = [(1, d) for d in level_divisors(n)]
         for i, x in enumerate(reps):
             for j, y in enumerate(reps):
-                assert _cusps_equivalent(n, x, y) == (i == j)
+                assert cusps_equivalent(n, x, y) == (i == j)
         for _ in range(25):
             a, c = rng.choice(reps)
             m = (1, 0, 0, 1)
@@ -310,7 +308,20 @@ def test_cusp_equivalence_is_congruence_invariant():
                     m = (m[0] + m[1] * n, m[1], m[2] + m[3] * n, m[3])
             assert m[0] * m[3] - m[1] * m[2] == 1
             moved = (m[0] * a + m[1] * c, m[2] * a + m[3] * c)
-            assert _cusps_equivalent(n, (a, c), moved)
+            assert cusps_equivalent(n, (a, c), moved)
+
+
+def test_lift_route_gives_the_gcd_boundary_rows():
+    # the SL2 lift of every P^1 point, its two ends classified by
+    # equivalence against the representatives 1/d, against build_space's
+    # rule [gcd(c, N)] - [gcd(d, N)], at every square-free level 2-330
+    for n in range(2, 331):
+        if max(_factor(n).values()) > 1:
+            continue
+        divisors = level_divisors(n)
+        for c, d in _p1_table(n)[1]:
+            lift = lift_boundary_row(n, divisors, c, d)
+            assert lift == gcd_boundary_row(n, divisors, c, d), (n, c, d)
 
 
 # The continued-fraction route to the prime operators, the reference for
@@ -345,6 +356,79 @@ def _add_path(space, acc, alpha, beta):
         acc[i] = acc.get(i, 0) + 1
     for i in _infty_path(space, alpha):
         acc[i] = acc.get(i, 0) - 1
+
+
+def _sl2_lift(n: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """Determinant-one integer matrix (a, b, c1, d1) with (c1 : d1) = (c : d)."""
+    c %= n
+    d %= n
+    if c == 0:
+        return (1, 0, 0, 1)
+    d1 = d
+    while gcd(c, d1) != 1:
+        d1 += n
+    _, x, y = xgcd(d1, c)
+    return (x, -y, c, d1)
+
+
+def _reduce_frac(p: int, q: int) -> tuple[int, int]:
+    if q == 0:
+        return (1, 0)
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    if q < 0:
+        p, q = -p, -q
+    return (p, q)
+
+
+# The equivalence route to the cusp classes, the reference for build_space's
+# gcd rule: a/c and a'/c' in lowest terms are equivalent under Gamma_0(N),
+# N square-free, when a^-1 c' = a'^-1 c mod gcd(c c', N) (inverses mod the
+# denominators), and the divisors d give the representatives 1/d.
+
+def level_divisors(n):
+    """The divisors of n in ascending order: build_space's boundary columns."""
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _inverse_like(a: int, c: int) -> int:
+    # s with a*s = 1 mod c; denominator zero demands the exact inverse
+    if c == 0:
+        return a
+    if c == 1:
+        return 0
+    return pow(a % c, -1, c)
+
+
+def cusps_equivalent(n: int, x: tuple[int, int], y: tuple[int, int]) -> bool:
+    a1, c1 = x
+    a2, c2 = y
+    g = gcd(c1 * c2, n)
+    return (_inverse_like(a1, c1) * c2 - _inverse_like(a2, c2) * c1) % g == 0
+
+
+def classify_cusp(n, divisors, cusp):
+    """Column of the one representative 1/d equivalent to a lowest-terms cusp."""
+    matches = [k for k, d in enumerate(divisors) if cusps_equivalent(n, cusp, (1, d))]
+    assert len(matches) == 1, (n, cusp, matches)
+    return matches[0]
+
+
+def lift_boundary_row(n, divisors, c, d):
+    """Boundary row of (c : d) by its lift's path {b/d1, a/c1}, ends classified."""
+    a, b, c1, d1 = _sl2_lift(n, c, d)
+    row = [0] * len(divisors)
+    row[classify_cusp(n, divisors, _reduce_frac(a, c1))] += 1
+    row[classify_cusp(n, divisors, _reduce_frac(b, d1))] -= 1
+    return row
+
+
+def gcd_boundary_row(n, divisors, c, d):
+    """build_space's boundary row of (c : d): [gcd(c, N)] - [gcd(d, N)]."""
+    row = [0] * len(divisors)
+    row[divisors.index(gcd(c, n))] += 1
+    row[divisors.index(gcd(d, n))] -= 1
+    return row
 
 
 def _rows_by_paths(space, r, with_scaling, which):
@@ -421,24 +505,32 @@ def test_identity_paths_recover_symbols():
 def test_boundary_well_defined_and_ranked():
     for n in (11, 15, 30):
         space = cached_space(n)
-        cusps, boundary = space.cusps, space.boundary
+        ncl, boundary = len(level_divisors(n)), space.boundary
         assert boundary.rows == space.quotient_rank
-        assert boundary.cols == len(cusps.labels)
-        assert reference_hnf(boundary).rows == len(cusps.labels) - 1
+        assert boundary.cols == ncl
+        assert reference_hnf(boundary).rows == ncl - 1
 
 
 def test_planted_boundary_fault_is_caught(monkeypatch):
-    # a lift moved off its symbol gives that one symbol a wrong boundary,
-    # which the relations through it must expose
-    lift = modsym._sl2_lift
+    # once the P^1 table is built, a gcd that misreports one symbol's class
+    # gives that symbol a wrong boundary, which the relations through it
+    # must expose
+    table = modsym._p1_table
     calls = []
 
-    def faulty(n, c, d):
-        a, b, c1, d1 = lift(n, c, d)
-        calls.append((c, d))
-        return (a, a + b, c1, c1 + d1) if len(calls) == 5 else (a, b, c1, d1)
+    def faulty_gcd(*args):
+        if len(args) == 2 and args[1] == 70:
+            calls.append(args)
+            if len(calls) == 5:
+                return 1 if gcd(*args) != 1 else 70
+        return gcd(*args)
 
-    monkeypatch.setattr(modsym, "_sl2_lift", faulty)
+    def planted(n):
+        out = table(n)
+        monkeypatch.setattr(modsym, "gcd", faulty_gcd)
+        return out
+
+    monkeypatch.setattr(modsym, "_p1_table", planted)
     with pytest.raises(RuntimeError, match="boundary not well-defined"):
         build_space(70)
     assert len(calls) >= 5
@@ -1384,15 +1476,9 @@ def space_by_symbol_rows(space, slot_images):
     coords = IntMatrix([hnf_coordinates(lattice, row) for row in scaled.data], cols=rank)
     section = left_inverse_by_full_fold(coords)
     assert section is not None, n
-    ncl = len(space.cusps.labels)
-    brows = []
-    for c, d in space.symbols:
-        a, b, c1, d1 = _sl2_lift(n, c, d)
-        row = [0] * ncl
-        row[space.cusps.classify(_reduce_frac(a, c1))] += 1
-        row[space.cusps.classify(_reduce_frac(b, d1))] -= 1
-        brows.append(row)
-    boundary = section * IntMatrix(brows, cols=ncl)
+    divisors = level_divisors(n)
+    brows = [lift_boundary_row(n, divisors, c, d) for c, d in space.symbols]
+    boundary = section * IntMatrix(brows, cols=len(divisors))
     cuspidal = hermite_normal_form(left_kernel(boundary))
     flipped = IntMatrix(
         [[-y for y in coords[space.p1_index[-u % n * n + v]]] for u, v in space.symbols],

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
 from eislab.cli import _squarefree_levels
+from eislab.cuspgroup import order_closed_form
 from eislab.exactnum import phi_psi_omega
 from eislab.qseries import (
     QExpansion,
@@ -191,3 +194,12 @@ def test_qexpansion_json_roundtrip():
     f = eisenstein_series(14, 7, 16)
     payload = f.to_jsonable()
     assert QExpansion.from_jsonable(payload) == f
+
+
+def test_non_divisor_m_refused_alike():
+    # one M check behind the class order, the residues and the eigenvalue
+    # check: zero once divided the level in eigenform_violations
+    for m in (0, -1, 1, 7):
+        for check in (order_closed_form, residues, eigenform_violations):
+            with pytest.raises(ValueError, match="other than 1"):
+                check(30, m)
