@@ -10,15 +10,13 @@ and asks for the smallest multiple of the class that becomes principal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 from operator import mul
 
-from .divlattice import SquareFreeLevel, _check_m, build_tables, sgn
+from .divlattice import SquareFreeLevel, _check_m, build_tables
 from .exactnum import (
     IntMatrix,
-    elementary_divisors,
     hermite_normal_form,
     is_prime,
     phi_psi_omega,
@@ -195,58 +193,3 @@ def order_with_oracle(n, m) -> OrderResult:
         agreed=oracle == closed.closed_form_order,
         outside_hypothesis=closed.outside_hypothesis,
     )
-
-
-def e_vector(n, m) -> list[Fraction]:
-    """The exponent vector Lambda^{-1} C_{M,N}, computed two ways.
-
-    Closed form entry a: sgn(d_{s+1-a}) * 24/(phi(N)psi(N/M)) *
-    d_{s+1-a}/(d_{s+1-a}, M).  The linear-algebra route multiplies the
-    inverse table matrix against the class vector.  Both must agree.
-    """
-    level = SquareFreeLevel(n)
-    m = _check_m(level, m)
-    table, _, amat = _tables(level.value)
-    s = len(table)
-    phi, psi, _ = phi_psi_omega(level)
-    psi_c = phi_psi_omega(level.value // m)[1]
-    coeffs = cuspidal_class(level, m).coeffs
-    solved = [
-        Fraction(24, phi * psi)
-        * sum(amat[a][j] * coeffs[j] for j in range(s))
-        for a in range(s)
-    ]
-    closed = []
-    for a in range(s):
-        dual = table.divisors[s - 1 - a].value
-        closed.append(
-            sgn(table.divisors[s - 1 - a])
-            * Fraction(24, phi * psi_c)
-            * Fraction(dual, gcd(dual, m))
-        )
-    if solved != closed:
-        raise RuntimeError("E-vector routes disagree")
-    return closed
-
-
-def cuspidal_group_structure(n) -> tuple[int, ...]:
-    """Elementary divisors (> 1) of degree-zero cusp divisors modulo principal ones.
-
-    The principal lattice basis has full rank on the first s - 1 cusps.
-    Written over the basis P_{d_j} - P_{d_(j+1)} of the degree-zero
-    divisors (coordinates: prefix sums), it is square and nonsingular, and
-    its Smith form is the group.
-    """
-    level = SquareFreeLevel(n)
-    basis = principal_lattice_basis(level.value)
-    s = basis.cols
-    coords = []
-    for row in basis.data:
-        acc = 0
-        pref = []
-        for j in range(s - 1):
-            acc += row[j]
-            pref.append(acc)
-        coords.append(pref)
-    divisors = elementary_divisors(IntMatrix(coords, cols=s - 1))
-    return tuple(d for d in divisors if d > 1)

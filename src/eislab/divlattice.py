@@ -8,7 +8,6 @@ satisfy (24*Lambda) * A = phi(N)*psi(N) * I exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .exactnum import IntMatrix, factor_squarefree, phi_psi_omega
@@ -100,37 +99,6 @@ class Divisor:
 
     def __repr__(self):
         return f"Divisor({self.value} | {self.level.value})"
-
-
-def divisor_from_int(level: SquareFreeLevel, d: int) -> Divisor:
-    if d < 1 or level.value % d:
-        raise ValueError(f"{d} does not divide {level.value}")
-    return Divisor(level, [1 if d % p == 0 else 0 for p in level.primes])
-
-
-def box_add(a: Divisor, b: Divisor) -> Divisor:
-    """Group law on divisors: c_i = a_i + b_i + 1 mod 2, identity N."""
-    if a.level != b.level:
-        raise ValueError("divisors belong to different levels")
-    return Divisor(a.level, [(x + y + 1) % 2 for x, y in zip(a.bits, b.bits)])
-
-
-def sgn(a: Divisor) -> int:
-    """(-1)^(omega(N) - omega(a))."""
-    return -1 if (a.level.n - a.omega) % 2 else 1
-
-
-def a_N(a: Divisor, b: Divisor) -> Fraction:
-    """N/(a, N/a) * (a,b)^2 / (a*b); equals the integer a box b here."""
-    if a.level != b.level:
-        raise ValueError("divisors belong to different levels")
-    n = a.level.value
-    value = Fraction(n, gcd(a.value, n // a.value)) * Fraction(
-        gcd(a.value, b.value) ** 2, a.value * b.value
-    )
-    if value.denominator != 1:
-        raise RuntimeError("a_N must be integral for square-free N")
-    return value
 
 
 class DivisorTable:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import isqrt
 from operator import index
 
 
@@ -153,12 +153,6 @@ class IntMatrix:
     def tolist(self) -> list[list[int]]:
         return [list(r) for r in self.data]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -191,8 +185,6 @@ class IntMatrix:
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix([[k * x for x in row] for row in self.data], cols=self.cols)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
 
 
 # array('q') holds native-order 64-bit digits, so only on a little-endian
@@ -364,65 +356,3 @@ def left_kernel(M: IntMatrix) -> IntMatrix:
     h, u = hnf_with_transform(M)
     rows = [u.data[i] for i in range(M.rows) if all(x == 0 for x in h.data[i])]
     return IntMatrix(rows, cols=M.rows)
-
-
-def hnf_coordinates(H: IntMatrix, v) -> list[int] | None:
-    """Integer coordinates of v over the HNF rows of H, or None if outside.
-
-    Each pivot is looked for after the previous one, and a row is
-    subtracted from its pivot column on, where all of its entries are.
-    """
-    w = list(map(index, v))
-    if len(w) != H.cols:
-        raise ValueError("vector length mismatch")
-    coeffs = []
-    p = 0
-    for row in H.data:
-        p = next((j for j in range(p, H.cols) if row[j]), None)
-        if p is None:
-            coeffs.extend([0] * (H.rows - len(coeffs)))
-            break
-        c, rem = divmod(w[p], row[p])
-        if rem:
-            return None
-        if c:
-            w[p:] = [x - c * y for x, y in zip(w[p:], row[p:])]
-        coeffs.append(c)
-        p += 1
-    if any(w):
-        return None
-    return coeffs
-
-
-def elementary_divisors(M: IntMatrix) -> tuple[int, ...]:
-    """Smith form diagonal d_1 | d_2 | ... | d_n of a square nonsingular M, 1s included.
-
-    Kannan-Bachem (Cohen, GTM 138, section 2.4): the row HNF is taken of the
-    matrix and then of its transpose, in turn, until it is diagonal
-    (_smith_from_hnf).  Raises ValueError unless M is square and of full
-    rank, which the HNF shows as one row per column.
-    """
-    if M.rows != M.cols:
-        raise ValueError("elementary_divisors needs a square matrix")
-    h = hermite_normal_form(M)
-    if h.rows != M.rows:
-        raise ValueError("elementary_divisors needs a nonsingular matrix")
-    return _smith_from_hnf(h)
-
-
-def _smith_from_hnf(h: IntMatrix) -> tuple[int, ...]:
-    """Smith form diagonal of a square nonsingular row HNF h.
-
-    The transpose is put into row HNF in turn until it is diagonal.
-    Unimodular row operations and transposes leave Z^n / Z^n h the same
-    group up to isomorphism, and every HNF has its entries reduced below
-    its pivots, whose product stays |det h|.  The diagonal is then put into
-    a divisibility chain, (d_i, d_j) -> (gcd, lcm) for i < j.
-    """
-    while any(x for i, row in enumerate(h.data) for x in row[i + 1:]):
-        h = hermite_normal_form(h.transpose())
-    diag = [h[i][i] for i in range(h.rows)]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
-    return tuple(diag)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, prod
+from itertools import accumulate, count
+from math import gcd
 from operator import mul
 
 from eislab.cuspgroup import order_closed_form
@@ -20,19 +21,17 @@ from eislab.exactnum import (
     IntMatrix,
     _echelon,
     _factor,
-    _hnf_insert,
     _mul,
     _pack_rows,
-    _smith_from_hnf,
     _unpack_rows,
     _width,
     hermite_normal_form,
-    hnf_coordinates,
     is_prime,
     left_kernel,
     phi_psi_omega,
     primes_up_to,
 )
+from eislab.qseries import eisenstein_series
 
 _S = (0, -1, 1, 0)
 _T = (0, -1, 1, -1)
@@ -152,10 +151,10 @@ def _solve_over(basis: IntMatrix, images: list[list[int]], fault: str) -> IntMat
     triangular there), by one triangular solve for all images, one column
     of X at a time; a non-integral entry raises.  The pivot entries fix X
     only inside the span of basis, so X * basis is then compared with the
-    images whole.  Every batch solve over a Hermite basis here runs through
-    it: the star (build_space), the operators (_matrix_on_cuspidal), and the
-    ring lattice under each prime operator and v over it (_prime_rows,
-    _unit_coords).
+    images whole.  Every batch solve over a Hermite basis runs through it:
+    the star (build_space), the operators (_matrix_on_cuspidal), the ring
+    lattice under each prime and v over it (_prime_rows, _unit_coords),
+    which the index reads; the index itself solves nothing.
     """
     data = basis.data
     cols: list[list[int]] = []
@@ -438,7 +437,7 @@ class HeckeRingModel:
     basis: IntMatrix           # L = v T, the HNF of the orbit v T_k, k <= bound
     genus: int
     vector: tuple[int, ...]    # the cyclic vector v, in plus coordinates
-    cache: dict = field(default_factory=dict, repr=False)  # prime rows, unit coordinates
+    cache: dict = field(default_factory=dict, repr=False)  # prime rows, T_1, orbit, phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,20 +536,21 @@ def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
     candidate v whose orbit (_orbit) has rank g is taken, and L is the HNF
     of that orbit.  Then L T_p lies in L for every prime p up to the bound
     (_prime_rows, which raises otherwise), so L is a module over the ring
-    those primes generate, holding v: L = v T.  Ideals and indices are read
-    on L, which is g wide where the operators themselves are g^2 wide.
+    those primes generate, holding v: L = v T.  Indices are read on L, g
+    wide where the operators are g^2 wide, off the orbit it keeps (_functionals).
     """
     psi = len(space.symbols)
     bound = -(-psi // 6)
     g = space.genus
     for v in _candidates(g):
-        rows, _ = _echelon(_orbit(space, v, bound))
+        rows, _ = _echelon(orbit := _orbit(space, v, bound))
         if len(rows) == g:
             break
     else:
         raise RuntimeError(f"no candidate vector is cyclic at level {space.level.value}")
     ring = HeckeRingModel(
-        space=space, bound=bound, basis=IntMatrix(rows, cols=g), genus=g, vector=tuple(v)
+        space=space, bound=bound, basis=IntMatrix(rows, cols=g), genus=g, vector=tuple(v),
+        cache={"orbit": orbit},
     )
     for p in primes_up_to(bound):
         _prime_rows(ring, p)
@@ -590,13 +590,6 @@ def _prime_rows(ring: HeckeRingModel, p: int) -> list[list[int]]:
     return ring.cache[key]
 
 
-def _next_generator_prime(r: int, n: int) -> int:
-    r += 1
-    while not is_prime(r) or n % r == 0:
-        r += 1
-    return r
-
-
 def _unit_coords(ring: HeckeRingModel) -> list[int]:
     """Coordinates of T_1, the identity, over the ring basis: v solved over L."""
     e = ring.cache.get("one")
@@ -606,24 +599,56 @@ def _unit_coords(ring: HeckeRingModel) -> list[int]:
     return e
 
 
-def _in_ideal(ideal: list[list[int]], v: list[int]) -> bool:
-    """Whether v lies in the lattice of the HNF rows ideal, by its membership solve."""
-    return hnf_coordinates(IntMatrix(ideal, cols=len(v)), v) is not None
+def _functionals(ring: HeckeRingModel) -> dict[int, tuple[list[int], int]]:
+    """For every m | N: f = (phi(t_j)) on the ring basis, and [T : J_b].
+
+    a_k = phi(T_k) is coefficient k of the Eisenstein series of (N, m) over
+    -24.  One _echelon of the orbit rows w(k) = v T_k, k <= bound, each
+    extended by a_k for every m: u W = b_j gives t_j = sum u_k T_k and
+    phi(t_j) = sum u_k a_k, so the first g rows (orbit part: the ring
+    basis) carry f, and the rest, the relations u W = 0, hold (i) phi(T_k)
+    = a_k mod t when t divides them all.  (ii) phi(t_j T_p) = a_p phi(t_j)
+    for every prime p <= bound and every level prime, one packed product
+    _prime_rows(ring, p) f each, makes phi a ring map.
+    """
+    out = ring.cache.get("phi")
+    if out is None:
+        level, g = ring.space.level, ring.genus
+        ms = sorted(d.value for d in DivisorTable(level).divisors)
+        top = max(ring.bound, *level.primes) + 1
+        a = [[-x // 24 for x in eisenstein_series(level, m, top).coeffs] for m in ms]
+        orbit = enumerate(ring.cache.pop("orbit"), 1)
+        h, _ = _echelon([*w, *(x[k] for x in a)] for k, w in orbit)
+        if [r[:g] for r in h[:g]] != ring.basis.tolist():
+            raise RuntimeError(f"the orbit does not echelonize to L at level {level.value}")
+        fs = [r[g:] for r in h[:g]]
+        ts = [gcd(*(r[g + c] for r in h[g:])) for c in range(len(ms))]
+        for p in {*level.primes, *primes_up_to(ring.bound)}:
+            for y, x in zip(_mul(_prime_rows(ring, p), fs, len(ms)), fs):
+                ts = list(map(gcd, ts, [u - c[p] * v for u, c, v in zip(y, a, x)]))
+        out = ring.cache["phi"] = {m: ([x[c] for x in fs], ts[c]) for c, m in enumerate(ms)}
+    return out
 
 
 def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
-    """Index of the ideal shifting each operator to its cusp-count value.
+    """Index t of the ideal I shifting each operator to its cusp-count value.
 
     Level primes dividing m are shifted by 1, the others by themselves;
-    primes away from the level are shifted by r + 1.  The generator prime
-    bound grows until the index survives two consecutive extra primes.
-    A generator t = T_p - s adds the principal ideal t*T, spanned by the g
-    products t*t_j over the ring basis: the rows of _prime_rows(ring, p)
-    with s taken off the diagonal.  Their coordinates are shared by every
-    m.  Once the ideal J has full rank, t itself (sum_j e_j t*t_j, with e
-    the coordinates of T_1) is tested first, by its membership solve over
-    J's HNF: when t is in J, so is every t*t_j, J being an ideal, and its g
-    rows are skipped.
+    primes r off the level by r + 1.  Each generator is an integer mod I,
+    so T/I = Z/t, and the quotient map phi sends T_k to a_k.  t starts at
+    [T : J_b] (_functionals), J_b generated by the T_p - a_p there; the
+    level primes above the bound count (without U_13, N = m = 26 reads 7,
+    not 1).  Each generator prime r above the bound takes t to gcd(t,
+    phi(T_r) - r - 1) until two in a row leave it.  The ideal {x : x f = 0
+    mod t} holds I and has index t.  Sturm certificate (Sturm 1987; Stein,
+    Modular Forms: A Computational Approach, ch. 9): T x S_2(Z) -> Z is
+    perfect, so phi is a cusp form F mod t, a_n(F) = phi(T_n).  At 1 < m <
+    N the Eisenstein series is holomorphic with constant term 0, so it
+    agrees with F mod t up to the Sturm bound psi(N)/6 by (i), hence
+    everywhere: a prime above the bound that lowers t raises.  At m = N its
+    constant term is -prod(1 - p)/24, and the same holds when t divides the
+    numerator of phi(N)/24.  At m = 1 no U_p is 1, E_2's non-holomorphic
+    part survives, and t rests on the stabilization only, as at other m = N.
     """
     n = ring.space.level.value
     if m < 1 or n % m:
@@ -635,66 +660,40 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
             zero_ring=True,
         )
     g = ring.genus
-    one = _unit_coords(ring)
-    ideal: list[list[int]] = []  # HNF basis of every generator row so far
-    pivots: list[int] = []
-    names: list[str] = []
-
-    def absorb(kind: str, p: int, shift: int) -> None:
-        names.append(f"{kind}{p}-{shift}")
-        rows = _prime_rows(ring, p)
-        if len(ideal) == g:
-            gen = [-shift * x for x in one]
-            for x, row in zip(one, rows):
-                if x:
-                    gen = [a + x * b for a, b in zip(gen, row)]
-            if _in_ideal(ideal, gen):
-                return
-        for j, row in enumerate(rows):
-            row = row.copy()
-            row[j] -= shift
-            _hnf_insert(ideal, pivots, row)
-
-    def index() -> int | None:
-        # the pivot product once the ideal has full rank
-        return prod(r[c] for r, c in zip(ideal, pivots)) if len(ideal) == g else None
-
-    for p in ring.space.level.primes:
-        absorb("U", p, 1 if m % p == 0 else p)
+    e = _unit_coords(ring)
+    f, t = _functionals(ring)[m]
+    if t == 0 or (sum(map(mul, e, f)) - 1) % t:
+        raise RuntimeError(f"phi is not onto Z/t with phi(T_1) = 1 at level {n}, m={m}: t = {t}")
+    phi = phi_psi_omega(ring.space.level)[0]
+    certified = 1 < m < n or m == n and phi // gcd(phi, 24) % t == 0
     start = [r for r in primes_up_to(ring.bound) if n % r]
-    for r in start:
-        absorb("T", r, r + 1)
-    t = index()
+    names = [f"U{p}-{1 if m % p == 0 else p}" for p in ring.space.level.primes]
+    names += [f"T{r}-{r + 1}" for r in start]
     r = start[-1] if start else 1
     log = [(r, t)]
-    stable = 0
-    while stable < 2:
-        r = _next_generator_prime(r, n)
-        absorb("T", r, r + 1)
-        t2 = index()
-        log.append((r, t2))
-        if t2 is not None and t2 == t:
-            stable += 1
-        else:
-            stable = 0
+    # t stays or drops to a proper divisor (so this ends); stop when two primes leave it
+    while len(log) < 3 or log[-3][1] != t:
+        r = next(q for q in count(r + 1) if n % q and is_prime(q))
+        names.append(f"T{r}-{r + 1}")
+        t2 = gcd(t, sum(map(mul, _mul([e], _prime_rows(ring, r), g)[0], f)) - r - 1)
+        if t2 != t and certified:
+            raise RuntimeError(f"T_{r} lowers the index past the Sturm bound at level {n}, m={m}")
         t = t2
-        if r > 20 * ring.bound + 100:
-            raise RuntimeError(f"index failed to stabilize at level {n}, m={m}")
-    basis = IntMatrix(ideal, cols=g)
-    # the ideal basis is a row HNF with pivot product t: the Smith form
-    # starts from it
-    eds = _smith_from_hnf(basis)
-    if prod(eds) != t:
-        raise RuntimeError(f"Smith form disagrees with the index at level {n}, m={m}")
-    nontrivial = [e for e in eds if e != 1]
-    if len(nontrivial) > 1:
-        raise RuntimeError(
-            f"quotient not cyclic at level {n}, m={m}: divisors {eds}"
-        )
+        log.append((r, t))
+    # its HNF: with d_i = gcd(t, f_i, ..., f_{g-1}), row i has pivot d_{i+1}/d_i
+    # and then the x_j < d_{j+1}/d_j that keep x f = 0 mod d_{j+1}
+    d = list(accumulate(reversed(f), gcd, initial=t))[::-1]
+    basis = [[0] * i + [d[i + 1] // d[i]] + [0] * (g - 1 - i) for i in range(g)]
+    for i, row in enumerate(basis):
+        y = row[i] * f[i]
+        for j in (j for j in range(i + 1, g) if d[j + 1] > d[j]):
+            q = d[j + 1] // d[j]
+            row[j] = -(y // d[j]) * pow(f[j] // d[j], -1, q) % q
+            y += row[j] * f[j]
     return EisensteinIdealModel(
-        level=n, m=m, index=t, elementary_divisors=eds,
+        level=n, m=m, index=t, elementary_divisors=(1,) * (g - 1) + (t,),
         generator_names=tuple(names), prime_bound=r, stabilization=tuple(log),
-        ideal_basis=basis, zero_ring=False,
+        ideal_basis=IntMatrix(basis, cols=g), zero_ring=False,
     )
 
 

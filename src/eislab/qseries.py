@@ -57,9 +57,6 @@ class QExpansion:
             "coeffs": list(self.coeffs),
         }
 
-    @classmethod
-    def from_jsonable(cls, payload: dict) -> "QExpansion":
-        return cls(payload["modulus"], payload["precision"], payload["coeffs"])
 
 
 def sigma_sieve(precision: int, power: int = 1) -> list[int]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from eislab.cli import _squarefree_levels
 from eislab.cuspgroup import order_closed_form, order_with_oracle
-from eislab.divlattice import SquareFreeLevel, box_add, build_tables, sgn
+from eislab.divlattice import SquareFreeLevel, build_tables
 from eislab.exactnum import IntMatrix, is_prime, phi_psi_omega
 from eislab.modsym import (
     cached_index,
@@ -26,6 +26,7 @@ from eislab.qseries import (
     level_lowering_identity_check,
     residues,
 )
+from test_divlattice import box_add, sgn
 
 
 def _proper_divisors(n):

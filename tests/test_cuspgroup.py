@@ -10,8 +10,6 @@ from eislab.cli import _squarefree_levels
 from eislab.cuspgroup import (
     _tables,
     cuspidal_class,
-    cuspidal_group_structure,
-    e_vector,
     order_closed_form,
     order_lattice_oracle,
     order_with_oracle,
@@ -22,11 +20,75 @@ from eislab.divlattice import DivisorTable, SquareFreeLevel, _check_m
 from eislab.exactnum import (
     IntMatrix,
     hermite_normal_form,
-    hnf_coordinates,
     left_kernel,
     phi_psi_omega,
 )
-from test_exactnum import _divisor_chain_oracle, determinant, reference_elementary_divisors
+from test_divlattice import sgn
+from test_exactnum import (
+    _divisor_chain_oracle,
+    determinant,
+    elementary_divisors,
+    hnf_coordinates,
+    reference_elementary_divisors,
+)
+
+
+# Moved from eislab.cuspgroup, which has no caller of them left: the
+# exponent vector two ways, and the structure of the cuspidal group.
+
+def e_vector(n, m) -> list[Fraction]:
+    """The exponent vector Lambda^{-1} C_{M,N}, computed two ways.
+
+    Closed form entry a: sgn(d_{s+1-a}) * 24/(phi(N)psi(N/M)) *
+    d_{s+1-a}/(d_{s+1-a}, M).  The linear-algebra route multiplies the
+    inverse table matrix against the class vector.  Both must agree.
+    """
+    level = SquareFreeLevel(n)
+    m = _check_m(level, m)
+    table, _, amat = _tables(level.value)
+    s = len(table)
+    phi, psi, _ = phi_psi_omega(level)
+    psi_c = phi_psi_omega(level.value // m)[1]
+    coeffs = cuspidal_class(level, m).coeffs
+    solved = [
+        Fraction(24, phi * psi)
+        * sum(amat[a][j] * coeffs[j] for j in range(s))
+        for a in range(s)
+    ]
+    closed = []
+    for a in range(s):
+        dual = table.divisors[s - 1 - a].value
+        closed.append(
+            sgn(table.divisors[s - 1 - a])
+            * Fraction(24, phi * psi_c)
+            * Fraction(dual, gcd(dual, m))
+        )
+    if solved != closed:
+        raise RuntimeError("E-vector routes disagree")
+    return closed
+
+
+def cuspidal_group_structure(n) -> tuple[int, ...]:
+    """Elementary divisors (> 1) of degree-zero cusp divisors modulo principal ones.
+
+    The principal lattice basis has full rank on the first s - 1 cusps.
+    Written over the basis P_{d_j} - P_{d_(j+1)} of the degree-zero
+    divisors (coordinates: prefix sums), it is square and nonsingular, and
+    its Smith form is the group.
+    """
+    level = SquareFreeLevel(n)
+    basis = principal_lattice_basis(level.value)
+    s = basis.cols
+    coords = []
+    for row in basis.data:
+        acc = 0
+        pref = []
+        for j in range(s - 1):
+            acc += row[j]
+            pref.append(acc)
+        coords.append(pref)
+    divisors = elementary_divisors(IntMatrix(coords, cols=s - 1))
+    return tuple(d for d in divisors if d > 1)
 
 
 def _proper_divisors(n):

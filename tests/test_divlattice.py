@@ -10,13 +10,43 @@ from eislab.divlattice import (
     Divisor,
     DivisorTable,
     SquareFreeLevel,
-    a_N,
-    box_add,
     build_tables,
-    divisor_from_int,
-    sgn,
 )
 from eislab.exactnum import IntMatrix, phi_psi_omega
+
+
+# Moved from eislab.divlattice, which has no caller of them left.
+
+def divisor_from_int(level: SquareFreeLevel, d: int) -> Divisor:
+    if d < 1 or level.value % d:
+        raise ValueError(f"{d} does not divide {level.value}")
+    return Divisor(level, [1 if d % p == 0 else 0 for p in level.primes])
+
+
+def box_add(a: Divisor, b: Divisor) -> Divisor:
+    """Group law on divisors: c_i = a_i + b_i + 1 mod 2, identity N."""
+    if a.level != b.level:
+        raise ValueError("divisors belong to different levels")
+    return Divisor(a.level, [(x + y + 1) % 2 for x, y in zip(a.bits, b.bits)])
+
+
+def sgn(a: Divisor) -> int:
+    """(-1)^(omega(N) - omega(a))."""
+    return -1 if (a.level.n - a.omega) % 2 else 1
+
+
+def a_N(a: Divisor, b: Divisor) -> Fraction:
+    """N/(a, N/a) * (a,b)^2 / (a*b); equals the integer a box b here."""
+    if a.level != b.level:
+        raise ValueError("divisors belong to different levels")
+    n = a.level.value
+    value = Fraction(n, gcd(a.value, n // a.value)) * Fraction(
+        gcd(a.value, b.value) ** 2, a.value * b.value
+    )
+    if value.denominator != 1:
+        raise RuntimeError("a_N must be integral for square-free N")
+    return value
+
 
 SQUAREFREE_SMALL = [
     n for n in range(2, 66) if all(n % (p * p) for p in (2, 3, 5, 7))

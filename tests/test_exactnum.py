@@ -3,7 +3,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
+from operator import index
 
 import pytest
 
@@ -13,12 +14,9 @@ from eislab.exactnum import (
     _factor,
     _hnf_insert,
     _mul,
-    _smith_from_hnf,
     _width,
-    elementary_divisors,
     factor_squarefree,
     hermite_normal_form,
-    hnf_coordinates,
     hnf_with_transform,
     is_prime,
     left_kernel,
@@ -27,10 +25,87 @@ from eislab.exactnum import (
 )
 
 
+# Moved from eislab.exactnum, which has no caller of them left: the membership
+# solve over an HNF, the Smith form (cuspidal_group_structure, in
+# test_cuspgroup, is its one caller), and IntMatrix.is_zero and .transpose.
+
+def is_zero(m: IntMatrix) -> bool:
+    return all(x == 0 for row in m.data for x in row)
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(
+        [[m.data[i][j] for i in range(m.rows)] for j in range(m.cols)],
+        cols=m.rows,
+    )
+
+
+def hnf_coordinates(H: IntMatrix, v) -> list[int] | None:
+    """Integer coordinates of v over the HNF rows of H, or None if outside.
+
+    Each pivot is looked for after the previous one, and a row is
+    subtracted from its pivot column on, where all of its entries are.
+    """
+    w = list(map(index, v))
+    if len(w) != H.cols:
+        raise ValueError("vector length mismatch")
+    coeffs = []
+    p = 0
+    for row in H.data:
+        p = next((j for j in range(p, H.cols) if row[j]), None)
+        if p is None:
+            coeffs.extend([0] * (H.rows - len(coeffs)))
+            break
+        c, rem = divmod(w[p], row[p])
+        if rem:
+            return None
+        if c:
+            w[p:] = [x - c * y for x, y in zip(w[p:], row[p:])]
+        coeffs.append(c)
+        p += 1
+    if any(w):
+        return None
+    return coeffs
+
+
+def elementary_divisors(M: IntMatrix) -> tuple[int, ...]:
+    """Smith form diagonal d_1 | d_2 | ... | d_n of a square nonsingular M, 1s included.
+
+    Kannan-Bachem (Cohen, GTM 138, section 2.4): the row HNF is taken of the
+    matrix and then of its transpose, in turn, until it is diagonal
+    (_smith_from_hnf).  Raises ValueError unless M is square and of full
+    rank, which the HNF shows as one row per column.
+    """
+    if M.rows != M.cols:
+        raise ValueError("elementary_divisors needs a square matrix")
+    h = hermite_normal_form(M)
+    if h.rows != M.rows:
+        raise ValueError("elementary_divisors needs a nonsingular matrix")
+    return _smith_from_hnf(h)
+
+
+def _smith_from_hnf(h: IntMatrix) -> tuple[int, ...]:
+    """Smith form diagonal of a square nonsingular row HNF h.
+
+    The transpose is put into row HNF in turn until it is diagonal.
+    Unimodular row operations and transposes leave Z^n / Z^n h the same
+    group up to isomorphism, and every HNF has its entries reduced below
+    its pivots, whose product stays |det h|.  The diagonal is then put into
+    a divisibility chain, (d_i, d_j) -> (gcd, lcm) for i < j.
+    """
+    while any(x for i, row in enumerate(h.data) for x in row[i + 1:]):
+        h = hermite_normal_form(transpose(h))
+    diag = [h[i][i] for i in range(h.rows)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    return tuple(diag)
+
+
 def saturation(M: IntMatrix) -> IntMatrix:
     """HNF basis of (Q-span of rows of M) intersected with Z^cols."""
-    ker = left_kernel(M.transpose())
-    return hermite_normal_form(left_kernel(ker.transpose()))
+    ker = left_kernel(transpose(M))
+    return hermite_normal_form(left_kernel(transpose(ker)))
 
 
 def _hnf_inplace(a: list[list[int]], u: list[list[int]] | None) -> int:
@@ -347,7 +422,7 @@ def test_snf_diag_2_3():
 def test_snf_zero():
     m = IntMatrix.zeros(2, 3)
     _, d, _ = smith_normal_form(m)
-    assert d.is_zero()
+    assert is_zero(d)
 
 
 def test_snf_random_properties():
@@ -621,7 +696,7 @@ def test_left_kernel():
         m = IntMatrix(_rand_matrix(rng, r, c, -5, 5))
         k = left_kernel(m)
         if k.rows:
-            assert (k * m).is_zero()
+            assert is_zero(k * m)
         assert k.rows == r - reference_hnf(m).rows
         h, u = reference_hnf_with_transform(m)
         ref = [u.data[i] for i in range(r) if not any(h.data[i])]

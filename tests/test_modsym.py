@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -14,9 +15,10 @@ from eislab.exactnum import (
     IntMatrix,
     _echelon,
     _factor,
+    _hnf_insert,
     hermite_normal_form,
-    hnf_coordinates,
     hnf_with_transform,
+    is_prime,
     left_kernel,
     phi_psi_omega,
     primes_up_to,
@@ -45,7 +47,14 @@ from eislab.modsym import (
     _solve_over,
     _unit_coords,
 )
-from test_exactnum import left_inverse_by_full_fold, reference_hnf
+from test_exactnum import (
+    _smith_from_hnf,
+    hnf_coordinates,
+    is_zero,
+    left_inverse_by_full_fold,
+    reference_hnf,
+    transpose,
+)
 
 SQUAREFREE = [n for n in range(7, 71)
               if all(n % (p * p) for p in (2, 3, 5, 7))]
@@ -546,7 +555,7 @@ def test_planted_symbol_image_leaves_cuspidal_lattice():
         assert _matrix_on_cuspidal(space, rows) == _prime_matrix(space, r)
         j = next(
             j for j in range(len(space.symbols))
-            if not (IntMatrix([space.coords[j]]) * space.boundary).is_zero()
+            if not is_zero(IntMatrix([space.coords[j]]) * space.boundary)
         )
         s = support[0]
         rows[s] = {**rows[s], j: rows[s].get(j, 0) + 1}
@@ -624,7 +633,7 @@ def test_star_is_an_involution_commuting_with_the_full_operators():
         assert space.plus.rows == space.genus == two_g // 2, n
         c = _plus_over_cuspidal(space)
         assert c * star == c, n
-        assert space.genus == 0 or hermite_normal_form(c.transpose()) == (
+        assert space.genus == 0 or hermite_normal_form(transpose(c)) == (
             IntMatrix.identity(space.genus)
         ), n
 
@@ -647,7 +656,7 @@ def test_planted_image_cuspidal_but_not_star_fixed():
         space = build_space(n)
         ident = IntMatrix.identity(space.cuspidal.rows)
         minus = (left_kernel(_full_star(n) + ident) * space.cuspidal).data[0]
-        assert (IntMatrix([minus]) * space.boundary).is_zero()
+        assert is_zero(IntMatrix([minus]) * space.boundary)
         scale = prod(next(x for x in row if x) for row in space.plus.data)
         planted = IntMatrix([[scale * x for x in minus]]) * section_matrix(space)
         support = _cuspidal_lift(space)[1]
@@ -774,7 +783,7 @@ def test_eta_anchor_level_11():
         assert _prime_matrix(space, r) == ident.scale(coeffs[r]), r
     assert _prime_matrix(space, 11) == ident.scale(coeffs[11])
     char = _prime_matrix(space, 2)
-    assert (char + ident.scale(2)).is_zero()
+    assert is_zero(char + ident.scale(2))
 
 
 def test_eta_anchor_level_14():
@@ -800,7 +809,7 @@ def test_old_space_relations_level_22():
     assert space.genus == 2
     ident = IntMatrix.identity(space.genus)
     u2 = _prime_matrix(space, 2)
-    assert (u2 * u2 + u2.scale(2) + ident.scale(2)).is_zero()
+    assert is_zero(u2 * u2 + u2.scale(2) + ident.scale(2))
     assert _prime_matrix(space, 11) == ident
     assert _prime_matrix(space, 3) == ident.scale(-1)
     assert _prime_matrix(space, 7) == ident.scale(-2)
@@ -1164,13 +1173,116 @@ def reference_unit_coords(ring) -> list[int]:
     return e
 
 
+# The row-insertion route, the reference for the index as one linear
+# functional: every generator t = T_p - s adds its g rows t*t_j, from
+# _prime_rows, to the ideal's HNF, and the index is its pivot product.
+
+def _next_generator_prime(r: int, n: int) -> int:
+    r += 1
+    while not is_prime(r) or n % r == 0:
+        r += 1
+    return r
+
+
+def _in_ideal(ideal: list[list[int]], v: list[int]) -> bool:
+    """Whether v lies in the lattice of the HNF rows ideal, by its membership solve."""
+    return hnf_coordinates(IntMatrix(ideal, cols=len(v)), v) is not None
+
+
+def insertion_index(ring, m: int):
+    """Index of the ideal shifting each operator to its cusp-count value.
+
+    Level primes dividing m are shifted by 1, the others by themselves;
+    primes away from the level are shifted by r + 1.  The generator prime
+    bound grows until the index survives two consecutive extra primes.
+    A generator t = T_p - s adds the principal ideal t*T, spanned by the g
+    products t*t_j over the ring basis: the rows of _prime_rows(ring, p)
+    with s taken off the diagonal.  Their coordinates are shared by every
+    m.  Once the ideal J has full rank, t itself (sum_j e_j t*t_j, with e
+    the coordinates of T_1) is tested first, by its membership solve over
+    J's HNF: when t is in J, so is every t*t_j, J being an ideal, and its g
+    rows are skipped.
+    """
+    n = ring.space.level.value
+    if m < 1 or n % m:
+        raise ValueError("m must be a positive divisor of the level")
+    if ring.genus == 0:
+        return modsym.EisensteinIdealModel(
+            level=n, m=m, index=1, elementary_divisors=(), generator_names=(),
+            prime_bound=0, stabilization=(), ideal_basis=IntMatrix([], cols=0),
+            zero_ring=True,
+        )
+    g = ring.genus
+    one = modsym._unit_coords(ring)
+    ideal: list[list[int]] = []  # HNF basis of every generator row so far
+    pivots: list[int] = []
+    names: list[str] = []
+
+    def absorb(kind: str, p: int, shift: int) -> None:
+        names.append(f"{kind}{p}-{shift}")
+        rows = modsym._prime_rows(ring, p)
+        if len(ideal) == g:
+            gen = [-shift * x for x in one]
+            for x, row in zip(one, rows):
+                if x:
+                    gen = [a + x * b for a, b in zip(gen, row)]
+            if _in_ideal(ideal, gen):
+                return
+        for j, row in enumerate(rows):
+            row = row.copy()
+            row[j] -= shift
+            _hnf_insert(ideal, pivots, row)
+
+    def index() -> int | None:
+        # the pivot product once the ideal has full rank
+        return prod(r[c] for r, c in zip(ideal, pivots)) if len(ideal) == g else None
+
+    for p in ring.space.level.primes:
+        absorb("U", p, 1 if m % p == 0 else p)
+    start = [r for r in primes_up_to(ring.bound) if n % r]
+    for r in start:
+        absorb("T", r, r + 1)
+    t = index()
+    r = start[-1] if start else 1
+    log = [(r, t)]
+    stable = 0
+    while stable < 2:
+        r = _next_generator_prime(r, n)
+        absorb("T", r, r + 1)
+        t2 = index()
+        log.append((r, t2))
+        if t2 is not None and t2 == t:
+            stable += 1
+        else:
+            stable = 0
+        t = t2
+        if r > 20 * ring.bound + 100:
+            raise RuntimeError(f"index failed to stabilize at level {n}, m={m}")
+    basis = IntMatrix(ideal, cols=g)
+    # the ideal basis is a row HNF with pivot product t: the Smith form
+    # starts from it
+    eds = _smith_from_hnf(basis)
+    if prod(eds) != t:
+        raise RuntimeError(f"Smith form disagrees with the index at level {n}, m={m}")
+    nontrivial = [e for e in eds if e != 1]
+    if len(nontrivial) > 1:
+        raise RuntimeError(
+            f"quotient not cyclic at level {n}, m={m}: divisors {eds}"
+        )
+    return modsym.EisensteinIdealModel(
+        level=n, m=m, index=t, elementary_divisors=eds,
+        generator_names=tuple(names), prime_bound=r, stabilization=tuple(log),
+        ideal_basis=basis, zero_ring=False,
+    )
+
+
 @lru_cache(maxsize=None)
 def reference_index(n: int, m: int):
-    """eisenstein_index on the g^2-wide ring, its rows read off the product table."""
+    """The insertion route on the g^2-wide ring, its rows read off the product table."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(modsym, "_prime_rows", reference_prime_rows)
         patch.setattr(modsym, "_unit_coords", reference_unit_coords)
-        return eisenstein_index(reference_ring(n), m)
+        return insertion_index(reference_ring(n), m)
 
 
 def _carried(v: list[int], flat) -> list[int]:
@@ -1311,15 +1423,16 @@ def test_planted_ring_without_identity_is_refused():
 
 
 def test_planted_smith_form_disagrees_with_index(monkeypatch):
-    smith = modsym._smith_from_hnf
+    # the insertion reference reads its divisors off the ideal's Smith form
+    smith = _smith_from_hnf
 
     def off_by_two(h):
         *head, last = smith(h)
         return (*head, 2 * last)
 
-    monkeypatch.setattr(modsym, "_smith_from_hnf", off_by_two)
+    monkeypatch.setattr(sys.modules[__name__], "_smith_from_hnf", off_by_two)
     with pytest.raises(RuntimeError, match="Smith form disagrees with the index"):
-        eisenstein_index(hecke_ring(build_space(11)), 11)
+        insertion_index(hecke_ring(build_space(11)), 11)
 
 
 def _index_fields(t):
@@ -1371,25 +1484,152 @@ def test_ideal_basis_pinned():
 
 
 def test_index_without_the_generator_skip(monkeypatch):
-    # a generator already in the ideal adds nothing: inserting all of its
-    # rows instead gives the same model, stabilization trace included
+    # in the insertion reference, a generator already in the ideal adds
+    # nothing: inserting all of its rows instead gives the same model,
+    # stabilization trace included, and so does the functional route
     levels = [n for n in range(2, 71) if all(n % (p * p) for p in (2, 3, 5, 7))]
     pairs = [(n, m) for n in levels + [105] for m in range(1, n + 1) if n % m == 0]
     skipped = []
-    contains = modsym._in_ideal
+    contains = _in_ideal
+    this = sys.modules[__name__]
 
     def spy(*args):
         skipped.append(contains(*args))
         return skipped[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(modsym, "_in_ideal", spy)
-        with_skip = [_index_fields(eisenstein_index(cached_ring(n), m)) for n, m in pairs]
+        patch.setattr(this, "_in_ideal", spy)
+        with_skip = [_index_fields(insertion_index(cached_ring(n), m)) for n, m in pairs]
     assert any(skipped) and not all(skipped)
-    monkeypatch.setattr(modsym, "_in_ideal", lambda *args: False)
+    monkeypatch.setattr(this, "_in_ideal", lambda *args: False)
     for (n, m), fields in zip(pairs, with_skip):
-        assert _index_fields(eisenstein_index(cached_ring(n), m)) == fields, (n, m)
+        assert _index_fields(insertion_index(cached_ring(n), m)) == fields, (n, m)
         assert _index_fields(cached_index(n, m)) == fields, (n, m)
+
+
+FUNCTIONAL_LEVELS = [
+    n for n in range(7, 131) if all(n % (p * p) for p in (2, 3, 5, 7, 11))
+] + [190, 210]
+
+
+def test_functional_route_matches_insertion_reference():
+    # every field, ideal_basis included, at every m: one gcd of residuals of
+    # phi against the g rows per generator inserted into the ideal's HNF
+    for n in FUNCTIONAL_LEVELS:
+        ring = cached_ring(n)
+        for m in (d for d in range(1, n + 1) if n % d == 0):
+            new = _index_fields(cached_index(n, m))
+            assert new == _index_fields(insertion_index(ring, m)), (n, m)
+
+
+def _planted_ring(ring):
+    """A copy of ring whose cache keeps the prime rows and holds the orbit again, not phi."""
+    cache = {k: v for k, v in ring.cache.items() if k != "phi"}
+    cache["orbit"] = _orbit(ring.space, list(ring.vector), ring.bound)
+    return dataclasses.replace(ring, cache=cache)
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_level_primes_above_the_bound_are_needed(monkeypatch):
+    # condition (ii) with U_13 skipped at N = 26, where the bound is 7: the
+    # shifted rows of U_13 - 1 read as zero, and the index of the ideal at
+    # m = 26 reads 7 where the ring's is 1
+    ring = cached_ring(26)
+    assert ring.bound < 13
+    rows = modsym._prime_rows
+
+    def skip_13(ring, p):
+        if p != 13:
+            return rows(ring, p)
+        return [[int(i == j) for i in range(ring.genus)] for j in range(ring.genus)]
+
+    assert cached_index(26, 26).index == insertion_index(ring, 26).index == 1
+    monkeypatch.setattr(modsym, "_prime_rows", skip_13)
+    assert eisenstein_index(_planted_ring(ring), 26).index == 7
+
+
+PLANT_LEVELS = (11, 26, 35, 38, 66)
+
+
+def test_planted_eigenvalue_changes_the_index(monkeypatch):
+    # a_k + 1 for one k <= bound: (ii) makes phi a ring map with phi(T_k) =
+    # a_k, so (i) then allows no t > 1, and every index above 1 changes
+    series = modsym.eisenstein_series
+    seen = 0
+    for n in PLANT_LEVELS:
+        ring = cached_ring(n)
+        indices = {m: cached_index(n, m).index for m in _divisors(n)}
+        for k in range(2, ring.bound + 1):
+
+            def planted_series(level, m, precision):
+                f = series(level, m, precision)
+                coeffs = [x - 24 * (j == k) for j, x in enumerate(f.coeffs)]
+                return dataclasses.replace(f, coeffs=tuple(coeffs))
+
+            with monkeypatch.context() as patch:
+                patch.setattr(modsym, "eisenstein_series", planted_series)
+                planted = _planted_ring(ring)
+                for m, t in indices.items():
+                    if t > 1:
+                        assert eisenstein_index(planted, m).index != t, (n, k, m)
+                        seen += 1
+    assert seen > 20
+
+
+def test_planted_prime_rows_entry_changes_the_index():
+    # a wrong entry (j, i) of _prime_rows(ring, p) moves phi(t_j T_p) by
+    # f_i: at 1 < m < N, where no later prime moves t, the index becomes
+    # gcd(t, f_i), which is t only where f_i = 0 mod t hides the entry
+    changed = 0
+    for n in PLANT_LEVELS:
+        ring = cached_ring(n)
+        ps = sorted(set(primes_up_to(ring.bound)) | set(ring.space.level.primes))
+        for m in _divisors(n)[1:-1]:
+            t = cached_index(n, m).index
+            f = modsym._functionals(ring)[m][0]
+            for p in ps:
+                for i in range(ring.genus):
+                    rows = [row.copy() for row in _prime_rows(ring, p)]
+                    rows[0][i] += 1
+                    planted = _planted_ring(ring)
+                    planted.cache[("prime", p)] = rows
+                    got = eisenstein_index(planted, m).index
+                    assert got == gcd(t, f[i]), (n, m, p, i)
+                    changed += got != t
+    assert changed > 20
+
+
+def test_planted_extra_prime_lowering_the_index_raises():
+    # phi(T_r) moved by 1 for the first generator prime r above the bound.
+    # The Sturm bound rules that out at 1 < m < N, and at m = N when t
+    # divides the numerator of phi(N)/24, and there it raises; elsewhere
+    # the index is certified by stabilization only, and drops to 1
+    raised = dropped = 0
+    for n in PLANT_LEVELS + (17, 34):
+        ring = cached_ring(n)
+        r = cached_index(n, 1).stabilization[1][0]
+        moved = [
+            [x + (i == j) for i, x in enumerate(row)]
+            for j, row in enumerate(_prime_rows(ring, r))
+        ]
+        for m in _divisors(n):
+            t = cached_index(n, m).index
+            if t == 1:
+                continue
+            planted = _planted_ring(ring)
+            planted.cache[("prime", r)] = moved
+            sturm = 1 < m < n or m == n and Fraction(phi_psi_omega(n)[0], 24).numerator % t == 0
+            if sturm:
+                with pytest.raises(RuntimeError, match="past the Sturm bound"):
+                    eisenstein_index(planted, m)
+                raised += 1
+            else:
+                assert eisenstein_index(planted, m).index == 1, (n, m)
+                dropped += 1
+    assert raised > 5 and dropped > 5
 
 
 def test_rref_small():
