@@ -18,7 +18,7 @@ from functools import lru_cache
 # eislab.modsym is imported inside the commands and suites that use it, so
 # the lattice and series commands do not pay for loading it.
 from eislab.cuspgroup import order_closed_form, order_with_oracle
-from eislab.divlattice import DivisorTable, SquareFreeLevel
+from eislab.divlattice import SquareFreeLevel, divisor_values
 from eislab.qseries import (
     eigenform_violations,
     eisenstein_series,
@@ -45,9 +45,9 @@ def _squarefree_levels(bound: int, low: int = 7) -> list[SquareFreeLevel]:
     return out
 
 
-def _proper_divisors(level: SquareFreeLevel) -> list[int]:
+def _proper_divisors(level: SquareFreeLevel) -> tuple[int, ...]:
     # canonical table order, with the excluded divisor 1 dropped
-    return [d.value for d in DivisorTable(level).divisors if d.value != 1]
+    return divisor_values(level)[1:]
 
 
 def _check_bound(bound: int, static_cap: int, what: str, flag: str = "--max-level") -> None:

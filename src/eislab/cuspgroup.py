@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
-from operator import mul
 
 from .divlattice import SquareFreeLevel, _check_m, build_tables
 from .exactnum import (
@@ -83,73 +82,58 @@ def _tables(n: int):
     return build_tables(SquareFreeLevel(n))
 
 
-def unit_exponent_lattice(n) -> IntMatrix:
-    """HNF basis (rows) of the admissible exponent vectors on eta generators.
-
-    Admissible means: degree zero, sum(e_d * d) = 0 mod 24,
-    sum(e_d * N/d) = 0 mod 24, and prod(d^e_d) a rational square, i.e. even
-    exponent sums over each prime.  Degree zero fixes e_N = -sum of the
-    others, which turns the rest into congruences x*B = 0 mod
-    (24, 24, 2, ..., 2) on the other s - 1 exponents x.  The lattice of
-    (x*B + y*diag(24, 24, 2, ..., 2), x) has full rank and determinant
-    576 * 2^n, so its HNF is square with that pivot product (a RuntimeError
-    otherwise); the rows with zeros in the congruence columns are the HNF of
-    the x.
-    """
-    level = SquareFreeLevel(n)
-    table, _, _ = _tables(level.value)
-    s = len(table)
-    moduli = [24, 24] + [2] * level.n
-    k = len(moduli)
-    rows = []
-    for i, d in enumerate(table.divisors[:-1]):
-        unit = [0] * (s - 1)
-        unit[i] = 1
-        congruences = [d.value - level.value, level.value // d.value - 1]
-        congruences += [b - 1 for b in d.bits]
-        rows.append([c % q for c, q in zip(congruences, moduli)] + unit)
-    for t, q in enumerate(moduli):
-        row = [0] * (k + s - 1)
-        row[t] = q
-        rows.append(row)
-    h = hermite_normal_form(IntMatrix(rows, cols=k + s - 1))
-    pivots = [row[i] for i, row in enumerate(h.data)]
-    if len(pivots) != k + s - 1 or prod(pivots) != 576 << level.n:
-        raise RuntimeError("congruence system must have full rank and determinant 576 * 2^n")
-    return IntMatrix(
-        [list(row[k:]) + [-sum(row[k:])] for row in h.data[k:]], cols=s
-    )
-
-
 @lru_cache(maxsize=None)
 def principal_lattice_basis(n: int) -> IntMatrix:
     """HNF basis of the lattice of principal divisors supported on the cusps.
 
-    Principal divisors have degree zero, so dropping the last cusp leaves a
-    square system that must have full rank s - 1 (a RuntimeError otherwise);
-    the last coordinate of its HNF is put back as minus the row sum.
+    They are the divisors of the admissible eta quotients prod eta_d^e_d:
+    degree zero, sum(e_d * d) = 0 mod 24, sum(e_d * N/d) = 0 mod 24, and
+    even exponent sums over each prime.  Degree zero fixes e_N = -sum of
+    the others x, which leaves congruences x*B = 0 mod q = (24, 24, 2, ...,
+    2) and the divisor x*(lambda_d - lambda_N)/24 over the rows lambda_d of
+    24*Lambda.  One HNF of the rows (q_t e_t | 0), then (B_d mod q |
+    lambda_d - lambda_N) from d_{s-1} down to d_1, the last cusp dropped,
+    holds both: the system is square of determinant 576 * 2^n *
+    (phi*psi)^(s/2) / psi, det 24*Lambda on the degree-0 hyperplane, and its
+    s - 1 rows past the congruence columns are 24 times the HNF sought.  The
+    last cusp comes back as minus the row sum.  Each failed certificate is a
+    RuntimeError.
     """
     level = SquareFreeLevel(n)
     table, lam24, _ = _tables(level.value)
     s = len(table)
-    exps = unit_exponent_lattice(level)
-    columns = list(zip(*lam24.data))
-    gens = []
-    for e in exps.data:
-        v = [sum(map(mul, e, col)) for col in columns]
-        if sum(v):
-            raise RuntimeError("unit divisor must have degree zero")
-        row = []
-        for x in v[:-1]:
-            q, r = divmod(x, 24)
-            if r:
-                raise RuntimeError("unit divisor must be integral on every cusp")
-            row.append(q)
-        gens.append(row)
-    h = hermite_normal_form(IntMatrix(gens, cols=s - 1))
-    if h.rows != s - 1:
+    phi, psi, _ = phi_psi_omega(level)
+    if any(sum(row) != psi for row in lam24.data):
+        raise RuntimeError("unit divisor must have degree zero: a row of 24*Lambda misses psi")
+    moduli = [24, 24] + [2] * level.n
+    k = len(moduli)
+    rows = [[q * (t == u) for u in range(k + s - 1)] for t, q in enumerate(moduli)]
+    last = lam24.data[-1]
+    for d, lam in zip(table.divisors[-2::-1], lam24.data[-2::-1]):
+        congruences = [d.value - level.value, level.value // d.value - 1]
+        congruences += [b - 1 for b in d.bits]
+        rows.append(
+            [c % q for c, q in zip(congruences, moduli)]
+            + [x - y for x, y in zip(lam[:-1], last)]
+        )
+    h = hermite_normal_form(IntMatrix(rows, cols=k + s - 1))
+    if h.rows != k + s - 1 or prod(
+        row[i] for i, row in enumerate(h.data)
+    ) != (576 << level.n) * (phi * psi) ** (s // 2) // psi:
+        raise RuntimeError(
+            "congruence system must have full rank and determinant"
+            " 576 * 2^n * (phi*psi)^(s/2) / psi"
+        )
+    tail = [row[k:] for row in h.data if not any(row[:k])]
+    if len(tail) != s - 1:
         raise RuntimeError("principal lattice must fill the degree-0 hyperplane")
-    return IntMatrix([list(row) + [-sum(row)] for row in h.data], cols=s)
+    basis = []
+    for row in tail:
+        if any(x % 24 for x in row):
+            raise RuntimeError("unit divisor must be integral on every cusp")
+        row = [x // 24 for x in row]
+        basis.append(row + [-sum(row)])
+    return IntMatrix(basis, cols=s)
 
 
 def order_lattice_oracle(n, m) -> int:
@@ -160,21 +144,24 @@ def order_lattice_oracle(n, m) -> int:
     triangular HNF system is solved fraction-free: where a pivot does not
     divide the current entry, the order and the vector are scaled by
     pivot/gcd, which keeps the order the least common multiple so far.
+    The pivot columns are walked once, and each step touches only the
+    columns from its pivot on, since the ones before are already zero.
     """
     level = SquareFreeLevel(n)
     m = _check_m(level, m)
     basis = principal_lattice_basis(level.value)
     w = list(cuspidal_class(level, m).coeffs)
-    order = 1
+    order, p = 1, 0
     for row in basis.data:
-        p = next(j for j, x in enumerate(row) if x)
+        while not row[p]:
+            p += 1
         f = row[p] // gcd(w[p], row[p])
         if f > 1:
             order *= f
-            w = [f * x for x in w]
+            w[p:] = [f * x for x in w[p:]]
         q = w[p] // row[p]
         if q:
-            w = [x - q * y for x, y in zip(w, row)]
+            w[p:] = [x - q * y for x, y in zip(w[p:], row[p:])]
     if any(w):
         raise RuntimeError("class vector leaves the rational span of the lattice")
     return order

@@ -8,7 +8,9 @@ satisfy (24*Lambda) * A = phi(N)*psi(N) * I exactly.
 
 from __future__ import annotations
 
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
+from operator import mul
 
 from .exactnum import IntMatrix, factor_squarefree, phi_psi_omega
 
@@ -79,14 +81,6 @@ class Divisor:
     def omega(self) -> int:
         return sum(self.bits)
 
-    def sort_key(self):
-        # omega first; ties broken anti-lexicographically (larger leading
-        # bit sorts earlier), giving 1, p1, p2, ..., N
-        return (self.omega, tuple(-b for b in self.bits))
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
     def __eq__(self, other):
         return (
             isinstance(other, Divisor)
@@ -101,21 +95,32 @@ class Divisor:
         return f"Divisor({self.value} | {self.level.value})"
 
 
+def divisor_values(level: SquareFreeLevel) -> tuple[int, ...]:
+    """The divisors of N in the canonical table order, as plain ints.
+
+    omega first; ties broken anti-lexicographically on the prime bits
+    (larger leading bit earlier), giving 1, p1, p2, ..., N.  For a fixed
+    omega that is the order in which combinations() picks the primes.
+    """
+    if level.n > MAX_PRIME_COUNT:
+        raise ValueError(
+            f"level has {level.n} prime factors; tables stop at {MAX_PRIME_COUNT}"
+        )
+    return tuple(
+        prod(ps) for k in range(level.n + 1) for ps in combinations(level.primes, k)
+    )
+
+
 class DivisorTable:
     """All divisors of N in their canonical order, with index lookup."""
 
     __slots__ = ("level", "divisors", "_index")
 
     def __init__(self, level: SquareFreeLevel):
-        if level.n > MAX_PRIME_COUNT:
-            raise ValueError(
-                f"level has {level.n} prime factors; tables stop at {MAX_PRIME_COUNT}"
-            )
-        divisors = []
-        for mask in range(1 << level.n):
-            bits = [(mask >> i) & 1 for i in range(level.n)]
-            divisors.append(Divisor(level, bits))
-        divisors.sort(key=Divisor.sort_key)
+        divisors = [
+            Divisor(level, [int(d % p == 0) for p in level.primes])
+            for d in divisor_values(level)
+        ]
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "divisors", tuple(divisors))
         object.__setattr__(
@@ -158,6 +163,9 @@ def build_tables(n) -> tuple[DivisorTable, IntMatrix, IntMatrix]:
         ]
     )
     phi, psi, _ = phi_psi_omega(level)
-    if lam24 * amat != IntMatrix.identity(len(table)).scale(phi * psi):
-        raise RuntimeError(f"(24*Lambda)*A != phi*psi*I at N={level.value}")
+    columns = list(zip(*amat.data))
+    for i, row in enumerate(lam24.data):
+        for j, col in enumerate(columns):
+            if sum(map(mul, row, col)) != (phi * psi if i == j else 0):
+                raise RuntimeError(f"(24*Lambda)*A != phi*psi*I at N={level.value}")
     return table, lam24, amat

@@ -16,7 +16,7 @@ from math import gcd
 from operator import mul
 
 from eislab.cuspgroup import order_closed_form
-from eislab.divlattice import DivisorTable, SquareFreeLevel
+from eislab.divlattice import SquareFreeLevel, divisor_values
 from eislab.exactnum import (
     IntMatrix,
     _echelon,
@@ -252,7 +252,7 @@ def build_space(n) -> ManinSymbolSpace:
     if split != IntMatrix.identity(rank_q):
         raise RuntimeError(f"basis symbols do not split the symbol images at level {nn}")
 
-    divisors = sorted(d.value for d in DivisorTable(level).divisors)
+    divisors = sorted(divisor_values(level))
     column = {d: k for k, d in enumerate(divisors)}
     ncl = len(divisors)
     brows = []
@@ -614,7 +614,7 @@ def _functionals(ring: HeckeRingModel) -> dict[int, tuple[list[int], int]]:
     out = ring.cache.get("phi")
     if out is None:
         level, g = ring.space.level, ring.genus
-        ms = sorted(d.value for d in DivisorTable(level).divisors)
+        ms = sorted(divisor_values(level))
         top = max(ring.bound, *level.primes) + 1
         a = [[-x // 24 for x in eisenstein_series(level, m, top).coeffs] for m in ms]
         orbit = enumerate(ring.cache.pop("orbit"), 1)
@@ -767,7 +767,7 @@ def enumerate_eisenstein_maximal(n: int) -> list[MaximalIdealRecord]:
     """
     level = SquareFreeLevel(n)
     records = []
-    for m in sorted(d.value for d in DivisorTable(level).divisors):
+    for m in sorted(divisor_values(level)):
         if m == 1:
             continue
         t = cached_index(level.value, m).index

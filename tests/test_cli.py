@@ -412,13 +412,13 @@ def test_non_unimodular_quotient_is_internal_fault(capsys, monkeypatch):
 
 
 def test_lattice_fault_is_internal_not_usage(capsys, monkeypatch):
-    # an HNF that drops its last row on the principal system (7 = 8 - 1
-    # columns at level 30; the congruence system has 12) is a fault, exit 3
+    # an HNF that drops its last row on the principal-lattice echelon (5
+    # congruence and 8 - 1 cusp columns at level 30) is a fault, exit 3
     hnf = cuspgroup.hermite_normal_form
 
     def short(M):
         h = hnf(M)
-        return IntMatrix(h.data[:-1], cols=M.cols) if M.cols == 7 else h
+        return IntMatrix(h.data[:-1], cols=M.cols) if M.cols == 12 else h
 
     cuspgroup.principal_lattice_basis.cache_clear()
     cuspgroup._tables.cache_clear()
@@ -426,7 +426,7 @@ def test_lattice_fault_is_internal_not_usage(capsys, monkeypatch):
     code, out, err = run(capsys, "cusp-order", "--level", "30", "--m", "2", "--oracle")
     assert code == 3
     assert out == ""
-    assert "internal fault" in err and "degree-0 hyperplane" in err
+    assert "internal fault" in err and "congruence system must have full rank" in err
 
 
 @pytest.mark.parametrize("suite", ["index-vs-order", "nonmaximal", "main-theorem"])

@@ -14,7 +14,6 @@ from eislab.cuspgroup import (
     order_lattice_oracle,
     order_with_oracle,
     principal_lattice_basis,
-    unit_exponent_lattice,
 )
 from eislab.divlattice import DivisorTable, SquareFreeLevel, _check_m
 from eislab.exactnum import (
@@ -34,7 +33,8 @@ from test_exactnum import (
 
 
 # Moved from eislab.cuspgroup, which has no caller of them left: the
-# exponent vector two ways, and the structure of the cuspidal group.
+# exponent vector two ways, the structure of the cuspidal group, and the
+# admissible eta exponents that the principal lattice once was built from.
 
 def e_vector(n, m) -> list[Fraction]:
     """The exponent vector Lambda^{-1} C_{M,N}, computed two ways.
@@ -89,6 +89,44 @@ def cuspidal_group_structure(n) -> tuple[int, ...]:
         coords.append(pref)
     divisors = elementary_divisors(IntMatrix(coords, cols=s - 1))
     return tuple(d for d in divisors if d > 1)
+
+
+def unit_exponent_lattice(n) -> IntMatrix:
+    """HNF basis (rows) of the admissible exponent vectors on eta generators.
+
+    Admissible means: degree zero, sum(e_d * d) = 0 mod 24,
+    sum(e_d * N/d) = 0 mod 24, and prod(d^e_d) a rational square, i.e. even
+    exponent sums over each prime.  Degree zero fixes e_N = -sum of the
+    others, which turns the rest into congruences x*B = 0 mod
+    (24, 24, 2, ..., 2) on the other s - 1 exponents x.  The lattice of
+    (x*B + y*diag(24, 24, 2, ..., 2), x) has full rank and determinant
+    576 * 2^n, so its HNF is square with that pivot product (a RuntimeError
+    otherwise); the rows with zeros in the congruence columns are the HNF of
+    the x.
+    """
+    level = SquareFreeLevel(n)
+    table, _, _ = _tables(level.value)
+    s = len(table)
+    moduli = [24, 24] + [2] * level.n
+    k = len(moduli)
+    rows = []
+    for i, d in enumerate(table.divisors[:-1]):
+        unit = [0] * (s - 1)
+        unit[i] = 1
+        congruences = [d.value - level.value, level.value // d.value - 1]
+        congruences += [b - 1 for b in d.bits]
+        rows.append([c % q for c, q in zip(congruences, moduli)] + unit)
+    for t, q in enumerate(moduli):
+        row = [0] * (k + s - 1)
+        row[t] = q
+        rows.append(row)
+    h = hermite_normal_form(IntMatrix(rows, cols=k + s - 1))
+    pivots = [row[i] for i, row in enumerate(h.data)]
+    if len(pivots) != k + s - 1 or prod(pivots) != 576 << level.n:
+        raise RuntimeError("congruence system must have full rank and determinant 576 * 2^n")
+    return IntMatrix(
+        [list(row[k:]) + [-sum(row[k:])] for row in h.data[k:]], cols=s
+    )
 
 
 def _proper_divisors(n):
@@ -275,24 +313,76 @@ def test_principal_lattice_matches_plain_hnf():
     ids=["drops-last-row", "doubles-last-pivot"],
 )
 def test_planted_congruence_hnf_is_refused(monkeypatch, plant):
-    hnf = cuspgroup.hermite_normal_form
-    monkeypatch.setattr(
-        cuspgroup, "hermite_normal_form", lambda M: IntMatrix(plant(hnf(M)), cols=M.cols)
+    hnf = hermite_normal_form
+    monkeypatch.setitem(
+        unit_exponent_lattice.__globals__,
+        "hermite_normal_form",
+        lambda M: IntMatrix(plant(hnf(M)), cols=M.cols),
     )
     with pytest.raises(RuntimeError, match="congruence system must have full rank"):
         unit_exponent_lattice(30)
 
 
-def test_planted_rank_drop_in_principal_lattice_is_refused(monkeypatch):
-    exps = cuspgroup.unit_exponent_lattice
+# Level 30 has 3 primes, so its principal-lattice echelon has k = 5
+# congruence columns and 7 cusp columns (the last cusp dropped).
+CONGRUENCE_COLUMNS_AT_30 = 5
 
-    def short(n):
-        e = exps(n)
-        return IntMatrix(e.data[:-1], cols=e.cols)
 
-    monkeypatch.setattr(cuspgroup, "unit_exponent_lattice", short)
-    with pytest.raises(RuntimeError, match="must fill the degree-0 hyperplane"):
+def _bump(h, i, j):
+    h[i][j] += 1
+    return h
+
+
+@pytest.mark.parametrize(
+    ("plant", "message"),
+    [
+        (
+            lambda h: [*h[:-1], [2 * x for x in h[-1]]],
+            "congruence system must have full rank",
+        ),
+        # the last row picks up a congruence entry; the diagonal is unchanged
+        (lambda h: _bump(h, -1, 0), "must fill the degree-0 hyperplane"),
+        # an entry above a later pivot leaves 24 * Z; the diagonal is unchanged
+        (
+            lambda h: _bump(h, CONGRUENCE_COLUMNS_AT_30, CONGRUENCE_COLUMNS_AT_30 + 1),
+            "integral on every cusp",
+        ),
+    ],
+    ids=["doubles-last-pivot", "leaves-the-hyperplane", "not-integral"],
+)
+def test_planted_echelon_fault_is_refused(monkeypatch, plant, message):
+    hnf = cuspgroup.hermite_normal_form
+    monkeypatch.setattr(
+        cuspgroup,
+        "hermite_normal_form",
+        lambda M: IntMatrix(plant([list(row) for row in hnf(M).data]), cols=M.cols),
+    )
+    with pytest.raises(RuntimeError, match=message):
         # past the cache: a basis cached by an earlier test would skip the fault
+        principal_lattice_basis.__wrapped__(30)
+
+
+def test_planted_rank_drop_in_principal_lattice_is_refused(monkeypatch):
+    # the one echelon loses its last row, which carries the last cusp pivot
+    hnf = cuspgroup.hermite_normal_form
+    monkeypatch.setattr(
+        cuspgroup, "hermite_normal_form", lambda M: IntMatrix(hnf(M).data[:-1], cols=M.cols)
+    )
+    with pytest.raises(RuntimeError, match="congruence system must have full rank"):
+        principal_lattice_basis.__wrapped__(30)
+
+
+def test_planted_row_sum_of_lambda_is_refused(monkeypatch):
+    tables = cuspgroup._tables
+
+    def bent(n):
+        table, lam24, amat = tables(n)
+        data = [list(row) for row in lam24.data]
+        data[0][0] += 1
+        return table, IntMatrix(data, cols=lam24.cols), amat
+
+    monkeypatch.setattr(cuspgroup, "_tables", bent)
+    with pytest.raises(RuntimeError, match="a row of 24\\*Lambda"):
         principal_lattice_basis.__wrapped__(30)
 
 

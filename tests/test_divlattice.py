@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import count
+from math import gcd, prod
 
 import pytest
 
 from eislab import divlattice
+from eislab.cli import _squarefree_levels
 from eislab.divlattice import (
     Divisor,
     DivisorTable,
     SquareFreeLevel,
     build_tables,
+    divisor_values,
 )
 from eislab.exactnum import IntMatrix, phi_psi_omega
 
@@ -152,6 +155,29 @@ def test_build_tables_identity_breach_raises(monkeypatch):
     monkeypatch.setattr(divlattice, "phi_psi_omega", lambda level: (1, 1, 0))
     with pytest.raises(RuntimeError, match="phi\\*psi"):
         build_tables(10)
+
+
+def test_planted_box_entry_breaks_the_identity(monkeypatch):
+    # the sixth gcd call misreports, so one box entry of 24*Lambda (and of A) is wrong
+    calls = count(1)
+    monkeypatch.setattr(divlattice, "gcd", lambda a, b: gcd(a, b) + (next(calls) == 6))
+    with pytest.raises(RuntimeError, match="phi\\*psi"):
+        build_tables(30)
+
+
+def sorted_divisor_values(level: SquareFreeLevel) -> tuple[int, ...]:
+    """The canonical order by its definition: a sort of the prime bit-vectors
+    by omega, ties broken anti-lexicographically (larger leading bit first)."""
+    masks = [[(mask >> i) & 1 for i in range(level.n)] for mask in range(1 << level.n)]
+    masks.sort(key=lambda bits: (sum(bits), [-b for b in bits]))
+    return tuple(prod(p for p, b in zip(level.primes, bits) if b) for bits in masks)
+
+
+def test_divisor_values_match_the_table_order():
+    for level in _squarefree_levels(2310, 2):
+        values = divisor_values(level)
+        assert values == tuple(d.value for d in DivisorTable(level).divisors), level
+        assert values == sorted_divisor_values(level), level
 
 
 def test_lambda_entries_are_divisors():
