@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from functools import lru_cache
 
 # eislab.modsym is imported inside the commands and suites that use it, so
@@ -258,18 +259,7 @@ def _cmd_maximal_ideals(args: argparse.Namespace) -> int:
     from eislab.modsym import enumerate_eisenstein_maximal
 
     records = enumerate_eisenstein_maximal(args.level)
-    data = {
-        "level": args.level,
-        "records": [
-            {
-                "ell": r.ell,
-                "m": r.m,
-                "normalized": r.normalized,
-                "up_eigenvalues": [list(pair) for pair in r.up_eigenvalues],
-            }
-            for r in records
-        ],
-    }
+    data = {"level": args.level, "records": [asdict(r) for r in records]}
     text = [
         f"ell={r.ell} m={r.m} "
         + " ".join(f"U{p}={v}" for p, v in r.up_eigenvalues)
@@ -318,15 +308,7 @@ def _suite_qidentity(bound: int) -> list[dict]:
             if level.value // p <= 1:
                 continue
             chk = level_lowering_identity_check(level, p, precision=max(500, 2 * p))
-            cases.append(
-                {
-                    "level": level.value,
-                    "p": p,
-                    "precision": chk.precision,
-                    "first_fail": chk.first_fail,
-                    "ok": chk.ok,
-                }
-            )
+            cases.append({"level": level.value, "p": p, **asdict(chk)})
     return cases
 
 
@@ -361,26 +343,9 @@ def _suite_main_theorem(bound: int) -> list[dict]:
     cases = []
     for level in _squarefree_levels(bound):
         try:
-            report = verify_main_theorem(level.value)
+            cases.append(asdict(verify_main_theorem(level.value)))
         except FalsifiedExpectation as exc:
             cases.append({"level": level.value, "error": str(exc), "ok": False})
-            continue
-        cases.append(
-            {
-                "level": report.level,
-                "checks": [
-                    {
-                        "ell": c.ell,
-                        "m": c.m,
-                        "case": c.case,
-                        "detail": c.detail,
-                        "ok": c.ok,
-                    }
-                    for c in report.checks
-                ],
-                "ok": report.ok,
-            }
-        )
     return cases
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
-from .divlattice import SquareFreeLevel, _check_m, build_tables
+from .divlattice import SquareFreeLevel, _check_m, build_tables, divisor_values
 from .exactnum import (
     IntMatrix,
     hermite_normal_form,
@@ -46,9 +46,9 @@ def cuspidal_class(n, m) -> CuspidalDivisorClass:
     """Coefficient vector of sum_{d | M} (-1)^omega(d) P_d over the divisor order."""
     level = SquareFreeLevel(n)
     m = _check_m(level, m)
-    table = _tables(level.value)[0]
     coeffs = tuple(
-        (-1) ** d.omega if m % d.value == 0 else 0 for d in table.divisors
+        (-1) ** sum(d % p == 0 for p in level.primes) if m % d == 0 else 0
+        for d in divisor_values(level)
     )
     if sum(coeffs) != 0:
         raise RuntimeError("class must have degree zero")
@@ -78,11 +78,6 @@ def order_closed_form(n, m) -> OrderResult:
 
 
 @lru_cache(maxsize=None)
-def _tables(n: int):
-    return build_tables(SquareFreeLevel(n))
-
-
-@lru_cache(maxsize=None)
 def principal_lattice_basis(n: int) -> IntMatrix:
     """HNF basis of the lattice of principal divisors supported on the cusps.
 
@@ -100,8 +95,8 @@ def principal_lattice_basis(n: int) -> IntMatrix:
     RuntimeError.
     """
     level = SquareFreeLevel(n)
-    table, lam24, _ = _tables(level.value)
-    s = len(table)
+    values, lam24, _ = build_tables(level)
+    s = len(values)
     phi, psi, _ = phi_psi_omega(level)
     if any(sum(row) != psi for row in lam24.data):
         raise RuntimeError("unit divisor must have degree zero: a row of 24*Lambda misses psi")
@@ -109,9 +104,9 @@ def principal_lattice_basis(n: int) -> IntMatrix:
     k = len(moduli)
     rows = [[q * (t == u) for u in range(k + s - 1)] for t, q in enumerate(moduli)]
     last = lam24.data[-1]
-    for d, lam in zip(table.divisors[-2::-1], lam24.data[-2::-1]):
-        congruences = [d.value - level.value, level.value // d.value - 1]
-        congruences += [b - 1 for b in d.bits]
+    for d, lam in zip(values[-2::-1], lam24.data[-2::-1]):
+        congruences = [d - level.value, level.value // d - 1]
+        congruences += [-(d % p != 0) for p in level.primes]
         rows.append(
             [c % q for c, q in zip(congruences, moduli)]
             + [x - y for x, y in zip(lam[:-1], last)]

@@ -1,9 +1,10 @@
 """Divisor algebra of a square-free level N.
 
-Divisors are bit-vectors over the sorted prime list.  The total order is
-omega-major with an anti-lexicographic tie break, so d_1 = 1, d_s = N and
-d_i * d_{s+1-i} = N throughout.  The tables built here (24*Lambda and A)
-satisfy (24*Lambda) * A = phi(N)*psi(N) * I exactly.
+Divisors are plain ints; omega(d) is the number of level primes dividing d.
+The total order is omega-major with an anti-lexicographic tie break on the
+prime bits, so d_1 = 1, d_s = N and d_i * d_{s+1-i} = N throughout.  The
+tables built here (24*Lambda and A) satisfy (24*Lambda) * A = phi(N)*psi(N) * I
+exactly.
 """
 
 from __future__ import annotations
@@ -57,44 +58,6 @@ def _check_m(level: SquareFreeLevel, m: int) -> int:
     return m
 
 
-class Divisor:
-    """A divisor of N, stored as the exponent bit-vector over N's primes."""
-
-    __slots__ = ("level", "bits", "value")
-
-    def __init__(self, level: SquareFreeLevel, bits):
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != level.n or any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be a 0/1 vector aligned to the primes")
-        value = 1
-        for p, b in zip(level.primes, bits):
-            if b:
-                value *= p
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Divisor is immutable")
-
-    @property
-    def omega(self) -> int:
-        return sum(self.bits)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Divisor)
-            and self.level == other.level
-            and self.bits == other.bits
-        )
-
-    def __hash__(self):
-        return hash((self.level, self.bits))
-
-    def __repr__(self):
-        return f"Divisor({self.value} | {self.level.value})"
-
-
 def divisor_values(level: SquareFreeLevel) -> tuple[int, ...]:
     """The divisors of N in the canonical table order, as plain ints.
 
@@ -111,47 +74,17 @@ def divisor_values(level: SquareFreeLevel) -> tuple[int, ...]:
     )
 
 
-class DivisorTable:
-    """All divisors of N in their canonical order, with index lookup."""
-
-    __slots__ = ("level", "divisors", "_index")
-
-    def __init__(self, level: SquareFreeLevel):
-        divisors = [
-            Divisor(level, [int(d % p == 0) for p in level.primes])
-            for d in divisor_values(level)
-        ]
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "divisors", tuple(divisors))
-        object.__setattr__(
-            self, "_index", {d.value: i for i, d in enumerate(divisors)}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DivisorTable is immutable")
-
-    def __len__(self):
-        return len(self.divisors)
-
-    def __getitem__(self, i) -> Divisor:
-        return self.divisors[i]
-
-    def index(self, d) -> int:
-        value = d.value if isinstance(d, Divisor) else int(d)
-        return self._index[value]
-
-
-def build_tables(n) -> tuple[DivisorTable, IntMatrix, IntMatrix]:
-    """(DivisorTable, 24*Lambda, A) for square-free n; identity checked.
+def build_tables(n) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
+    """(divisor_values, 24*Lambda, A) for square-free n; identity checked.
 
     Entry (a, b) of 24*Lambda is a box b = N*gcd(a, b)^2/(a*b), the product
     of the primes on which a and b agree; A carries it with the sign
-    sgn(a box b) = (-1)^(omega(a) + omega(b)).
+    sgn(a box b) = (-1)^(omega(a) + omega(b)), omega(d) being the number of
+    level primes dividing d.
     """
     level = SquareFreeLevel(n)
-    table = DivisorTable(level)
-    values = [d.value for d in table.divisors]
-    signs = [-1 if d.omega % 2 else 1 for d in table.divisors]
+    values = divisor_values(level)
+    signs = [(-1) ** sum(d % p == 0 for p in level.primes) for d in values]
     box_vals = [
         [level.value * gcd(a, b) ** 2 // (a * b) for b in values] for a in values
     ]
@@ -168,4 +101,4 @@ def build_tables(n) -> tuple[DivisorTable, IntMatrix, IntMatrix]:
         for j, col in enumerate(columns):
             if sum(map(mul, row, col)) != (phi * psi if i == j else 0):
                 raise RuntimeError(f"(24*Lambda)*A != phi*psi*I at N={level.value}")
-    return table, lam24, amat
+    return values, lam24, amat

@@ -130,10 +130,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
-    @classmethod
-    def zeros(cls, r: int, c: int) -> "IntMatrix":
-        return cls([[0] * c for _ in range(r)], cols=c)
-
     def __getitem__(self, i):
         return self.data[i]
 
@@ -181,10 +177,6 @@ class IntMatrix:
             ],
             cols=self.cols,
         )
-
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * x for x in row] for row in self.data], cols=self.cols)
-
 
 
 # array('q') holds native-order 64-bit digits, so only on a little-endian

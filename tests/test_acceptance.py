@@ -27,6 +27,7 @@ from eislab.qseries import (
     residues,
 )
 from test_divlattice import box_add, sgn
+from test_exactnum import scale
 
 
 def _proper_divisors(n):
@@ -67,20 +68,19 @@ def test_criterion_2_divisor_box_algebra_exhaustive():
     levels = 0
     for level in _squarefree_levels(2310, 1):
         n = level.value
-        table, lam24, amat = build_tables(level)
-        divs = table.divisors
+        divs, lam24, amat = build_tables(level)
         s = len(divs)
-        idx = {d.value: i for i, d in enumerate(divs)}
+        idx = {d: i for i, d in enumerate(divs)}
         box = [
-            [idx[box_add(divs[i], divs[j]).value] for j in range(s)]
+            [idx[box_add(level, divs[i], divs[j])] for j in range(s)]
             for i in range(s)
         ]
-        sg = [sgn(d) for d in divs]
+        sg = [sgn(level, d) for d in divs]
         rng = list(range(s))
         for i in rng:
             # complement pairing through the identity column
             assert box[i][0] == s - 1 - i
-            assert divs[box[i][0]].value == n // divs[i].value
+            assert divs[box[i][0]] == n // divs[i]
             row = box[i]
             assert sorted(row) == rng  # each translate permutes the table
             for j in rng:
@@ -90,20 +90,20 @@ def test_criterion_2_divisor_box_algebra_exhaustive():
         if s > 1:
             pn = level.primes[-1]
             for j in rng:
-                col_val_to_row = {divs[box[k][j]].value: k for k in rng}
+                col_val_to_row = {divs[box[k][j]]: k for k in rng}
                 for i in rng:
-                    if i == j or divs[box[i][j]].value % pn == 0:
+                    if i == j or divs[box[i][j]] % pn == 0:
                         continue
                     for k in rng:
-                        dkj = divs[box[k][j]].value
+                        dkj = divs[box[k][j]]
                         if dkj % pn == 0:
                             continue
                         r = col_val_to_row[pn * dkj]
-                        lhs = divs[box[i][k]].value * dkj
-                        rhs = divs[box[i][r]].value * divs[box[r][j]].value
+                        lhs = divs[box[i][k]] * dkj
+                        rhs = divs[box[i][r]] * divs[box[r][j]]
                         assert lhs == rhs, (n, i, j, k)
         phi, psi, _ = phi_psi_omega(level)
-        assert lam24 * amat == IntMatrix.identity(s).scale(phi * psi), n
+        assert lam24 * amat == scale(IntMatrix.identity(s), phi * psi), n
         levels += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10, f"budget blown: {elapsed:.1f}s"

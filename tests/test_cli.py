@@ -421,7 +421,6 @@ def test_lattice_fault_is_internal_not_usage(capsys, monkeypatch):
         return IntMatrix(h.data[:-1], cols=M.cols) if M.cols == 12 else h
 
     cuspgroup.principal_lattice_basis.cache_clear()
-    cuspgroup._tables.cache_clear()
     monkeypatch.setattr(cuspgroup, "hermite_normal_form", short)
     code, out, err = run(capsys, "cusp-order", "--level", "30", "--m", "2", "--oracle")
     assert code == 3

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from math import gcd, prod
 
@@ -8,21 +9,20 @@ import pytest
 from eislab import cuspgroup
 from eislab.cli import _squarefree_levels
 from eislab.cuspgroup import (
-    _tables,
     cuspidal_class,
     order_closed_form,
     order_lattice_oracle,
     order_with_oracle,
     principal_lattice_basis,
 )
-from eislab.divlattice import DivisorTable, SquareFreeLevel, _check_m
+from eislab.divlattice import SquareFreeLevel, _check_m, build_tables, divisor_values
 from eislab.exactnum import (
     IntMatrix,
     hermite_normal_form,
     left_kernel,
     phi_psi_omega,
 )
-from test_divlattice import sgn
+from test_divlattice import omega as omega_of, sgn
 from test_exactnum import (
     _divisor_chain_oracle,
     determinant,
@@ -45,8 +45,8 @@ def e_vector(n, m) -> list[Fraction]:
     """
     level = SquareFreeLevel(n)
     m = _check_m(level, m)
-    table, _, amat = _tables(level.value)
-    s = len(table)
+    values, _, amat = build_tables(level)
+    s = len(values)
     phi, psi, _ = phi_psi_omega(level)
     psi_c = phi_psi_omega(level.value // m)[1]
     coeffs = cuspidal_class(level, m).coeffs
@@ -57,9 +57,9 @@ def e_vector(n, m) -> list[Fraction]:
     ]
     closed = []
     for a in range(s):
-        dual = table.divisors[s - 1 - a].value
+        dual = values[s - 1 - a]
         closed.append(
-            sgn(table.divisors[s - 1 - a])
+            sgn(level, dual)
             * Fraction(24, phi * psi_c)
             * Fraction(dual, gcd(dual, m))
         )
@@ -105,16 +105,16 @@ def unit_exponent_lattice(n) -> IntMatrix:
     the x.
     """
     level = SquareFreeLevel(n)
-    table, _, _ = _tables(level.value)
-    s = len(table)
+    values = divisor_values(level)
+    s = len(values)
     moduli = [24, 24] + [2] * level.n
     k = len(moduli)
     rows = []
-    for i, d in enumerate(table.divisors[:-1]):
+    for i, d in enumerate(values[:-1]):
         unit = [0] * (s - 1)
         unit[i] = 1
-        congruences = [d.value - level.value, level.value // d.value - 1]
-        congruences += [b - 1 for b in d.bits]
+        congruences = [d - level.value, level.value // d - 1]
+        congruences += [(d % p == 0) - 1 for p in level.primes]
         rows.append([c % q for c, q in zip(congruences, moduli)] + unit)
     for t, q in enumerate(moduli):
         row = [0] * (k + s - 1)
@@ -197,9 +197,9 @@ def order_by_fractions(n, m) -> int:
 def unit_lattice_by_kernel(n) -> IntMatrix:
     """Admissible eta exponents as a projected left kernel over all s coordinates."""
     level = SquareFreeLevel(n)
-    table = DivisorTable(level)
-    s, nprimes = len(table), level.n
-    rows = [[1, d.value, n // d.value] + list(d.bits) for d in table.divisors]
+    values = divisor_values(level)
+    s, nprimes = len(values), level.n
+    rows = [[1, d, n // d] + [int(d % p == 0) for p in level.primes] for d in values]
     rows.append([0, 24, 0] + [0] * nprimes)
     rows.append([0, 0, 24] + [0] * nprimes)
     for t in range(nprimes):
@@ -212,7 +212,7 @@ def unit_lattice_by_kernel(n) -> IntMatrix:
 
 def principal_lattice_by_hnf(n) -> IntMatrix:
     """Principal divisors as the plain HNF of the unit divisors on all s cusps."""
-    _, lam24, _ = _tables(n)
+    _, lam24, _ = build_tables(n)
     gens = unit_lattice_by_kernel(n) * lam24
     if any(x % 24 for row in gens.data for x in row):
         raise RuntimeError("unit divisor must be integral on every cusp")
@@ -307,6 +307,26 @@ def test_principal_lattice_matches_plain_hnf():
         assert principal_lattice_basis(n) == principal_lattice_by_hnf(n), n
 
 
+# SHA-256 of every principal lattice basis, class vector and oracle order at
+# REFERENCE_LATTICE_LEVELS, one line each as lattice_pipeline_digest writes
+# them; recorded from the Divisor-object pipeline before divisors became ints
+LATTICE_PIPELINE_SHA256 = "e85d45736997cacaa4fb93b36640fc732500cfb9b2892b33ee9389b9ac0c1b6d"
+
+
+def lattice_pipeline_digest() -> str:
+    h = hashlib.sha256()
+    for n in REFERENCE_LATTICE_LEVELS:
+        h.update(f"{n}:{principal_lattice_basis(n).data}\n".encode())
+        for m in divisor_values(SquareFreeLevel(n))[1:]:
+            line = f"{m}:{cuspidal_class(n, m).coeffs}:{order_lattice_oracle(n, m)}\n"
+            h.update(line.encode())
+    return h.hexdigest()
+
+
+def test_lattice_pipeline_is_pinned():
+    assert lattice_pipeline_digest() == LATTICE_PIPELINE_SHA256
+
+
 @pytest.mark.parametrize(
     "plant",
     [lambda h: h.data[:-1], lambda h: [*h.data[:-1], [2 * x for x in h.data[-1]]]],
@@ -373,15 +393,15 @@ def test_planted_rank_drop_in_principal_lattice_is_refused(monkeypatch):
 
 
 def test_planted_row_sum_of_lambda_is_refused(monkeypatch):
-    tables = cuspgroup._tables
+    tables = cuspgroup.build_tables
 
     def bent(n):
-        table, lam24, amat = tables(n)
+        values, lam24, amat = tables(n)
         data = [list(row) for row in lam24.data]
         data[0][0] += 1
-        return table, IntMatrix(data, cols=lam24.cols), amat
+        return values, IntMatrix(data, cols=lam24.cols), amat
 
-    monkeypatch.setattr(cuspgroup, "_tables", bent)
+    monkeypatch.setattr(cuspgroup, "build_tables", bent)
     with pytest.raises(RuntimeError, match="a row of 24\\*Lambda"):
         principal_lattice_basis.__wrapped__(30)
 
@@ -395,15 +415,15 @@ def test_integer_oracle_matches_fraction_solve():
 
 def test_unit_exponent_lattice_rank():
     for n in (11, 15, 30, 42):
-        table = DivisorTable(SquareFreeLevel(n))
+        values = divisor_values(SquareFreeLevel(n))
         exps = unit_exponent_lattice(n)
-        assert exps.rows == len(table) - 1
+        assert exps.rows == len(values) - 1
         for row in exps.data:
             assert sum(row) == 0
-            assert sum(e * d.value for e, d in zip(row, table.divisors)) % 24 == 0
-            assert sum(e * (n // d.value) for e, d in zip(row, table.divisors)) % 24 == 0
-            for i, p in enumerate(SquareFreeLevel(n).primes):
-                parity = sum(e * d.bits[i] for e, d in zip(row, table.divisors))
+            assert sum(e * d for e, d in zip(row, values)) % 24 == 0
+            assert sum(e * (n // d) for e, d in zip(row, values)) % 24 == 0
+            for p in SquareFreeLevel(n).primes:
+                parity = sum(e for e, d in zip(row, values) if d % p == 0)
                 assert parity % 2 == 0
 
 
@@ -416,11 +436,13 @@ def test_e_vector_last_entry_and_m_equals_n():
             psi_c = phi_psi_omega(n // m)[1]
             assert vec[-1] == (-1) ** omega * Fraction(24, phi * psi_c)
         full = e_vector(n, n)
-        table = DivisorTable(SquareFreeLevel(n))
-        s = len(table)
+        values = divisor_values(level)
+        s = len(values)
         for a in range(s):
-            dual = table.divisors[s - 1 - a]
-            expected = Fraction(24, phi) * (1 if (omega - dual.omega) % 2 == 0 else -1)
+            dual = values[s - 1 - a]
+            expected = Fraction(24, phi) * (
+                1 if (omega - omega_of(level, dual)) % 2 == 0 else -1
+            )
             assert full[a] == expected
 
 

@@ -8,44 +8,46 @@ import pytest
 
 from eislab import divlattice
 from eislab.cli import _squarefree_levels
-from eislab.divlattice import (
-    Divisor,
-    DivisorTable,
-    SquareFreeLevel,
-    build_tables,
-    divisor_values,
-)
+from eislab.divlattice import SquareFreeLevel, build_tables, divisor_values
 from eislab.exactnum import IntMatrix, phi_psi_omega
+from test_exactnum import scale
 
 
-# Moved from eislab.divlattice, which has no caller of them left.
+# The divisor algebra on plain int divisors of a square-free level N.
 
-def divisor_from_int(level: SquareFreeLevel, d: int) -> Divisor:
+def divisor_from_int(level: SquareFreeLevel, d: int) -> int:
+    """d itself, refused with ValueError unless it divides N."""
     if d < 1 or level.value % d:
         raise ValueError(f"{d} does not divide {level.value}")
-    return Divisor(level, [1 if d % p == 0 else 0 for p in level.primes])
+    return d
 
 
-def box_add(a: Divisor, b: Divisor) -> Divisor:
-    """Group law on divisors: c_i = a_i + b_i + 1 mod 2, identity N."""
-    if a.level != b.level:
-        raise ValueError("divisors belong to different levels")
-    return Divisor(a.level, [(x + y + 1) % 2 for x, y in zip(a.bits, b.bits)])
+def omega(level: SquareFreeLevel, d: int) -> int:
+    """The number of level primes dividing d."""
+    return sum(d % p == 0 for p in level.primes)
 
 
-def sgn(a: Divisor) -> int:
-    """(-1)^(omega(N) - omega(a))."""
-    return -1 if (a.level.n - a.omega) % 2 else 1
+def prime_bits(level: SquareFreeLevel, d: int) -> list[int]:
+    """The exponent bit-vector of d over the sorted level primes."""
+    return [int(d % p == 0) for p in level.primes]
 
 
-def a_N(a: Divisor, b: Divisor) -> Fraction:
+def box_add(level: SquareFreeLevel, a: int, b: int) -> int:
+    """Group law on divisors: N*gcd(a, b)^2/(a*b), identity N."""
+    a, b = divisor_from_int(level, a), divisor_from_int(level, b)
+    return level.value * gcd(a, b) ** 2 // (a * b)
+
+
+def sgn(level: SquareFreeLevel, d: int) -> int:
+    """(-1)^(omega(N) - omega(d))."""
+    return -1 if (level.n - omega(level, d)) % 2 else 1
+
+
+def a_N(level: SquareFreeLevel, a: int, b: int) -> Fraction:
     """N/(a, N/a) * (a,b)^2 / (a*b); equals the integer a box b here."""
-    if a.level != b.level:
-        raise ValueError("divisors belong to different levels")
-    n = a.level.value
-    value = Fraction(n, gcd(a.value, n // a.value)) * Fraction(
-        gcd(a.value, b.value) ** 2, a.value * b.value
-    )
+    a, b = divisor_from_int(level, a), divisor_from_int(level, b)
+    n = level.value
+    value = Fraction(n, gcd(a, n // a)) * Fraction(gcd(a, b) ** 2, a * b)
     if value.denominator != 1:
         raise RuntimeError("a_N must be integral for square-free N")
     return value
@@ -56,63 +58,68 @@ SQUAREFREE_SMALL = [
 ]
 
 
-def _table(n):
-    return DivisorTable(SquareFreeLevel(n))
+def _divs(n):
+    return divisor_values(SquareFreeLevel(n))
 
 
 def test_ordering_examples():
-    assert [d.value for d in _table(10).divisors] == [1, 2, 5, 10]
-    assert [d.value for d in _table(30).divisors] == [1, 2, 3, 5, 6, 10, 15, 30]
+    assert list(_divs(10)) == [1, 2, 5, 10]
+    assert list(_divs(30)) == [1, 2, 3, 5, 6, 10, 15, 30]
 
 
 def test_order_is_omega_major():
     for n in SQUAREFREE_SMALL:
-        divs = _table(n).divisors
+        lvl = SquareFreeLevel(n)
+        divs = divisor_values(lvl)
         for a, b in zip(divs, divs[1:]):
-            assert a.omega < b.omega or (
-                a.omega == b.omega and a.bits > b.bits
+            assert omega(lvl, a) < omega(lvl, b) or (
+                omega(lvl, a) == omega(lvl, b) and prime_bits(lvl, a) > prime_bits(lvl, b)
             )
 
 
 def test_complement_pairing():
     for n in SQUAREFREE_SMALL:
-        divs = _table(n).divisors
+        divs = _divs(n)
         s = len(divs)
         for i in range(s):
-            assert divs[i].value * divs[s - 1 - i].value == n
+            assert divs[i] * divs[s - 1 - i] == n
 
 
 def test_box_add_examples():
     lvl = SquareFreeLevel(30)
     p1 = divisor_from_int(lvl, 2)
-    assert box_add(p1, p1).value == 30
+    assert box_add(lvl, p1, p1) == 30
     one = divisor_from_int(lvl, 1)
-    for d in _table(30).divisors:
-        assert box_add(one, d).value == 30 // d.value
-        assert box_add(divisor_from_int(lvl, 30), d) == d
+    for d in _divs(30):
+        assert box_add(lvl, one, d) == 30 // d
+        assert box_add(lvl, divisor_from_int(lvl, 30), d) == d
 
 
 def test_box_group_structure():
     for n in (6, 30, 42):
         lvl = SquareFreeLevel(n)
-        divs = _table(n).divisors
+        divs = _divs(n)
         iden = divisor_from_int(lvl, n)
         for a in divs:
-            assert box_add(a, a) == iden
+            assert box_add(lvl, a, a) == iden
             for b in divs:
-                assert box_add(a, b) == box_add(b, a)
+                assert box_add(lvl, a, b) == box_add(lvl, b, a)
                 for c in divs:
-                    assert box_add(box_add(a, b), c) == box_add(a, box_add(b, c))
+                    assert box_add(lvl, box_add(lvl, a, b), c) == box_add(
+                        lvl, a, box_add(lvl, b, c)
+                    )
         # each translation permutes the divisor set
         for a in divs:
-            assert {box_add(a, d).value for d in divs} == {d.value for d in divs}
+            assert {box_add(lvl, a, d) for d in divs} == set(divs)
 
 
 def test_box_add_level_mismatch():
-    a = divisor_from_int(SquareFreeLevel(6), 2)
-    b = divisor_from_int(SquareFreeLevel(10), 2)
+    # 5 divides 10 but not 6: a divisor of another level is refused
+    lvl = SquareFreeLevel(6)
+    a = divisor_from_int(lvl, 2)
+    b = divisor_from_int(SquareFreeLevel(10), 5)
     try:
-        box_add(a, b)
+        box_add(lvl, a, b)
     except ValueError:
         pass
     else:
@@ -121,9 +128,9 @@ def test_box_add_level_mismatch():
 
 def test_sgn_examples():
     lvl = SquareFreeLevel(30)
-    assert sgn(divisor_from_int(lvl, 30)) == 1
-    assert sgn(divisor_from_int(lvl, 1)) == (-1) ** 3
-    assert sgn(divisor_from_int(lvl, 6)) == -1
+    assert sgn(lvl, divisor_from_int(lvl, 30)) == 1
+    assert sgn(lvl, divisor_from_int(lvl, 1)) == (-1) ** 3
+    assert sgn(lvl, divisor_from_int(lvl, 6)) == -1
 
 
 def test_a_N_examples():
@@ -132,22 +139,23 @@ def test_a_N_examples():
     full = divisor_from_int(lvl, 30)
     for p in (2, 3, 5):
         dp = divisor_from_int(lvl, p)
-        assert a_N(one, dp) == Fraction(30, p)
-        assert a_N(full, dp) == p
-    assert a_N(full, full) == 30
+        assert a_N(lvl, one, dp) == Fraction(30, p)
+        assert a_N(lvl, full, dp) == p
+    assert a_N(lvl, full, full) == 30
 
 
 def test_a_N_equals_box_value():
     for n in SQUAREFREE_SMALL:
-        divs = _table(n).divisors
+        lvl = SquareFreeLevel(n)
+        divs = _divs(n)
         for a in divs:
             for b in divs:
-                assert a_N(a, b) == box_add(a, b).value
+                assert a_N(lvl, a, b) == box_add(lvl, a, b)
 
 
 def test_build_tables_identity_n10():
-    table, lam24, amat = build_tables(10)
-    assert lam24 * amat == IntMatrix.identity(4).scale(72)
+    values, lam24, amat = build_tables(10)
+    assert lam24 * amat == scale(IntMatrix.identity(4), 72)
 
 
 def test_build_tables_identity_breach_raises(monkeypatch):
@@ -176,39 +184,39 @@ def sorted_divisor_values(level: SquareFreeLevel) -> tuple[int, ...]:
 def test_divisor_values_match_the_table_order():
     for level in _squarefree_levels(2310, 2):
         values = divisor_values(level)
-        assert values == tuple(d.value for d in DivisorTable(level).divisors), level
+        assert values == build_tables(level)[0], level
         assert values == sorted_divisor_values(level), level
 
 
 def test_lambda_entries_are_divisors():
     for n in (6, 15, 30, 42):
-        table, lam24, _ = build_tables(n)
-        values = {d.value for d in table.divisors}
+        values, lam24, _ = build_tables(n)
         for row in lam24.data:
-            assert set(row) <= values
+            assert set(row) <= set(values)
 
 
 def test_lemma_box_symmetries():
     # parts (1) and (2) of the divisor-product lemma
     for n in SQUAREFREE_SMALL:
-        table, _, _ = build_tables(n)
-        divs = table.divisors
+        lvl = SquareFreeLevel(n)
+        divs, _, _ = build_tables(lvl)
         s = len(divs)
         for i in range(s):
-            assert box_add(divs[i], divs[0]).value == n // divs[i].value
-            assert box_add(divs[i], divs[0]) == divs[s - 1 - i]
+            assert box_add(lvl, divs[i], divs[0]) == n // divs[i]
+            assert box_add(lvl, divs[i], divs[0]) == divs[s - 1 - i]
             for j in range(s):
-                dij = box_add(divs[i], divs[j])
-                assert dij == box_add(divs[j], divs[i])
-                assert dij == box_add(divs[s - 1 - i], divs[s - 1 - j])
+                dij = box_add(lvl, divs[i], divs[j])
+                assert dij == box_add(lvl, divs[j], divs[i])
+                assert dij == box_add(lvl, divs[s - 1 - i], divs[s - 1 - j])
 
 
 def test_lemma_sign_multiplicativity():
     for n in SQUAREFREE_SMALL:
-        divs = _table(n).divisors
+        lvl = SquareFreeLevel(n)
+        divs = divisor_values(lvl)
         for a in divs:
             for b in divs:
-                assert sgn(box_add(a, b)) == sgn(a) * sgn(b)
+                assert sgn(lvl, box_add(lvl, a, b)) == sgn(lvl, a) * sgn(lvl, b)
 
 
 def test_lemma_exchange_identity():
@@ -216,59 +224,54 @@ def test_lemma_exchange_identity():
     # the largest prime divides neither d_ij nor d_kj and i != j
     for n in (6, 10, 15, 30, 42, 66):
         lvl = SquareFreeLevel(n)
-        table, _, _ = build_tables(lvl)
-        divs = table.divisors
+        divs, _, _ = build_tables(lvl)
         s = len(divs)
         pn = lvl.primes[-1]
         for i in range(s):
             for j in range(s):
-                if i == j or box_add(divs[i], divs[j]).value % pn == 0:
+                if i == j or box_add(lvl, divs[i], divs[j]) % pn == 0:
                     continue
                 for k in range(s):
-                    dkj = box_add(divs[k], divs[j]).value
+                    dkj = box_add(lvl, divs[k], divs[j])
                     if dkj % pn == 0:
                         continue
                     target = pn * dkj
                     r = next(
                         r
                         for r in range(s)
-                        if box_add(divs[r], divs[j]).value == target
+                        if box_add(lvl, divs[r], divs[j]) == target
                     )
-                    lhs = box_add(divs[i], divs[k]).value * dkj
-                    rhs = (
-                        box_add(divs[i], divs[r]).value
-                        * box_add(divs[r], divs[j]).value
-                    )
+                    lhs = box_add(lvl, divs[i], divs[k]) * dkj
+                    rhs = box_add(lvl, divs[i], divs[r]) * box_add(lvl, divs[r], divs[j])
                     assert lhs == rhs
 
 
 def test_signed_square_sum():
     for n in SQUAREFREE_SMALL:
-        divs = _table(n).divisors
+        lvl = SquareFreeLevel(n)
         phi, psi, _ = phi_psi_omega(n)
-        assert sum(sgn(d) * d.value**2 for d in divs) == phi * psi
+        assert sum(sgn(lvl, d) * d**2 for d in divisor_values(lvl)) == phi * psi
 
 
 def test_psi_divisor_sum_identity():
     # sum over d | M of E*d/(E,d)^2 = psi(M) with E = gcd(D, M)
     for n in (6, 30, 42, 66):
-        lvl = SquareFreeLevel(n)
-        divs = _table(n).divisors
+        divs = _divs(n)
         for dd in divs:
             for mm in divs:
-                e = gcd(dd.value, mm.value)
-                psi_m = phi_psi_omega(mm.value)[1]
+                e = gcd(dd, mm)
+                psi_m = phi_psi_omega(mm)[1]
                 total = Fraction(0)
                 for d in divs:
-                    if mm.value % d.value == 0:
-                        total += Fraction(e * d.value, gcd(e, d.value) ** 2)
+                    if mm % d == 0:
+                        total += Fraction(e * d, gcd(e, d) ** 2)
                 assert total == psi_m
 
 
 def test_prime_count_cap():
     lvl = SquareFreeLevel(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53 * 59 * 61 * 67 * 71 * 73)
     try:
-        DivisorTable(lvl)
+        divisor_values(lvl)
     except ValueError:
         pass
     else:

@@ -27,10 +27,16 @@ from eislab.exactnum import (
 
 # Moved from eislab.exactnum, which has no caller of them left: the membership
 # solve over an HNF, the Smith form (cuspidal_group_structure, in
-# test_cuspgroup, is its one caller), and IntMatrix.is_zero and .transpose.
+# test_cuspgroup, is its one caller), and IntMatrix.is_zero, .scale and
+# .transpose.
 
 def is_zero(m: IntMatrix) -> bool:
     return all(x == 0 for row in m.data for x in row)
+
+
+def scale(m: IntMatrix, k: int) -> IntMatrix:
+    """k * m, entrywise."""
+    return IntMatrix([[k * x for x in row] for row in m.data], cols=m.cols)
 
 
 def transpose(m: IntMatrix) -> IntMatrix:
@@ -420,7 +426,7 @@ def test_snf_diag_2_3():
 
 
 def test_snf_zero():
-    m = IntMatrix.zeros(2, 3)
+    m = IntMatrix([[0] * 3 for _ in range(2)])
     _, d, _ = smith_normal_form(m)
     assert is_zero(d)
 

@@ -53,6 +53,7 @@ from test_exactnum import (
     is_zero,
     left_inverse_by_full_fold,
     reference_hnf,
+    scale,
     transpose,
 )
 
@@ -780,10 +781,10 @@ def test_eta_anchor_level_11():
     assert coeffs[1:6] == [1, -2, -1, 2, 1]
     ident = IntMatrix.identity(space.genus)
     for r in (2, 3, 5, 7, 13):
-        assert _prime_matrix(space, r) == ident.scale(coeffs[r]), r
-    assert _prime_matrix(space, 11) == ident.scale(coeffs[11])
+        assert _prime_matrix(space, r) == scale(ident, coeffs[r]), r
+    assert _prime_matrix(space, 11) == scale(ident, coeffs[11])
     char = _prime_matrix(space, 2)
-    assert is_zero(char + ident.scale(2))
+    assert is_zero(char + scale(ident, 2))
 
 
 def test_eta_anchor_level_14():
@@ -792,7 +793,7 @@ def test_eta_anchor_level_14():
     assert coeffs[1:8] == [1, -1, -2, 1, 0, 2, 1]
     ident = IntMatrix.identity(space.genus)
     for r in (2, 3, 5, 7, 11, 13):
-        assert _prime_matrix(space, r) == ident.scale(coeffs[r]), r
+        assert _prime_matrix(space, r) == scale(ident, coeffs[r]), r
 
 
 def test_eta_anchor_level_15():
@@ -801,7 +802,7 @@ def test_eta_anchor_level_15():
     assert coeffs[1:5] == [1, -1, -1, -1]
     ident = IntMatrix.identity(space.genus)
     for r in (2, 3, 5, 7, 11, 13):
-        assert _prime_matrix(space, r) == ident.scale(coeffs[r]), r
+        assert _prime_matrix(space, r) == scale(ident, coeffs[r]), r
 
 
 def test_old_space_relations_level_22():
@@ -809,10 +810,10 @@ def test_old_space_relations_level_22():
     assert space.genus == 2
     ident = IntMatrix.identity(space.genus)
     u2 = _prime_matrix(space, 2)
-    assert is_zero(u2 * u2 + u2.scale(2) + ident.scale(2))
+    assert is_zero(u2 * u2 + scale(u2, 2) + scale(ident, 2))
     assert _prime_matrix(space, 11) == ident
-    assert _prime_matrix(space, 3) == ident.scale(-1)
-    assert _prime_matrix(space, 7) == ident.scale(-2)
+    assert _prime_matrix(space, 3) == scale(ident, -1)
+    assert _prime_matrix(space, 7) == scale(ident, -2)
 
 
 def test_hecke_multiplicative_and_commutative():
@@ -849,7 +850,7 @@ def test_boundary_sees_operator_degree():
         space = cached_space(n)
         every = range(len(space.symbols))
         full = matrix_on_quotient(space, _heilbronn_symbol_rows(space, r, every))
-        assert full * space.boundary == space.boundary.scale(r + 1), (n, r)
+        assert full * space.boundary == scale(space.boundary, r + 1), (n, r)
 
 
 def test_ring_rank_matches_genus():
@@ -1077,7 +1078,7 @@ def _prime_power_matrix(space, p: int, e: int) -> IntMatrix:
     else:
         prev = IntMatrix.identity(a.rows)
         for _ in range(e - 1):
-            prev, m = m, a * m - prev.scale(p)
+            prev, m = m, a * m - scale(prev, p)
     space.op_cache[key] = m
     return m
 
@@ -1343,7 +1344,7 @@ def _generator_rows(ring, names):
     rows = []
     for name in names:
         head, shift = name[1:].split("-")
-        t = hecke_matrix(space, int(head)) - IntMatrix.identity(ring.genus).scale(int(shift))
+        t = hecke_matrix(space, int(head)) - scale(IntMatrix.identity(ring.genus), int(shift))
         for k in range(1, ring.bound + 1):
             c = hnf_coordinates(ring.basis, _times(_times(v, hecke_matrix(space, k)), t))
             assert c is not None, (name, k)
@@ -1415,7 +1416,7 @@ def test_planted_ring_without_identity_is_refused():
     # the index reads its generators through the coordinates of T_1
     ring = cached_ring(11)
     doubled = modsym.HeckeRingModel(
-        space=ring.space, bound=ring.bound, basis=ring.basis.scale(2), genus=ring.genus,
+        space=ring.space, bound=ring.bound, basis=scale(ring.basis, 2), genus=ring.genus,
         vector=ring.vector,
     )
     with pytest.raises(RuntimeError, match="operator 1 escapes the ring lattice"):
@@ -1810,7 +1811,7 @@ def test_closure_with_wide_digits():
     for n in (30, 70, 105):
         ring = cached_ring(n)
         wide = modsym.HeckeRingModel(
-            space=ring.space, bound=ring.bound, basis=ring.basis.scale(k), genus=ring.genus,
+            space=ring.space, bound=ring.bound, basis=scale(ring.basis, k), genus=ring.genus,
             vector=tuple(k * x for x in ring.vector),
         )
         for p in primes_up_to(ring.bound + 10):
