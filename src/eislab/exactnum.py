@@ -156,28 +156,6 @@ class IntMatrix:
             raise ValueError("dimension mismatch in matrix product")
         return IntMatrix(_mul(self.data, other.data, other.cols), cols=other.cols)
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("dimension mismatch in matrix sum")
-        return IntMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("dimension mismatch in matrix difference")
-        return IntMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            cols=self.cols,
-        )
-
 
 # array('q') holds native-order 64-bit digits, so only on a little-endian
 # machine do its bytes read as the packed integer; there it packs and

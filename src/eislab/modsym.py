@@ -1,6 +1,7 @@
 """Modular symbols for Gamma_0(N) at square-free level.
 
-Manin symbols, the integral cuspidal lattice and its star-fixed half, prime
+Manin symbols, the star-fixed half of the integral symbol lattice (which
+lies in the cuspidal part, since the star negates the boundary), prime
 Hecke matrices on that half, the Hecke ring as the lattice v T of a cyclic
 vector v, shifted-operator ideals with their indices, and the census of
 maximal ideals sitting above them.
@@ -76,8 +77,7 @@ class ManinSymbolSpace:
     coords: IntMatrix          # symbol -> quotient coordinates, rows span Z^rank
     basis_symbols: tuple[int, ...]  # coords row of symbol basis_symbols[f] is e_f
     boundary: IntMatrix        # on the quotient basis
-    cuspidal: IntMatrix        # HNF basis of ker(boundary)
-    plus: IntMatrix            # HNF basis of the star-fixed part of cuspidal
+    plus: IntMatrix            # HNF basis of the star-fixed vectors, all in ker(boundary)
     genus: int
     op_cache: dict = field(default_factory=dict, repr=False)
 
@@ -152,9 +152,9 @@ def _solve_over(basis: IntMatrix, images: list[list[int]], fault: str) -> IntMat
     of X at a time; a non-integral entry raises.  The pivot entries fix X
     only inside the span of basis, so X * basis is then compared with the
     images whole.  Every batch solve over a Hermite basis runs through it:
-    the star (build_space), the operators (_matrix_on_cuspidal), the ring
-    lattice under each prime and v over it (_prime_rows, _unit_coords),
-    which the index reads; the index itself solves nothing.
+    the operators (_matrix_on_cuspidal), the ring lattice under each prime
+    and v over it (_prime_rows, _unit_coords), which the index reads; the
+    symbol space and the index solve nothing.
     """
     data = basis.data
     cols: list[list[int]] = []
@@ -186,11 +186,15 @@ def build_space(n) -> ManinSymbolSpace:
     ascending order, since the cusps of X_0(N) at square-free N are the
     divisors and a/c in lowest terms is the class gcd(c, N) (Cremona,
     Algorithms for Modular Elliptic Curves, 2nd ed., 2.2; Stein, Modular
-    Forms: A Computational Approach, 8.4).  Then it cuts out the cuspidal
-    sublattice and its rank-g half fixed by the star involution
-    (u : v) -> -(-u : v), reading the boundary and the star on
-    basis_symbols only.  The Hecke ring acts faithfully on that half
-    (Stein, ch. 8), so every operator is taken there.
+    Forms: A Computational Approach, 8.4).  The star involution F,
+    (u : v) -> -(-u : v), is read on basis_symbols only, as the boundary is.
+    (-u : v) has the gcds of (u : v), so F B = -B, and a vector x F = x has
+    x B = x F B = -x B = 0: the star-fixed half plus, the HNF of the
+    saturated kernel of F - I, is cuspidal with no cuspidal lattice built.
+    Certified by explicit raises: F F = I, F B = -B, the boundary has rank
+    (cusps - 1), and plus has half the cuspidal rank, its rank g being the
+    genus.  The Hecke ring acts faithfully on plus (Stein, ch. 8), so every
+    operator is taken there.
     """
     level = SquareFreeLevel(n)
     nn = level.value
@@ -269,27 +273,24 @@ def build_space(n) -> ManinSymbolSpace:
         if any(x + y for x, y in pair) or any(x + y + z for x, y, z in orbit):
             raise RuntimeError(f"boundary not well-defined on the quotient at level {nn}")
     boundary = IntMatrix([brows[i] for i in basis_symbols], cols=ncl)
-    cuspidal = hermite_normal_form(left_kernel(boundary))
-    if cuspidal.rows != rank_q - (ncl - 1):
+    if len(_echelon(boundary.data)[0]) != ncl - 1:
         raise RuntimeError(f"cuspidal rank defect at level {nn}")
-    if cuspidal.rows % 2:
-        raise RuntimeError(f"cuspidal rank {cuspidal.rows} is odd at level {nn}")
-    genus = cuspidal.rows // 2
-    # the star on the cuspidal basis: basis symbol (u : v) sent to -(-u : v)
-    flipped = [
+    # the star on the quotient basis: basis symbol (u : v) sent to -(-u : v)
+    star = [
         [-y for y in coords.data[p1_index[-u % nn * nn + v]]]
         for u, v in (symbols[i] for i in basis_symbols)
     ]
-    star_images = _mul(cuspidal.data, flipped, rank_q)
-    star = _solve_over(
-        cuspidal, star_images, f"cuspidal lattice not stable under star at level {nn}"
-    )
-    ident = IntMatrix.identity(cuspidal.rows)
-    if star * star != ident:
+    if _mul(star, star, rank_q) != IntMatrix.identity(rank_q).tolist():
         raise RuntimeError(f"star is not an involution at level {nn}")
-    plus = hermite_normal_form(left_kernel(star - ident) * cuspidal)
-    if plus.rows != genus:
-        raise RuntimeError(f"star-fixed rank {plus.rows} != genus {genus} at level {nn}")
+    if _mul(star, boundary.data, ncl) != [[-x for x in row] for row in boundary.data]:
+        raise RuntimeError(f"star does not negate the boundary at level {nn}")
+    fixed = [[x - (f == j) for j, x in enumerate(row)] for f, row in enumerate(star)]
+    plus = hermite_normal_form(left_kernel(IntMatrix(fixed, cols=rank_q)))
+    if 2 * plus.rows != rank_q - (ncl - 1):
+        raise RuntimeError(
+            f"star-fixed rank {plus.rows} is not half the cuspidal rank at level {nn}"
+        )
+    genus = plus.rows
     return ManinSymbolSpace(
         level=level,
         symbols=symbols,
@@ -298,7 +299,6 @@ def build_space(n) -> ManinSymbolSpace:
         coords=coords,
         basis_symbols=basis_symbols,
         boundary=boundary,
-        cuspidal=cuspidal,
         plus=plus,
         genus=genus,
     )
@@ -387,11 +387,11 @@ def _matrix_on_cuspidal(space: ManinSymbolSpace, symbol_rows) -> IntMatrix:
     Its entries are at most max|coords| times the lifted row's sum of
     |coef| * (L1 norm of the symbol's image), which fixes the width.
     The coordinates over plus come from _solve_over, and its whole
-    comparison is the one membership certificate: plus lies inside the
-    cuspidal lattice, so it refuses an image that leaves that lattice as
-    well as one that is cuspidal but not star-fixed.  max|coords| and the
-    packed rows at each width are kept in op_cache, so the psi(N) rows are
-    packed once per width, not once per operator.
+    comparison is the one membership certificate: plus is cuspidal, so it
+    refuses an image that leaves the cuspidal lattice as well as one that
+    is cuspidal but not star-fixed.  max|coords| and the packed rows at
+    each width are kept in op_cache, so the psi(N) rows are packed once per
+    width, not once per operator.
     """
     if space.genus == 0:
         return IntMatrix([], cols=0)

@@ -39,6 +39,14 @@ def scale(m: IntMatrix, k: int) -> IntMatrix:
     return IntMatrix([[k * x for x in row] for row in m.data], cols=m.cols)
 
 
+def mat_sum(*ms: IntMatrix) -> IntMatrix:
+    """The entrywise sum of matrices of one shape."""
+    if len({(m.rows, m.cols) for m in ms}) != 1:
+        raise ValueError("dimension mismatch in matrix sum")
+    return IntMatrix([list(map(sum, zip(*rows))) for rows in zip(*(m.data for m in ms))],
+                     cols=ms[0].cols)
+
+
 def transpose(m: IntMatrix) -> IntMatrix:
     return IntMatrix(
         [[m.data[i][j] for i in range(m.rows)] for j in range(m.cols)],

@@ -52,6 +52,7 @@ from test_exactnum import (
     hnf_coordinates,
     is_zero,
     left_inverse_by_full_fold,
+    mat_sum,
     reference_hnf,
     scale,
     transpose,
@@ -179,6 +180,11 @@ def section_matrix(space):
     )
 
 
+def cuspidal_lattice(space):
+    """HNF basis of the cuspidal lattice ker(boundary), which build_space never forms."""
+    return hermite_normal_form(left_kernel(space.boundary))
+
+
 def matrix_on_quotient(space, symbol_rows):
     w = IntMatrix(image_rows(space, symbol_rows), cols=space.quotient_rank)
     return section_matrix(space) * w
@@ -251,7 +257,7 @@ def test_build_space_at_the_smallest_levels():
         psi = phi_psi_omega(SquareFreeLevel(n))[1]
         rank = len(level_divisors(n)) - 1
         assert len(space.symbols) == psi, n
-        assert (space.genus, space.cuspidal.rows, space.plus.rows) == (0, 0, 0), n
+        assert (space.genus, cuspidal_lattice(space).rows, space.plus.rows) == (0, 0, 0), n
         assert space.quotient_rank == rank, n
         assert (space.coords.rows, space.coords.cols) == (psi, rank), n
         assert len(space.basis_symbols) == rank, n
@@ -573,16 +579,17 @@ REFERENCE_LEVELS = SQUAREFREE + [105, 110, 130]
 
 def _on_full_cuspidal(space, image_of):
     """Matrix on the cuspidal basis of the map sending symbol s to the quotient row image_of(s)."""
+    cuspidal = cuspidal_lattice(space)
     out = []
-    for row in (space.cuspidal * section_matrix(space)).data:
+    for row in (cuspidal * section_matrix(space)).data:
         img = [0] * space.quotient_rank
         for s, x in enumerate(row):
             if x:
                 img = [a + x * b for a, b in zip(img, image_of(s))]
-        c = hnf_coordinates(space.cuspidal, img)
+        c = hnf_coordinates(cuspidal, img)
         assert c is not None
         out.append(c)
-    return IntMatrix(out, cols=space.cuspidal.rows)
+    return IntMatrix(out, cols=cuspidal.rows)
 
 
 @lru_cache(maxsize=None)
@@ -600,7 +607,7 @@ def _full_star(n):
 @lru_cache(maxsize=None)
 def _full_prime_matrix(n, p):
     space = cached_space(n)
-    support = sorted({s for row in (space.cuspidal * section_matrix(space)).data
+    support = sorted({s for row in (cuspidal_lattice(space) * section_matrix(space)).data
                       for s, x in enumerate(row) if x})
     rows = _heilbronn_symbol_rows(space, p, support)
 
@@ -615,14 +622,15 @@ def _full_prime_matrix(n, p):
 
 def _plus_over_cuspidal(space):
     # the rows of plus as coordinates over the cuspidal basis
-    return IntMatrix([hnf_coordinates(space.cuspidal, row) for row in space.plus.data],
-                     cols=space.cuspidal.rows)
+    cuspidal = cuspidal_lattice(space)
+    return IntMatrix([hnf_coordinates(cuspidal, row) for row in space.plus.data],
+                     cols=cuspidal.rows)
 
 
 def test_star_is_an_involution_commuting_with_the_full_operators():
     for n in REFERENCE_LEVELS:
         space = cached_space(n)
-        two_g = space.cuspidal.rows
+        two_g = cuspidal_lattice(space).rows
         star = _full_star(n)
         assert star * star == IntMatrix.identity(two_g), n
         bound = -(-len(space.symbols) // 6)
@@ -644,7 +652,7 @@ def test_operators_are_the_full_ones_restricted_to_plus():
         space = cached_space(n)
         c = _plus_over_cuspidal(space)
         for p in primes_up_to(-(-len(space.symbols) // 6)):
-            images = c * _full_prime_matrix(n, p) * space.cuspidal
+            images = c * _full_prime_matrix(n, p) * cuspidal_lattice(space)
             restricted = [hnf_coordinates(space.plus, row) for row in images.data]
             assert _prime_matrix(space, p) == IntMatrix(restricted, cols=space.genus), (n, p)
 
@@ -655,8 +663,9 @@ def test_planted_image_cuspidal_but_not_star_fixed():
     # pivot solve stays integral, so only the whole comparison sees it
     for n, r in ((11, 2), (35, 3), (70, 3)):
         space = build_space(n)
-        ident = IntMatrix.identity(space.cuspidal.rows)
-        minus = (left_kernel(_full_star(n) + ident) * space.cuspidal).data[0]
+        cuspidal = cuspidal_lattice(space)
+        ident = IntMatrix.identity(cuspidal.rows)
+        minus = (left_kernel(mat_sum(_full_star(n), ident)) * cuspidal).data[0]
         assert is_zero(IntMatrix([minus]) * space.boundary)
         scale = prod(next(x for x in row if x) for row in space.plus.data)
         planted = IntMatrix([[scale * x for x in minus]]) * section_matrix(space)
@@ -784,7 +793,7 @@ def test_eta_anchor_level_11():
         assert _prime_matrix(space, r) == scale(ident, coeffs[r]), r
     assert _prime_matrix(space, 11) == scale(ident, coeffs[11])
     char = _prime_matrix(space, 2)
-    assert is_zero(char + scale(ident, 2))
+    assert is_zero(mat_sum(char, scale(ident, 2)))
 
 
 def test_eta_anchor_level_14():
@@ -810,7 +819,7 @@ def test_old_space_relations_level_22():
     assert space.genus == 2
     ident = IntMatrix.identity(space.genus)
     u2 = _prime_matrix(space, 2)
-    assert is_zero(u2 * u2 + scale(u2, 2) + scale(ident, 2))
+    assert is_zero(mat_sum(u2 * u2, scale(u2, 2), scale(ident, 2)))
     assert _prime_matrix(space, 11) == ident
     assert _prime_matrix(space, 3) == scale(ident, -1)
     assert _prime_matrix(space, 7) == scale(ident, -2)
@@ -1078,7 +1087,7 @@ def _prime_power_matrix(space, p: int, e: int) -> IntMatrix:
     else:
         prev = IntMatrix.identity(a.rows)
         for _ in range(e - 1):
-            prev, m = m, a * m - scale(prev, p)
+            prev, m = m, mat_sum(a * m, scale(prev, -p))
     space.op_cache[key] = m
     return m
 
@@ -1344,7 +1353,8 @@ def _generator_rows(ring, names):
     rows = []
     for name in names:
         head, shift = name[1:].split("-")
-        t = hecke_matrix(space, int(head)) - scale(IntMatrix.identity(ring.genus), int(shift))
+        t = mat_sum(hecke_matrix(space, int(head)),
+                    scale(IntMatrix.identity(ring.genus), -int(shift)))
         for k in range(1, ring.bound + 1):
             c = hnf_coordinates(ring.basis, _times(_times(v, hecke_matrix(space, k)), t))
             assert c is not None, (name, k)
@@ -1668,7 +1678,7 @@ def test_integer_quotient_matches_fraction_route(monkeypatch):
         new = cached_space(n)
         assert old.coords == new.coords, n
         assert old.boundary == new.boundary, n
-        assert old.cuspidal == new.cuspidal, n
+        assert cuspidal_lattice(old) == cuspidal_lattice(new), n
         assert old.genus == new.genus, n
     assert len(seen) == len(levels)
 
@@ -1729,7 +1739,8 @@ def space_by_symbol_rows(space, slot_images):
         [hnf_coordinates(cuspidal, row) for row in (cuspidal * section * flipped).data],
         cols=cuspidal.rows,
     )
-    plus = hermite_normal_form(left_kernel(star - IntMatrix.identity(cuspidal.rows)) * cuspidal)
+    minus_ident = scale(IntMatrix.identity(cuspidal.rows), -1)
+    plus = hermite_normal_form(left_kernel(mat_sum(star, minus_ident)) * cuspidal)
     return {"lattice": lattice, "coords": coords, "section": section,
             "boundary": boundary, "cuspidal": cuspidal, "plus": plus}
 
@@ -1755,18 +1766,67 @@ def test_slot_route_matches_symbol_rows(monkeypatch):
         assert ref["lattice"] == IntMatrix.identity(rank), n
         assert ref["section"] * space.coords == IntMatrix.identity(rank), n
         assert section_matrix(space) * space.coords == IntMatrix.identity(rank), n
-        for name in ("coords", "boundary", "cuspidal", "plus"):
+        for name in ("coords", "boundary", "plus"):
             assert ref[name] == getattr(space, name), (n, name)
+        assert ref["cuspidal"] == cuspidal_lattice(space), n
         assert space.plus.rows == space.genus, n
     assert len(captured) == len(levels)
+
+
+# One extra relation setting one two-term slot to zero: the quotient is too
+# small, every relation check on the symbols still holds, and at level 14
+# the slot decides which certificate of build_space is the first to see it.
+@pytest.mark.parametrize(
+    ("slot", "message"),
+    [
+        (0, "cuspidal rank defect at level 14"),
+        (4, "star is not an involution at level 14"),
+        (2, "star does not negate the boundary at level 14"),
+        (3, "star-fixed rank 0 is not half the cuspidal rank at level 14"),
+    ],
+    ids=["boundary-rank", "star-squared", "star-boundary", "half-rank"],
+)
+def test_planted_quotient_fault_is_refused(monkeypatch, slot, message):
+    quotient = modsym._relation_quotient
+    monkeypatch.setattr(
+        modsym,
+        "_relation_quotient",
+        lambda relations, kept, nn: quotient([*relations, {slot: 1}], kept, nn),
+    )
+    with pytest.raises(RuntimeError, match=message):
+        build_space(14)
+
+
+# SHA-256 over basis_symbols, coords, boundary, plus and genus at every
+# square-free level 1-210, 330 and 462, one line each as symbol_space_digest
+# writes them; recorded from the build that solved the star over the
+# cuspidal lattice
+SYMBOL_SPACE_LEVELS = [
+    n for n in range(1, 211) if all(n % (p * p) for p in (2, 3, 5, 7, 11, 13))
+] + [330, 462]
+SYMBOL_SPACE_SHA256 = "18790b61388dfc6109cbcf0d891647f40e7d750855f86918c8c7c93f6fe9fda3"
+
+
+def symbol_space_digest() -> str:
+    h = hashlib.sha256()
+    for n in SYMBOL_SPACE_LEVELS:
+        s = build_space(n)
+        line = f"{n}:{s.basis_symbols}:{s.coords.data}:{s.boundary.data}:{s.plus.data}:{s.genus}\n"
+        h.update(line.encode())
+    return h.hexdigest()
+
+
+def test_symbol_spaces_are_pinned():
+    assert symbol_space_digest() == SYMBOL_SPACE_SHA256
 
 
 def test_space_work_is_one_solve_per_slot(monkeypatch):
     # deterministic counts, not a timing: the slot route once solved one row
     # per two-term slot and folded up to one per slot (124 slots at N = 130).
     # The unimodular quotient reads the coordinates off the elimination, so
-    # up to the boundary's kernel there is no solve and no HNF insertion,
-    # and the whole build makes one solve, of the star on the cuspidal basis
+    # up to the boundary there is no solve and no HNF insertion.  Then one
+    # insertion per boundary row gives its rank, the one kernel is that of
+    # F - I on the whole quotient, and the build solves nothing
     events = []
     solve, insert, kernel = modsym._solve_over, exactnum._hnf_insert, modsym.left_kernel
 
@@ -1786,9 +1846,11 @@ def test_space_work_is_one_solve_per_slot(monkeypatch):
     monkeypatch.setattr(exactnum, "_hnf_insert", counting_insert)
     monkeypatch.setattr(modsym, "left_kernel", marked_kernel)
     space = build_space(130)
-    assert (len(space.symbols), space.quotient_rank, space.genus) == (252, 41, 17)
-    assert events[0] == ("kernel", space.quotient_rank)
-    assert [e for e in events if e[0] == "solve"] == [("solve", 2 * space.genus)]
+    rank = space.quotient_rank
+    assert (len(space.symbols), rank, space.genus) == (252, 41, 17)
+    assert events[:rank + 1] == [("insert", None)] * rank + [("kernel", rank)]
+    assert [e for e in events if e[0] == "kernel"] == [("kernel", rank)]
+    assert [e for e in events if e[0] == "solve"] == []
 
 
 def test_packed_closure_matches_full_width():
