@@ -201,10 +201,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_eis(args: argparse.Namespace) -> int:
     f = eisenstein_series(args.level, args.m, args.prec)
-    data = {"level": args.level, "m": args.m, **f.to_jsonable()}
+    data = {
+        "level": args.level, "m": args.m, "modulus": 0, "precision": len(f), "coeffs": list(f)
+    }
     text = [
-        f"series at level {args.level}, m {args.m}, {f.precision} terms",
-        "coeffs " + " ".join(str(c) for c in f.coeffs),
+        f"series at level {args.level}, m {args.m}, {len(f)} terms",
+        "coeffs " + " ".join(str(c) for c in f),
     ]
     _emit(args, data, text, None)
     return 0

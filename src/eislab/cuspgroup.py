@@ -21,16 +21,6 @@ from .exactnum import (
     phi_psi_omega,
 )
 
-THEOREM_MIN_LEVEL = 7  # smaller square-free levels run but are flagged
-
-
-@dataclass(frozen=True)
-class CuspidalDivisorClass:
-    level: SquareFreeLevel
-    m: int
-    coeffs: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class OrderResult:
     level: int
@@ -39,11 +29,10 @@ class OrderResult:
     h: int
     oracle_order: int | None = None
     agreed: bool | None = None
-    outside_hypothesis: bool = False
 
 
-def cuspidal_class(n, m) -> CuspidalDivisorClass:
-    """Coefficient vector of sum_{d | M} (-1)^omega(d) P_d over the divisor order."""
+def cuspidal_class(n, m) -> tuple[int, ...]:
+    """Coefficients of sum_{d | M} (-1)^omega(d) P_d, one per d | N in divisor order."""
     level = SquareFreeLevel(n)
     m = _check_m(level, m)
     coeffs = tuple(
@@ -52,7 +41,7 @@ def cuspidal_class(n, m) -> CuspidalDivisorClass:
     )
     if sum(coeffs) != 0:
         raise RuntimeError("class must have degree zero")
-    return CuspidalDivisorClass(level, m, coeffs)
+    return coeffs
 
 
 def _h_factor(level: SquareFreeLevel, m: int) -> int:
@@ -68,13 +57,7 @@ def order_closed_form(n, m) -> OrderResult:
     x = phi_psi_omega(level)[0] * phi_psi_omega(level.value // m)[1]
     h = _h_factor(level, m)
     order = x // gcd(x, 24) * h
-    return OrderResult(
-        level.value,
-        m,
-        order,
-        h,
-        outside_hypothesis=level.value < THEOREM_MIN_LEVEL,
-    )
+    return OrderResult(level.value, m, order, h)
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +128,7 @@ def order_lattice_oracle(n, m) -> int:
     level = SquareFreeLevel(n)
     m = _check_m(level, m)
     basis = principal_lattice_basis(level.value)
-    w = list(cuspidal_class(level, m).coeffs)
+    w = list(cuspidal_class(level, m))
     order, p = 1, 0
     for row in basis.data:
         while not row[p]:
@@ -173,5 +156,4 @@ def order_with_oracle(n, m) -> OrderResult:
         closed.h,
         oracle_order=oracle,
         agreed=oracle == closed.closed_form_order,
-        outside_hypothesis=closed.outside_hypothesis,
     )

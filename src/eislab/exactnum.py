@@ -322,7 +322,12 @@ def hnf_with_transform(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def left_kernel(M: IntMatrix) -> IntMatrix:
-    """Basis (rows) of {x : x*M = 0}; saturated by construction."""
+    """HNF basis (rows) of {x : x*M = 0}; saturated by construction.
+
+    The kernel rows are the rows of the HNF of [M | I] whose M block is
+    zero.  They come last, and their I blocks have positive pivots with the
+    entries above reduced, so they are already the HNF of the kernel.
+    """
     h, u = hnf_with_transform(M)
     rows = [u.data[i] for i in range(M.rows) if all(x == 0 for x in h.data[i])]
     return IntMatrix(rows, cols=M.rows)

@@ -26,7 +26,6 @@ from eislab.exactnum import (
     _pack_rows,
     _unpack_rows,
     _width,
-    hermite_normal_form,
     is_prime,
     left_kernel,
     phi_psi_omega,
@@ -189,8 +188,9 @@ def build_space(n) -> ManinSymbolSpace:
     Forms: A Computational Approach, 8.4).  The star involution F,
     (u : v) -> -(-u : v), is read on basis_symbols only, as the boundary is.
     (-u : v) has the gcds of (u : v), so F B = -B, and a vector x F = x has
-    x B = x F B = -x B = 0: the star-fixed half plus, the HNF of the
-    saturated kernel of F - I, is cuspidal with no cuspidal lattice built.
+    x B = x F B = -x B = 0: the star-fixed half plus, the saturated kernel
+    of F - I in the HNF that left_kernel returns, is cuspidal with no
+    cuspidal lattice built.
     Certified by explicit raises: F F = I, F B = -B, the boundary has rank
     (cusps - 1), and plus has half the cuspidal rank, its rank g being the
     genus.  The Hecke ring acts faithfully on plus (Stein, ch. 8), so every
@@ -285,7 +285,7 @@ def build_space(n) -> ManinSymbolSpace:
     if _mul(star, boundary.data, ncl) != [[-x for x in row] for row in boundary.data]:
         raise RuntimeError(f"star does not negate the boundary at level {nn}")
     fixed = [[x - (f == j) for j, x in enumerate(row)] for f, row in enumerate(star)]
-    plus = hermite_normal_form(left_kernel(IntMatrix(fixed, cols=rank_q)))
+    plus = left_kernel(IntMatrix(fixed, cols=rank_q))
     if 2 * plus.rows != rank_q - (ncl - 1):
         raise RuntimeError(
             f"star-fixed rank {plus.rows} is not half the cuspidal rank at level {nn}"
@@ -616,7 +616,7 @@ def _functionals(ring: HeckeRingModel) -> dict[int, tuple[list[int], int]]:
         level, g = ring.space.level, ring.genus
         ms = sorted(divisor_values(level))
         top = max(ring.bound, *level.primes) + 1
-        a = [[-x // 24 for x in eisenstein_series(level, m, top).coeffs] for m in ms]
+        a = [[-x // 24 for x in eisenstein_series(level, m, top)] for m in ms]
         orbit = enumerate(ring.cache.pop("orbit"), 1)
         h, _ = _echelon([*w, *(x[k] for x in a)] for k, w in orbit)
         if [r[:g] for r in h[:g]] != ring.basis.tolist():

@@ -1,9 +1,11 @@
-"""Truncated q-expansions with exact integer coefficients.
+"""q-expansions as tuples of exact integer coefficients.
 
-Carries the weight-2 series e = 1 - 24 sum sigma(n) q^n, the
-level-raising operators g(z) -> g(z) - c * g(pz), the
-composite Eisenstein series attached to a divisor M of N, Hecke operators
-on expansions, and the cusp-residue closed forms.
+A series is the tuple (a_0, ..., a_{T-1}) of its first T coefficients, so
+its length is its precision.  Carries the weight-2 series
+e = 1 - 24 sum sigma(n) q^n, the level-raising operators
+g(z) -> g(z) - c * g(pz), the composite Eisenstein series attached to a
+divisor M of N, Hecke operators on expansions, and the cusp-residue closed
+forms.
 """
 
 from __future__ import annotations
@@ -16,49 +18,6 @@ from .divlattice import SquareFreeLevel, _check_m
 from .exactnum import is_prime, phi_psi_omega
 
 
-@dataclass(frozen=True)
-class QExpansion:
-    modulus: int
-    precision: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.precision < 1 or len(self.coeffs) != self.precision:
-            raise ValueError("coefficient list must match the stated precision")
-        if self.modulus < 0:
-            raise ValueError("modulus must be 0 (integers) or positive")
-        if self.modulus:
-            object.__setattr__(
-                self, "coeffs", tuple(c % self.modulus for c in self.coeffs)
-            )
-        else:
-            object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
-    def scale(self, k: int) -> "QExpansion":
-        return QExpansion(self.modulus, self.precision, [k * c for c in self.coeffs])
-
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        t = min(self.precision, other.precision)
-        return QExpansion(
-            self.modulus, t, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def truncate(self, t: int) -> "QExpansion":
-        if t > self.precision:
-            raise ValueError("cannot extend precision")
-        return QExpansion(self.modulus, t, self.coeffs[:t])
-
-    def to_jsonable(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "precision": self.precision,
-            "coeffs": list(self.coeffs),
-        }
-
-
-
 def sigma_sieve(precision: int, power: int = 1) -> list[int]:
     """sigma_power(n) for 0 <= n < precision, with the unused slot 0 at n=0."""
     out = [0] * precision
@@ -69,34 +28,35 @@ def sigma_sieve(precision: int, power: int = 1) -> list[int]:
     return out
 
 
-def series_e(precision: int) -> QExpansion:
+def series_e(precision: int) -> tuple[int, ...]:
     """1 - 24 sum_{n>=1} sigma(n) q^n."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
     sig = sigma_sieve(precision)
-    return QExpansion(0, precision, [1] + [-24 * s for s in sig[1:]])
+    return (1, *(-24 * s for s in sig[1:]))
 
 
-def level_raise(g: QExpansion, p: int, k: int, sign) -> QExpansion:
+def level_raise(g: tuple[int, ...], p: int, k: int, sign: str) -> tuple[int, ...]:
     """g(z) - p^{k-1} g(pz) for sign '+', g(z) - g(pz) for sign '-'."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if sign in ("+", 1):
+    if sign == "+":
         c = p ** (k - 1)
-    elif sign in ("-", -1):
+    elif sign == "-":
         c = 1
     else:
         raise ValueError("sign must be '+' or '-'")
-    coeffs = list(g.coeffs)
-    for j in range(0, g.precision, p):
-        coeffs[j] -= c * g.coeffs[j // p]
-    return QExpansion(g.modulus, g.precision, coeffs)
+    out = list(g)
+    for j in range(0, len(g), p):
+        out[j] -= c * g[j // p]
+    return tuple(out)
 
 
-def eisenstein_series(n, m: int, precision: int = 200) -> QExpansion:
+def eisenstein_series(n, m: int, precision: int = 200) -> tuple[int, ...]:
     """Apply the plus word over primes of M, then the minus word over N/M, to e.
 
-    M = 1 is allowed (pure minus word).  The constant term comes out as
+    Returns the tuple of the first precision coefficients.  M = 1 is
+    allowed (pure minus word).  The constant term comes out as
     prod_{p | M} (1 - p) when M = N and 0 otherwise; this is checked.
     """
     level = SquareFreeLevel(n)
@@ -116,35 +76,33 @@ def eisenstein_series(n, m: int, precision: int = 200) -> QExpansion:
             expected *= 1 - p
     else:
         expected = 0
-    if f.coeffs[0] != expected:
+    if f[0] != expected:
         raise RuntimeError("constant term of the operator word is forced")
     return f
 
 
-def hecke_on_expansion(f: QExpansion, n: int, level) -> QExpansion:
-    """Weight-2 Hecke action on coefficients, truncated to the usable prefix.
+def hecke_on_expansion(f: tuple[int, ...], n: int, level) -> tuple[int, ...]:
+    """Weight-2 Hecke action on the coefficients f, truncated to the usable prefix.
 
     b_j = sum over d | gcd(n, j) with gcd(d, N) = 1 of d * a_{nj/d^2}.
-    The result carries floor((T-1)/n) + 1 coefficients; fewer than 2 is an
-    error because nothing could be compared against it.
+    From T = len(f) terms the result keeps floor((T-1)/n) + 1 coefficients;
+    fewer than 2 is an error because nothing could be compared against it.
     """
     if n < 1:
         raise ValueError("operator index must be positive")
     nvalue = SquareFreeLevel(level).value
-    usable = (f.precision - 1) // n + 1
+    usable = (len(f) - 1) // n + 1
     if usable < 2:
-        raise ValueError(
-            f"usable precision {usable} after T_{n} on {f.precision} terms"
-        )
+        raise ValueError(f"usable precision {usable} after T_{n} on {len(f)} terms")
     coeffs = []
     for j in range(usable):
         acc = 0
         g = gcd(n, j) if j else n
         for d in range(1, g + 1):
             if g % d == 0 and gcd(d, nvalue) == 1:
-                acc += d * f.coeffs[n * j // (d * d)]
+                acc += d * f[n * j // (d * d)]
         coeffs.append(acc)
-    return QExpansion(f.modulus, usable, coeffs)
+    return tuple(coeffs)
 
 
 def eigenform_violations(
@@ -169,8 +127,7 @@ def eigenform_violations(
         else:
             scale = r + 1
             label = f"T_{r} -> {scale}"
-        expected = f.truncate(image.precision).scale(scale)
-        if image != expected:
+        if any(b != scale * a for b, a in zip(image, f)):
             bad.append(label)
     return bad
 
@@ -233,12 +190,11 @@ def level_lowering_identity_check(
         raise ValueError("the lowered level must be greater than 1")
     if precision < 2 * p:
         raise ValueError("precision must reach at least 2p")
-    lhs = eisenstein_series(level, 1, precision) - eisenstein_series(
-        level, p, precision
-    )
+    e1 = eisenstein_series(level, 1, precision)
+    ep = eisenstein_series(level, p, precision)
     inner = eisenstein_series(SquareFreeLevel(d), 1, (precision - 1) // p + 1)
     for j in range(precision):
-        rhs = (p - 1) * inner.coeffs[j // p] if j % p == 0 else 0
-        if lhs.coeffs[j] != rhs:
+        rhs = (p - 1) * inner[j // p] if j % p == 0 else 0
+        if e1[j] - ep[j] != rhs:
             return IdentityCheck(False, j, precision)
     return IdentityCheck(True, None, precision)

@@ -49,7 +49,7 @@ def e_vector(n, m) -> list[Fraction]:
     s = len(values)
     phi, psi, _ = phi_psi_omega(level)
     psi_c = phi_psi_omega(level.value // m)[1]
-    coeffs = cuspidal_class(level, m).coeffs
+    coeffs = cuspidal_class(level, m)
     solved = [
         Fraction(24, phi * psi)
         * sum(amat[a][j] * coeffs[j] for j in range(s))
@@ -145,7 +145,7 @@ def order_by_covolume(n, m) -> int:
     level = SquareFreeLevel(n)
     m = _check_m(level, m)
     basis = principal_lattice_basis(level.value)
-    coeffs = cuspidal_class(level, m).coeffs
+    coeffs = cuspidal_class(level, m)
     ed_l = prod(reference_elementary_divisors(basis))
     enlarged = IntMatrix(list(basis.data) + [coeffs], cols=basis.cols)
     ed_e = prod(reference_elementary_divisors(enlarged))
@@ -160,7 +160,7 @@ def order_by_search(n, m, k_max: int = 100000) -> int:
     level = SquareFreeLevel(n)
     m = _check_m(level, m)
     basis = principal_lattice_basis(level.value)
-    coeffs = cuspidal_class(level, m).coeffs
+    coeffs = cuspidal_class(level, m)
     for k in range(1, k_max + 1):
         if hnf_coordinates(basis, [k * c for c in coeffs]) is not None:
             return k
@@ -189,7 +189,7 @@ def order_by_fractions(n, m) -> int:
     """The oracle's order as the lcm of the Fraction coordinates' denominators."""
     basis = principal_lattice_basis(n)
     order = 1
-    for c in rational_coordinates(basis, cuspidal_class(n, m).coeffs):
+    for c in rational_coordinates(basis, cuspidal_class(n, m)):
         order = order * c.denominator // gcd(order, c.denominator)
     return order
 
@@ -222,15 +222,15 @@ def principal_lattice_by_hnf(n) -> IntMatrix:
 
 
 def test_class_vector_examples():
-    assert cuspidal_class(11, 11).coeffs == (1, -1)
-    assert cuspidal_class(30, 6).coeffs == (1, -1, -1, 0, 1, 0, 0, 0)
+    assert cuspidal_class(11, 11) == (1, -1)
+    assert cuspidal_class(30, 6) == (1, -1, -1, 0, 1, 0, 0, 0)
 
 
 def test_class_vector_degree_zero():
     for level in _squarefree_levels(60, 2):
         n = level.value
         for m in _proper_divisors(n):
-            assert sum(cuspidal_class(n, m).coeffs) == 0
+            assert sum(cuspidal_class(n, m)) == 0
 
 
 def test_class_vector_input_validation():
@@ -318,7 +318,7 @@ def lattice_pipeline_digest() -> str:
     for n in REFERENCE_LATTICE_LEVELS:
         h.update(f"{n}:{principal_lattice_basis(n).data}\n".encode())
         for m in divisor_values(SquareFreeLevel(n))[1:]:
-            line = f"{m}:{cuspidal_class(n, m).coeffs}:{order_lattice_oracle(n, m)}\n"
+            line = f"{m}:{cuspidal_class(n, m)}:{order_lattice_oracle(n, m)}\n"
             h.update(line.encode())
     return h.hexdigest()
 
@@ -487,9 +487,3 @@ def test_group_exponent_divisible_by_class_orders():
         exponent = structure[-1] if structure else 1
         for m in _proper_divisors(n):
             assert exponent % order_lattice_oracle(n, m) == 0, (n, m)
-
-
-def test_outside_hypothesis_flag():
-    assert order_closed_form(6, 6).outside_hypothesis
-    assert order_closed_form(5, 5).outside_hypothesis
-    assert not order_closed_form(7, 7).outside_hypothesis

@@ -719,6 +719,21 @@ def test_left_kernel():
             assert saturation(k) == hermite_normal_form(k)
 
 
+def test_left_kernel_is_in_hnf():
+    # build_space takes the star-fixed lattice straight from left_kernel
+    rng = random.Random(32)
+    for _ in range(400):
+        r, c = rng.randint(1, 7), rng.randint(1, 5)
+        # and a matrix of lower rank: r combinations of fewer random rows
+        base = _rand_matrix(rng, rng.randint(1, r), c, -6, 6)
+        coef = _rand_matrix(rng, r, len(base), -2, 2)
+        low = [[sum(a * x for a, x in zip(u, col)) for col in zip(*base)] for u in coef]
+        for m in (IntMatrix(_rand_matrix(rng, r, c, -6, 6)), IntMatrix(low, cols=c)):
+            k = left_kernel(m)
+            assert hermite_normal_form(k) == k, m.data
+            assert reference_hnf(k) == k, m.data
+
+
 def test_saturation_examples():
     assert saturation(IntMatrix([[2, 0], [0, 2]])) == IntMatrix.identity(2)
     assert saturation(IntMatrix([[0, 3, 6]])) == IntMatrix([[0, 1, 2]])

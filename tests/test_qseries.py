@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from eislab import qseries
 from eislab.cli import _squarefree_levels
 from eislab.cuspgroup import order_closed_form
+from eislab.divlattice import divisor_values
 from eislab.exactnum import phi_psi_omega
 from eislab.qseries import (
-    QExpansion,
     eigenform_violations,
     eisenstein_series,
     hecke_on_expansion,
@@ -20,15 +22,15 @@ from eislab.qseries import (
 )
 
 
-def series_E4(precision: int) -> QExpansion:
+def series_E4(precision: int) -> tuple[int, ...]:
     """1 + 240 sum_{n>=1} sigma_3(n) q^n."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
     sig = sigma_sieve(precision, 3)
-    return QExpansion(0, precision, [1] + [240 * s for s in sig[1:]])
+    return (1, *(240 * s for s in sig[1:]))
 
 
-def weight4_G(primes, precision: int = 200) -> QExpansion:
+def weight4_G(primes, precision: int = 200) -> tuple[int, ...]:
     """Plus word in weight 4 over the given primes, applied to E4.
 
     The constant term is checked equal to prod (1 - p^3).
@@ -43,22 +45,22 @@ def weight4_G(primes, precision: int = 200) -> QExpansion:
     for p in primes:
         f = level_raise(f, p, 4, "+")
         expected *= 1 - p**3
-    if f.coeffs[0] != expected:
+    if f[0] != expected:
         raise RuntimeError("constant term of the weight-4 word is forced")
     return f
 
 
 def test_series_e_prefix():
     f = series_e(8)
-    assert f.coeffs[:5] == (1, -24, -72, -96, -168)
-    assert f.coeffs[6] == -288
+    assert f[:5] == (1, -24, -72, -96, -168)
+    assert f[6] == -288
 
 
 def test_series_E4_prefix():
     f = series_E4(4)
-    assert f.coeffs[0] == 1
-    assert f.coeffs[1] == 240
-    assert f.coeffs[2] == 2160
+    assert f[0] == 1
+    assert f[1] == 240
+    assert f[2] == 2160
 
 
 def test_sigma_sieve_against_direct_sum():
@@ -69,10 +71,10 @@ def test_sigma_sieve_against_direct_sum():
 
 def test_level_raise_constant_terms():
     f = series_e(30)
-    assert level_raise(f, 5, 2, "-").coeffs[0] == 0
-    assert level_raise(f, 5, 2, "+").coeffs[0] == 1 - 5
+    assert level_raise(f, 5, 2, "-")[0] == 0
+    assert level_raise(f, 5, 2, "+")[0] == 1 - 5
     both = level_raise(level_raise(f, 3, 2, "+"), 5, 2, "+")
-    assert both.coeffs[0] == (1 - 3) * (1 - 5)
+    assert both[0] == (1 - 3) * (1 - 5)
 
 
 def test_level_raise_operator_orders_commute():
@@ -91,11 +93,28 @@ def test_level_raise_operator_orders_commute():
         assert series == g
 
 
+def test_series_refusals(monkeypatch):
+    f = series_e(30)
+    with pytest.raises(ValueError, match="precision must be at least 1"):
+        series_e(0)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        level_raise(f, 4, 2, "+")
+    for sign in (1, -1, "*"):
+        with pytest.raises(ValueError, match="sign must be"):
+            level_raise(f, 5, 2, sign)
+    with pytest.raises(ValueError, match="M must divide 30, got 7"):
+        eisenstein_series(30, 7)
+    # an operator word that does nothing leaves the constant term 1
+    monkeypatch.setattr(qseries, "level_raise", lambda g, p, k, sign: g)
+    with pytest.raises(RuntimeError, match="constant term of the operator word"):
+        eisenstein_series(30, 6)
+
+
 def test_eisenstein_series_n11():
     f = eisenstein_series(11, 11, 24)
-    assert f.coeffs[0] == -10
-    assert f.coeffs[1] == -24
-    assert f.coeffs[11] == -24
+    assert f[0] == -10
+    assert f[1] == -24
+    assert f[11] == -24
 
 
 def test_eisenstein_series_constant_terms():
@@ -105,17 +124,17 @@ def test_eisenstein_series_constant_terms():
             f = eisenstein_series(n, m, 12)
             if m == n:
                 phi, _, omega = phi_psi_omega(n)
-                assert f.coeffs[0] == (-1) ** omega * phi
+                assert f[0] == (-1) ** omega * phi
             else:
-                assert f.coeffs[0] == 0
-            assert f.coeffs[1] == -24
+                assert f[0] == 0
+            assert f[1] == -24
 
 
 def test_hecke_u_p_shifts():
-    f = QExpansion(0, 12, list(range(12)))
+    f = tuple(range(12))
     out = hecke_on_expansion(f, 3, 6)
-    assert out.coeffs[1] == f.coeffs[3]
-    assert out.precision == 4
+    assert out[1] == f[3]
+    assert len(out) == 4
 
 
 def test_hecke_usable_precision_error():
@@ -133,7 +152,7 @@ def test_hecke_composite_matches_composition():
     f = eisenstein_series(35, 35, 120)
     direct = hecke_on_expansion(f, 6, 35)
     step = hecke_on_expansion(hecke_on_expansion(f, 2, 35), 3, 35)
-    assert direct.coeffs[: step.precision] == step.coeffs[: step.precision]
+    assert direct[: len(step)] == step
 
 
 def test_eigenform_small_sweep():
@@ -141,6 +160,18 @@ def test_eigenform_small_sweep():
         n = level.value
         for m in [d for d in range(2, n + 1) if n % d == 0]:
             assert eigenform_violations(n, m, precision=200) == [], (n, m)
+
+
+def test_planted_coefficient_breaks_the_pattern(monkeypatch):
+    # a_150 + 1 is read at j = 150 / r by T_2, T_3 and U_5 only: every other
+    # operator, and the scaled side, stop before it
+    series = qseries.eisenstein_series
+
+    def planted(n, m, precision):
+        return tuple(x + (j == 150) for j, x in enumerate(series(n, m, precision)))
+
+    monkeypatch.setattr(qseries, "eisenstein_series", planted)
+    assert eigenform_violations(35, 35, precision=200) == ["T_2 -> 3", "T_3 -> 4", "U_5 -> 1"]
 
 
 def test_residue_prime_level():
@@ -184,21 +215,10 @@ def test_level_lowering_rejects_bad_input():
 
 
 def test_weight4_constants():
-    assert weight4_G([7], 10).coeffs[0] == 1 - 343
+    assert weight4_G([7], 10)[0] == 1 - 343
     g = weight4_G([3, 5], 10)
-    assert g.coeffs[0] == (1 - 27) * (1 - 125) == 3224
-    assert g.coeffs[1] == 240
-
-
-def from_jsonable(payload: dict) -> QExpansion:
-    # moved from QExpansion, which has no caller of it left
-    return QExpansion(payload["modulus"], payload["precision"], payload["coeffs"])
-
-
-def test_qexpansion_json_roundtrip():
-    f = eisenstein_series(14, 7, 16)
-    payload = f.to_jsonable()
-    assert from_jsonable(payload) == f
+    assert g[0] == (1 - 27) * (1 - 125) == 3224
+    assert g[1] == 240
 
 
 def test_non_divisor_m_refused_alike():
@@ -208,3 +228,18 @@ def test_non_divisor_m_refused_alike():
         for check in (order_closed_form, residues, eigenform_violations):
             with pytest.raises(ValueError, match="other than 1"):
                 check(30, m)
+
+
+# SHA-256 of f"{N}:{m}:{list(f)}" for f = eisenstein_series(N, m, 200) at every
+# square-free N <= 210 and every m | N, m = 1 included; recorded while
+# series were still wrapped in a class
+SERIES_SHA256 = "f24998433f8d7504dd7e3ac2928181e37b5a1b4edeeca86dce279ef22935373c"
+
+
+def test_series_are_pinned():
+    h = hashlib.sha256()
+    for level in _squarefree_levels(210, 1):
+        n = level.value
+        for m in divisor_values(level):
+            h.update(f"{n}:{m}:{list(eisenstein_series(n, m, 200))}\n".encode())
+    assert h.hexdigest() == SERIES_SHA256
