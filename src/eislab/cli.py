@@ -229,9 +229,9 @@ def _cmd_hecke_index(args: argparse.Namespace) -> int:
     SquareFreeLevel(args.level)
     if args.level % args.m:  # before the space and the ring are built
         raise ValueError("m must be a positive divisor of the level")
-    from eislab.modsym import cached_index
+    from eislab.modsym import level_indices
 
-    model = cached_index(args.level, args.m)
+    model = level_indices(args.level)[args.m]
     data = {
         "level": model.level,
         "m": model.m,

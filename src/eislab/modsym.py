@@ -4,7 +4,8 @@ Manin symbols, the star-fixed half of the integral symbol lattice (which
 lies in the cuspidal part, since the star negates the boundary), prime
 Hecke matrices on that half, the Hecke ring as the lattice v T of a cyclic
 vector v, shifted-operator ideals with their indices, and the census of
-maximal ideals sitting above them.
+maximal ideals sitting above them.  level_indices is the one cache: it
+keeps each level's index models and drops its space and ring.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import count
 from math import gcd
 from operator import mul
 
@@ -449,7 +450,6 @@ class EisensteinIdealModel:
     generator_names: tuple[str, ...]
     prime_bound: int
     stabilization: tuple[tuple[int, int], ...]
-    ideal_basis: IntMatrix
     zero_ring: bool
 
 
@@ -538,6 +538,7 @@ def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
     (_prime_rows, which raises otherwise), so L is a module over the ring
     those primes generate, holding v: L = v T.  Indices are read on L, g
     wide where the operators are g^2 wide, off the orbit it keeps (_functionals).
+    The ring's cache (prime rows, T_1, phi) lives as long as the ring.
     """
     psi = len(space.symbols)
     bound = -(-psi // 6)
@@ -640,15 +641,16 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     level primes above the bound count (without U_13, N = m = 26 reads 7,
     not 1).  Each generator prime r above the bound takes t to gcd(t,
     phi(T_r) - r - 1) until two in a row leave it.  The ideal {x : x f = 0
-    mod t} holds I and has index t.  Sturm certificate (Sturm 1987; Stein,
-    Modular Forms: A Computational Approach, ch. 9): T x S_2(Z) -> Z is
-    perfect, so phi is a cusp form F mod t, a_n(F) = phi(T_n).  At 1 < m <
-    N the Eisenstein series is holomorphic with constant term 0, so it
-    agrees with F mod t up to the Sturm bound psi(N)/6 by (i), hence
-    everywhere: a prime above the bound that lowers t raises.  At m = N its
-    constant term is -prod(1 - p)/24, and the same holds when t divides the
-    numerator of phi(N)/24.  At m = 1 no U_p is 1, E_2's non-holomorphic
-    part survives, and t rests on the stabilization only, as at other m = N.
+    mod t} holds I and has index t; only t is kept.  Sturm certificate
+    (Sturm 1987; Stein, Modular Forms: A Computational Approach, ch. 9):
+    T x S_2(Z) -> Z is perfect, so phi is a cusp form F mod t, a_n(F) =
+    phi(T_n).  At 1 < m < N the Eisenstein series is holomorphic with
+    constant term 0, so it agrees with F mod t up to the Sturm bound
+    psi(N)/6 by (i), hence everywhere: a prime above the bound that lowers
+    t raises.  At m = N its constant term is -prod(1 - p)/24, and the same
+    holds when t divides the numerator of phi(N)/24.  At m = 1 no U_p is
+    1, E_2's non-holomorphic part survives, and t rests on the
+    stabilization only, as at other m = N.
     """
     n = ring.space.level.value
     if m < 1 or n % m:
@@ -656,8 +658,7 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     if ring.genus == 0:
         return EisensteinIdealModel(
             level=n, m=m, index=1, elementary_divisors=(), generator_names=(),
-            prime_bound=0, stabilization=(), ideal_basis=IntMatrix([], cols=0),
-            zero_ring=True,
+            prime_bound=0, stabilization=(), zero_ring=True,
         )
     g = ring.genus
     e = _unit_coords(ring)
@@ -680,39 +681,28 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
             raise RuntimeError(f"T_{r} lowers the index past the Sturm bound at level {n}, m={m}")
         t = t2
         log.append((r, t))
-    # its HNF: with d_i = gcd(t, f_i, ..., f_{g-1}), row i has pivot d_{i+1}/d_i
-    # and then the x_j < d_{j+1}/d_j that keep x f = 0 mod d_{j+1}
-    d = list(accumulate(reversed(f), gcd, initial=t))[::-1]
-    basis = [[0] * i + [d[i + 1] // d[i]] + [0] * (g - 1 - i) for i in range(g)]
-    for i, row in enumerate(basis):
-        y = row[i] * f[i]
-        for j in (j for j in range(i + 1, g) if d[j + 1] > d[j]):
-            q = d[j + 1] // d[j]
-            row[j] = -(y // d[j]) * pow(f[j] // d[j], -1, q) % q
-            y += row[j] * f[j]
     return EisensteinIdealModel(
         level=n, m=m, index=t, elementary_divisors=(1,) * (g - 1) + (t,),
         generator_names=tuple(names), prime_bound=r, stabilization=tuple(log),
-        ideal_basis=IntMatrix(basis, cols=g), zero_ring=False,
+        zero_ring=False,
     )
 
 
 # ---------------------------------------------------------------------------
-# cached per-level entry points
+# the per-level entry point
 
 @lru_cache(maxsize=None)
-def cached_space(n: int) -> ManinSymbolSpace:
-    return build_space(n)
+def level_indices(n: int) -> dict[int, EisensteinIdealModel]:
+    """The index model of every m | n, in ascending m: one level's answers.
 
-
-@lru_cache(maxsize=None)
-def cached_ring(n: int) -> HeckeRingModel:
-    return hecke_ring(cached_space(n))
-
-
-@lru_cache(maxsize=None)
-def cached_index(n: int, m: int) -> EisensteinIdealModel:
-    return eisenstein_index(cached_ring(n), m)
+    The space and the ring are built here and dropped on return, with the
+    prime matrices and rows their caches hold, so only the models outlive
+    the call.  build_space, hecke_ring and eisenstein_index are looked up
+    by name at each call, so a wrapper bound over any of them sees it.
+    """
+    level = SquareFreeLevel(n)
+    ring = hecke_ring(build_space(level.value))
+    return {m: eisenstein_index(ring, m) for m in sorted(divisor_values(level))}
 
 
 def compare_index_order(n: int, m: int) -> IndexComparisonReport:
@@ -723,8 +713,10 @@ def compare_index_order(n: int, m: int) -> IndexComparisonReport:
     often in the order than in the index is always a violation.
     """
     n, m = int(n), int(m)
-    model = cached_index(n, m)
-    t = model.index
+    indices = level_indices(n)
+    if m not in indices:
+        raise ValueError("m must be a positive divisor of the level")
+    t = indices[m].index
     c = order_closed_form(n, m).closed_form_order
     ft, fc = _factor(t), _factor(c)
     support = sorted(ft.keys() | fc.keys())
@@ -749,7 +741,7 @@ def m1_index_witnesses(n: int) -> tuple[tuple[int, int | None], ...]:
     every divisor; callers treat that as a falsified expectation.
     """
     level = SquareFreeLevel(n)
-    t = cached_index(level.value, 1).index
+    t = level_indices(level.value)[1].index
     out = []
     for l in _factor(t):
         if l == 2:
@@ -767,11 +759,10 @@ def enumerate_eisenstein_maximal(n: int) -> list[MaximalIdealRecord]:
     """
     level = SquareFreeLevel(n)
     records = []
-    for m in sorted(divisor_values(level)):
+    for m, model in level_indices(level.value).items():
         if m == 1:
             continue
-        t = cached_index(level.value, m).index
-        for l in _factor(t):
+        for l in _factor(model.index):
             if any(q % l == 1 for q in level.primes if m % q):
                 continue
             up = tuple((p, 1 if m % p == 0 else p % l) for p in level.primes)

@@ -12,24 +12,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .divlattice import SquareFreeLevel, _check_m
 from .exactnum import is_prime, phi_psi_omega
 
 
-def sigma_sieve(precision: int, power: int = 1) -> list[int]:
-    """sigma_power(n) for 0 <= n < precision, with the unused slot 0 at n=0."""
+def sigma_sieve(precision: int) -> list[int]:
+    """sigma(n) for 0 <= n < precision, with the unused slot 0 at n=0."""
     out = [0] * precision
     for d in range(1, precision):
-        dk = d**power
         for m in range(d, precision, d):
-            out[m] += dk
+            out[m] += d
     return out
 
 
+@lru_cache(maxsize=None)
 def series_e(precision: int) -> tuple[int, ...]:
-    """1 - 24 sum_{n>=1} sigma(n) q^n."""
+    """1 - 24 sum_{n>=1} sigma(n) q^n, sieved once per precision."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
     sig = sigma_sieve(precision)

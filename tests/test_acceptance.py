@@ -15,9 +15,8 @@ from eislab.cuspgroup import order_closed_form, order_with_oracle
 from eislab.divlattice import SquareFreeLevel, build_tables
 from eislab.exactnum import IntMatrix, is_prime, phi_psi_omega
 from eislab.modsym import (
-    cached_index,
-    cached_space,
     compare_index_order,
+    level_indices,
     m1_index_witnesses,
     verify_main_theorem,
 )
@@ -167,14 +166,14 @@ def test_criterion_5_level_lowering_identity():
 
 def test_criterion_6_ideal_index_matches_class_order():
     t0 = time.perf_counter()
-    assert cached_index(11, 11).index == 5
+    assert level_indices(11)[11].index == 5
     assert order_closed_form(11, 11).closed_form_order == 5
-    assert cached_index(33, 3).index == 10
+    assert level_indices(33)[3].index == 10
     assert order_closed_form(33, 3).closed_form_order == 10
     checks = 0
     for level in _sweep_levels():
         n = level.value
-        if cached_space(n).genus < 1:
+        if level_indices(n)[n].zero_ring:
             continue
         for m in _proper_divisors(n):
             rep = compare_index_order(n, m)

@@ -118,7 +118,7 @@ def test_csv_refused_before_any_work(capsys, monkeypatch):
     tableless = [suite for suite in _SUITE_TABLE if suite != "index-vs-order"]
     for suite in tableless:
         monkeypatch.setitem(_SUITE_TABLE, suite, (refuse, *_SUITE_TABLE[suite][1:]))
-    monkeypatch.setattr("eislab.modsym.cached_index", refuse)
+    monkeypatch.setattr("eislab.modsym.level_indices", refuse)
     argvs = [("verify", "--suite", suite) for suite in tableless]
     argvs.append(("hecke-index", "--level", "11", "--m", "1"))
     for argv in argvs:
@@ -133,9 +133,9 @@ def test_non_divisor_m_refused_before_any_build(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the divisor refusal must come before any build")
 
-    # cached_index too, since an earlier test may have cached the space
+    # level_indices too, since an earlier test may have cached the level
     monkeypatch.setattr("eislab.modsym.build_space", refuse)
-    monkeypatch.setattr("eislab.modsym.cached_index", refuse)
+    monkeypatch.setattr("eislab.modsym.level_indices", refuse)
     monkeypatch.setenv("EISLAB_MAX_LEVEL", "330")
     for level, m in ((30, 7), (210, 11), (330, 7)):
         with pytest.raises(SystemExit) as exc:
@@ -380,10 +380,10 @@ def test_parser_built_once_per_process(capsys):
 
 @pytest.mark.parametrize("fault", [RuntimeError, AssertionError])
 def test_internal_fault_exit_code(capsys, monkeypatch, fault):
-    def broken(n, m):
+    def broken(n):
         raise fault("invariant broken")
 
-    monkeypatch.setattr("eislab.modsym.cached_index", broken)
+    monkeypatch.setattr("eislab.modsym.level_indices", broken)
     code, out, err = run(capsys, "hecke-index", "--level", "11", "--m", "11")
     assert code == 3
     assert out == ""
@@ -401,10 +401,7 @@ def test_non_unimodular_quotient_is_internal_fault(capsys, monkeypatch):
     monkeypatch.setattr(
         modsym, "_relation_quotient", lambda rels, kept, nn: quotient([{0: 2, 1: 1}], kept, nn)
     )
-    monkeypatch.setattr(
-        modsym, "cached_index",
-        lambda n, m: modsym.eisenstein_index(modsym.hecke_ring(modsym.build_space(n)), m),
-    )
+    monkeypatch.setattr(modsym, "level_indices", modsym.level_indices.__wrapped__)
     code, out, err = run(capsys, "hecke-index", "--level", "30", "--m", "2")
     assert code == 3
     assert out == ""
@@ -431,10 +428,10 @@ def test_lattice_fault_is_internal_not_usage(capsys, monkeypatch):
 @pytest.mark.parametrize("suite", ["index-vs-order", "nonmaximal", "main-theorem"])
 def test_verify_suite_internal_fault_exit_code(capsys, monkeypatch, suite):
     # a broken invariant inside a suite is a fault, never a failed case
-    def broken(n, m):
+    def broken(n):
         raise RuntimeError("escapes the ring lattice")
 
-    monkeypatch.setattr("eislab.modsym.cached_index", broken)
+    monkeypatch.setattr("eislab.modsym.level_indices", broken)
     code, out, err = run(capsys, "verify", "--suite", suite, "--max-level", "11")
     assert code == 3
     assert out == ""

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm, prod
 
 import pytest
@@ -26,13 +28,11 @@ from eislab.exactnum import (
 )
 from eislab.modsym import (
     build_space,
-    cached_index,
-    cached_ring,
-    cached_space,
     compare_index_order,
     eisenstein_index,
     enumerate_eisenstein_maximal,
     hecke_ring,
+    level_indices,
     m1_index_witnesses,
     verify_main_theorem,
     _cuspidal_lift,
@@ -60,6 +60,18 @@ from test_exactnum import (
 
 SQUAREFREE = [n for n in range(7, 71)
               if all(n % (p * p) for p in (2, 3, 5, 7))]
+
+
+# level_indices keeps only the index models; the tests that read a level's
+# space or ring share one build of each per session
+@lru_cache(maxsize=None)
+def cached_space(n: int):
+    return build_space(n)
+
+
+@lru_cache(maxsize=None)
+def cached_ring(n: int):
+    return hecke_ring(cached_space(n))
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -908,23 +920,23 @@ def test_non_cyclic_candidates_fall_through(monkeypatch):
 
 
 def test_index_anchors():
-    assert cached_index(11, 11).index == 5
-    assert cached_index(11, 11).elementary_divisors == (5,)
-    assert cached_index(19, 19).index == 3
-    assert cached_index(17, 17).index == 4
-    assert cached_index(33, 3).index == 10
-    assert cached_index(11, 1).index == 5
+    assert level_indices(11)[11].index == 5
+    assert level_indices(11)[11].elementary_divisors == (5,)
+    assert level_indices(19)[19].index == 3
+    assert level_indices(17)[17].index == 4
+    assert level_indices(33)[3].index == 10
+    assert level_indices(11)[1].index == 5
 
 
 def test_index_zero_ring_flag():
-    model = cached_index(7, 7)
+    model = level_indices(7)[7]
     assert model.zero_ring
     assert model.index == 1
-    assert not cached_index(11, 11).zero_ring
+    assert not level_indices(11)[11].zero_ring
 
 
 def test_index_stabilization_logged():
-    model = cached_index(11, 11)
+    model = level_indices(11)[11]
     assert len(model.stabilization) >= 3
     tail = [t for _, t in model.stabilization[-3:]]
     assert tail == [model.index] * 3
@@ -986,8 +998,8 @@ def test_census_drops_reappear_at_larger_m():
     assert (5, 3) not in pairs
     assert (5, 33) in pairs
     assert (5, 11) in pairs
-    assert cached_index(33, 3).index % 5 == 0
-    assert cached_index(33, 33).index % 5 == 0
+    assert level_indices(33)[3].index % 5 == 0
+    assert level_indices(33)[33].index % 5 == 0
 
 
 def test_census_residue_two_needs_small_cofactor():
@@ -1024,9 +1036,32 @@ def test_main_theorem_case_labels():
 
 
 def test_cached_layers_are_shared():
-    assert cached_space(11) is cached_space(11)
-    assert cached_ring(11).space is cached_space(11)
-    assert cached_index(11, 11) is cached_index(11, 11)
+    assert level_indices(11) is level_indices(11)
+    assert list(level_indices(11)) == [1, 11]
+
+
+def _live_spaces_and_rings() -> int:
+    gc.collect()
+    kinds = (modsym.ManinSymbolSpace, modsym.HeckeRingModel)
+    return sum(isinstance(obj, kinds) for obj in gc.get_objects())
+
+
+def test_level_indices_frees_the_space_and_the_ring():
+    # no other test builds level 133, so this call builds its space and ring;
+    # only the index models may outlive it
+    before = _live_spaces_and_rings()
+    misses = level_indices.cache_info().misses
+    indices = level_indices(133)
+    assert level_indices.cache_info().misses == misses + 1
+    assert _live_spaces_and_rings() == before
+    assert list(indices) == [1, 7, 19, 133]
+    assert all(not model.zero_ring for model in indices.values())
+
+
+def test_compare_refuses_a_non_divisor():
+    for m in (7, 0, -2):
+        with pytest.raises(ValueError, match="^m must be a positive divisor of the level$"):
+            compare_index_order(30, m)
 
 
 def test_p1_table_matches_normalisation():
@@ -1194,6 +1229,40 @@ def _next_generator_prime(r: int, n: int) -> int:
     return r
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class BasedIdeal(modsym.EisensteinIdealModel):
+    """An index model with the HNF of its ideal, over the ring basis t_1, ..., t_g."""
+
+    ideal_basis: IntMatrix
+
+
+def ideal_basis(ring, m: int, t: int) -> IntMatrix:
+    """The HNF of the ideal {x : x f = 0 mod t}, f = (phi(t_j)) for m, in closed form.
+
+    With d_i = gcd(t, f_i, ..., f_{g-1}), row i has pivot d_{i+1}/d_i and
+    then the x_j < d_{j+1}/d_j that keep x f = 0 mod d_{j+1}.
+    """
+    g = ring.genus
+    if g == 0:
+        return IntMatrix([], cols=0)
+    f = modsym._functionals(ring)[m][0]
+    d = list(accumulate(reversed(f), gcd, initial=t))[::-1]
+    basis = [[0] * i + [d[i + 1] // d[i]] + [0] * (g - 1 - i) for i in range(g)]
+    for i, row in enumerate(basis):
+        y = row[i] * f[i]
+        for j in (j for j in range(i + 1, g) if d[j + 1] > d[j]):
+            q = d[j + 1] // d[j]
+            row[j] = -(y // d[j]) * pow(f[j] // d[j], -1, q) % q
+            y += row[j] * f[j]
+    return IntMatrix(basis, cols=g)
+
+
+def based_index(n: int, m: int) -> BasedIdeal:
+    """level_indices(n)[m] with its ideal basis over the basis of cached_ring(n)."""
+    model = level_indices(n)[m]
+    return BasedIdeal(**vars(model), ideal_basis=ideal_basis(cached_ring(n), m, model.index))
+
+
 def _in_ideal(ideal: list[list[int]], v: list[int]) -> bool:
     """Whether v lies in the lattice of the HNF rows ideal, by its membership solve."""
     return hnf_coordinates(IntMatrix(ideal, cols=len(v)), v) is not None
@@ -1217,10 +1286,10 @@ def insertion_index(ring, m: int):
     if m < 1 or n % m:
         raise ValueError("m must be a positive divisor of the level")
     if ring.genus == 0:
-        return modsym.EisensteinIdealModel(
+        return BasedIdeal(
             level=n, m=m, index=1, elementary_divisors=(), generator_names=(),
-            prime_bound=0, stabilization=(), ideal_basis=IntMatrix([], cols=0),
-            zero_ring=True,
+            prime_bound=0, stabilization=(), zero_ring=True,
+            ideal_basis=IntMatrix([], cols=0),
         )
     g = ring.genus
     one = modsym._unit_coords(ring)
@@ -1279,10 +1348,10 @@ def insertion_index(ring, m: int):
         raise RuntimeError(
             f"quotient not cyclic at level {n}, m={m}: divisors {eds}"
         )
-    return modsym.EisensteinIdealModel(
+    return BasedIdeal(
         level=n, m=m, index=t, elementary_divisors=eds,
         generator_names=tuple(names), prime_bound=r, stabilization=tuple(log),
-        ideal_basis=basis, zero_ring=False,
+        zero_ring=False, ideal_basis=basis,
     )
 
 
@@ -1318,7 +1387,7 @@ def test_cyclic_route_matches_the_wide_reference():
     for n in EQUALITY_LEVELS:
         ring, ref = cached_ring(n), reference_ring(n)
         for m in (d for d in range(1, n + 1) if n % d == 0):
-            new, old = cached_index(n, m), reference_index(n, m)
+            new, old = based_index(n, m), reference_index(n, m)
             fields, wide = _index_fields(new), _index_fields(old)
             del fields[7], wide[7]
             assert fields == wide, (n, m)
@@ -1379,7 +1448,7 @@ def test_incremental_index_hnf_matches_one_shot():
     for n in INDEX_LEVELS:
         ring = cached_ring(n)
         for m in (d for d in range(1, n + 1) if n % d == 0):
-            model = cached_index(n, m)
+            model = based_index(n, m)
             rows = _generator_rows(ring, model.generator_names)
             one_shot = reference_hnf(IntMatrix(rows, cols=ring.genus))
             assert model.ideal_basis == one_shot, (n, m)
@@ -1393,7 +1462,7 @@ def test_table_rows_span_each_generator_ideal():
         names = {
             name
             for m in range(1, n + 1) if n % m == 0
-            for name in cached_index(n, m).generator_names
+            for name in level_indices(n)[m].generator_names
         }
         for name in sorted(names):
             table = reference_hnf(IntMatrix(_table_rows(ring, name), cols=ring.genus))
@@ -1455,7 +1524,7 @@ def _index_fields(t):
     ]
 
 
-def _index_digests(levels, index=cached_index):
+def _index_digests(levels, index=based_index):
     """Digests of every index field but ideal_basis, and of ideal_basis, every m.
 
     ideal_basis is written over the ring basis, which depends on the route
@@ -1471,13 +1540,13 @@ def _index_digests(levels, index=cached_index):
 
 
 def test_index_models_above_the_golden_range():
-    # every cached_index field but ideal_basis, every m, at the levels the
+    # every index field but ideal_basis, every m, at the levels the
     # bench golden sees only the index and verdict of
     assert _index_digests((105, 110, 130))[0] == "8d2583927601d326"
 
 
 def test_index_models_through_level_70():
-    # every cached_index field but ideal_basis, every m, at every
+    # every index field but ideal_basis, every m, at every
     # square-free level 7-70
     assert _index_digests(SQUAREFREE)[0] == "5f3adb54fd2c51f1"
 
@@ -1515,7 +1584,7 @@ def test_index_without_the_generator_skip(monkeypatch):
     monkeypatch.setattr(this, "_in_ideal", lambda *args: False)
     for (n, m), fields in zip(pairs, with_skip):
         assert _index_fields(insertion_index(cached_ring(n), m)) == fields, (n, m)
-        assert _index_fields(cached_index(n, m)) == fields, (n, m)
+        assert _index_fields(based_index(n, m)) == fields, (n, m)
 
 
 FUNCTIONAL_LEVELS = [
@@ -1529,7 +1598,7 @@ def test_functional_route_matches_insertion_reference():
     for n in FUNCTIONAL_LEVELS:
         ring = cached_ring(n)
         for m in (d for d in range(1, n + 1) if n % d == 0):
-            new = _index_fields(cached_index(n, m))
+            new = _index_fields(based_index(n, m))
             assert new == _index_fields(insertion_index(ring, m)), (n, m)
 
 
@@ -1557,7 +1626,7 @@ def test_level_primes_above_the_bound_are_needed(monkeypatch):
             return rows(ring, p)
         return [[int(i == j) for i in range(ring.genus)] for j in range(ring.genus)]
 
-    assert cached_index(26, 26).index == insertion_index(ring, 26).index == 1
+    assert level_indices(26)[26].index == insertion_index(ring, 26).index == 1
     monkeypatch.setattr(modsym, "_prime_rows", skip_13)
     assert eisenstein_index(_planted_ring(ring), 26).index == 7
 
@@ -1572,7 +1641,7 @@ def test_planted_eigenvalue_changes_the_index(monkeypatch):
     seen = 0
     for n in PLANT_LEVELS:
         ring = cached_ring(n)
-        indices = {m: cached_index(n, m).index for m in _divisors(n)}
+        indices = {m: model.index for m, model in level_indices(n).items()}
         for k in range(2, ring.bound + 1):
 
             def planted_series(level, m, precision):
@@ -1598,7 +1667,7 @@ def test_planted_prime_rows_entry_changes_the_index():
         ring = cached_ring(n)
         ps = sorted(set(primes_up_to(ring.bound)) | set(ring.space.level.primes))
         for m in _divisors(n)[1:-1]:
-            t = cached_index(n, m).index
+            t = level_indices(n)[m].index
             f = modsym._functionals(ring)[m][0]
             for p in ps:
                 for i in range(ring.genus):
@@ -1620,13 +1689,13 @@ def test_planted_extra_prime_lowering_the_index_raises():
     raised = dropped = 0
     for n in PLANT_LEVELS + (17, 34):
         ring = cached_ring(n)
-        r = cached_index(n, 1).stabilization[1][0]
+        r = level_indices(n)[1].stabilization[1][0]
         moved = [
             [x + (i == j) for i, x in enumerate(row)]
             for j, row in enumerate(_prime_rows(ring, r))
         ]
         for m in _divisors(n):
-            t = cached_index(n, m).index
+            t = level_indices(n)[m].index
             if t == 1:
                 continue
             planted = _planted_ring(ring)

@@ -26,7 +26,10 @@ def series_E4(precision: int) -> tuple[int, ...]:
     """1 + 240 sum_{n>=1} sigma_3(n) q^n."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
-    sig = sigma_sieve(precision, 3)
+    sig = [0] * precision
+    for d in range(1, precision):
+        for n in range(d, precision, d):
+            sig[n] += d**3
     return (1, *(240 * s for s in sig[1:]))
 
 
