@@ -2,10 +2,11 @@
 
 Manin symbols, the star-fixed half of the integral symbol lattice (which
 lies in the cuspidal part, since the star negates the boundary), prime
-Hecke matrices on that half, the Hecke ring as the lattice v T of a cyclic
-vector v, shifted-operator ideals with their indices, and the census of
-maximal ideals sitting above them.  level_indices is the one cache: it
-keeps each level's index models and drops its space and ring.
+Hecke matrices on that half (one pass of the Heilbronn family summing
+packed coordinate rows per operator), the Hecke ring as the lattice v T of
+a cyclic vector v, shifted-operator ideals with their indices, and the
+census of maximal ideals sitting above them.  level_indices is the one
+cache: it keeps each level's index models and drops its space and ring.
 """
 
 from __future__ import annotations
@@ -48,12 +49,14 @@ def _p1_table(n: int) -> tuple[array, tuple[tuple[int, int], ...]]:
     gcd(u, v, n) > 1.  A lexicographic scan meets each unit orbit first at
     its canonical point (smallest first slot, then smallest second slot), so
     the points come out sorted; the rest of each orbit is filled by scaling
-    (Cremona's P^1 lists).
+    (Cremona's P^1 lists).  At square-free n some unit s has s u = gcd(u, n)
+    mod n, so the scan reads the rows u = 0 and u = d | n, d < n, only: the
+    other rows hold only cells already filled or off P^1.
     """
     table = array("i", [-1]) * (n * n)
     units = [s for s in range(1, n + 1) if gcd(s, n) == 1]
     points = []
-    for u in range(n):
+    for u in [0, *(d for d in range(1, n) if n % d == 0)]:
         gu = gcd(u, n)
         for v in range(n):
             if table[u * n + v] >= 0 or gcd(gu, v) != 1:
@@ -152,9 +155,10 @@ def _solve_over(basis: IntMatrix, images: list[list[int]], fault: str) -> IntMat
     of X at a time; a non-integral entry raises.  The pivot entries fix X
     only inside the span of basis, so X * basis is then compared with the
     images whole.  Every batch solve over a Hermite basis runs through it:
-    the operators (_matrix_on_cuspidal), the ring lattice under each prime
-    and v over it (_prime_rows, _unit_coords), which the index reads; the
-    symbol space and the index solve nothing.
+    the operators (_matrix_on_cuspidal, on the lifted sums of the packed
+    images _prime_matrix walks), the ring lattice under each prime and v
+    over it (_prime_rows, _unit_coords), which the index reads; the symbol
+    space and the index solve nothing.
     """
     data = basis.data
     cols: list[list[int]] = []
@@ -344,33 +348,12 @@ def _heilbronn_family(p: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(mats)
 
 
-def _heilbronn_symbol_rows(space: ManinSymbolSpace, p: int, which) -> dict[int, dict[int, int]]:
-    """Images under the Heilbronn family of prime p of the symbols in which.
-
-    The family gives T_p for p prime to the level and U_p for p dividing
-    it, once the images off P^1(Z/N) (table entry -1) are dropped.
-    """
-    n = space.level.value
-    table = space.p1_index
-    fam = _heilbronn_family(p)
-    rows = {}
-    for i in which:
-        u, v = space.symbols[i]
-        acc: dict[int, int] = {}
-        for a, b, c, d in fam:
-            j = table[(u * a + v * c) % n * n + (u * b + v * d) % n]
-            if j >= 0:
-                acc[j] = acc.get(j, 0) + 1
-        rows[i] = acc
-    return rows
-
-
 def _cuspidal_lift(space: ManinSymbolSpace):
     """The star-fixed cuspidal basis written on symbols, and the symbols it touches.
 
     Coordinate f lifts to the symbol basis_symbols[f], so an operator on
-    that lattice needs the images of basis symbols only (39 of 252 symbols
-    at level 130, where the rank is 41).
+    that lattice walks the basis symbols only (39 of 252 symbols at level
+    130, where the rank is 41).
     """
     key = "plus-as-symbols"
     if key not in space.op_cache:
@@ -380,52 +363,55 @@ def _cuspidal_lift(space: ManinSymbolSpace):
     return space.op_cache[key]
 
 
-def _matrix_on_cuspidal(space: ManinSymbolSpace, symbol_rows) -> IntMatrix:
-    """Operator on the star-fixed cuspidal basis from symbol images; reads symbol_rows[s] on the support.
+def _matrix_on_cuspidal(space: ManinSymbolSpace, images: dict[int, int], w: int) -> IntMatrix:
+    """Operator on the star-fixed cuspidal basis from the symbol images packed at width w.
 
-    The image of each lifted basis vector is one sum of the symbols'
-    coordinate rows packed as integers (exactnum._pack_rows), unpacked once.
-    Its entries are at most max|coords| times the lifted row's sum of
-    |coef| * (L1 norm of the symbol's image), which fixes the width.
-    The coordinates over plus come from _solve_over, and its whole
-    comparison is the one membership certificate: plus is cuspidal, so it
-    refuses an image that leaves the cuspidal lattice as well as one that
-    is cuspidal but not star-fixed.  max|coords| and the packed rows at
-    each width are kept in op_cache, so the psi(N) rows are packed once per
-    width, not once per operator.
+    Each lifted basis vector's image is one sum of images[s] over its
+    support, unpacked once.  _solve_over's whole comparison is the one
+    membership certificate: plus is cuspidal, so it refuses an image that
+    leaves the cuspidal lattice and one that is cuspidal but not star-fixed.
     """
-    if space.genus == 0:
-        return IntMatrix([], cols=0)
-    lifted, support = _cuspidal_lift(space)
-    cache = space.op_cache
-    if "top" not in cache:
-        coords = space.coords.data
-        cache["top"] = max(max(map(max, coords)), -min(map(min, coords)))
-    weight = {s: sum(map(abs, symbol_rows[s].values())) for s in support}
-    reach = max(sum(abs(coef) * weight[s] for s, coef in row.items()) for row in lifted)
-    w = _width(cache["top"] * max(reach, 1))
-    key = ("packed", w)
-    if key not in cache:
-        cache[key] = _pack_rows(space.coords.data, space.quotient_rank, w)
-    packed = cache[key]
-    image = {
-        s: sum(mult * packed[j] for j, mult in symbol_rows[s].items()) for s in support
-    }
-    images = _unpack_rows(
-        [sum(coef * image[s] for s, coef in row.items()) for row in lifted],
-        space.quotient_rank,
-        w,
-    )
+    sums = [sum(coef * images[s] for s, coef in row.items()) for row in _cuspidal_lift(space)[0]]
     fault = f"cuspidal lattice not stable under the operator at level {space.level.value}"
-    return _solve_over(space.plus, images, fault)
+    return _solve_over(space.plus, _unpack_rows(sums, space.quotient_rank, w), fault)
 
 
 def _prime_matrix(space: ManinSymbolSpace, p: int) -> IntMatrix:
+    """T_p (U_p when p | N) on the star-fixed cuspidal basis, by the Heilbronn family of p.
+
+    Each support symbol (u : v) sums the packed coordinate rows of its
+    images (u a + v c : u b + v d) in one pass; a and c are scaled by N once,
+    so an image is one table index, and the rows end in a 0 that an image
+    off P^1 (entry -1) reads.  An image takes at most one row per matrix, so
+    "reach" (max|coords| times the largest lifted L1 norm) times len(family)
+    bounds every lifted sum and fixes the width.  The rows are packed once
+    per width, not once per operator.
+    """
     key = ("prime", p)
-    if key not in space.op_cache:
-        rows = _heilbronn_symbol_rows(space, p, _cuspidal_lift(space)[1])
-        space.op_cache[key] = _matrix_on_cuspidal(space, rows)
-    return space.op_cache[key]
+    cache = space.op_cache
+    if key not in cache:
+        n = space.level.value
+        fam = [(a * n, c * n, b, d) for a, b, c, d in _heilbronn_family(p)]
+        if space.genus == 0:
+            return IntMatrix([], cols=0)
+        lifted, support = _cuspidal_lift(space)
+        if "reach" not in cache:
+            coords = space.coords.data
+            top = max(max(map(max, coords)), -min(map(min, coords)))
+            cache["reach"] = top * max(sum(map(abs, row.values())) for row in lifted)
+        w = _width(cache["reach"] * len(fam))
+        if ("packed", w) not in cache:
+            cache["packed", w] = [*_pack_rows(space.coords.data, space.quotient_rank, w), 0]
+        packed, table, nn = cache["packed", w], space.p1_index, n * n
+        images = {}
+        for s in support:
+            u, v = space.symbols[s]
+            images[s] = sum([
+                packed[table[(u * an + v * cn) % nn + (u * b + v * d) % n]]
+                for an, cn, b, d in fam
+            ])
+        cache[key] = _matrix_on_cuspidal(space, images, w)
+    return cache[key]
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,15 @@ def sigma_sieve(precision: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def series_e(precision: int) -> tuple[int, ...]:
-    """1 - 24 sum_{n>=1} sigma(n) q^n, sieved once per precision."""
+    """1 - 24 sum_{n>=1} sigma(n) q^n, sieved once per precision.
+
+    The cache keeps the last eight precisions.  A caller uses one
+    precision for all its series (one per level in modsym.level_indices),
+    while the level-lowering identity takes a new one for each prime (163
+    up to level 2310), so an unbounded cache would grow with the sweep.
+    """
     if precision < 1:
         raise ValueError("precision must be at least 1")
     sig = sigma_sieve(precision)

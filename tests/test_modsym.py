@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -18,6 +19,8 @@ from eislab.exactnum import (
     _echelon,
     _factor,
     _hnf_insert,
+    _pack_rows,
+    _width,
     hermite_normal_form,
     hnf_with_transform,
     is_prime,
@@ -37,7 +40,6 @@ from eislab.modsym import (
     verify_main_theorem,
     _cuspidal_lift,
     _heilbronn_family,
-    _heilbronn_symbol_rows,
     _matrix_on_cuspidal,
     _orbit,
     _p1_table,
@@ -522,6 +524,48 @@ def merel_symbol_rows(space, r, which):
     return rows
 
 
+def heilbronn_symbol_rows(space, p, which):
+    """Images under the Heilbronn family of prime p of the symbols in which, as counts.
+
+    The dict route _prime_matrix replaced: symbol index -> multiplicity,
+    images off P^1(Z/N) (table entry -1) dropped.  The reference for the
+    packed walk, and the way the tests plant a fault in one symbol's image.
+    """
+    n = space.level.value
+    table = space.p1_index
+    rows = {}
+    for i in which:
+        u, v = space.symbols[i]
+        acc = {}
+        for a, b, c, d in _heilbronn_family(p):
+            j = table[(u * a + v * c) % n * n + (u * b + v * d) % n]
+            if j >= 0:
+                acc[j] = acc.get(j, 0) + 1
+        rows[i] = acc
+    return rows
+
+
+def packed_images(space, symbol_rows):
+    """Symbol images given as counts, packed for _matrix_on_cuspidal: (images, w).
+
+    The width is fixed by the counts themselves: max|coords| times each
+    lifted row's sum of |coef| * (L1 norm of the symbol's image).
+    """
+    lifted, support = _cuspidal_lift(space)
+    coords = space.coords.data
+    top = max((abs(x) for row in coords for x in row), default=0)
+    weight = {s: sum(map(abs, symbol_rows[s].values())) for s in support}
+    reach = max((sum(abs(c) * weight[s] for s, c in row.items()) for row in lifted), default=0)
+    w = _width(top * max(reach, 1))
+    packed = _pack_rows(coords, space.quotient_rank, w)
+    return {s: sum(x * packed[j] for j, x in symbol_rows[s].items()) for s in support}, w
+
+
+def on_cuspidal(space, symbol_rows):
+    """The operator with the given symbol images (counts), through the production certificate."""
+    return _matrix_on_cuspidal(space, *packed_images(space, symbol_rows))
+
+
 def test_identity_paths_recover_symbols():
     # writing each symbol as a geodesic chain must give back its own class
     for n in (11, 14, 30):
@@ -570,8 +614,8 @@ def test_planted_symbol_image_leaves_cuspidal_lattice():
     for n, r in ((11, 2), (35, 3), (70, 3)):
         space = build_space(n)
         support = _cuspidal_lift(space)[1]
-        rows = _heilbronn_symbol_rows(space, r, support)
-        assert _matrix_on_cuspidal(space, rows) == _prime_matrix(space, r)
+        rows = heilbronn_symbol_rows(space, r, support)
+        assert on_cuspidal(space, rows) == _prime_matrix(space, r)
         j = next(
             j for j in range(len(space.symbols))
             if not is_zero(IntMatrix([space.coords[j]]) * space.boundary)
@@ -579,7 +623,7 @@ def test_planted_symbol_image_leaves_cuspidal_lattice():
         s = support[0]
         rows[s] = {**rows[s], j: rows[s].get(j, 0) + 1}
         with pytest.raises(RuntimeError, match="cuspidal lattice not stable"):
-            _matrix_on_cuspidal(space, rows)
+            on_cuspidal(space, rows)
 
 
 # The full 2g route, the reference for the operators on the star-fixed half
@@ -621,7 +665,7 @@ def _full_prime_matrix(n, p):
     space = cached_space(n)
     support = sorted({s for row in (cuspidal_lattice(space) * section_matrix(space)).data
                       for s, x in enumerate(row) if x})
-    rows = _heilbronn_symbol_rows(space, p, support)
+    rows = heilbronn_symbol_rows(space, p, support)
 
     def image_of(s):
         out = [0] * space.quotient_rank
@@ -682,7 +726,7 @@ def test_planted_image_cuspidal_but_not_star_fixed():
         scale = prod(next(x for x in row if x) for row in space.plus.data)
         planted = IntMatrix([[scale * x for x in minus]]) * section_matrix(space)
         support = _cuspidal_lift(space)[1]
-        rows = _heilbronn_symbol_rows(space, r, support)
+        rows = heilbronn_symbol_rows(space, r, support)
         s = support[0]
         acc = dict(rows[s])
         for j, x in enumerate(planted.data[0]):
@@ -690,7 +734,7 @@ def test_planted_image_cuspidal_but_not_star_fixed():
                 acc[j] = acc.get(j, 0) + x
         rows[s] = {j: x for j, x in acc.items() if x}
         with pytest.raises(RuntimeError, match="cuspidal lattice not stable"):
-            _matrix_on_cuspidal(space, rows)
+            on_cuspidal(space, rows)
 
 
 def test_merel_family_shape():
@@ -739,30 +783,63 @@ HEILBRONN_LEVELS = SQUAREFREE + [105, 110, 130, 190, 210]
 
 def test_heilbronn_operators_match_merel_reference():
     # every prime up to bound + 10 and U_p at every level prime: the
-    # Heilbronn operators against Merel's family on the same support
+    # Heilbronn operators against Merel's family on the same support, and
+    # the packed walk against the Heilbronn symbol counts it replaced
     for n in HEILBRONN_LEVELS:
         space = cached_space(n)
         support = _cuspidal_lift(space)[1]
         bound = -(-len(space.symbols) // 6)
         for p in sorted({*primes_up_to(bound + 10), *space.level.primes}):
-            merel = _matrix_on_cuspidal(space, merel_symbol_rows(space, p, support))
+            merel = on_cuspidal(space, merel_symbol_rows(space, p, support))
             assert _prime_matrix(space, p) == merel, (n, p)
+            counts = on_cuspidal(space, heilbronn_symbol_rows(space, p, support))
+            assert _prime_matrix(space, p) == counts, (n, p)
+
+
+def test_packed_walk_matches_dict_reference_above_the_bound_at_330():
+    # the stabilization primes above the bound that every index at 330
+    # reads, where the families are longest
+    space = build_space(330)
+    ring = hecke_ring(space)
+    models = [eisenstein_index(ring, m) for m in _divisors(330)]
+    above = sorted({r for model in models for r, _ in model.stabilization if r > ring.bound})
+    assert above
+    support = _cuspidal_lift(space)[1]
+    for p in above:
+        rows = heilbronn_symbol_rows(space, p, support)
+        assert _prime_matrix(space, p) == on_cuspidal(space, rows), p
+
+
+def test_prime_operator_with_wide_digits():
+    # coordinates scaled by k = 2^61 give k T_p.  At level 11 and p = 79 the
+    # lifted sums reach 20 k >= 2^63 while max|coords| times the largest
+    # lifted L1 norm is 3 k < 2^63: only the len(family) factor of the width
+    # bound moves the digits to 128 bits
+    space = cached_space(11)
+    k = 2 ** 61
+    coords = IntMatrix([[k * x for x in row] for row in space.coords.data],
+                       cols=space.quotient_rank)
+    wide = dataclasses.replace(space, coords=coords, op_cache={})
+    for p in (2, 3, 11, 13, 31, 79):
+        assert _prime_matrix(wide, p) == scale(_prime_matrix(space, p), k), p
+    assert ("packed", 128) in wide.op_cache
 
 
 def test_symbol_coordinates_packed_once_per_width(monkeypatch):
     # deterministic counts, not a timing: over the ring and every index at
     # N = 130 the psi(N) coordinate rows are packed once for each digit
-    # width, where packing per operator took one pack per prime
+    # width, where packing per operator took one pack per prime; each pack
+    # carries the trailing 0 an image off P^1 reads
     packs, operators = [], []
-    pack, on_cuspidal = modsym._pack_rows, modsym._matrix_on_cuspidal
+    pack, production = modsym._pack_rows, modsym._matrix_on_cuspidal
 
     def counting_pack(rows, n, w):
         packs.append(w)
         return pack(rows, n, w)
 
-    def counting_on_cuspidal(space, rows):
+    def counting_on_cuspidal(space, images, w):
         operators.append(space)
-        return on_cuspidal(space, rows)
+        return production(space, images, w)
 
     monkeypatch.setattr(modsym, "_pack_rows", counting_pack)
     monkeypatch.setattr(modsym, "_matrix_on_cuspidal", counting_on_cuspidal)
@@ -774,6 +851,8 @@ def test_symbol_coordinates_packed_once_per_width(monkeypatch):
     widths = sorted(k[1] for k in space.op_cache if k[0] == "packed")
     primes = [k[1] for k in space.op_cache if k[0] == "prime"]
     assert sorted(packs) == widths and len(set(packs)) == len(packs) <= 2
+    for w in widths:
+        assert space.op_cache["packed", w] == [*pack(space.coords.data, space.quotient_rank, w), 0]
     assert len(operators) == len(primes) == 15
     # a cached pack gives the operator a fresh space packs for itself
     for p in primes:
@@ -793,7 +872,7 @@ def test_prime_action_two_routes_agree():
     for n, r in cases:
         space = cached_space(n)
         paths = _prime_rows_by_paths(space, r, _cuspidal_lift(space)[1])
-        assert _prime_matrix(space, r) == _matrix_on_cuspidal(space, paths), (n, r)
+        assert _prime_matrix(space, r) == on_cuspidal(space, paths), (n, r)
 
 
 def test_eta_anchor_level_11():
@@ -840,11 +919,11 @@ def test_old_space_relations_level_22():
 def test_hecke_multiplicative_and_commutative():
     space = cached_space(35)
     assert hecke_matrix(space, 6) == hecke_matrix(space, 2) * hecke_matrix(space, 3)
-    direct = _matrix_on_cuspidal(space, merel_symbol_rows(space, 6, range(len(space.symbols))))
+    direct = on_cuspidal(space, merel_symbol_rows(space, 6, range(len(space.symbols))))
     assert hecke_matrix(space, 6) == direct
     s11 = cached_space(11)
     four = merel_symbol_rows(s11, 4, range(len(s11.symbols)))
-    assert hecke_matrix(s11, 4) == _matrix_on_cuspidal(s11, four)
+    assert hecke_matrix(s11, 4) == on_cuspidal(s11, four)
     s30 = cached_space(30)
     pairs = [(2, 3), (5, 7), (3, 7), (2, 11)]
     for a, b in pairs:
@@ -861,7 +940,7 @@ def test_level_prime_powers_repeat_u():
         u = _prime_matrix(space, p)
         for e in (2, 3):
             rows = merel_symbol_rows(space, p ** e, _cuspidal_lift(space)[1])
-            assert _matrix_on_cuspidal(space, rows) == hecke_matrix(space, p ** e), (n, p, e)
+            assert on_cuspidal(space, rows) == hecke_matrix(space, p ** e), (n, p, e)
         assert hecke_matrix(space, p ** 3) == u * u * u, (n, p)
 
 
@@ -870,7 +949,7 @@ def test_boundary_sees_operator_degree():
     for n, r in ((11, 2), (14, 3), (30, 7)):
         space = cached_space(n)
         every = range(len(space.symbols))
-        full = matrix_on_quotient(space, _heilbronn_symbol_rows(space, r, every))
+        full = matrix_on_quotient(space, heilbronn_symbol_rows(space, r, every))
         assert full * space.boundary == scale(space.boundary, r + 1), (n, r)
 
 
@@ -1078,6 +1157,31 @@ def test_p1_table_matches_normalisation():
                 assert (i < 0) if canon[u][v] is None else points[i] == canon[u][v], (n, u, v)
 
 
+def p1_table_full_scan(n):
+    """_p1_table scanning every row u < n: the reference for the divisor-row scan."""
+    table = array("i", [-1]) * (n * n)
+    units = [s for s in range(1, n + 1) if gcd(s, n) == 1]
+    points = []
+    for u in range(n):
+        gu = gcd(u, n)
+        for v in range(n):
+            if table[u * n + v] >= 0 or gcd(gu, v) != 1:
+                continue
+            k = len(points)
+            points.append((u, v))
+            for s in units:
+                table[s * u % n * n + s * v % n] = k
+    return table, tuple(points)
+
+
+def test_p1_table_scans_divisor_rows_only():
+    # the rows u = 0 and u = d, d | n, d < n, meet every orbit first: the
+    # same table and point order as the full scan at every square-free
+    # level 1-330 and at 462
+    for n in [n for n in range(1, 331) if max(_factor(n).values(), default=1) == 1] + [462]:
+        assert _p1_table(n) == p1_table_full_scan(n), n
+
+
 def test_restricted_images_match_full():
     # operators read symbol images on the support of the cuspidal lift only
     for n, r in ((35, 3), (70, 11), (66, 7)):
@@ -1085,8 +1189,8 @@ def test_restricted_images_match_full():
         support = _cuspidal_lift(space)[1]
         assert len(support) < len(space.symbols)
         every = range(len(space.symbols))
-        full = _matrix_on_cuspidal(space, _heilbronn_symbol_rows(space, r, every))
-        assert _matrix_on_cuspidal(space, _heilbronn_symbol_rows(space, r, support)) == full
+        full = on_cuspidal(space, heilbronn_symbol_rows(space, r, every))
+        assert on_cuspidal(space, heilbronn_symbol_rows(space, r, support)) == full
         assert _prime_matrix(space, r) == full
 
 

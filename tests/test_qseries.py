@@ -59,6 +59,15 @@ def test_series_e_prefix():
     assert f[6] == -288
 
 
+def test_series_e_cache_is_bounded():
+    # twenty precisions leave at most eight tuples, each still the sieve's
+    for precision in range(10, 30):
+        series_e(precision)
+    assert series_e.cache_info().currsize <= 8
+    for precision in range(10, 30):
+        assert series_e(precision) == (1, *(-24 * s for s in sigma_sieve(precision)[1:]))
+
+
 def test_series_E4_prefix():
     f = series_E4(4)
     assert f[0] == 1
