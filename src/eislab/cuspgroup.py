@@ -14,12 +14,7 @@ from functools import lru_cache
 from math import gcd, prod
 
 from .divlattice import SquareFreeLevel, _check_m, build_tables, divisor_values
-from .exactnum import (
-    IntMatrix,
-    hermite_normal_form,
-    is_prime,
-    phi_psi_omega,
-)
+from .exactnum import IntMatrix, _echelon, is_prime, phi_psi_omega
 
 @dataclass(frozen=True)
 class OrderResult:
@@ -54,13 +49,12 @@ def order_closed_form(n, m) -> OrderResult:
     """Numerator of phi(N)*psi(N/M)/24 times h; h = 2 only for prime M = N or N/2, M = 1 mod 8."""
     level = SquareFreeLevel(n)
     m = _check_m(level, m)
-    x = phi_psi_omega(level)[0] * phi_psi_omega(level.value // m)[1]
+    x = phi_psi_omega(level)[0] * phi_psi_omega(SquareFreeLevel(level.value // m))[1]
     h = _h_factor(level, m)
     order = x // gcd(x, 24) * h
     return OrderResult(level.value, m, order, h)
 
 
-@lru_cache(maxsize=None)
 def principal_lattice_basis(n: int) -> IntMatrix:
     """HNF basis of the lattice of principal divisors supported on the cusps.
 
@@ -75,7 +69,7 @@ def principal_lattice_basis(n: int) -> IntMatrix:
     (phi*psi)^(s/2) / psi, det 24*Lambda on the degree-0 hyperplane, and its
     s - 1 rows past the congruence columns are 24 times the HNF sought.  The
     last cusp comes back as minus the row sum.  Each failed certificate is a
-    RuntimeError.
+    RuntimeError.  Not cached: level_orders calls it once per level.
     """
     level = SquareFreeLevel(n)
     values, lam24, _ = build_tables(level)
@@ -94,15 +88,15 @@ def principal_lattice_basis(n: int) -> IntMatrix:
             [c % q for c, q in zip(congruences, moduli)]
             + [x - y for x, y in zip(lam[:-1], last)]
         )
-    h = hermite_normal_form(IntMatrix(rows, cols=k + s - 1))
-    if h.rows != k + s - 1 or prod(
-        row[i] for i, row in enumerate(h.data)
+    h, _ = _echelon(rows)
+    if len(h) != k + s - 1 or prod(
+        row[i] for i, row in enumerate(h)
     ) != (576 << level.n) * (phi * psi) ** (s // 2) // psi:
         raise RuntimeError(
             "congruence system must have full rank and determinant"
             " 576 * 2^n * (phi*psi)^(s/2) / psi"
         )
-    tail = [row[k:] for row in h.data if not any(row[:k])]
+    tail = [row[k:] for row in h if not any(row[:k])]
     if len(tail) != s - 1:
         raise RuntimeError("principal lattice must fill the degree-0 hyperplane")
     basis = []
@@ -114,35 +108,46 @@ def principal_lattice_basis(n: int) -> IntMatrix:
     return IntMatrix(basis, cols=s)
 
 
-def order_lattice_oracle(n, m) -> int:
-    """Smallest k >= 1 with k * C_{M,N} in the principal lattice.
+@lru_cache(maxsize=None)
+def level_orders(n: int) -> dict[int, int]:
+    """{M: smallest k >= 1 with k * C_{M,N} principal} for every M | N, M > 1.
 
-    The class sits inside the rational span of the lattice, so its image in
-    span/lattice has order the lcm of its coordinate denominators.  The
-    triangular HNF system is solved fraction-free: where a pivot does not
-    divide the current entry, the order and the vector are scaled by
-    pivot/gcd, which keeps the order the least common multiple so far.
-    The pivot columns are walked once, and each step touches only the
-    columns from its pivot on, since the ones before are already zero.
+    One principal lattice per level serves every class.  A class sits
+    inside the rational span of the lattice, so its image in span/lattice
+    has order the lcm of its coordinate denominators.  The triangular HNF
+    system is solved fraction-free: where a pivot does not divide the
+    current entry, the order and the vector are scaled by pivot/gcd, which
+    keeps the order the least common multiple so far.  The pivot columns
+    are walked once, and each step touches only the columns from its pivot
+    on, since the ones before are already zero.
     """
     level = SquareFreeLevel(n)
+    basis = principal_lattice_basis(level.value).data
+    orders = {}
+    for m in divisor_values(level)[1:]:
+        w = list(cuspidal_class(level, m))
+        order, p = 1, 0
+        for row in basis:
+            while not row[p]:
+                p += 1
+            f = row[p] // gcd(w[p], row[p])
+            if f > 1:
+                order *= f
+                w[p:] = [f * x for x in w[p:]]
+            q = w[p] // row[p]
+            if q:
+                w[p:] = [x - q * y for x, y in zip(w[p:], row[p:])]
+        if any(w):
+            raise RuntimeError("class vector leaves the rational span of the lattice")
+        orders[m] = order
+    return orders
+
+
+def order_lattice_oracle(n, m) -> int:
+    """Smallest k >= 1 with k * C_{M,N} in the principal lattice, read from level_orders."""
+    level = SquareFreeLevel(n)
     m = _check_m(level, m)
-    basis = principal_lattice_basis(level.value)
-    w = list(cuspidal_class(level, m))
-    order, p = 1, 0
-    for row in basis.data:
-        while not row[p]:
-            p += 1
-        f = row[p] // gcd(w[p], row[p])
-        if f > 1:
-            order *= f
-            w[p:] = [f * x for x in w[p:]]
-        q = w[p] // row[p]
-        if q:
-            w[p:] = [x - q * y for x, y in zip(w[p:], row[p:])]
-    if any(w):
-        raise RuntimeError("class vector leaves the rational span of the lattice")
-    return order
+    return level_orders(level.value)[m]
 
 
 def order_with_oracle(n, m) -> OrderResult:

@@ -9,6 +9,7 @@ exactly.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, prod
 from operator import mul
@@ -21,30 +22,31 @@ MAX_PRIME_COUNT = 20  # table size is 2^n rows; past this is out of desk scale
 class SquareFreeLevel:
     """A square-free positive integer with its ordered prime factorization.
 
-    Given a SquareFreeLevel it copies it without factoring again, so
-    ``SquareFreeLevel(n)`` is the one way to turn an argument into a level.
+    Levels are interned: each value is factored once per process, and
+    ``SquareFreeLevel(n)`` returns the one instance for int(n), or a level
+    itself, so it is the one way to turn an argument into a level.  A value
+    that is not square-free raises ValueError on every call.
     """
 
     __slots__ = ("value", "primes", "n")
+    _interned: dict[int, "SquareFreeLevel"] = {}
 
-    def __init__(self, n):
+    def __new__(cls, n):
         if isinstance(n, SquareFreeLevel):
-            value, primes = n.value, n.primes
-        else:
-            value = int(n)
+            return n
+        value = int(n)
+        level = cls._interned.get(value)
+        if level is None:
             primes = factor_squarefree(value)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "n", len(primes))
+            level = object.__new__(cls)
+            object.__setattr__(level, "value", value)
+            object.__setattr__(level, "primes", primes)
+            object.__setattr__(level, "n", len(primes))
+            cls._interned[value] = level
+        return level
 
     def __setattr__(self, name, value):
         raise AttributeError("SquareFreeLevel is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, SquareFreeLevel) and self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
 
     def __repr__(self):
         return f"SquareFreeLevel({self.value})"
@@ -58,8 +60,9 @@ def _check_m(level: SquareFreeLevel, m: int) -> int:
     return m
 
 
+@lru_cache(maxsize=None)
 def divisor_values(level: SquareFreeLevel) -> tuple[int, ...]:
-    """The divisors of N in the canonical table order, as plain ints.
+    """The divisors of N in the canonical table order, as plain ints, cached per level.
 
     omega first; ties broken anti-lexicographically on the prime bits
     (larger leading bit earlier), giving 1, p1, p2, ..., N.  For a fixed

@@ -15,7 +15,6 @@ import pytest
 import eislab
 from eislab import cuspgroup
 from eislab.cli import _SUITE_TABLE, build_parser, main
-from eislab.exactnum import IntMatrix
 
 
 def run(capsys, *argv):
@@ -409,16 +408,16 @@ def test_non_unimodular_quotient_is_internal_fault(capsys, monkeypatch):
 
 
 def test_lattice_fault_is_internal_not_usage(capsys, monkeypatch):
-    # an HNF that drops its last row on the principal-lattice echelon (5
+    # an echelon that drops its last row on the principal-lattice rows (5
     # congruence and 8 - 1 cusp columns at level 30) is a fault, exit 3
-    hnf = cuspgroup.hermite_normal_form
+    echelon = cuspgroup._echelon
 
-    def short(M):
-        h = hnf(M)
-        return IntMatrix(h.data[:-1], cols=M.cols) if M.cols == 12 else h
+    def short(rows):
+        h, pivots = echelon(rows)
+        return (h[:-1], pivots[:-1]) if len(rows[0]) == 12 else (h, pivots)
 
-    cuspgroup.principal_lattice_basis.cache_clear()
-    monkeypatch.setattr(cuspgroup, "hermite_normal_form", short)
+    cuspgroup.level_orders.cache_clear()
+    monkeypatch.setattr(cuspgroup, "_echelon", short)
     code, out, err = run(capsys, "cusp-order", "--level", "30", "--m", "2", "--oracle")
     assert code == 3
     assert out == ""

@@ -10,6 +10,7 @@ from eislab import cuspgroup
 from eislab.cli import _squarefree_levels
 from eislab.cuspgroup import (
     cuspidal_class,
+    level_orders,
     order_closed_form,
     order_lattice_oracle,
     order_with_oracle,
@@ -165,6 +166,29 @@ def order_by_search(n, m, k_max: int = 100000) -> int:
         if hnf_coordinates(basis, [k * c for c in coeffs]) is not None:
             return k
     raise AssertionError(f"no multiple of the class up to {k_max} is principal")
+
+
+def order_by_triangular_solve(basis: IntMatrix, coeffs) -> int:
+    """The fraction-free triangular solve of one class over the HNF basis.
+
+    Moved from eislab.cuspgroup, where the solve now runs inside
+    level_orders for every class of a level at once.
+    """
+    w = list(coeffs)
+    order, p = 1, 0
+    for row in basis.data:
+        while not row[p]:
+            p += 1
+        f = row[p] // gcd(w[p], row[p])
+        if f > 1:
+            order *= f
+            w[p:] = [f * x for x in w[p:]]
+        q = w[p] // row[p]
+        if q:
+            w[p:] = [x - q * y for x, y in zip(w[p:], row[p:])]
+    if any(w):
+        raise RuntimeError("class vector leaves the rational span of the lattice")
+    return order
 
 
 def rational_coordinates(basis: IntMatrix, v) -> list[Fraction]:
@@ -348,6 +372,26 @@ def test_planted_congruence_hnf_is_refused(monkeypatch, plant):
 CONGRUENCE_COLUMNS_AT_30 = 5
 
 
+@pytest.fixture
+def fresh_orders():
+    # a planted fault must reach the echelon, not an order cached by an
+    # earlier test, and leaves no order of its own behind
+    level_orders.cache_clear()
+    yield
+    level_orders.cache_clear()
+
+
+def plant_echelon(monkeypatch, plant):
+    """Route the principal lattice's echelon through plant(h), pivots kept."""
+    echelon = cuspgroup._echelon
+
+    def planted(rows):
+        h, pivots = echelon(rows)
+        return plant([list(row) for row in h]), pivots
+
+    monkeypatch.setattr(cuspgroup, "_echelon", planted)
+
+
 def _bump(h, i, j):
     h[i][j] += 1
     return h
@@ -370,29 +414,22 @@ def _bump(h, i, j):
     ],
     ids=["doubles-last-pivot", "leaves-the-hyperplane", "not-integral"],
 )
-def test_planted_echelon_fault_is_refused(monkeypatch, plant, message):
-    hnf = cuspgroup.hermite_normal_form
-    monkeypatch.setattr(
-        cuspgroup,
-        "hermite_normal_form",
-        lambda M: IntMatrix(plant([list(row) for row in hnf(M).data]), cols=M.cols),
-    )
+def test_planted_echelon_fault_is_refused(monkeypatch, fresh_orders, plant, message):
+    plant_echelon(monkeypatch, plant)
     with pytest.raises(RuntimeError, match=message):
-        # past the cache: a basis cached by an earlier test would skip the fault
-        principal_lattice_basis.__wrapped__(30)
+        principal_lattice_basis(30)
+    with pytest.raises(RuntimeError, match=message):
+        order_lattice_oracle(30, 2)
 
 
-def test_planted_rank_drop_in_principal_lattice_is_refused(monkeypatch):
+def test_planted_rank_drop_in_principal_lattice_is_refused(monkeypatch, fresh_orders):
     # the one echelon loses its last row, which carries the last cusp pivot
-    hnf = cuspgroup.hermite_normal_form
-    monkeypatch.setattr(
-        cuspgroup, "hermite_normal_form", lambda M: IntMatrix(hnf(M).data[:-1], cols=M.cols)
-    )
+    plant_echelon(monkeypatch, lambda h: h[:-1])
     with pytest.raises(RuntimeError, match="congruence system must have full rank"):
-        principal_lattice_basis.__wrapped__(30)
+        principal_lattice_basis(30)
 
 
-def test_planted_row_sum_of_lambda_is_refused(monkeypatch):
+def test_planted_row_sum_of_lambda_is_refused(monkeypatch, fresh_orders):
     tables = cuspgroup.build_tables
 
     def bent(n):
@@ -403,7 +440,33 @@ def test_planted_row_sum_of_lambda_is_refused(monkeypatch):
 
     monkeypatch.setattr(cuspgroup, "build_tables", bent)
     with pytest.raises(RuntimeError, match="a row of 24\\*Lambda"):
-        principal_lattice_basis.__wrapped__(30)
+        principal_lattice_basis(30)
+
+
+def test_planted_lattice_fault_raises_on_every_oracle_call(monkeypatch, fresh_orders):
+    # lru_cache stores no exception, so a refused level is refused again
+    calls = []
+    plant_echelon(monkeypatch, lambda h: calls.append(1) or h[:-1])
+    for m in (2, 2, 30):
+        with pytest.raises(RuntimeError, match="congruence system must have full rank"):
+            order_lattice_oracle(30, m)
+    assert len(calls) == 3
+    assert level_orders.cache_info().currsize == 0
+
+
+# the lattice cap's square-free levels and the six-prime level 2*3*5*7*11*13
+LEVEL_ORDER_LEVELS = [level.value for level in _squarefree_levels(2310)] + [30030]
+
+
+def test_level_orders_match_per_class_solve():
+    for n in LEVEL_ORDER_LEVELS:
+        basis = principal_lattice_basis(n)
+        expected = {
+            m: order_by_triangular_solve(basis, cuspidal_class(n, m))
+            for m in divisor_values(SquareFreeLevel(n))[1:]
+        }
+        assert level_orders(n) == expected, n
+        assert list(level_orders(n)) == list(expected), n
 
 
 def test_integer_oracle_matches_fraction_solve():

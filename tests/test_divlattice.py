@@ -286,3 +286,30 @@ def test_divisor_from_int_rejects_nondivisor():
         pass
     else:
         raise AssertionError("expected rejection of a non-divisor")
+
+
+def test_square_free_level_is_factored_once(monkeypatch):
+    # a private intern table, so the count does not depend on earlier tests
+    monkeypatch.setattr(SquareFreeLevel, "_interned", {})
+    factored = []
+    factor = divlattice.factor_squarefree
+    monkeypatch.setattr(
+        divlattice, "factor_squarefree", lambda n: factored.append(n) or factor(n)
+    )
+    level = SquareFreeLevel(30)
+    assert SquareFreeLevel(30) is level
+    assert SquareFreeLevel("30") is level
+    assert SquareFreeLevel(level) is level
+    assert (level.value, level.primes, level.n) == (30, (2, 3, 5), 3)
+    assert factored == [30]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not square-free"):
+            SquareFreeLevel(12)
+    assert factored == [30, 12, 12]
+    with pytest.raises(AttributeError):
+        level.value = 31
+
+
+def test_divisor_values_cached_per_level():
+    level = SquareFreeLevel(2310)
+    assert divisor_values(level) is divisor_values(SquareFreeLevel(2310))
