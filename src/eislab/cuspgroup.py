@@ -75,13 +75,13 @@ def principal_lattice_basis(n: int) -> IntMatrix:
     values, lam24, _ = build_tables(level)
     s = len(values)
     phi, psi, _ = phi_psi_omega(level)
-    if any(sum(row) != psi for row in lam24.data):
+    if any(sum(row) != psi for row in lam24):
         raise RuntimeError("unit divisor must have degree zero: a row of 24*Lambda misses psi")
     moduli = [24, 24] + [2] * level.n
     k = len(moduli)
     rows = [[q * (t == u) for u in range(k + s - 1)] for t, q in enumerate(moduli)]
-    last = lam24.data[-1]
-    for d, lam in zip(values[-2::-1], lam24.data[-2::-1]):
+    last = lam24[-1]
+    for d, lam in zip(values[-2::-1], lam24[-2::-1]):
         congruences = [d - level.value, level.value // d - 1]
         congruences += [-(d % p != 0) for p in level.primes]
         rows.append(

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd, prod
 from operator import mul
 
-from .exactnum import IntMatrix, factor_squarefree, phi_psi_omega
+from .exactnum import factor_squarefree, phi_psi_omega
 
 MAX_PRIME_COUNT = 20  # table size is 2^n rows; past this is out of desk scale
 
@@ -77,30 +77,27 @@ def divisor_values(level: SquareFreeLevel) -> tuple[int, ...]:
     )
 
 
-def build_tables(n) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
-    """(divisor_values, 24*Lambda, A) for square-free n; identity checked.
+def build_tables(n) -> tuple[tuple[int, ...], list[list[int]], list[list[int]]]:
+    """(divisor_values, 24*Lambda, A) for square-free n, the matrices as rows; identity checked.
 
     Entry (a, b) of 24*Lambda is a box b = N*gcd(a, b)^2/(a*b), the product
     of the primes on which a and b agree; A carries it with the sign
     sgn(a box b) = (-1)^(omega(a) + omega(b)), omega(d) being the number of
-    level primes dividing d.
+    level primes dividing d.  Both are 2^n square, rows and columns in the
+    order of divisor_values.
     """
     level = SquareFreeLevel(n)
     values = divisor_values(level)
     signs = [(-1) ** sum(d % p == 0 for p in level.primes) for d in values]
-    box_vals = [
+    lam24 = [
         [level.value * gcd(a, b) ** 2 // (a * b) for b in values] for a in values
     ]
-    lam24 = IntMatrix(box_vals)
-    amat = IntMatrix(
-        [
-            [sa * sb * x for sb, x in zip(signs, row)]
-            for sa, row in zip(signs, box_vals)
-        ]
-    )
+    amat = [
+        [sa * sb * x for sb, x in zip(signs, row)] for sa, row in zip(signs, lam24)
+    ]
     phi, psi, _ = phi_psi_omega(level)
-    columns = list(zip(*amat.data))
-    for i, row in enumerate(lam24.data):
+    columns = list(zip(*amat))
+    for i, row in enumerate(lam24):
         for j, col in enumerate(columns):
             if sum(map(mul, row, col)) != (phi * psi if i == j else 0):
                 raise RuntimeError(f"(24*Lambda)*A != phi*psi*I at N={level.value}")

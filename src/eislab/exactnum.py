@@ -103,7 +103,13 @@ def phi_psi_omega(n) -> tuple[int, int, int]:
 
 
 class IntMatrix:
-    """Dense integer matrix, row-major, immutable after construction."""
+    """Dense integer matrix, row-major, immutable after construction.
+
+    Production passes plain integer rows; this wrapper is left only as the
+    return type of cuspgroup.principal_lattice_basis, and __mul__ only for
+    the span that bench/tracing.py wraps around it.  Both go once that
+    tracer stops reading them.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
@@ -126,10 +132,6 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
-
     def __getitem__(self, i):
         return self.data[i]
 
@@ -145,9 +147,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]!r})"
-
-    def tolist(self) -> list[list[int]]:
-        return [list(r) for r in self.data]
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -295,39 +294,13 @@ def _echelon(rows) -> tuple[list[list[int]], list[int]]:
     return h, pivots
 
 
-def hermite_normal_form(M: IntMatrix) -> IntMatrix:
-    """Canonical basis of the row lattice of M: row-style HNF, zero rows dropped.
+def left_kernel(rows) -> list[list[int]]:
+    """HNF basis (rows) of {x : x*M = 0} for the matrix M with these rows; saturated.
 
-    Pivots are positive, entries above each pivot reduced into [0, pivot).
-    """
-    h, _ = _echelon(M.data)
-    return IntMatrix(h, cols=M.cols)
-
-
-def _augmented(M: IntMatrix):
-    """The rows (x*M, x) of [M | I], x running over the unit vectors."""
-    for i, row in enumerate(M.data):
-        yield [*row, *(int(i == j) for j in range(M.rows))]
-
-
-def hnf_with_transform(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """(H, U) with U unimodular, U*M = H, H in row HNF with zero rows kept.
-
-    One HNF of [M | I]: it has M.rows rows, those with a pivot in M's
-    columns first, and H and U are its two blocks.
-    """
-    n = M.cols
-    h, _ = _echelon(_augmented(M))
-    return IntMatrix([r[:n] for r in h], cols=n), IntMatrix([r[n:] for r in h], cols=M.rows)
-
-
-def left_kernel(M: IntMatrix) -> IntMatrix:
-    """HNF basis (rows) of {x : x*M = 0}; saturated by construction.
-
-    The kernel rows are the rows of the HNF of [M | I] whose M block is
+    One _echelon of [M | I]: the kernel rows are its rows whose M block is
     zero.  They come last, and their I blocks have positive pivots with the
     entries above reduced, so they are already the HNF of the kernel.
     """
-    h, u = hnf_with_transform(M)
-    rows = [u.data[i] for i in range(M.rows) if all(x == 0 for x in h.data[i])]
-    return IntMatrix(rows, cols=M.rows)
+    n = len(rows[0]) if rows else 0
+    h, _ = _echelon([*r, *(int(i == j) for j in range(len(rows)))] for i, r in enumerate(rows))
+    return [r[n:] for r in h if not any(r[:n])]

@@ -21,7 +21,6 @@ from operator import mul
 from eislab.cuspgroup import order_closed_form
 from eislab.divlattice import SquareFreeLevel, divisor_values
 from eislab.exactnum import (
-    IntMatrix,
     _echelon,
     _factor,
     _mul,
@@ -73,14 +72,16 @@ def _p1_table(n: int) -> tuple[array, tuple[tuple[int, int], ...]]:
 
 @dataclass(frozen=True, eq=False)
 class ManinSymbolSpace:
+    """One level's Manin-symbol presentation (build_space); matrices are tuples of int rows."""
+
     level: SquareFreeLevel
     symbols: tuple[tuple[int, int], ...]
     p1_index: array            # (u % N) * N + v % N -> symbol index, -1 off P^1
     quotient_rank: int
-    coords: IntMatrix          # symbol -> quotient coordinates, rows span Z^rank
+    coords: tuple              # symbol -> quotient coordinates, rows span Z^rank
     basis_symbols: tuple[int, ...]  # coords row of symbol basis_symbols[f] is e_f
-    boundary: IntMatrix        # on the quotient basis
-    plus: IntMatrix            # HNF basis of the star-fixed vectors, all in ker(boundary)
+    boundary: tuple            # on the quotient basis, one column per cusp
+    plus: tuple                # HNF rows of the star-fixed vectors, all in ker(boundary)
     genus: int
     op_cache: dict = field(default_factory=dict, repr=False)
 
@@ -147,25 +148,26 @@ def _relation_quotient(
     return out, free
 
 
-def _solve_over(basis: IntMatrix, images: list[list[int]], fault: str) -> IntMatrix:
-    """X with X * basis = images, for a row HNF basis; raises fault when there is none.
+def _solve_over(basis, width: int, images: list[list[int]], fault: str) -> list[list[int]]:
+    """The rows of X with X * basis = images; raises fault when there is none.
 
-    X is read from the images' entries at the pivot columns of basis (upper
-    triangular there), by one triangular solve for all images, one column
-    of X at a time; a non-integral entry raises.  The pivot entries fix X
-    only inside the span of basis, so X * basis is then compared with the
-    images whole.  Every batch solve over a Hermite basis runs through it:
-    the operators (_matrix_on_cuspidal, on the lifted sums of the packed
-    images _prime_matrix walks), the ring lattice under each prime and v
-    over it (_prime_rows, _unit_coords), which the index reads; the symbol
-    space and the index solve nothing.
+    basis is the rows of a row HNF and width its column count, which an
+    empty basis cannot show.  X is read from the images' entries at the
+    pivot columns of basis (upper triangular there), by one triangular
+    solve for all images, one column of X at a time; a non-integral entry
+    raises.  The pivot entries fix X only inside the span of basis, so
+    X * basis is then compared with the images whole.  Every batch solve
+    over a Hermite basis runs through it: the operators
+    (_matrix_on_cuspidal, on the lifted sums of the packed images
+    _prime_matrix walks), the ring lattice under each prime and v over it
+    (_prime_rows, _unit_coords), which the index reads; the symbol space
+    and the index solve nothing.
     """
-    data = basis.data
     cols: list[list[int]] = []
-    for row in data:
+    for row in basis:
         q = next(q for q, x in enumerate(row) if x)
         col = [img[q] for img in images]
-        for above, done in zip(data, cols):
+        for above, done in zip(basis, cols):
             if above[q]:
                 col = [y - above[q] * x for y, x in zip(col, done)]
         if row[q] != 1:
@@ -174,9 +176,9 @@ def _solve_over(basis: IntMatrix, images: list[list[int]], fault: str) -> IntMat
             col = [y // row[q] for y in col]
         cols.append(col)
     x = [list(r) for r in zip(*cols)]
-    if _mul(x, data, basis.cols) != images:
+    if _mul(x, basis, width) != images:
         raise RuntimeError(fault)
-    return IntMatrix(x, cols=basis.rows)
+    return x
 
 
 def build_space(n) -> ManinSymbolSpace:
@@ -250,15 +252,14 @@ def build_space(n) -> ManinSymbolSpace:
             relations.append(row)
     slot_images, free = _relation_quotient(relations, kept, nn)
     rank_q = len(free)
-    zero = [0] * rank_q
-    coords = IntMatrix(
-        [zero if sub is None else [sub[1] * x for x in slot_images[sub[0]]] for sub in subst],
-        cols=rank_q,
+    zero = (0,) * rank_q
+    coords = tuple(
+        zero if sub is None else tuple(sub[1] * x for x in slot_images[sub[0]]) for sub in subst
     )
     reps = [i for i, sub in enumerate(subst) if sub is not None and sub[1] == 1]
     basis_symbols = tuple(reps[f] for f in free)
-    split = IntMatrix([coords.data[i] for i in basis_symbols], cols=rank_q)
-    if split != IntMatrix.identity(rank_q):
+    ident = [[int(f == j) for j in range(rank_q)] for f in range(rank_q)]
+    if [list(coords[i]) for i in basis_symbols] != ident:
         raise RuntimeError(f"basis symbols do not split the symbol images at level {nn}")
 
     divisors = sorted(divisor_values(level))
@@ -277,25 +278,25 @@ def build_space(n) -> ManinSymbolSpace:
         orbit = zip(brows[i], brows[t_of[i]], brows[t_of[t_of[i]]])
         if any(x + y for x, y in pair) or any(x + y + z for x, y, z in orbit):
             raise RuntimeError(f"boundary not well-defined on the quotient at level {nn}")
-    boundary = IntMatrix([brows[i] for i in basis_symbols], cols=ncl)
-    if len(_echelon(boundary.data)[0]) != ncl - 1:
+    boundary = tuple(tuple(brows[i]) for i in basis_symbols)
+    if len(_echelon(boundary)[0]) != ncl - 1:
         raise RuntimeError(f"cuspidal rank defect at level {nn}")
     # the star on the quotient basis: basis symbol (u : v) sent to -(-u : v)
     star = [
-        [-y for y in coords.data[p1_index[-u % nn * nn + v]]]
+        [-y for y in coords[p1_index[-u % nn * nn + v]]]
         for u, v in (symbols[i] for i in basis_symbols)
     ]
-    if _mul(star, star, rank_q) != IntMatrix.identity(rank_q).tolist():
+    if _mul(star, star, rank_q) != ident:
         raise RuntimeError(f"star is not an involution at level {nn}")
-    if _mul(star, boundary.data, ncl) != [[-x for x in row] for row in boundary.data]:
+    if _mul(star, boundary, ncl) != [[-x for x in row] for row in boundary]:
         raise RuntimeError(f"star does not negate the boundary at level {nn}")
     fixed = [[x - (f == j) for j, x in enumerate(row)] for f, row in enumerate(star)]
-    plus = left_kernel(IntMatrix(fixed, cols=rank_q))
-    if 2 * plus.rows != rank_q - (ncl - 1):
+    plus = tuple(map(tuple, left_kernel(fixed)))
+    if 2 * len(plus) != rank_q - (ncl - 1):
         raise RuntimeError(
-            f"star-fixed rank {plus.rows} is not half the cuspidal rank at level {nn}"
+            f"star-fixed rank {len(plus)} is not half the cuspidal rank at level {nn}"
         )
-    genus = plus.rows
+    genus = len(plus)
     return ManinSymbolSpace(
         level=level,
         symbols=symbols,
@@ -358,12 +359,12 @@ def _cuspidal_lift(space: ManinSymbolSpace):
     key = "plus-as-symbols"
     if key not in space.op_cache:
         basis = space.basis_symbols
-        rows = [{basis[f]: x for f, x in enumerate(row) if x} for row in space.plus.data]
+        rows = [{basis[f]: x for f, x in enumerate(row) if x} for row in space.plus]
         space.op_cache[key] = (rows, sorted(set().union(*rows)))
     return space.op_cache[key]
 
 
-def _matrix_on_cuspidal(space: ManinSymbolSpace, images: dict[int, int], w: int) -> IntMatrix:
+def _matrix_on_cuspidal(space: ManinSymbolSpace, images: dict[int, int], w: int) -> list:
     """Operator on the star-fixed cuspidal basis from the symbol images packed at width w.
 
     Each lifted basis vector's image is one sum of images[s] over its
@@ -373,10 +374,11 @@ def _matrix_on_cuspidal(space: ManinSymbolSpace, images: dict[int, int], w: int)
     """
     sums = [sum(coef * images[s] for s, coef in row.items()) for row in _cuspidal_lift(space)[0]]
     fault = f"cuspidal lattice not stable under the operator at level {space.level.value}"
-    return _solve_over(space.plus, _unpack_rows(sums, space.quotient_rank, w), fault)
+    rank = space.quotient_rank
+    return _solve_over(space.plus, rank, _unpack_rows(sums, rank, w), fault)
 
 
-def _prime_matrix(space: ManinSymbolSpace, p: int) -> IntMatrix:
+def _prime_matrix(space: ManinSymbolSpace, p: int) -> list[list[int]]:
     """T_p (U_p when p | N) on the star-fixed cuspidal basis, by the Heilbronn family of p.
 
     Each support symbol (u : v) sums the packed coordinate rows of its
@@ -393,15 +395,15 @@ def _prime_matrix(space: ManinSymbolSpace, p: int) -> IntMatrix:
         n = space.level.value
         fam = [(a * n, c * n, b, d) for a, b, c, d in _heilbronn_family(p)]
         if space.genus == 0:
-            return IntMatrix([], cols=0)
+            return []
         lifted, support = _cuspidal_lift(space)
         if "reach" not in cache:
-            coords = space.coords.data
+            coords = space.coords
             top = max(max(map(max, coords)), -min(map(min, coords)))
             cache["reach"] = top * max(sum(map(abs, row.values())) for row in lifted)
         w = _width(cache["reach"] * len(fam))
         if ("packed", w) not in cache:
-            cache["packed", w] = [*_pack_rows(space.coords.data, space.quotient_rank, w), 0]
+            cache["packed", w] = [*_pack_rows(space.coords, space.quotient_rank, w), 0]
         packed, table, nn = cache["packed", w], space.p1_index, n * n
         images = {}
         for s in support:
@@ -419,9 +421,11 @@ def _prime_matrix(space: ManinSymbolSpace, p: int) -> IntMatrix:
 
 @dataclass(frozen=True, eq=False)
 class HeckeRingModel:
+    """The Hecke ring as the lattice L = v T (hecke_ring); basis is L's g HNF rows, g wide."""
+
     space: ManinSymbolSpace
     bound: int
-    basis: IntMatrix           # L = v T, the HNF of the orbit v T_k, k <= bound
+    basis: list[list[int]]     # L = v T, the HNF rows of the orbit v T_k, k <= bound
     genus: int
     vector: tuple[int, ...]    # the cyclic vector v, in plus coordinates
     cache: dict = field(default_factory=dict, repr=False)  # prime rows, T_1, orbit, phi
@@ -505,7 +509,7 @@ def _orbit(space: ManinSymbolSpace, v: list[int], bound: int) -> list[list[int]]
     for k in range(2, bound + 1):
         p = min(_factor(k))
         if p not in cols:
-            cols[p] = list(zip(*_prime_matrix(space, p).data))
+            cols[p] = list(zip(*_prime_matrix(space, p)))
         x = [sum(map(mul, w[k // p], col)) for col in cols[p]]
         if n % p and k % (p * p) == 0:
             x = [a - p * b for a, b in zip(x, w[k // (p * p)])]
@@ -536,7 +540,7 @@ def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
     else:
         raise RuntimeError(f"no candidate vector is cyclic at level {space.level.value}")
     ring = HeckeRingModel(
-        space=space, bound=bound, basis=IntMatrix(rows, cols=g), genus=g, vector=tuple(v),
+        space=space, bound=bound, basis=rows, genus=g, vector=tuple(v),
         cache={"orbit": orbit},
     )
     for p in primes_up_to(bound):
@@ -560,9 +564,9 @@ def _prime_rows(ring: HeckeRingModel, p: int) -> list[list[int]]:
     if key not in ring.cache:
         space, g = ring.space, ring.genus
         fault = f"operator {p} escapes the ring lattice at level {space.level.value}"
-        t = _prime_matrix(space, p).data
+        t = _prime_matrix(space, p)
         if p > ring.bound:
-            tq = [_prime_matrix(space, q).data for q in primes_up_to(ring.bound)]
+            tq = [_prime_matrix(space, q) for q in primes_up_to(ring.bound)]
             # one packed product each way: T_p times the T_q side by side,
             # and the T_q stacked times T_p
             side = _mul(t, [[x for s in tq for x in s[r]] for r in range(g)], g * len(tq))
@@ -572,8 +576,8 @@ def _prime_rows(ring: HeckeRingModel, p: int) -> list[list[int]]:
                 for i in range(len(tq)) for r in range(g)
             ):
                 raise RuntimeError(fault)
-        images = _mul(ring.basis.data, t, g)
-        ring.cache[key] = _solve_over(ring.basis, images, fault).tolist()
+        images = _mul(ring.basis, t, g)
+        ring.cache[key] = _solve_over(ring.basis, g, images, fault)
     return ring.cache[key]
 
 
@@ -582,7 +586,7 @@ def _unit_coords(ring: HeckeRingModel) -> list[int]:
     e = ring.cache.get("one")
     if e is None:
         fault = f"operator 1 escapes the ring lattice at level {ring.space.level.value}"
-        e = ring.cache["one"] = _solve_over(ring.basis, [list(ring.vector)], fault).tolist()[0]
+        e = ring.cache["one"] = _solve_over(ring.basis, ring.genus, [list(ring.vector)], fault)[0]
     return e
 
 
@@ -606,7 +610,7 @@ def _functionals(ring: HeckeRingModel) -> dict[int, tuple[list[int], int]]:
         a = [[-x // 24 for x in eisenstein_series(level, m, top)] for m in ms]
         orbit = enumerate(ring.cache.pop("orbit"), 1)
         h, _ = _echelon([*w, *(x[k] for x in a)] for k, w in orbit)
-        if [r[:g] for r in h[:g]] != ring.basis.tolist():
+        if [r[:g] for r in h[:g]] != ring.basis:
             raise RuntimeError(f"the orbit does not echelonize to L at level {level.value}")
         fs = [r[g:] for r in h[:g]]
         ts = [gcd(*(r[g + c] for r in h[g:])) for c in range(len(ms))]

@@ -26,7 +26,7 @@ from eislab.qseries import (
     residues,
 )
 from test_divlattice import box_add, sgn
-from test_exactnum import scale
+from test_exactnum import identity, scale
 
 
 def _proper_divisors(n):
@@ -102,7 +102,7 @@ def test_criterion_2_divisor_box_algebra_exhaustive():
                         rhs = divs[box[i][r]] * divs[box[r][j]]
                         assert lhs == rhs, (n, i, j, k)
         phi, psi, _ = phi_psi_omega(level)
-        assert lam24 * amat == scale(IntMatrix.identity(s), phi * psi), n
+        assert IntMatrix(lam24) * IntMatrix(amat) == scale(identity(s), phi * psi), n
         levels += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10, f"budget blown: {elapsed:.1f}s"

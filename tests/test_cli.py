@@ -6,8 +6,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from difflib import SequenceMatcher
 from pathlib import Path
 
 import pytest
@@ -477,6 +479,100 @@ def test_src_has_no_assert():
             if name.partition(".")[0] not in allowed
         ]
         assert not foreign, f"{path.name}: non-stdlib imports {foreign}"
+
+
+CERTIFICATES = {"RuntimeError", "FalsifiedExpectation"}
+
+
+def _literal_parts(node) -> list[str] | None:
+    """The literal text of a string or f-string node, split at its fields."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if not isinstance(node, ast.JoinedStr):
+        return None
+    parts = [""]
+    for value in node.values:
+        if isinstance(value, ast.Constant):
+            parts[-1] += value.value
+        else:
+            parts.append("")
+    return parts
+
+
+def certificate_keys(tree) -> set[str]:
+    """The longest literal part of every RuntimeError and FalsifiedExpectation message.
+
+    A raise whose message is a variable (raise RuntimeError(fault)) counts
+    every string the module assigns to that name.
+    """
+    messages, names = [], set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in CERTIFICATES and node.args
+        ):
+            arg = node.args[0]
+            if isinstance(arg, ast.Name):
+                names.add(arg.id)
+            else:
+                messages.append(_literal_parts(arg))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in names for t in node.targets
+        ):
+            messages.append(_literal_parts(node.value))
+    assert None not in messages, "a certificate message that is neither a literal nor a name"
+    return {max(parts, key=len).strip() for parts in messages}
+
+
+def raises_patterns(tree) -> set[str]:
+    """Every match= of a pytest.raises, as literal text; a match= that is a
+    parameter counts every string of the test's parametrize decorators."""
+    out = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if not (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "raises"
+            ):
+                continue
+            for kw in node.keywords:
+                if kw.arg != "match":
+                    continue
+                if isinstance(kw.value, ast.Constant):
+                    out.add(kw.value.value)
+                elif isinstance(kw.value, ast.Name):
+                    out.update(
+                        c.value
+                        for deco in func.decorator_list
+                        for c in ast.walk(deco)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    )
+    return {re.sub(r"\\(.)", r"\1", p).strip("^$") for p in out}
+
+
+def _names(pattern: str, key: str) -> bool:
+    match = SequenceMatcher(None, pattern, key, autojunk=False).find_longest_match()
+    return match.size >= min(len(key), 16)
+
+
+def test_every_certificate_has_a_planted_fault():
+    # each RuntimeError and FalsifiedExpectation in src/ is named, over at
+    # least 16 characters of its message (or all of a shorter one), by some
+    # pytest.raises(..., match=...) in tests/: a new certificate arrives
+    # with the planted fault that reaches it
+    src = Path(eislab.__file__).parent
+    keys = set()
+    for path in sorted(src.rglob("*.py")):
+        keys |= certificate_keys(ast.parse(path.read_text(encoding="utf-8")))
+    assert {"class must have degree zero", "escapes the ring lattice at level"} <= keys
+    patterns = set()
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        patterns |= raises_patterns(ast.parse(path.read_text(encoding="utf-8")))
+    unnamed = sorted(k for k in keys if not any(_names(p, k) for p in patterns))
+    assert not unnamed, f"certificates no planted-fault test names: {unnamed}"
 
 
 def test_output_file(tmp_path, capsys):

@@ -19,7 +19,6 @@ from eislab.cuspgroup import (
 from eislab.divlattice import SquareFreeLevel, _check_m, build_tables, divisor_values
 from eislab.exactnum import (
     IntMatrix,
-    hermite_normal_form,
     left_kernel,
     phi_psi_omega,
 )
@@ -28,6 +27,7 @@ from test_exactnum import (
     _divisor_chain_oracle,
     determinant,
     elementary_divisors,
+    hermite_normal_form,
     hnf_coordinates,
     reference_elementary_divisors,
 )
@@ -230,18 +230,18 @@ def unit_lattice_by_kernel(n) -> IntMatrix:
         aux = [0] * (3 + nprimes)
         aux[3 + t] = 2
         rows.append(aux)
-    kernel = left_kernel(IntMatrix(rows, cols=3 + nprimes))
-    return hermite_normal_form(IntMatrix([row[:s] for row in kernel.data], cols=s))
+    kernel = left_kernel(rows)
+    return hermite_normal_form(IntMatrix([row[:s] for row in kernel], cols=s))
 
 
 def principal_lattice_by_hnf(n) -> IntMatrix:
     """Principal divisors as the plain HNF of the unit divisors on all s cusps."""
     _, lam24, _ = build_tables(n)
-    gens = unit_lattice_by_kernel(n) * lam24
+    gens = unit_lattice_by_kernel(n) * IntMatrix(lam24)
     if any(x % 24 for row in gens.data for x in row):
         raise RuntimeError("unit divisor must be integral on every cusp")
     return hermite_normal_form(
-        IntMatrix([[x // 24 for x in row] for row in gens.data], cols=lam24.cols)
+        IntMatrix([[x // 24 for x in row] for row in gens.data], cols=len(lam24))
     )
 
 
@@ -434,13 +434,34 @@ def test_planted_row_sum_of_lambda_is_refused(monkeypatch, fresh_orders):
 
     def bent(n):
         values, lam24, amat = tables(n)
-        data = [list(row) for row in lam24.data]
+        data = [list(row) for row in lam24]
         data[0][0] += 1
-        return values, IntMatrix(data, cols=lam24.cols), amat
+        return values, data, amat
 
     monkeypatch.setattr(cuspgroup, "build_tables", bent)
     with pytest.raises(RuntimeError, match="a row of 24\\*Lambda"):
         principal_lattice_basis(30)
+
+
+def test_planted_rank_drop_leaves_a_class_outside_the_span(monkeypatch, fresh_orders):
+    # the principal lattice without its last row no longer spans the
+    # degree-0 hyperplane, where every class lies
+    basis = cuspgroup.principal_lattice_basis
+
+    def short(n):
+        full = basis(n)
+        return IntMatrix(full.data[:-1], cols=full.cols)
+
+    monkeypatch.setattr(cuspgroup, "principal_lattice_basis", short)
+    with pytest.raises(RuntimeError, match="class vector leaves the rational span of the lattice"):
+        level_orders(30)
+
+
+def test_planted_class_of_nonzero_degree_is_refused(monkeypatch):
+    # M = 1 let through: its class is the cusp P_1 alone, of degree 1
+    monkeypatch.setattr(cuspgroup, "_check_m", lambda level, m: int(m))
+    with pytest.raises(RuntimeError, match="class must have degree zero"):
+        cuspidal_class(30, 1)
 
 
 def test_planted_lattice_fault_raises_on_every_oracle_call(monkeypatch, fresh_orders):

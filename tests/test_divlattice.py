@@ -10,7 +10,7 @@ from eislab import divlattice
 from eislab.cli import _squarefree_levels
 from eislab.divlattice import SquareFreeLevel, build_tables, divisor_values
 from eislab.exactnum import IntMatrix, phi_psi_omega
-from test_exactnum import scale
+from test_exactnum import identity, scale
 
 
 # The divisor algebra on plain int divisors of a square-free level N.
@@ -155,13 +155,13 @@ def test_a_N_equals_box_value():
 
 def test_build_tables_identity_n10():
     values, lam24, amat = build_tables(10)
-    assert lam24 * amat == scale(IntMatrix.identity(4), 72)
+    assert IntMatrix(lam24) * IntMatrix(amat) == scale(identity(4), 72)
 
 
 def test_build_tables_identity_breach_raises(monkeypatch):
     # a failed identity is an invariant breach, a RuntimeError like every other
     monkeypatch.setattr(divlattice, "phi_psi_omega", lambda level: (1, 1, 0))
-    with pytest.raises(RuntimeError, match="phi\\*psi"):
+    with pytest.raises(RuntimeError, match=r"\(24\*Lambda\)\*A != phi\*psi\*I at N=10$"):
         build_tables(10)
 
 
@@ -169,7 +169,7 @@ def test_planted_box_entry_breaks_the_identity(monkeypatch):
     # the sixth gcd call misreports, so one box entry of 24*Lambda (and of A) is wrong
     calls = count(1)
     monkeypatch.setattr(divlattice, "gcd", lambda a, b: gcd(a, b) + (next(calls) == 6))
-    with pytest.raises(RuntimeError, match="phi\\*psi"):
+    with pytest.raises(RuntimeError, match=r"\(24\*Lambda\)\*A != phi\*psi\*I at N=30$"):
         build_tables(30)
 
 
@@ -191,7 +191,8 @@ def test_divisor_values_match_the_table_order():
 def test_lambda_entries_are_divisors():
     for n in (6, 15, 30, 42):
         values, lam24, _ = build_tables(n)
-        for row in lam24.data:
+        assert len(lam24) == len(values)
+        for row in lam24:
             assert set(row) <= set(values)
 
 

@@ -11,13 +11,12 @@ import pytest
 from eislab import exactnum
 from eislab.exactnum import (
     IntMatrix,
+    _echelon,
     _factor,
     _hnf_insert,
     _mul,
     _width,
     factor_squarefree,
-    hermite_normal_form,
-    hnf_with_transform,
     is_prime,
     left_kernel,
     phi_psi_omega,
@@ -27,8 +26,49 @@ from eislab.exactnum import (
 
 # Moved from eislab.exactnum, which has no caller of them left: the membership
 # solve over an HNF, the Smith form (cuspidal_group_structure, in
-# test_cuspgroup, is its one caller), and IntMatrix.is_zero, .scale and
-# .transpose.
+# test_cuspgroup, is its one caller), IntMatrix.is_zero, .scale,
+# .transpose, .identity and .tolist, and the IntMatrix Hermite forms
+# hermite_normal_form and hnf_with_transform (production echelonizes plain
+# rows with _echelon).
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def tolist(m: IntMatrix) -> list[list[int]]:
+    return [list(r) for r in m.data]
+
+
+def hermite_normal_form(M: IntMatrix) -> IntMatrix:
+    """Canonical basis of the row lattice of M: row-style HNF, zero rows dropped.
+
+    Pivots are positive, entries above each pivot reduced into [0, pivot).
+    """
+    h, _ = _echelon(M.data)
+    return IntMatrix(h, cols=M.cols)
+
+
+def _augmented(M: IntMatrix):
+    """The rows (x*M, x) of [M | I], x running over the unit vectors."""
+    for i, row in enumerate(M.data):
+        yield [*row, *(int(i == j) for j in range(M.rows))]
+
+
+def hnf_with_transform(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """(H, U) with U unimodular, U*M = H, H in row HNF with zero rows kept.
+
+    One HNF of [M | I]: it has M.rows rows, those with a pivot in M's
+    columns first, and H and U are its two blocks.
+    """
+    n = M.cols
+    h, _ = _echelon(_augmented(M))
+    return IntMatrix([r[:n] for r in h], cols=n), IntMatrix([r[n:] for r in h], cols=M.rows)
+
+
+def kernel(M: IntMatrix) -> IntMatrix:
+    """left_kernel of the rows of M, as a matrix of M.rows columns."""
+    return IntMatrix(left_kernel(M.data), cols=M.rows)
+
 
 def is_zero(m: IntMatrix) -> bool:
     return all(x == 0 for row in m.data for x in row)
@@ -118,8 +158,8 @@ def _smith_from_hnf(h: IntMatrix) -> tuple[int, ...]:
 
 def saturation(M: IntMatrix) -> IntMatrix:
     """HNF basis of (Q-span of rows of M) intersected with Z^cols."""
-    ker = left_kernel(transpose(M))
-    return hermite_normal_form(left_kernel(transpose(ker)))
+    ker = kernel(transpose(M))
+    return hermite_normal_form(kernel(transpose(ker)))
 
 
 def _hnf_inplace(a: list[list[int]], u: list[list[int]] | None) -> int:
@@ -177,7 +217,7 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     operations: the reference every Smith form is checked on.
     """
     m, n = M.rows, M.cols
-    a = M.tolist()
+    a = tolist(M)
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     t = 0
@@ -252,7 +292,7 @@ def reference_elementary_divisors(M: IntMatrix) -> tuple[int, ...]:
 
 def reference_hnf(M: IntMatrix) -> IntMatrix:
     """Row HNF of M, zero rows dropped, by the pairwise-xgcd reference."""
-    a = M.tolist()
+    a = tolist(M)
     rank = _hnf_inplace(a, None)
     return IntMatrix(a[:rank], cols=M.cols)
 
@@ -265,14 +305,14 @@ def left_inverse_by_full_fold(M: IntMatrix) -> IntMatrix | None:
     """
     n = M.cols
     h, u = hnf_with_transform(M)
-    if h.rows < n or IntMatrix(h.data[:n], cols=n) != IntMatrix.identity(n):
+    if h.rows < n or IntMatrix(h.data[:n], cols=n) != identity(n):
         return None
     return IntMatrix(u.data[:n], cols=M.rows)
 
 
 def reference_hnf_with_transform(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """(H, U) with U*M = H, zero rows kept, by the pairwise-xgcd reference."""
-    a = M.tolist()
+    a = tolist(M)
     u = [[int(i == j) for j in range(M.rows)] for i in range(M.rows)]
     _hnf_inplace(a, u)
     return IntMatrix(a, cols=M.cols), IntMatrix(u, cols=M.rows)
@@ -418,7 +458,7 @@ def test_phi_psi_omega_examples():
 
 
 def test_snf_identity():
-    m = IntMatrix.identity(3)
+    m = identity(3)
     u, d, v = smith_normal_form(m)
     assert d == m
 
@@ -429,7 +469,7 @@ def test_snf_diag_2_3():
     assert [d[0][0], d[1][1]] == [1, 6]
     # oracle: first divisor is the gcd of entries, product is |det|
     assert gcd(2, 3) == 1
-    assert abs(_det(m.tolist())) == 6
+    assert abs(_det(tolist(m))) == 6
     assert u * m * v == d
 
 
@@ -447,8 +487,8 @@ def test_snf_random_properties():
         m = IntMatrix(_rand_matrix(rng, r, c))
         u, d, v = smith_normal_form(m)
         assert u * m * v == d
-        assert abs(_det(u.tolist())) == 1
-        assert abs(_det(v.tolist())) == 1
+        assert abs(_det(tolist(u))) == 1
+        assert abs(_det(tolist(v))) == 1
         diag = [d[i][i] for i in range(min(r, c))]
         for i in range(len(diag) - 1):
             if diag[i + 1]:
@@ -457,9 +497,9 @@ def test_snf_random_properties():
             for j in range(d.cols):
                 if i != j:
                     assert d[i][j] == 0
-        chain = _divisor_chain_oracle(m.tolist())
+        chain = _divisor_chain_oracle(tolist(m))
         assert list(reference_elementary_divisors(m)) == chain
-        if r == c and _det(m.tolist()):
+        if r == c and _det(tolist(m)):
             assert list(elementary_divisors(m)) == chain
 
 
@@ -514,7 +554,7 @@ def test_elementary_divisors_match_reference():
                 chained.append(m)
         for m in small + chained:
             ed = elementary_divisors(m)
-            assert list(ed) == _divisor_chain_oracle(m.tolist()), m
+            assert list(ed) == _divisor_chain_oracle(tolist(m)), m
             assert all(b % a == 0 for a, b in zip(ed, ed[1:])), m
 
 
@@ -527,7 +567,7 @@ def test_elementary_divisors_reject_singular_or_nonsquare(rows):
 
 
 def test_hnf_identity():
-    m = IntMatrix.identity(4)
+    m = identity(4)
     assert hermite_normal_form(m) == m
 
 
@@ -543,8 +583,8 @@ def test_hnf_full_rank_example():
                     (2 * a + c, 3 * b + c)
                 )
     assert (1, 0) in reachable and (0, 1) in reachable
-    assert h == IntMatrix.identity(2)
-    assert abs(_det(h.tolist())) == 1
+    assert h == identity(2)
+    assert abs(_det(tolist(h))) == 1
 
 
 def test_hnf_single_row_is_lattice_basis():
@@ -622,7 +662,7 @@ def test_hnf_with_transform():
         assert h == reference_hnf_with_transform(m)[0]
         assert (u.rows, u.cols) == (r, r)
         assert u * m == h
-        assert abs(_det(u.tolist())) == 1
+        assert abs(_det(tolist(u))) == 1
 
 
 def test_hnf_coordinates_roundtrip():
@@ -656,7 +696,7 @@ def test_non_integer_entries_raise():
         with pytest.raises(TypeError):
             IntMatrix([[x, 2]])
         with pytest.raises(TypeError):
-            hnf_coordinates(IntMatrix.identity(2), [x, 2])
+            hnf_coordinates(identity(2), [x, 2])
 
 
 def _naive_product(a, b, bc):
@@ -700,7 +740,7 @@ def test_packed_product_matches_naive(monkeypatch):
     assert {64, 128} <= widths
     assert _mul([[1, 2], [3, 4]], [[], []], 0) == [[], []]
     m = IntMatrix([[top, -top], [1, 1]])
-    assert (m * m).tolist() == _naive_product(m.data, m.data, 2)
+    assert tolist(m * m) == _naive_product(m.data, m.data, 2)
 
 
 def test_left_kernel():
@@ -708,7 +748,8 @@ def test_left_kernel():
     for _ in range(40):
         r, c = rng.randint(1, 5), rng.randint(1, 4)
         m = IntMatrix(_rand_matrix(rng, r, c, -5, 5))
-        k = left_kernel(m)
+        k = kernel(m)
+        assert left_kernel(m.data) == tolist(k)  # plain list rows
         if k.rows:
             assert is_zero(k * m)
         assert k.rows == r - reference_hnf(m).rows
@@ -717,6 +758,9 @@ def test_left_kernel():
         assert reference_hnf(k) == reference_hnf(IntMatrix(ref, cols=r))
         if k.rows:
             assert saturation(k) == hermite_normal_form(k)
+    # no rows: the kernel of Z^0; rows of no columns: all of Z^rows
+    assert left_kernel([]) == []
+    assert left_kernel([[], []]) == [[1, 0], [0, 1]]
 
 
 def test_left_kernel_is_in_hnf():
@@ -729,13 +773,13 @@ def test_left_kernel_is_in_hnf():
         coef = _rand_matrix(rng, r, len(base), -2, 2)
         low = [[sum(a * x for a, x in zip(u, col)) for col in zip(*base)] for u in coef]
         for m in (IntMatrix(_rand_matrix(rng, r, c, -6, 6)), IntMatrix(low, cols=c)):
-            k = left_kernel(m)
+            k = kernel(m)
             assert hermite_normal_form(k) == k, m.data
             assert reference_hnf(k) == k, m.data
 
 
 def test_saturation_examples():
-    assert saturation(IntMatrix([[2, 0], [0, 2]])) == IntMatrix.identity(2)
+    assert saturation(IntMatrix([[2, 0], [0, 2]])) == identity(2)
     assert saturation(IntMatrix([[0, 3, 6]])) == IntMatrix([[0, 1, 2]])
 
 
@@ -759,7 +803,7 @@ def test_hnf_insert_matches_hnf():
         if start.rows < g:
             continue
         extra = [[rng.randint(-40, 40) for _ in range(g)] for _ in range(rng.randint(1, 4))]
-        inputs.append((start.tolist() + extra, g))
+        inputs.append((tolist(start) + extra, g))
     for rows, c in inputs:
         h, pivots = [], []
         for k, row in enumerate(rows, 1):
@@ -770,7 +814,7 @@ def test_hnf_insert_matches_hnf():
 
 
 def _spans(m: IntMatrix) -> bool:
-    return reference_hnf(m) == IntMatrix.identity(m.cols)
+    return reference_hnf(m) == identity(m.cols)
 
 
 def test_left_inverse():
@@ -805,7 +849,7 @@ def test_left_inverse():
         s = left_inverse_by_full_fold(m)
         if _spans(m):
             spanning += 1
-            assert s is not None and s * m == IntMatrix.identity(m.cols), m
+            assert s is not None and s * m == identity(m.cols), m
             assert (s.rows, s.cols) == (m.cols, m.rows), m
         else:
             assert s is None, m

@@ -21,8 +21,6 @@ from eislab.exactnum import (
     _hnf_insert,
     _pack_rows,
     _width,
-    hermite_normal_form,
-    hnf_with_transform,
     is_prime,
     left_kernel,
     phi_psi_omega,
@@ -51,12 +49,17 @@ from eislab.modsym import (
 )
 from test_exactnum import (
     _smith_from_hnf,
+    hermite_normal_form,
     hnf_coordinates,
+    hnf_with_transform,
+    identity,
     is_zero,
+    kernel,
     left_inverse_by_full_fold,
     mat_sum,
     reference_hnf,
     scale,
+    tolist,
     transpose,
 )
 
@@ -74,6 +77,35 @@ def cached_space(n: int):
 @lru_cache(maxsize=None)
 def cached_ring(n: int):
     return hecke_ring(cached_space(n))
+
+
+# the space, the operators and the ring hold plain integer rows; the tests
+# read them as IntMatrix wherever they multiply, echelonize or compare them
+# with a matrix
+
+def coords_of(space) -> IntMatrix:
+    return IntMatrix(space.coords, cols=space.quotient_rank)
+
+
+def boundary_of(space) -> IntMatrix:
+    return IntMatrix(space.boundary, cols=2 ** len(space.level.primes))
+
+
+def plus_of(space) -> IntMatrix:
+    return IntMatrix(space.plus, cols=space.quotient_rank)
+
+
+def prime_matrix(space, p: int) -> IntMatrix:
+    return IntMatrix(_prime_matrix(space, p), cols=space.genus)
+
+
+def basis_of(ring) -> IntMatrix:
+    return IntMatrix(ring.basis, cols=ring.genus)
+
+
+def wide_basis(ref) -> IntMatrix:
+    # reference_ring's basis: the flattened g x g operators
+    return IntMatrix(ref.basis, cols=ref.genus ** 2)
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -179,7 +211,7 @@ def image_rows(space, symbol_rows):
     for i in range(len(space.symbols)):
         acc = [0] * rank_q
         for j, mult in symbol_rows[i].items():
-            xr = space.coords.data[j]
+            xr = space.coords[j]
             for t in range(rank_q):
                 acc[t] += mult * xr[t]
         out.append(acc)
@@ -196,7 +228,7 @@ def section_matrix(space):
 
 def cuspidal_lattice(space):
     """HNF basis of the cuspidal lattice ker(boundary), which build_space never forms."""
-    return hermite_normal_form(left_kernel(space.boundary))
+    return hermite_normal_form(kernel(boundary_of(space)))
 
 
 def matrix_on_quotient(space, symbol_rows):
@@ -271,11 +303,12 @@ def test_build_space_at_the_smallest_levels():
         psi = phi_psi_omega(SquareFreeLevel(n))[1]
         rank = len(level_divisors(n)) - 1
         assert len(space.symbols) == psi, n
-        assert (space.genus, cuspidal_lattice(space).rows, space.plus.rows) == (0, 0, 0), n
+        assert (space.genus, cuspidal_lattice(space).rows, len(space.plus)) == (0, 0, 0), n
         assert space.quotient_rank == rank, n
-        assert (space.coords.rows, space.coords.cols) == (psi, rank), n
+        coords = coords_of(space)
+        assert (coords.rows, coords.cols) == (psi, rank), n
         assert len(space.basis_symbols) == rank, n
-        assert section_matrix(space) * space.coords == IntMatrix.identity(rank), n
+        assert section_matrix(space) * coords == identity(rank), n
     assert build_space(1).basis_symbols == ()
 
 
@@ -287,14 +320,14 @@ def test_cuspidal_lift_lies_on_basis_symbols():
         lifted, support = _cuspidal_lift(space)
         assert set(support) <= set(space.basis_symbols), n
         back = [[row.get(i, 0) for i in space.basis_symbols] for row in lifted]
-        assert IntMatrix(back, cols=space.quotient_rank) == space.plus, n
+        assert IntMatrix(back, cols=space.quotient_rank) == plus_of(space), n
 
 
 def test_quotient_rank_accounts_for_cusps_and_genus():
     for n in (11, 14, 15, 21, 30, 33):
         space = cached_space(n)
         classes = len(level_divisors(n))
-        assert space.boundary.cols == classes
+        assert {len(row) for row in space.boundary} == {classes}
         assert space.quotient_rank == 2 * space.genus + classes - 1
 
 
@@ -304,8 +337,9 @@ def test_cusp_classes_follow_divisors():
     for n in (11, 14, 30, 66):
         space = cached_space(n)
         divisors = level_divisors(n)
-        assert space.boundary.cols == len(divisors) == 2 ** len(space.level.primes)
-        for i, row in zip(space.basis_symbols, space.boundary.data):
+        assert len(divisors) == 2 ** len(space.level.primes)
+        assert {len(row) for row in space.boundary} == {len(divisors)}
+        for i, row in zip(space.basis_symbols, space.boundary):
             assert list(row) == gcd_boundary_row(n, divisors, *space.symbols[i]), (n, i)
 
 
@@ -552,7 +586,7 @@ def packed_images(space, symbol_rows):
     lifted row's sum of |coef| * (L1 norm of the symbol's image).
     """
     lifted, support = _cuspidal_lift(space)
-    coords = space.coords.data
+    coords = space.coords
     top = max((abs(x) for row in coords for x in row), default=0)
     weight = {s: sum(map(abs, symbol_rows[s].values())) for s in support}
     reach = max((sum(abs(c) * weight[s] for s, c in row.items()) for row in lifted), default=0)
@@ -563,7 +597,8 @@ def packed_images(space, symbol_rows):
 
 def on_cuspidal(space, symbol_rows):
     """The operator with the given symbol images (counts), through the production certificate."""
-    return _matrix_on_cuspidal(space, *packed_images(space, symbol_rows))
+    return IntMatrix(_matrix_on_cuspidal(space, *packed_images(space, symbol_rows)),
+                     cols=space.genus)
 
 
 def test_identity_paths_recover_symbols():
@@ -571,16 +606,16 @@ def test_identity_paths_recover_symbols():
     for n in (11, 14, 30):
         space = cached_space(n)
         rows = _rows_by_paths(space, 1, False, range(len(space.symbols)))
-        assert matrix_on_quotient(space, rows) == IntMatrix.identity(space.quotient_rank)
+        assert matrix_on_quotient(space, rows) == identity(space.quotient_rank)
 
 
 def test_boundary_well_defined_and_ranked():
     for n in (11, 15, 30):
         space = cached_space(n)
         ncl, boundary = len(level_divisors(n)), space.boundary
-        assert boundary.rows == space.quotient_rank
-        assert boundary.cols == ncl
-        assert reference_hnf(boundary).rows == ncl - 1
+        assert len(boundary) == space.quotient_rank
+        assert {len(row) for row in boundary} == {ncl}
+        assert reference_hnf(boundary_of(space)).rows == ncl - 1
 
 
 def test_planted_boundary_fault_is_caught(monkeypatch):
@@ -615,10 +650,10 @@ def test_planted_symbol_image_leaves_cuspidal_lattice():
         space = build_space(n)
         support = _cuspidal_lift(space)[1]
         rows = heilbronn_symbol_rows(space, r, support)
-        assert on_cuspidal(space, rows) == _prime_matrix(space, r)
+        assert on_cuspidal(space, rows) == prime_matrix(space, r)
         j = next(
             j for j in range(len(space.symbols))
-            if not is_zero(IntMatrix([space.coords[j]]) * space.boundary)
+            if not is_zero(IntMatrix([space.coords[j]]) * boundary_of(space))
         )
         s = support[0]
         rows[s] = {**rows[s], j: rows[s].get(j, 0) + 1}
@@ -679,7 +714,7 @@ def _full_prime_matrix(n, p):
 def _plus_over_cuspidal(space):
     # the rows of plus as coordinates over the cuspidal basis
     cuspidal = cuspidal_lattice(space)
-    return IntMatrix([hnf_coordinates(cuspidal, row) for row in space.plus.data],
+    return IntMatrix([hnf_coordinates(cuspidal, row) for row in space.plus],
                      cols=cuspidal.rows)
 
 
@@ -688,18 +723,18 @@ def test_star_is_an_involution_commuting_with_the_full_operators():
         space = cached_space(n)
         two_g = cuspidal_lattice(space).rows
         star = _full_star(n)
-        assert star * star == IntMatrix.identity(two_g), n
+        assert star * star == identity(two_g), n
         bound = -(-len(space.symbols) // 6)
         for p in primes_up_to(bound):
             t = _full_prime_matrix(n, p)
             assert star * t == t * star, (n, p)
         # plus has rank g and is the saturated star-fixed sublattice: its
         # rows are fixed and their coordinates extend to a unimodular basis
-        assert space.plus.rows == space.genus == two_g // 2, n
+        assert len(space.plus) == space.genus == two_g // 2, n
         c = _plus_over_cuspidal(space)
         assert c * star == c, n
         assert space.genus == 0 or hermite_normal_form(transpose(c)) == (
-            IntMatrix.identity(space.genus)
+            identity(space.genus)
         ), n
 
 
@@ -709,8 +744,8 @@ def test_operators_are_the_full_ones_restricted_to_plus():
         c = _plus_over_cuspidal(space)
         for p in primes_up_to(-(-len(space.symbols) // 6)):
             images = c * _full_prime_matrix(n, p) * cuspidal_lattice(space)
-            restricted = [hnf_coordinates(space.plus, row) for row in images.data]
-            assert _prime_matrix(space, p) == IntMatrix(restricted, cols=space.genus), (n, p)
+            restricted = [hnf_coordinates(plus_of(space), row) for row in images.data]
+            assert prime_matrix(space, p) == IntMatrix(restricted, cols=space.genus), (n, p)
 
 
 def test_planted_image_cuspidal_but_not_star_fixed():
@@ -720,10 +755,10 @@ def test_planted_image_cuspidal_but_not_star_fixed():
     for n, r in ((11, 2), (35, 3), (70, 3)):
         space = build_space(n)
         cuspidal = cuspidal_lattice(space)
-        ident = IntMatrix.identity(cuspidal.rows)
-        minus = (left_kernel(mat_sum(_full_star(n), ident)) * cuspidal).data[0]
-        assert is_zero(IntMatrix([minus]) * space.boundary)
-        scale = prod(next(x for x in row if x) for row in space.plus.data)
+        ident = identity(cuspidal.rows)
+        minus = (kernel(mat_sum(_full_star(n), ident)) * cuspidal).data[0]
+        assert is_zero(IntMatrix([minus]) * boundary_of(space))
+        scale = prod(next(x for x in row if x) for row in space.plus)
         planted = IntMatrix([[scale * x for x in minus]]) * section_matrix(space)
         support = _cuspidal_lift(space)[1]
         rows = heilbronn_symbol_rows(space, r, support)
@@ -763,7 +798,7 @@ def test_heilbronn_rounding_and_planted_gap(monkeypatch):
     # (1, 0, 0, p) is refused by the stability check at level 11
     build = modsym._heilbronn_family.__wrapped__
     space = cached_space(11)
-    away = {p: _prime_matrix(space, p) for p in primes_up_to(40)}
+    away = {p: prime_matrix(space, p) for p in primes_up_to(40)}
     with monkeypatch.context() as patch:
         patch.setattr(modsym, "_nearest", lambda a, b: round(Fraction(a, b)))
         patch.setattr(modsym, "_heilbronn_family", build)
@@ -771,7 +806,7 @@ def test_heilbronn_rounding_and_planted_gap(monkeypatch):
         fresh = build_space(11)
         for p, op in away.items():
             assert len(build(p)) == len(_heilbronn_family(p)), p
-            assert _prime_matrix(fresh, p) == op, p
+            assert prime_matrix(fresh, p) == op, p
     monkeypatch.setattr(modsym, "_heilbronn_family", lambda p: build(p)[1:])
     for p in primes_up_to(20):
         with pytest.raises(RuntimeError, match="cuspidal lattice not stable"):
@@ -791,9 +826,9 @@ def test_heilbronn_operators_match_merel_reference():
         bound = -(-len(space.symbols) // 6)
         for p in sorted({*primes_up_to(bound + 10), *space.level.primes}):
             merel = on_cuspidal(space, merel_symbol_rows(space, p, support))
-            assert _prime_matrix(space, p) == merel, (n, p)
+            assert prime_matrix(space, p) == merel, (n, p)
             counts = on_cuspidal(space, heilbronn_symbol_rows(space, p, support))
-            assert _prime_matrix(space, p) == counts, (n, p)
+            assert prime_matrix(space, p) == counts, (n, p)
 
 
 def test_packed_walk_matches_dict_reference_above_the_bound_at_330():
@@ -807,7 +842,7 @@ def test_packed_walk_matches_dict_reference_above_the_bound_at_330():
     support = _cuspidal_lift(space)[1]
     for p in above:
         rows = heilbronn_symbol_rows(space, p, support)
-        assert _prime_matrix(space, p) == on_cuspidal(space, rows), p
+        assert prime_matrix(space, p) == on_cuspidal(space, rows), p
 
 
 def test_prime_operator_with_wide_digits():
@@ -817,11 +852,10 @@ def test_prime_operator_with_wide_digits():
     # bound moves the digits to 128 bits
     space = cached_space(11)
     k = 2 ** 61
-    coords = IntMatrix([[k * x for x in row] for row in space.coords.data],
-                       cols=space.quotient_rank)
+    coords = tuple(tuple(k * x for x in row) for row in space.coords)
     wide = dataclasses.replace(space, coords=coords, op_cache={})
     for p in (2, 3, 11, 13, 31, 79):
-        assert _prime_matrix(wide, p) == scale(_prime_matrix(space, p), k), p
+        assert prime_matrix(wide, p) == scale(prime_matrix(space, p), k), p
     assert ("packed", 128) in wide.op_cache
 
 
@@ -852,7 +886,7 @@ def test_symbol_coordinates_packed_once_per_width(monkeypatch):
     primes = [k[1] for k in space.op_cache if k[0] == "prime"]
     assert sorted(packs) == widths and len(set(packs)) == len(packs) <= 2
     for w in widths:
-        assert space.op_cache["packed", w] == [*pack(space.coords.data, space.quotient_rank, w), 0]
+        assert space.op_cache["packed", w] == [*pack(space.coords, space.quotient_rank, w), 0]
     assert len(operators) == len(primes) == 15
     # a cached pack gives the operator a fresh space packs for itself
     for p in primes:
@@ -872,18 +906,18 @@ def test_prime_action_two_routes_agree():
     for n, r in cases:
         space = cached_space(n)
         paths = _prime_rows_by_paths(space, r, _cuspidal_lift(space)[1])
-        assert _prime_matrix(space, r) == on_cuspidal(space, paths), (n, r)
+        assert prime_matrix(space, r) == on_cuspidal(space, paths), (n, r)
 
 
 def test_eta_anchor_level_11():
     space = cached_space(11)
     coeffs = eta_product([(1, 2), (11, 2)], 16)
     assert coeffs[1:6] == [1, -2, -1, 2, 1]
-    ident = IntMatrix.identity(space.genus)
+    ident = identity(space.genus)
     for r in (2, 3, 5, 7, 13):
-        assert _prime_matrix(space, r) == scale(ident, coeffs[r]), r
-    assert _prime_matrix(space, 11) == scale(ident, coeffs[11])
-    char = _prime_matrix(space, 2)
+        assert prime_matrix(space, r) == scale(ident, coeffs[r]), r
+    assert prime_matrix(space, 11) == scale(ident, coeffs[11])
+    char = prime_matrix(space, 2)
     assert is_zero(mat_sum(char, scale(ident, 2)))
 
 
@@ -891,29 +925,29 @@ def test_eta_anchor_level_14():
     space = cached_space(14)
     coeffs = eta_product([(1, 1), (2, 1), (7, 1), (14, 1)], 16)
     assert coeffs[1:8] == [1, -1, -2, 1, 0, 2, 1]
-    ident = IntMatrix.identity(space.genus)
+    ident = identity(space.genus)
     for r in (2, 3, 5, 7, 11, 13):
-        assert _prime_matrix(space, r) == scale(ident, coeffs[r]), r
+        assert prime_matrix(space, r) == scale(ident, coeffs[r]), r
 
 
 def test_eta_anchor_level_15():
     space = cached_space(15)
     coeffs = eta_product([(1, 1), (3, 1), (5, 1), (15, 1)], 16)
     assert coeffs[1:5] == [1, -1, -1, -1]
-    ident = IntMatrix.identity(space.genus)
+    ident = identity(space.genus)
     for r in (2, 3, 5, 7, 11, 13):
-        assert _prime_matrix(space, r) == scale(ident, coeffs[r]), r
+        assert prime_matrix(space, r) == scale(ident, coeffs[r]), r
 
 
 def test_old_space_relations_level_22():
     space = cached_space(22)
     assert space.genus == 2
-    ident = IntMatrix.identity(space.genus)
-    u2 = _prime_matrix(space, 2)
+    ident = identity(space.genus)
+    u2 = prime_matrix(space, 2)
     assert is_zero(mat_sum(u2 * u2, scale(u2, 2), scale(ident, 2)))
-    assert _prime_matrix(space, 11) == ident
-    assert _prime_matrix(space, 3) == scale(ident, -1)
-    assert _prime_matrix(space, 7) == scale(ident, -2)
+    assert prime_matrix(space, 11) == ident
+    assert prime_matrix(space, 3) == scale(ident, -1)
+    assert prime_matrix(space, 7) == scale(ident, -2)
 
 
 def test_hecke_multiplicative_and_commutative():
@@ -930,14 +964,14 @@ def test_hecke_multiplicative_and_commutative():
         ta = hecke_matrix(s30, a)
         tb = hecke_matrix(s30, b)
         assert ta * tb == tb * ta, (a, b)
-    assert hecke_matrix(s30, 1) == IntMatrix.identity(s30.genus)
+    assert hecke_matrix(s30, 1) == identity(s30.genus)
 
 
 def test_level_prime_powers_repeat_u():
     # Merel's determinant-p^e family gives U_p^e at a level prime p
     for n, p in ((14, 2), (30, 3), (35, 5)):
         space = cached_space(n)
-        u = _prime_matrix(space, p)
+        u = prime_matrix(space, p)
         for e in (2, 3):
             rows = merel_symbol_rows(space, p ** e, _cuspidal_lift(space)[1])
             assert on_cuspidal(space, rows) == hecke_matrix(space, p ** e), (n, p, e)
@@ -950,18 +984,18 @@ def test_boundary_sees_operator_degree():
         space = cached_space(n)
         every = range(len(space.symbols))
         full = matrix_on_quotient(space, heilbronn_symbol_rows(space, r, every))
-        assert full * space.boundary == scale(space.boundary, r + 1), (n, r)
+        assert full * boundary_of(space) == scale(boundary_of(space), r + 1), (n, r)
 
 
 def test_ring_rank_matches_genus():
-    assert cached_ring(11).basis.rows == 1
-    assert cached_ring(7).basis.rows == 0
-    assert cached_ring(30).basis.rows == 3
-    assert cached_ring(35).basis.rows == 3
+    assert len(cached_ring(11).basis) == 1
+    assert len(cached_ring(7).basis) == 0
+    assert len(cached_ring(30).basis) == 3
+    assert len(cached_ring(35).basis) == 3
     model = cached_ring(11)
     assert model.bound == 2
     assert model.vector == (1,)
-    assert hecke_matrix(model.space, 1) == IntMatrix.identity(model.space.genus)
+    assert hecke_matrix(model.space, 1) == identity(model.space.genus)
 
 
 def test_ring_basis_matches_one_shot_hnf():
@@ -972,7 +1006,7 @@ def test_ring_basis_matches_one_shot_hnf():
         ring = cached_ring(n)
         v = list(ring.vector)
         orbit = [_times(v, hecke_matrix(ring.space, k)) for k in range(1, ring.bound + 1)]
-        assert ring.basis == reference_hnf(IntMatrix(orbit, cols=ring.genus)), n
+        assert basis_of(ring) == reference_hnf(IntMatrix(orbit, cols=ring.genus)), n
 
 
 def test_ring_closed_under_products():
@@ -980,8 +1014,8 @@ def test_ring_closed_under_products():
     ring = cached_ring(30)
     for k in range(1, ring.bound + 1):
         t = hecke_matrix(ring.space, k)
-        for b in ring.basis.data:
-            assert hnf_coordinates(ring.basis, _times(list(b), t)) is not None, k
+        for b in ring.basis:
+            assert hnf_coordinates(basis_of(ring), _times(list(b), t)) is not None, k
 
 
 def test_non_cyclic_candidates_fall_through(monkeypatch):
@@ -1191,7 +1225,7 @@ def test_restricted_images_match_full():
         every = range(len(space.symbols))
         full = on_cuspidal(space, heilbronn_symbol_rows(space, r, every))
         assert on_cuspidal(space, heilbronn_symbol_rows(space, r, support)) == full
-        assert _prime_matrix(space, r) == full
+        assert prime_matrix(space, r) == full
 
 
 # The g^2-wide route, the reference for the ring as the cyclic module v T:
@@ -1218,13 +1252,13 @@ def _prime_power_matrix(space, p: int, e: int) -> IntMatrix:
     key = ("power", p, e)
     if key in space.op_cache:
         return space.op_cache[key]
-    a = _prime_matrix(space, p)
+    a = prime_matrix(space, p)
     m = a
     if space.level.value % p == 0:
         for _ in range(e - 1):
             m = m * a
     else:
-        prev = IntMatrix.identity(a.rows)
+        prev = identity(a.rows)
         for _ in range(e - 1):
             prev, m = m, mat_sum(a * m, scale(prev, -p))
     space.op_cache[key] = m
@@ -1235,14 +1269,14 @@ def hecke_matrix(space, n: int) -> IntMatrix:
     """Matrix of the n-th Hecke operator on the star-fixed cuspidal basis (g x g)."""
     factors = [_prime_power_matrix(space, p, e) for p, e in _factor(n).items()]
     if not factors:
-        return IntMatrix.identity(space.genus)
+        return identity(space.genus)
     out = factors[0]
     for factor in factors[1:]:
         out = out * factor
     return out
 
 
-def _check_closed(n: int, basis: IntMatrix) -> list[list[int]]:
+def _check_closed(n: int, basis: list[list[int]]) -> list[list[int]]:
     """Coordinates of each product b_i b_j (i <= j) over the ring basis, in order.
 
     Raises unless every such product lies in the ring lattice.  The basis
@@ -1251,9 +1285,9 @@ def _check_closed(n: int, basis: IntMatrix) -> list[list[int]]:
     rows of width g(g - i)) gives every b_i b_j, and one _solve_over gives
     their coordinates and compares them with the products whole.
     """
-    g = basis.rows
+    g = len(basis)
     fault = f"ring lattice not closed under products at level {n}"
-    mats = [[b[r * g:(r + 1) * g] for r in range(g)] for b in basis.data]
+    mats = [[b[r * g:(r + 1) * g] for r in range(g)] for b in basis]
     out = []
     for i, bi in enumerate(mats):
         side = [[x for bj in mats[i:] for x in bj[s]] for s in range(g)]
@@ -1261,7 +1295,7 @@ def _check_closed(n: int, basis: IntMatrix) -> list[list[int]]:
         products = [
             [x for row in wide for x in row[k * g:(k + 1) * g]] for k in range(g - i)
         ]
-        out.extend(_solve_over(basis, products, fault).tolist())
+        out.extend(_solve_over(basis, g * g, products, fault))
     return out
 
 
@@ -1270,10 +1304,9 @@ def reference_ring(n: int):
     """The ring at level n as the HNF of the flattened T_k, k <= bound."""
     ring = cached_ring(n)
     rows, _ = _echelon(_vec(hecke_matrix(ring.space, k)) for k in range(1, ring.bound + 1))
-    basis = IntMatrix(rows, cols=ring.genus ** 2)
-    assert basis.rows == ring.genus, n
+    assert len(rows) == ring.genus, n
     return modsym.HeckeRingModel(
-        space=ring.space, bound=ring.bound, basis=basis, genus=ring.genus, vector=ring.vector
+        space=ring.space, bound=ring.bound, basis=rows, genus=ring.genus, vector=ring.vector
     )
 
 
@@ -1295,7 +1328,7 @@ def reference_prime_rows(ring, p: int) -> list[list[int]]:
     """Row j: the coordinates of T_p b_j, sum_i c_i b_i b_j off the product table."""
     key = ("prime", p)
     if key not in ring.cache:
-        c = hnf_coordinates(ring.basis, _vec(_prime_matrix(ring.space, p)))
+        c = hnf_coordinates(wide_basis(ring), _vec(prime_matrix(ring.space, p)))
         if c is None:
             raise RuntimeError(
                 f"operator {p} escapes the ring lattice at level {ring.space.level.value}"
@@ -1317,7 +1350,7 @@ def reference_unit_coords(ring) -> list[int]:
     e = ring.cache.get("one")
     if e is None:
         e = ring.cache["one"] = hnf_coordinates(
-            ring.basis, _vec(IntMatrix.identity(ring.genus))
+            wide_basis(ring), _vec(identity(ring.genus))
         )
     return e
 
@@ -1476,8 +1509,9 @@ def _carried(v: list[int], flat) -> list[int]:
 
 def _ideal_in_plus(model, ring) -> IntMatrix:
     """v J in Z^g: the ideal's rows times the ring basis, carried by v on the wide ring."""
-    rows = (model.ideal_basis * ring.basis).data
-    if ring.basis.cols != ring.genus:
+    width = len(ring.basis[0])
+    rows = (model.ideal_basis * IntMatrix(ring.basis, cols=width)).data
+    if width != ring.genus:
         rows = [_carried(list(ring.vector), r) for r in rows]
     return hermite_normal_form(IntMatrix(rows, cols=ring.genus))
 
@@ -1507,16 +1541,16 @@ def test_probe_coordinates_match_full_width():
     for n in (11, 35, 70):
         ring, ref = cached_ring(n), reference_ring(n)
         v, g = list(ring.vector), ring.genus
-        vb = IntMatrix([_carried(v, b) for b in ref.basis.data], cols=g)
+        vb = IntMatrix([_carried(v, b) for b in ref.basis], cols=g)
         h, u = hnf_with_transform(vb)
-        assert h == ring.basis, n
+        assert h == basis_of(ring), n
         orbit = _orbit(ring.space, v, 3 * ring.bound)
         for k, w in enumerate(orbit, 1):
             t = hecke_matrix(ring.space, k)
             assert w == _times(v, t), (n, k)
-            c = hnf_coordinates(ring.basis, w)
+            c = hnf_coordinates(basis_of(ring), w)
             assert c is not None, (n, k)
-            assert _times(c, u) == hnf_coordinates(ref.basis, _vec(t)), (n, k)
+            assert _times(c, u) == hnf_coordinates(wide_basis(ref), _vec(t)), (n, k)
 
 
 def _generator_rows(ring, names):
@@ -1527,9 +1561,9 @@ def _generator_rows(ring, names):
     for name in names:
         head, shift = name[1:].split("-")
         t = mat_sum(hecke_matrix(space, int(head)),
-                    scale(IntMatrix.identity(ring.genus), -int(shift)))
+                    scale(identity(ring.genus), -int(shift)))
         for k in range(1, ring.bound + 1):
-            c = hnf_coordinates(ring.basis, _times(_times(v, hecke_matrix(space, k)), t))
+            c = hnf_coordinates(basis_of(ring), _times(_times(v, hecke_matrix(space, k)), t))
             assert c is not None, (name, k)
             rows.append(c)
     return rows
@@ -1584,11 +1618,11 @@ def test_planted_prime_operator_escapes_ring():
         space = build_space(n)
         ring = hecke_ring(space)
         assert r > ring.bound
-        assert ring.basis == IntMatrix.identity(ring.genus)
-        wrong = [list(row) for row in _prime_matrix(build_space(n), r).data]
+        assert basis_of(ring) == identity(ring.genus)
+        wrong = [list(row) for row in _prime_matrix(build_space(n), r)]
         wrong[0][0] += 1
-        space.op_cache[("prime", r)] = IntMatrix(wrong)
-        assert _solve_over(ring.basis, wrong, "escapes") == IntMatrix(wrong)
+        space.op_cache[("prime", r)] = wrong
+        assert _solve_over(ring.basis, ring.genus, wrong, "escapes") == wrong
         with pytest.raises(RuntimeError, match="escapes the ring lattice"):
             _prime_rows(ring, r)
         with pytest.raises(RuntimeError, match="escapes the ring lattice"):
@@ -1599,7 +1633,8 @@ def test_planted_ring_without_identity_is_refused():
     # the index reads its generators through the coordinates of T_1
     ring = cached_ring(11)
     doubled = modsym.HeckeRingModel(
-        space=ring.space, bound=ring.bound, basis=scale(ring.basis, 2), genus=ring.genus,
+        space=ring.space, bound=ring.bound, basis=[[2 * x for x in row] for row in ring.basis],
+        genus=ring.genus,
         vector=ring.vector,
     )
     with pytest.raises(RuntimeError, match="operator 1 escapes the ring lattice"):
@@ -1624,7 +1659,7 @@ def _index_fields(t):
         t.level, t.m, t.index, list(t.elementary_divisors),
         list(t.generator_names), t.prime_bound,
         [list(step) for step in t.stabilization],
-        t.ideal_basis.tolist(), t.zero_ring,
+        tolist(t.ideal_basis), t.zero_ring,
     ]
 
 
@@ -1902,7 +1937,7 @@ def space_by_symbol_rows(space, slot_images):
     divisors = level_divisors(n)
     brows = [lift_boundary_row(n, divisors, c, d) for c, d in space.symbols]
     boundary = section * IntMatrix(brows, cols=len(divisors))
-    cuspidal = hermite_normal_form(left_kernel(boundary))
+    cuspidal = hermite_normal_form(kernel(boundary))
     flipped = IntMatrix(
         [[-y for y in coords[space.p1_index[-u % n * n + v]]] for u, v in space.symbols],
         cols=rank,
@@ -1911,8 +1946,8 @@ def space_by_symbol_rows(space, slot_images):
         [hnf_coordinates(cuspidal, row) for row in (cuspidal * section * flipped).data],
         cols=cuspidal.rows,
     )
-    minus_ident = scale(IntMatrix.identity(cuspidal.rows), -1)
-    plus = hermite_normal_form(left_kernel(mat_sum(star, minus_ident)) * cuspidal)
+    minus_ident = scale(identity(cuspidal.rows), -1)
+    plus = hermite_normal_form(kernel(mat_sum(star, minus_ident)) * cuspidal)
     return {"lattice": lattice, "coords": coords, "section": section,
             "boundary": boundary, "cuspidal": cuspidal, "plus": plus}
 
@@ -1935,13 +1970,13 @@ def test_slot_route_matches_symbol_rows(monkeypatch):
         space = build_space(n)
         ref = space_by_symbol_rows(space, captured[-1][0])
         rank = space.quotient_rank
-        assert ref["lattice"] == IntMatrix.identity(rank), n
-        assert ref["section"] * space.coords == IntMatrix.identity(rank), n
-        assert section_matrix(space) * space.coords == IntMatrix.identity(rank), n
-        for name in ("coords", "boundary", "plus"):
-            assert ref[name] == getattr(space, name), (n, name)
+        assert ref["lattice"] == identity(rank), n
+        assert ref["section"] * coords_of(space) == identity(rank), n
+        assert section_matrix(space) * coords_of(space) == identity(rank), n
+        for name, ours in (("coords", coords_of), ("boundary", boundary_of), ("plus", plus_of)):
+            assert ref[name] == ours(space), (n, name)
         assert ref["cuspidal"] == cuspidal_lattice(space), n
-        assert space.plus.rows == space.genus, n
+        assert len(space.plus) == space.genus, n
     assert len(captured) == len(levels)
 
 
@@ -1969,6 +2004,100 @@ def test_planted_quotient_fault_is_refused(monkeypatch, slot, message):
         build_space(14)
 
 
+def test_planted_projective_line_short_of_psi_is_refused(monkeypatch):
+    table = modsym._p1_table
+
+    def short(n):
+        index, points = table(n)
+        return index, points[:-1]
+
+    monkeypatch.setattr(modsym, "_p1_table", short)
+    with pytest.raises(RuntimeError, match="projective line count mismatch at level 11"):
+        build_space(11)
+
+
+@pytest.mark.parametrize(
+    ("name", "message"),
+    [
+        ("_S", "S does not act as an involution on symbols at level 11"),
+        ("_T", "T does not act with order three on symbols at level 11"),
+    ],
+    ids=["S", "T"],
+)
+def test_planted_generator_of_infinite_order_is_refused(monkeypatch, name, message):
+    # (u : v) -> (u : u + v) has infinite order in SL_2(Z) and moves every
+    # symbol with u a unit mod 11, so neither S^2 nor T^3 fixes it
+    monkeypatch.setattr(modsym, name, (1, 1, 0, 1))
+    with pytest.raises(RuntimeError, match=message):
+        build_space(11)
+
+
+def test_planted_free_slot_image_off_its_unit_vector_is_refused(monkeypatch):
+    # free slot 0 maps to twice its unit vector: every relation check still
+    # holds over Q, but basis symbol 0 no longer has coordinates e_0
+    quotient = modsym._relation_quotient
+
+    def doubled(relations, kept, nn):
+        images, free = quotient(relations, kept, nn)
+        images[free[0]] = [2 * x for x in images[free[0]]]
+        return images, free
+
+    monkeypatch.setattr(modsym, "_relation_quotient", doubled)
+    with pytest.raises(
+        RuntimeError, match="basis symbols do not split the symbol images at level 11"
+    ):
+        build_space(11)
+
+
+def test_planted_ring_basis_off_the_orbit_is_refused():
+    # L with its first row doubled still has rank g, but it is not the HNF
+    # of the orbit v T_k that _functionals echelonizes again
+    ring = hecke_ring(build_space(30))
+    doubled = modsym.HeckeRingModel(
+        space=ring.space, bound=ring.bound,
+        basis=[[2 * x for x in ring.basis[0]], *ring.basis[1:]],
+        genus=ring.genus, vector=ring.vector, cache={"orbit": ring.cache["orbit"]},
+    )
+    with pytest.raises(RuntimeError, match="the orbit does not echelonize to L at level 30"):
+        modsym._functionals(doubled)
+
+
+def test_planted_functional_not_onto_is_refused(monkeypatch):
+    # phi(T_1) = e f must be 1 mod t, and t must not be 0: at (11, 11) t = 5
+    ring = hecke_ring(build_space(11))
+    functionals = modsym._functionals
+    with monkeypatch.context() as patch:
+        patch.setattr(modsym, "_unit_coords", lambda ring: [0] * ring.genus)
+        with pytest.raises(RuntimeError, match=r"phi is not onto Z/t .* level 11, m=11: t = 5$"):
+            eisenstein_index(ring, 11)
+    monkeypatch.setattr(
+        modsym, "_functionals", lambda ring: {m: (f, 0) for m, (f, _) in functionals(ring).items()}
+    )
+    with pytest.raises(
+        RuntimeError, match=r"phi is not onto Z/t with phi\(T_1\) = 1 at level 11, m=11: t = 0$"
+    ):
+        eisenstein_index(ring, 11)
+
+
+def test_planted_odd_prime_without_witness_is_falsified(monkeypatch):
+    monkeypatch.setattr(modsym, "m1_index_witnesses", lambda n: ((3, None),))
+    with pytest.raises(
+        modsym.FalsifiedExpectation,
+        match="odd prime 3 divides the m=1 index at level 11 with no level prime = 1 mod 3",
+    ):
+        enumerate_eisenstein_maximal(11)
+
+
+def test_planted_residue_two_record_outside_the_cases_is_falsified(monkeypatch):
+    # residue 2 at m = 3 of level 30: neither m = N nor N = 2m
+    record = modsym.MaximalIdealRecord(ell=2, m=3, normalized=True, up_eigenvalues=())
+    monkeypatch.setattr(modsym, "enumerate_eisenstein_maximal", lambda n: [record])
+    with pytest.raises(
+        modsym.FalsifiedExpectation, match=r"record \(2, 3\) escapes the residue-2 normalization"
+    ):
+        verify_main_theorem(30)
+
+
 # SHA-256 over basis_symbols, coords, boundary, plus and genus at every
 # square-free level 1-210, 330 and 462, one line each as symbol_space_digest
 # writes them; recorded from the build that solved the star over the
@@ -1983,7 +2112,7 @@ def symbol_space_digest() -> str:
     h = hashlib.sha256()
     for n in SYMBOL_SPACE_LEVELS:
         s = build_space(n)
-        line = f"{n}:{s.basis_symbols}:{s.coords.data}:{s.boundary.data}:{s.plus.data}:{s.genus}\n"
+        line = f"{n}:{s.basis_symbols}:{s.coords}:{s.boundary}:{s.plus}:{s.genus}\n"
         h.update(line.encode())
     return h.hexdigest()
 
@@ -2000,19 +2129,19 @@ def test_space_work_is_one_solve_per_slot(monkeypatch):
     # insertion per boundary row gives its rank, the one kernel is that of
     # F - I on the whole quotient, and the build solves nothing
     events = []
-    solve, insert, kernel = modsym._solve_over, exactnum._hnf_insert, modsym.left_kernel
+    solve, insert = modsym._solve_over, exactnum._hnf_insert
 
-    def counting_solve(basis, images, fault):
+    def counting_solve(basis, width, images, fault):
         events.append(("solve", len(images)))
-        return solve(basis, images, fault)
+        return solve(basis, width, images, fault)
 
     def counting_insert(*args):
         events.append(("insert", None))
         return insert(*args)
 
-    def marked_kernel(m):
-        events.append(("kernel", m.rows))
-        return kernel(m)
+    def marked_kernel(rows):
+        events.append(("kernel", len(rows)))
+        return left_kernel(rows)
 
     monkeypatch.setattr(modsym, "_solve_over", counting_solve)
     monkeypatch.setattr(exactnum, "_hnf_insert", counting_insert)
@@ -2031,8 +2160,8 @@ def test_packed_closure_matches_full_width():
     for n in (11, 30, 35, 70, 105):
         ring = cached_ring(n)
         for p in primes_up_to(ring.bound + 10):
-            t = _prime_matrix(ring.space, p)
-            full = [hnf_coordinates(ring.basis, _times(list(b), t)) for b in ring.basis.data]
+            t = prime_matrix(ring.space, p)
+            full = [hnf_coordinates(basis_of(ring), _times(list(b), t)) for b in ring.basis]
             assert _prime_rows(ring, p) == full, (n, p)
 
 
@@ -2045,7 +2174,8 @@ def test_closure_with_wide_digits():
     for n in (30, 70, 105):
         ring = cached_ring(n)
         wide = modsym.HeckeRingModel(
-            space=ring.space, bound=ring.bound, basis=scale(ring.basis, k), genus=ring.genus,
+            space=ring.space, bound=ring.bound, basis=[[k * x for x in row] for row in ring.basis],
+            genus=ring.genus,
             vector=tuple(k * x for x in ring.vector),
         )
         for p in primes_up_to(ring.bound + 10):
