@@ -155,14 +155,23 @@ def _solve_over(basis, width: int, images: list[list[int]], fault: str) -> list[
     empty basis cannot show.  X is read from the images' entries at the
     pivot columns of basis (upper triangular there), by one triangular
     solve for all images, one column of X at a time; a non-integral entry
-    raises.  The pivot entries fix X only inside the span of basis, so
-    X * basis is then compared with the images whole.  Every batch solve
-    over a Hermite basis runs through it: the operators
-    (_matrix_on_cuspidal, on the lifted sums of the packed images
-    _prime_matrix walks), the ring lattice under each prime and v over it
-    (_prime_rows, _unit_coords), which the index reads; the symbol space
-    and the index solve nothing.
+    raises.  Off a square basis (plus, g x rank) the pivot entries fix X
+    only inside the span of basis, so X * basis is then compared with the
+    images whole: that product is the membership certificate.  A square
+    basis (the ring lattice L, g x g) must be upper triangular with a
+    positive diagonal, or the fault is raised.  Then every column q is a
+    pivot column, and column q of X * basis is sum_{i <= q} X_i basis[i][q]
+    (rows below q are 0 there), which the solve set to the images' column
+    q exactly once row q's division was checked: the product cannot differ
+    and is not formed.  Every batch solve over a Hermite basis runs through
+    it: the operators (_matrix_on_cuspidal, on the lifted sums of the
+    packed images _prime_matrix walks), the ring lattice under each prime
+    and v and v T_r over it (_prime_rows, _unit_coords, _vector_coords),
+    which the index reads; the symbol space and the index solve nothing.
     """
+    square = len(basis) == width
+    if square and any(row[i] <= 0 or any(row[:i]) for i, row in enumerate(basis)):
+        raise RuntimeError(fault)
     cols: list[list[int]] = []
     for row in basis:
         q = next(q for q, x in enumerate(row) if x)
@@ -175,8 +184,8 @@ def _solve_over(basis, width: int, images: list[list[int]], fault: str) -> list[
                 raise RuntimeError(fault)
             col = [y // row[q] for y in col]
         cols.append(col)
-    x = [list(r) for r in zip(*cols)]
-    if _mul(x, basis, width) != images:
+    x = [list(r) for r in zip(*cols)] or [[] for _ in images]
+    if not square and _mul(x, basis, width) != images:
         raise RuntimeError(fault)
     return x
 
@@ -428,7 +437,9 @@ class HeckeRingModel:
     basis: list[list[int]]     # L = v T, the HNF rows of the orbit v T_k, k <= bound
     genus: int
     vector: tuple[int, ...]    # the cyclic vector v, in plus coordinates
-    cache: dict = field(default_factory=dict, repr=False)  # prime rows, T_1, orbit, phi
+    # the a_k-extended orbit echelon until _functionals reads it, the prime
+    # rows, the coordinates of v (T_1) and of v T_r, the commutation set, phi
+    cache: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,67 +528,142 @@ def _orbit(space: ManinSymbolSpace, v: list[int], bound: int) -> list[list[int]]
     return w[1:]
 
 
+def _series_columns(space: ManinSymbolSpace, bound: int) -> list[list[int]]:
+    """a_k = phi(T_k), coefficient k of the Eisenstein series of (N, m) over -24, every m | N.
+
+    One row per m in ascending order, for k up to the bound and every level prime.
+    """
+    level = space.level
+    top = max(bound, *level.primes) + 1
+    ms = sorted(divisor_values(level))
+    return [[-x // 24 for x in eisenstein_series(level, m, top)] for m in ms]
+
+
+def _orbit_echelon(space: ManinSymbolSpace, v, bound: int, a: list[list[int]]):
+    """HNF rows and pivots of the orbit rows w(k) = v T_k, k <= bound, each extended by a_k of every m."""
+    orbit = enumerate(_orbit(space, v, bound), 1)
+    return _echelon([*w, *(x[k] for x in a)] for k, w in orbit)
+
+
 def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
     """The Hecke ring T as the lattice L = v T, for a cyclic vector v of the star-fixed half.
 
     T is commutative, so when the w(k) = v T_k, k up to the weight-two
     spanning bound, span Q^g, t -> v t is injective on T tensor Q: v t = 0
-    gives (v s) t = (v t) s = 0 for every s, so t kills Q^g.  The first
-    candidate v whose orbit (_orbit) has rank g is taken, and L is the HNF
-    of that orbit.  Then L T_p lies in L for every prime p up to the bound
+    gives (v s) t = (v t) s = 0 for every s, so t kills Q^g.  Each
+    candidate's orbit (_orbit) is echelonized once, every row already
+    extended by the a_k that _functionals reads (_orbit_echelon).  The
+    orbit has rank g exactly when the first g pivots of that echelon are
+    the columns 0, ..., g - 1, so the v taken is the first candidate whose
+    orbit has rank g.  Its first g rows cut to g columns are then the HNF
+    of the orbit, L: the later rows vanish on those columns.  At genus 0
+    nothing is extended.  L T_p lies in L for every prime p up to the bound
     (_prime_rows, which raises otherwise), so L is a module over the ring
     those primes generate, holding v: L = v T.  Indices are read on L, g
-    wide where the operators are g^2 wide, off the orbit it keeps (_functionals).
-    The ring's cache (prime rows, T_1, phi) lives as long as the ring.
+    wide where the operators are g^2 wide, off the echelon the ring keeps
+    for _functionals.  The ring's cache lives as long as the ring.
     """
     psi = len(space.symbols)
     bound = -(-psi // 6)
     g = space.genus
+    a = _series_columns(space, bound) if g else []
     for v in _candidates(g):
-        rows, _ = _echelon(orbit := _orbit(space, v, bound))
-        if len(rows) == g:
+        h, pivots = _orbit_echelon(space, v, bound, a)
+        if pivots[:g] == list(range(g)):
             break
     else:
         raise RuntimeError(f"no candidate vector is cyclic at level {space.level.value}")
     ring = HeckeRingModel(
-        space=space, bound=bound, basis=rows, genus=g, vector=tuple(v),
-        cache={"orbit": orbit},
+        space=space, bound=bound, basis=[r[:g] for r in h[:g]], genus=g, vector=tuple(v),
+        cache={"echelon": (h, a)},
     )
     for p in primes_up_to(bound):
         _prime_rows(ring, p)
     return ring
 
 
+_KRYLOV_MODULUS = 2 ** 61 - 1
+
+
+def _krylov_cyclic(v, c: list[list[int]]) -> bool:
+    """Whether v, v C, ..., v C^(g-1) are independent modulo 2^61 - 1, and so over Q.
+
+    Each new vector is reduced modulo the prime against the earlier ones
+    (kept with a 1 at their pivot, in insertion order); one that vanishes
+    ends the test.
+    """
+    q = _KRYLOV_MODULUS
+    cols = [[x % q for x in col] for col in zip(*c)]
+    rows: dict[int, list[int]] = {}
+    w = [x % q for x in v]
+    for _ in v:
+        r = w
+        for j, row in rows.items():
+            if s := r[j]:
+                r = [(x - s * y) % q for x, y in zip(r, row)]
+        j = next((j for j, x in enumerate(r) if x), None)
+        if j is None:
+            return False
+        inv = pow(r[j], -1, q)
+        rows[j] = [x * inv % q for x in r]
+        w = [sum(map(mul, w, col)) % q for col in cols]
+    return True
+
+
+def _commutation_set(ring: HeckeRingModel) -> list[list[list[int]]]:
+    """What a prime above the bound must commute with: [C], or every T_q, q <= bound.
+
+    C = sum_k (k + 1) T_{q_k} over the primes q_0 < q_1 < ... up to the
+    bound.  When v is cyclic for C alone (_krylov_cyclic), C is
+    non-derogatory, so its commutant is Q[C] (a matrix commuting with a
+    non-derogatory one is a polynomial in it: Horn and Johnson, Matrix
+    Analysis, ch. 3), which lies in T tensor Q as C lies in T.  Otherwise
+    (level 43) every T_q is kept: v is cyclic for T, so the commutant of T
+    tensor Q is T tensor Q itself.
+    """
+    out = ring.cache.get("commutant")
+    if out is None:
+        tq = [_prime_matrix(ring.space, q) for q in primes_up_to(ring.bound)]
+        c = [[sum(k * x for k, x in enumerate(col, 1)) for col in zip(*rows)] for rows in zip(*tq)]
+        out = ring.cache["commutant"] = [c] if _krylov_cyclic(ring.vector, c) else tq
+    return out
+
+
+def _check_commutes(ring: HeckeRingModel, t: list[list[int]], fault: str) -> None:
+    """Raise fault unless t commutes with every matrix of _commutation_set, so t is in T tensor Q.
+
+    One packed product each way: t times the set laid side by side, and
+    the set stacked times t.
+    """
+    g, tq = ring.genus, _commutation_set(ring)
+    side = _mul(t, [[x for s in tq for x in s[r]] for r in range(g)], g * len(tq))
+    stack = _mul([row for s in tq for row in s], t, g)
+    if any(
+        side[r][i * g:(i + 1) * g] != stack[i * g + r] for i in range(len(tq)) for r in range(g)
+    ):
+        raise RuntimeError(fault)
+
+
 def _prime_rows(ring: HeckeRingModel, p: int) -> list[list[int]]:
     """Row j: the coordinates of b_j T_p over the ring lattice L (U_p when p | N).
 
     b_j = v t_j is row j of L, so row j also gives t_j T_p over the ring
-    basis t_1, ..., t_g.  One _solve_over reads them, and raises unless L T_p
-    lies in L: for p up to the bound that is the closure certificate
-    hecke_ring runs.  A prime above the bound must first commute with every
-    T_q, q up to the bound.  v is cyclic, so the commutant of T tensor Q is
-    T tensor Q itself, and T_p is some t in it; v t in L = v T then puts t
-    in T.  A matrix that only maps L into L (with L = Z^g, any integer one)
-    fails the commutation.
+    basis t_1, ..., t_g.  One packed product L T_p and one _solve_over read
+    them, and raise unless L T_p lies in L: for p up to the bound that is
+    the closure certificate hecke_ring runs.  A prime above the bound (a
+    level prime, whose rows _functionals' (ii) reads) must first pass
+    _check_commutes, which puts T_p in T tensor Q, at some t; v t = v T_p
+    in L = v T then puts t in T.  A matrix that only maps L into L (with L
+    = Z^g, any integer one) fails the commutation.
     """
     key = ("prime", p)
     if key not in ring.cache:
-        space, g = ring.space, ring.genus
-        fault = f"operator {p} escapes the ring lattice at level {space.level.value}"
-        t = _prime_matrix(space, p)
+        g = ring.genus
+        fault = f"operator {p} escapes the ring lattice at level {ring.space.level.value}"
+        t = _prime_matrix(ring.space, p)
         if p > ring.bound:
-            tq = [_prime_matrix(space, q) for q in primes_up_to(ring.bound)]
-            # one packed product each way: T_p times the T_q side by side,
-            # and the T_q stacked times T_p
-            side = _mul(t, [[x for s in tq for x in s[r]] for r in range(g)], g * len(tq))
-            stack = _mul([row for s in tq for row in s], t, g)
-            if any(
-                side[r][i * g:(i + 1) * g] != stack[i * g + r]
-                for i in range(len(tq)) for r in range(g)
-            ):
-                raise RuntimeError(fault)
-        images = _mul(ring.basis, t, g)
-        ring.cache[key] = _solve_over(ring.basis, g, images, fault)
+            _check_commutes(ring, t, fault)
+        ring.cache[key] = _solve_over(ring.basis, g, _mul(ring.basis, t, g), fault)
     return ring.cache[key]
 
 
@@ -590,33 +676,49 @@ def _unit_coords(ring: HeckeRingModel) -> list[int]:
     return e
 
 
+def _vector_coords(ring: HeckeRingModel, r: int) -> list[int]:
+    """Coordinates of v T_r over L, for a generator prime r above the bound.
+
+    With e = _unit_coords(ring), v = sum_j e_j b_j, so these are e R_r for
+    R_r the rows _prime_rows would give: the one row of T_r that
+    eisenstein_index reads, shared by every m.  Once T_r passes
+    _check_commutes it is some t in T tensor Q, and v t = v T_r in L = v T
+    puts t in T: one row is solved over L, not the g rows of L T_r.
+    """
+    key = ("vector", r)
+    if key not in ring.cache:
+        fault = f"operator {r} escapes the ring lattice at level {ring.space.level.value}"
+        t = _prime_matrix(ring.space, r)
+        _check_commutes(ring, t, fault)
+        w = [sum(map(mul, ring.vector, col)) for col in zip(*t)]
+        ring.cache[key] = _solve_over(ring.basis, ring.genus, [w], fault)[0]
+    return ring.cache[key]
+
+
 def _functionals(ring: HeckeRingModel) -> dict[int, tuple[list[int], int]]:
     """For every m | N: f = (phi(t_j)) on the ring basis, and [T : J_b].
 
-    a_k = phi(T_k) is coefficient k of the Eisenstein series of (N, m) over
-    -24.  One _echelon of the orbit rows w(k) = v T_k, k <= bound, each
-    extended by a_k for every m: u W = b_j gives t_j = sum u_k T_k and
-    phi(t_j) = sum u_k a_k, so the first g rows (orbit part: the ring
-    basis) carry f, and the rest, the relations u W = 0, hold (i) phi(T_k)
-    = a_k mod t when t divides them all.  (ii) phi(t_j T_p) = a_p phi(t_j)
-    for every prime p <= bound and every level prime, one packed product
-    _prime_rows(ring, p) f each, makes phi a ring map.
+    hecke_ring's echelon of the orbit rows w(k) = v T_k, k <= bound, each
+    extended by a_k for every m (_series_columns), is read once and
+    dropped.  u W = b_j gives t_j = sum u_k T_k and phi(t_j) = sum u_k a_k,
+    so its first g rows, whose orbit part must be L, carry f, and the rest,
+    the relations u W = 0, hold (i) phi(T_k) = a_k mod t when t divides
+    them all.  (ii) phi(t_j T_p) = a_p phi(t_j) for every prime p <= bound
+    and every level prime, one packed product _prime_rows(ring, p) f each,
+    makes phi a ring map.
     """
     out = ring.cache.get("phi")
     if out is None:
         level, g = ring.space.level, ring.genus
-        ms = sorted(divisor_values(level))
-        top = max(ring.bound, *level.primes) + 1
-        a = [[-x // 24 for x in eisenstein_series(level, m, top)] for m in ms]
-        orbit = enumerate(ring.cache.pop("orbit"), 1)
-        h, _ = _echelon([*w, *(x[k] for x in a)] for k, w in orbit)
+        h, a = ring.cache.pop("echelon")
         if [r[:g] for r in h[:g]] != ring.basis:
             raise RuntimeError(f"the orbit does not echelonize to L at level {level.value}")
         fs = [r[g:] for r in h[:g]]
-        ts = [gcd(*(r[g + c] for r in h[g:])) for c in range(len(ms))]
+        ts = [gcd(*(r[g + c] for r in h[g:])) for c in range(len(a))]
         for p in {*level.primes, *primes_up_to(ring.bound)}:
-            for y, x in zip(_mul(_prime_rows(ring, p), fs, len(ms)), fs):
+            for y, x in zip(_mul(_prime_rows(ring, p), fs, len(a)), fs):
                 ts = list(map(gcd, ts, [u - c[p] * v for u, c, v in zip(y, a, x)]))
+        ms = sorted(divisor_values(level))
         out = ring.cache["phi"] = {m: ([x[c] for x in fs], ts[c]) for c, m in enumerate(ms)}
     return out
 
@@ -630,16 +732,17 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     [T : J_b] (_functionals), J_b generated by the T_p - a_p there; the
     level primes above the bound count (without U_13, N = m = 26 reads 7,
     not 1).  Each generator prime r above the bound takes t to gcd(t,
-    phi(T_r) - r - 1) until two in a row leave it.  The ideal {x : x f = 0
-    mod t} holds I and has index t; only t is kept.  Sturm certificate
-    (Sturm 1987; Stein, Modular Forms: A Computational Approach, ch. 9):
-    T x S_2(Z) -> Z is perfect, so phi is a cusp form F mod t, a_n(F) =
-    phi(T_n).  At 1 < m < N the Eisenstein series is holomorphic with
-    constant term 0, so it agrees with F mod t up to the Sturm bound
-    psi(N)/6 by (i), hence everywhere: a prime above the bound that lowers
-    t raises.  At m = N its constant term is -prod(1 - p)/24, and the same
-    holds when t divides the numerator of phi(N)/24.  At m = 1 no U_p is
-    1, E_2's non-holomorphic part survives, and t rests on the
+    phi(T_r) - r - 1) until two in a row leave it, phi(T_r) being the one
+    row e R_r (_vector_coords: v T_r over L, shared by every m) times f.
+    The ideal {x : x f = 0 mod t} holds I and has index t; only t is kept.
+    Sturm certificate (Sturm 1987; Stein, Modular Forms: A Computational
+    Approach, ch. 9): T x S_2(Z) -> Z is perfect, so phi is a cusp form F
+    mod t, a_n(F) = phi(T_n).  At 1 < m < N the Eisenstein series is
+    holomorphic with constant term 0, so it agrees with F mod t up to the
+    Sturm bound psi(N)/6 by (i), hence everywhere: a prime above the bound
+    that lowers t raises.  At m = N its constant term is -prod(1 - p)/24,
+    and the same holds when t divides the numerator of phi(N)/24.  At m = 1
+    no U_p is 1, E_2's non-holomorphic part survives, and t rests on the
     stabilization only, as at other m = N.
     """
     n = ring.space.level.value
@@ -666,7 +769,7 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     while len(log) < 3 or log[-3][1] != t:
         r = next(q for q in count(r + 1) if n % q and is_prime(q))
         names.append(f"T{r}-{r + 1}")
-        t2 = gcd(t, sum(map(mul, _mul([e], _prime_rows(ring, r), g)[0], f)) - r - 1)
+        t2 = gcd(t, sum(map(mul, _vector_coords(ring, r), f)) - r - 1)
         if t2 != t and certified:
             raise RuntimeError(f"T_{r} lowers the index past the Sturm bound at level {n}, m={m}")
         t = t2

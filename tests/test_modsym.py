@@ -46,6 +46,7 @@ from eislab.modsym import (
     _relation_quotient,
     _solve_over,
     _unit_coords,
+    _vector_coords,
 )
 from test_exactnum import (
     _smith_from_hnf,
@@ -1742,9 +1743,15 @@ def test_functional_route_matches_insertion_reference():
 
 
 def _planted_ring(ring):
-    """A copy of ring whose cache keeps the prime rows and holds the orbit again, not phi."""
+    """A copy of ring whose cache keeps the prime rows and holds the orbit echelon again, not phi.
+
+    The echelon and its a_k columns are rebuilt as hecke_ring builds them,
+    so a patched eisenstein_series reaches them.
+    """
     cache = {k: v for k, v in ring.cache.items() if k != "phi"}
-    cache["orbit"] = _orbit(ring.space, list(ring.vector), ring.bound)
+    a = modsym._series_columns(ring.space, ring.bound)
+    h, _ = modsym._orbit_echelon(ring.space, list(ring.vector), ring.bound, a)
+    cache["echelon"] = (h, a)
     return dataclasses.replace(ring, cache=cache)
 
 
@@ -1821,7 +1828,9 @@ def test_planted_prime_rows_entry_changes_the_index():
 
 
 def test_planted_extra_prime_lowering_the_index_raises():
-    # phi(T_r) moved by 1 for the first generator prime r above the bound.
+    # phi(T_r) moved by 1 for the first generator prime r above the bound:
+    # the index reads T_r as the one row e R_r (v T_r over L), and e R_r + e
+    # is the row of R_r + I, whose phi is phi(T_r) + phi(T_1) = phi(T_r) + 1.
     # The Sturm bound rules that out at 1 < m < N, and at m = N when t
     # divides the numerator of phi(N)/24, and there it raises; elsewhere
     # the index is certified by stabilization only, and drops to 1
@@ -1829,16 +1838,15 @@ def test_planted_extra_prime_lowering_the_index_raises():
     for n in PLANT_LEVELS + (17, 34):
         ring = cached_ring(n)
         r = level_indices(n)[1].stabilization[1][0]
-        moved = [
-            [x + (i == j) for i, x in enumerate(row)]
-            for j, row in enumerate(_prime_rows(ring, r))
-        ]
+        e = _unit_coords(ring)
+        row = exactnum._mul([e], _prime_rows(ring, r), ring.genus)[0]
+        moved = [x + y for x, y in zip(row, e)]
         for m in _divisors(n):
             t = level_indices(n)[m].index
             if t == 1:
                 continue
             planted = _planted_ring(ring)
-            planted.cache[("prime", r)] = moved
+            planted.cache[("vector", r)] = moved
             sturm = 1 < m < n or m == n and Fraction(phi_psi_omega(n)[0], 24).numerator % t == 0
             if sturm:
                 with pytest.raises(RuntimeError, match="past the Sturm bound"):
@@ -2051,12 +2059,12 @@ def test_planted_free_slot_image_off_its_unit_vector_is_refused(monkeypatch):
 
 def test_planted_ring_basis_off_the_orbit_is_refused():
     # L with its first row doubled still has rank g, but it is not the HNF
-    # of the orbit v T_k that _functionals echelonizes again
+    # of the orbit v T_k, which _functionals reads off hecke_ring's echelon
     ring = hecke_ring(build_space(30))
     doubled = modsym.HeckeRingModel(
         space=ring.space, bound=ring.bound,
         basis=[[2 * x for x in ring.basis[0]], *ring.basis[1:]],
-        genus=ring.genus, vector=ring.vector, cache={"orbit": ring.cache["orbit"]},
+        genus=ring.genus, vector=ring.vector, cache={"echelon": ring.cache["echelon"]},
     )
     with pytest.raises(RuntimeError, match="the orbit does not echelonize to L at level 30"):
         modsym._functionals(doubled)
@@ -2181,6 +2189,146 @@ def test_closure_with_wide_digits():
         for p in primes_up_to(ring.bound + 10):
             assert _prime_rows(wide, p) == _prime_rows(ring, p), (n, p)
         assert _unit_coords(wide) == _unit_coords(ring), n
+
+
+# The ring stage's certificates in their all-out form, the references for
+# the cheaper ones production runs: every solve closed by the product
+# X * basis compared with the images, and a prime above the bound
+# commuted with every T_q, q <= bound, not with one element C.
+
+def reference_solve_over(basis, width: int, images, fault: str) -> list[list[int]]:
+    """X with X * basis = images: the triangular solve, then X * basis compared whole."""
+    cols: list[list[int]] = []
+    for row in basis:
+        q = next(q for q, x in enumerate(row) if x)
+        col = [img[q] for img in images]
+        for above, done in zip(basis, cols):
+            if above[q]:
+                col = [y - above[q] * x for y, x in zip(col, done)]
+        if row[q] != 1:
+            if any(y % row[q] for y in col):
+                raise RuntimeError(fault)
+            col = [y // row[q] for y in col]
+        cols.append(col)
+    x = [list(r) for r in zip(*cols)]
+    if exactnum._mul(x, basis, width) != images:
+        raise RuntimeError(fault)
+    return x
+
+
+def commutes_with_every_generator(ring, t) -> bool:
+    g = ring.genus
+    return all(
+        exactnum._mul(t, tq, g) == exactnum._mul(tq, t, g)
+        for tq in (_prime_matrix(ring.space, q) for q in primes_up_to(ring.bound))
+    )
+
+
+RING_LEVELS = SQUAREFREE + [105, 110, 130]
+
+
+def _extra_primes(n: int) -> list[int]:
+    """The primes above the bound the index reads: level primes and every m's generator primes."""
+    ring = cached_ring(n)
+    extra = {p for p in ring.space.level.primes if p > ring.bound}
+    for model in level_indices(n).values():
+        extra.update(r for r, _ in model.stabilization[1:])
+    return sorted(extra)
+
+
+def test_square_solves_match_the_closing_product():
+    # _solve_over forms no X * L over the square ring lattice; the
+    # reference that does returns the same rows, so X * L is the images, at
+    # every prime up to the bound, every prime above it the index reads,
+    # and for v itself
+    for n in RING_LEVELS:
+        ring = cached_ring(n)
+        g = ring.genus
+        if not g:
+            continue
+        assert _extra_primes(n), n
+        for p in primes_up_to(ring.bound) + _extra_primes(n):
+            images = exactnum._mul(ring.basis, _prime_matrix(ring.space, p), g)
+            assert reference_solve_over(ring.basis, g, images, "") == _prime_rows(ring, p), (n, p)
+        v = [list(ring.vector)]
+        assert reference_solve_over(ring.basis, g, v, "") == [_unit_coords(ring)], n
+
+
+def test_extra_primes_against_the_all_generator_route():
+    # every prime above the bound the index reads commutes with each T_q,
+    # q <= bound, as the all-generator check demanded, and its one row
+    # v T_r over L is e R_r, R_r the g rows of the full solve of L T_r
+    for n in RING_LEVELS:
+        ring = cached_ring(n)
+        g = ring.genus
+        if not g:
+            continue
+        e = _unit_coords(ring)
+        for r in _extra_primes(n):
+            t = _prime_matrix(ring.space, r)
+            assert commutes_with_every_generator(ring, t), (n, r)
+            full = reference_solve_over(ring.basis, g, exactnum._mul(ring.basis, t, g), "")
+            if n % r:
+                assert _vector_coords(ring, r) == exactnum._mul([e], full, g)[0], (n, r)
+
+
+def test_commutation_set_is_one_element_but_at_43():
+    # v is cyclic for C = sum_k (k + 1) T_{q_k} alone, by its exact Krylov
+    # rank, at every level of genus > 0 here but 43 (rank 2 of 3), where
+    # the all-generator check stays; production's test modulo 2^61 - 1
+    # picks the same route
+    for n in RING_LEVELS:
+        ring = cached_ring(n)
+        g = ring.genus
+        if not g:
+            continue
+        tq = [_prime_matrix(ring.space, q) for q in primes_up_to(ring.bound)]
+        c = [[sum((k + 1) * t[i][j] for k, t in enumerate(tq)) for j in range(g)]
+             for i in range(g)]
+        krylov = [list(ring.vector)]
+        for _ in range(g - 1):
+            krylov.append(_times(krylov[-1], IntMatrix(c, cols=g)))
+        cyclic = len(_echelon(krylov)[0]) == g
+        assert cyclic == (n != 43), n
+        assert modsym._commutation_set(ring) == ([c] if cyclic else tq), n
+
+
+# SHA-256 over "n:vector" lines of the cyclic vector at every square-free
+# level 7-210, recorded while hecke_ring still echelonized each candidate's
+# orbit alone and _functionals echelonized the chosen one again
+RING_VECTOR_SHA256 = "774af73b15e63777ae22ee3c07566fed765213a4c8a118745dec3d3faa3edea9"
+
+
+def test_cyclic_vectors_are_pinned():
+    h = hashlib.sha256()
+    for n in SYMBOL_SPACE_LEVELS:
+        if 7 <= n <= 210:
+            h.update(f"{n}:{hecke_ring(build_space(n)).vector}\n".encode())
+    assert h.hexdigest() == RING_VECTOR_SHA256
+
+
+def test_planted_square_basis_out_of_echelon_form_is_refused():
+    # over the square ring lattice _solve_over forms no X * L, so it must
+    # refuse an L that is not upper triangular with a positive diagonal,
+    # the one property its proof uses: two rows swapped, an entry below the
+    # diagonal, a zero on the diagonal.  The triangular solve alone returns
+    # at each of these plants; at 39 its rows for T_2 are wrong, which the
+    # reference's closing product refuses
+    ring = cached_ring(70)
+    b = ring.basis
+    for plant in (
+        [b[1], b[0], *b[2:]], [b[0], [1, *b[1][1:]], *b[2:]], [b[0], [0, 0, *b[1][2:]], *b[2:]]
+    ):
+        with pytest.raises(RuntimeError, match="operator 1 escapes the ring lattice at level 70$"):
+            _unit_coords(dataclasses.replace(ring, basis=plant, cache={}))
+    ring = cached_ring(39)
+    b = ring.basis
+    plant = [b[0], [1, *b[1][1:]], *b[2:]]
+    images = exactnum._mul(plant, _prime_matrix(ring.space, 2), ring.genus)
+    with pytest.raises(RuntimeError, match="escapes"):
+        reference_solve_over(plant, ring.genus, images, "escapes")
+    with pytest.raises(RuntimeError, match="operator 2 escapes the ring lattice at level 39$"):
+        _prime_rows(dataclasses.replace(ring, basis=plant, cache={}), 2)
 
 
 def test_planted_product_escapes_ring(monkeypatch):
