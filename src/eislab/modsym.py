@@ -4,15 +4,16 @@ Manin symbols, the star-fixed half of the integral symbol lattice (which
 lies in the cuspidal part, since the star negates the boundary), prime
 Hecke matrices on that half (one pass of the Heilbronn family summing
 packed coordinate rows per operator), the Hecke ring as the lattice v T of
-a cyclic vector v, shifted-operator ideals with their indices, and the
-census of maximal ideals sitting above them.  level_indices is the one
-cache: it keeps each level's index models and drops its space and ring.
+a cyclic vector v, built once per level with all that its indices read,
+shifted-operator ideals with their indices, and the census of maximal
+ideals sitting above them.  level_indices is the one cache: it keeps each
+level's index models and drops its space and ring.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import count
 from math import gcd
@@ -166,8 +167,9 @@ def _solve_over(basis, width: int, images: list[list[int]], fault: str) -> list[
     and is not formed.  Every batch solve over a Hermite basis runs through
     it: the operators (_matrix_on_cuspidal, on the lifted sums of the
     packed images _prime_matrix walks), the ring lattice under each prime
-    and v and v T_r over it (_prime_rows, _unit_coords, _vector_coords),
-    which the index reads; the symbol space and the index solve nothing.
+    up to the bound, v, and v T_r for each prime r above it (_prime_rows,
+    _unit_coords, _vector_coords), which hecke_ring and the index read; the
+    symbol space and the index solve nothing.
     """
     square = len(basis) == width
     if square and any(row[i] <= 0 or any(row[:i]) for i, row in enumerate(basis)):
@@ -430,16 +432,23 @@ def _prime_matrix(space: ManinSymbolSpace, p: int) -> list[list[int]]:
 
 @dataclass(frozen=True, eq=False)
 class HeckeRingModel:
-    """The Hecke ring as the lattice L = v T (hecke_ring); basis is L's g HNF rows, g wide."""
+    """The Hecke ring as the lattice L = v T (hecke_ring); basis is L's g HNF rows, g wide.
+
+    unit is e, the coordinates of T_1 = v over L; functionals maps m to
+    (f, [T : J_b]), f = (phi(t_j)) on the ring basis; commutant is what a
+    prime above the bound must commute with; vector_rows keeps v T_r over
+    L for each prime r above the bound once it is read (_vector_coords).
+    """
 
     space: ManinSymbolSpace
     bound: int
     basis: list[list[int]]     # L = v T, the HNF rows of the orbit v T_k, k <= bound
     genus: int
     vector: tuple[int, ...]    # the cyclic vector v, in plus coordinates
-    # the a_k-extended orbit echelon until _functionals reads it, the prime
-    # rows, the coordinates of v (T_1) and of v T_r, the commutation set, phi
-    cache: dict = field(default_factory=dict, repr=False)
+    unit: list[int] = field(default_factory=list)
+    functionals: dict[int, tuple[list[int], int]] = field(default_factory=dict)
+    commutant: list[list[list[int]]] = field(default_factory=list, repr=False)
+    vector_rows: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,27 +555,46 @@ def _orbit_echelon(space: ManinSymbolSpace, v, bound: int, a: list[list[int]]):
 
 
 def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
-    """The Hecke ring T as the lattice L = v T, for a cyclic vector v of the star-fixed half.
+    """The Hecke ring T as the lattice L = v T, with all that its indices read.
 
     T is commutative, so when the w(k) = v T_k, k up to the weight-two
     spanning bound, span Q^g, t -> v t is injective on T tensor Q: v t = 0
     gives (v s) t = (v t) s = 0 for every s, so t kills Q^g.  Each
-    candidate's orbit (_orbit) is echelonized once, every row already
-    extended by the a_k that _functionals reads (_orbit_echelon).  The
-    orbit has rank g exactly when the first g pivots of that echelon are
-    the columns 0, ..., g - 1, so the v taken is the first candidate whose
-    orbit has rank g.  Its first g rows cut to g columns are then the HNF
-    of the orbit, L: the later rows vanish on those columns.  At genus 0
-    nothing is extended.  L T_p lies in L for every prime p up to the bound
-    (_prime_rows, which raises otherwise), so L is a module over the ring
-    those primes generate, holding v: L = v T.  Indices are read on L, g
-    wide where the operators are g^2 wide, off the echelon the ring keeps
-    for _functionals.  The ring's cache lives as long as the ring.
+    candidate's orbit (_orbit) is echelonized once, every row extended by
+    a_k for every m (_series_columns, _orbit_echelon).  The orbit has rank
+    g exactly when the first g pivots are the columns 0, ..., g - 1, so v
+    is the first candidate whose orbit has rank g, and the echelon's first
+    g rows cut to g columns are the HNF of the orbit, L.  L T_p lies in L
+    for every prime p up to the bound (_prime_rows, which raises
+    otherwise), so L is a module over the ring those primes generate,
+    which is T (Sturm 1987; Stein, Modular Forms: A Computational
+    Approach, ch. 9), holding v: L = v T.  At genus 0 the ring is empty.
+    The functionals, for every m | N: u W = b_j gives t_j = sum u_k T_k
+    and phi(t_j) = sum u_k a_k, so the echelon's first g rows carry f =
+    (phi(t_j)), and the rest, the relations u W = 0, hold (i) phi(T_k) =
+    a_k mod t when t divides them all.  (ii) phi(t_j T_p) = a_p phi(t_j)
+    at every prime p <= bound, one packed product R_p f (R_p =
+    _prime_rows(ring, p), read for the closure and dropped), makes phi
+    multiplicative mod t, as those primes generate T.  Call t1 the gcd so
+    far.  The row [v | a_1] - sum_j e_j h_j of the echelon, e the
+    coordinates of T_1 = v (_unit_coords), has a zero orbit part, so it is
+    a sum of relations, and as a_1 = 1, t1 divides 1 - e f: phi(T_1) = 1.
+    A level prime p above the bound then adds one scalar gcd per m, not g:
+    T_p passes the commutation check, so it lies in T, and phi(T_p) is its
+    one row v T_p over L (_vector_coords, kept for the index) times f.  For
+    t dividing t1, (ii) at p holds mod t for every j exactly when phi(T_p)
+    = a_p mod t: one way by multiplicativity, phi(t_j T_p) = phi(t_j)
+    phi(T_p); the other as phi(T_p) - a_p = sum_j e_j (phi(t_j T_p) - a_p
+    phi(t_j)) + a_p (e f - 1).  So t ends at [T : J_b], J_b generated by
+    the T_p - a_p of all those primes; without U_13, N = m = 26 reads 7,
+    not 1.
     """
     psi = len(space.symbols)
     bound = -(-psi // 6)
     g = space.genus
-    a = _series_columns(space, bound) if g else []
+    if not g:
+        return HeckeRingModel(space=space, bound=bound, basis=[], genus=0, vector=())
+    a = _series_columns(space, bound)
     for v in _candidates(g):
         h, pivots = _orbit_echelon(space, v, bound, a)
         if pivots[:g] == list(range(g)):
@@ -575,11 +603,20 @@ def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
         raise RuntimeError(f"no candidate vector is cyclic at level {space.level.value}")
     ring = HeckeRingModel(
         space=space, bound=bound, basis=[r[:g] for r in h[:g]], genus=g, vector=tuple(v),
-        cache={"echelon": (h, a)},
+        commutant=_commutation_set(space, v, bound),
     )
+    fs = [r[g:] for r in h[:g]]
+    ts = [gcd(*(r[g + c] for r in h[g:])) for c in range(len(a))]
     for p in primes_up_to(bound):
-        _prime_rows(ring, p)
-    return ring
+        for y, x in zip(_mul(_prime_rows(ring, p), fs, len(a)), fs):
+            ts = list(map(gcd, ts, [u - c[p] * w for u, c, w in zip(y, a, x)]))
+    e = _unit_coords(ring)
+    for p in (p for p in space.level.primes if p > bound):
+        y = _mul([_vector_coords(ring, p)], fs, len(a))[0]
+        ts = list(map(gcd, ts, [u - c[p] for u, c in zip(y, a)]))
+    ms = sorted(divisor_values(space.level))
+    phi = {m: ([x[c] for x in fs], ts[c]) for c, m in enumerate(ms)}
+    return replace(ring, unit=e, functionals=phi)
 
 
 _KRYLOV_MODULUS = 2 ** 61 - 1
@@ -610,7 +647,7 @@ def _krylov_cyclic(v, c: list[list[int]]) -> bool:
     return True
 
 
-def _commutation_set(ring: HeckeRingModel) -> list[list[list[int]]]:
+def _commutation_set(space: ManinSymbolSpace, v, bound: int) -> list[list[list[int]]]:
     """What a prime above the bound must commute with: [C], or every T_q, q <= bound.
 
     C = sum_k (k + 1) T_{q_k} over the primes q_0 < q_1 < ... up to the
@@ -621,27 +658,9 @@ def _commutation_set(ring: HeckeRingModel) -> list[list[list[int]]]:
     (level 43) every T_q is kept: v is cyclic for T, so the commutant of T
     tensor Q is T tensor Q itself.
     """
-    out = ring.cache.get("commutant")
-    if out is None:
-        tq = [_prime_matrix(ring.space, q) for q in primes_up_to(ring.bound)]
-        c = [[sum(k * x for k, x in enumerate(col, 1)) for col in zip(*rows)] for rows in zip(*tq)]
-        out = ring.cache["commutant"] = [c] if _krylov_cyclic(ring.vector, c) else tq
-    return out
-
-
-def _check_commutes(ring: HeckeRingModel, t: list[list[int]], fault: str) -> None:
-    """Raise fault unless t commutes with every matrix of _commutation_set, so t is in T tensor Q.
-
-    One packed product each way: t times the set laid side by side, and
-    the set stacked times t.
-    """
-    g, tq = ring.genus, _commutation_set(ring)
-    side = _mul(t, [[x for s in tq for x in s[r]] for r in range(g)], g * len(tq))
-    stack = _mul([row for s in tq for row in s], t, g)
-    if any(
-        side[r][i * g:(i + 1) * g] != stack[i * g + r] for i in range(len(tq)) for r in range(g)
-    ):
-        raise RuntimeError(fault)
+    tq = [_prime_matrix(space, q) for q in primes_up_to(bound)]
+    c = [[sum(k * x for k, x in enumerate(col, 1)) for col in zip(*rows)] for rows in zip(*tq)]
+    return [c] if _krylov_cyclic(v, c) else tq
 
 
 def _prime_rows(ring: HeckeRingModel, p: int) -> list[list[int]]:
@@ -649,77 +668,48 @@ def _prime_rows(ring: HeckeRingModel, p: int) -> list[list[int]]:
 
     b_j = v t_j is row j of L, so row j also gives t_j T_p over the ring
     basis t_1, ..., t_g.  One packed product L T_p and one _solve_over read
-    them, and raise unless L T_p lies in L: for p up to the bound that is
-    the closure certificate hecke_ring runs.  A prime above the bound (a
-    level prime, whose rows _functionals' (ii) reads) must first pass
-    _check_commutes, which puts T_p in T tensor Q, at some t; v t = v T_p
-    in L = v T then puts t in T.  A matrix that only maps L into L (with L
-    = Z^g, any integer one) fails the commutation.
+    them, and raise unless L T_p lies in L: at p up to the bound, the
+    closure certificate hecke_ring runs.  Past the bound the solve alone
+    proves nothing (with L = Z^g any integer matrix maps L into L), and
+    T_p is read as one row there (_vector_coords).
     """
-    key = ("prime", p)
-    if key not in ring.cache:
-        g = ring.genus
-        fault = f"operator {p} escapes the ring lattice at level {ring.space.level.value}"
-        t = _prime_matrix(ring.space, p)
-        if p > ring.bound:
-            _check_commutes(ring, t, fault)
-        ring.cache[key] = _solve_over(ring.basis, g, _mul(ring.basis, t, g), fault)
-    return ring.cache[key]
+    fault = f"operator {p} escapes the ring lattice at level {ring.space.level.value}"
+    t = _prime_matrix(ring.space, p)
+    return _solve_over(ring.basis, ring.genus, _mul(ring.basis, t, ring.genus), fault)
 
 
 def _unit_coords(ring: HeckeRingModel) -> list[int]:
     """Coordinates of T_1, the identity, over the ring basis: v solved over L."""
-    e = ring.cache.get("one")
-    if e is None:
-        fault = f"operator 1 escapes the ring lattice at level {ring.space.level.value}"
-        e = ring.cache["one"] = _solve_over(ring.basis, ring.genus, [list(ring.vector)], fault)[0]
-    return e
+    fault = f"operator 1 escapes the ring lattice at level {ring.space.level.value}"
+    return _solve_over(ring.basis, ring.genus, [list(ring.vector)], fault)[0]
 
 
 def _vector_coords(ring: HeckeRingModel, r: int) -> list[int]:
-    """Coordinates of v T_r over L, for a generator prime r above the bound.
+    """Coordinates of v T_r over L, for a prime r above the bound (U_r when r | N).
 
-    With e = _unit_coords(ring), v = sum_j e_j b_j, so these are e R_r for
-    R_r the rows _prime_rows would give: the one row of T_r that
-    eisenstein_index reads, shared by every m.  Once T_r passes
-    _check_commutes it is some t in T tensor Q, and v t = v T_r in L = v T
-    puts t in T: one row is solved over L, not the g rows of L T_r.
+    v = sum_j e_j b_j (e = ring.unit), so these are e R_r for R_r the rows
+    L T_r over L would give: the coordinates of T_r over the ring basis,
+    shared by every m.  T_r must first commute with every matrix of
+    ring.commutant, one packed product each way (T_r times the set laid
+    side by side, the set stacked times T_r), which puts it in T tensor Q,
+    at some t; v t = v T_r in L = v T then puts t in T: one row is solved
+    over L, not the g rows of L T_r.  A matrix that only maps L into L
+    fails the commutation.  hecke_ring reads the level primes, the index's
+    stabilization the rest.
     """
-    key = ("vector", r)
-    if key not in ring.cache:
+    out = ring.vector_rows.get(r)
+    if out is None:
+        g, tq = ring.genus, ring.commutant
         fault = f"operator {r} escapes the ring lattice at level {ring.space.level.value}"
         t = _prime_matrix(ring.space, r)
-        _check_commutes(ring, t, fault)
+        side = _mul(t, [[x for s in tq for x in s[i]] for i in range(g)], g * len(tq))
+        stack = _mul([row for s in tq for row in s], t, g)
+        if any(
+            side[i][k * g:(k + 1) * g] != stack[k * g + i] for k in range(len(tq)) for i in range(g)
+        ):
+            raise RuntimeError(fault)
         w = [sum(map(mul, ring.vector, col)) for col in zip(*t)]
-        ring.cache[key] = _solve_over(ring.basis, ring.genus, [w], fault)[0]
-    return ring.cache[key]
-
-
-def _functionals(ring: HeckeRingModel) -> dict[int, tuple[list[int], int]]:
-    """For every m | N: f = (phi(t_j)) on the ring basis, and [T : J_b].
-
-    hecke_ring's echelon of the orbit rows w(k) = v T_k, k <= bound, each
-    extended by a_k for every m (_series_columns), is read once and
-    dropped.  u W = b_j gives t_j = sum u_k T_k and phi(t_j) = sum u_k a_k,
-    so its first g rows, whose orbit part must be L, carry f, and the rest,
-    the relations u W = 0, hold (i) phi(T_k) = a_k mod t when t divides
-    them all.  (ii) phi(t_j T_p) = a_p phi(t_j) for every prime p <= bound
-    and every level prime, one packed product _prime_rows(ring, p) f each,
-    makes phi a ring map.
-    """
-    out = ring.cache.get("phi")
-    if out is None:
-        level, g = ring.space.level, ring.genus
-        h, a = ring.cache.pop("echelon")
-        if [r[:g] for r in h[:g]] != ring.basis:
-            raise RuntimeError(f"the orbit does not echelonize to L at level {level.value}")
-        fs = [r[g:] for r in h[:g]]
-        ts = [gcd(*(r[g + c] for r in h[g:])) for c in range(len(a))]
-        for p in {*level.primes, *primes_up_to(ring.bound)}:
-            for y, x in zip(_mul(_prime_rows(ring, p), fs, len(a)), fs):
-                ts = list(map(gcd, ts, [u - c[p] * v for u, c, v in zip(y, a, x)]))
-        ms = sorted(divisor_values(level))
-        out = ring.cache["phi"] = {m: ([x[c] for x in fs], ts[c]) for c, m in enumerate(ms)}
+        out = ring.vector_rows[r] = _solve_over(ring.basis, g, [w], fault)[0]
     return out
 
 
@@ -729,11 +719,12 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
     Level primes dividing m are shifted by 1, the others by themselves;
     primes r off the level by r + 1.  Each generator is an integer mod I,
     so T/I = Z/t, and the quotient map phi sends T_k to a_k.  t starts at
-    [T : J_b] (_functionals), J_b generated by the T_p - a_p there; the
-    level primes above the bound count (without U_13, N = m = 26 reads 7,
-    not 1).  Each generator prime r above the bound takes t to gcd(t,
-    phi(T_r) - r - 1) until two in a row leave it, phi(T_r) being the one
-    row e R_r (_vector_coords: v T_r over L, shared by every m) times f.
+    [T : J_b] (ring.functionals, from hecke_ring), J_b generated by the
+    T_p - a_p of the primes up to the bound and of every level prime, where
+    phi(T_1) = e f must be 1 mod t.  Each generator prime r above the
+    bound takes t to gcd(t, phi(T_r) - r - 1) until two in a row leave it,
+    phi(T_r) being the one row v T_r over L (_vector_coords, shared by
+    every m) times f, as it is for the level primes above the bound.
     The ideal {x : x f = 0 mod t} holds I and has index t; only t is kept.
     Sturm certificate (Sturm 1987; Stein, Modular Forms: A Computational
     Approach, ch. 9): T x S_2(Z) -> Z is perfect, so phi is a cusp form F
@@ -754,9 +745,8 @@ def eisenstein_index(ring: HeckeRingModel, m: int) -> EisensteinIdealModel:
             prime_bound=0, stabilization=(), zero_ring=True,
         )
     g = ring.genus
-    e = _unit_coords(ring)
-    f, t = _functionals(ring)[m]
-    if t == 0 or (sum(map(mul, e, f)) - 1) % t:
+    f, t = ring.functionals[m]
+    if t == 0 or (sum(map(mul, ring.unit, f)) - 1) % t:
         raise RuntimeError(f"phi is not onto Z/t with phi(T_1) = 1 at level {n}, m={m}: t = {t}")
     phi = phi_psi_omega(ring.space.level)[0]
     certified = 1 < m < n or m == n and phi // gcd(phi, 24) % t == 0
@@ -789,9 +779,12 @@ def level_indices(n: int) -> dict[int, EisensteinIdealModel]:
     """The index model of every m | n, in ascending m: one level's answers.
 
     The space and the ring are built here and dropped on return, with the
-    prime matrices and rows their caches hold, so only the models outlive
-    the call.  build_space, hecke_ring and eisenstein_index are looked up
-    by name at each call, so a wrapper bound over any of them sees it.
+    prime matrices the space caches and the rows v T_r the ring keeps, so
+    only the models outlive the call; hecke_ring reads the rows R_p of the
+    primes up to the bound once, for its closure and its functionals, and
+    keeps none of them.  build_space, hecke_ring and eisenstein_index are
+    looked up by name at each call, so a wrapper bound over any of them
+    sees it.
     """
     level = SquareFreeLevel(n)
     ring = hecke_ring(build_space(level.value))

@@ -1311,49 +1311,85 @@ def reference_ring(n: int):
     )
 
 
+# the rings hash by identity, so each reference ring keeps its table and rows
+
+@lru_cache(maxsize=None)
 def _product_table(ring) -> list[list[list[int]]]:
     """table[i][j]: coordinates of b_i b_j over the ring basis, certified by _check_closed."""
-    table = ring.cache.get("table")
-    if table is None:
-        g = ring.genus
-        products = iter(_check_closed(ring.space.level.value, ring.basis))
-        table = [[None] * g for _ in range(g)]
-        for i in range(g):
-            for j in range(i, g):
-                table[i][j] = table[j][i] = next(products)
-        ring.cache["table"] = table
+    g = ring.genus
+    products = iter(_check_closed(ring.space.level.value, ring.basis))
+    table = [[None] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i, g):
+            table[i][j] = table[j][i] = next(products)
     return table
 
 
+@lru_cache(maxsize=None)
 def reference_prime_rows(ring, p: int) -> list[list[int]]:
     """Row j: the coordinates of T_p b_j, sum_i c_i b_i b_j off the product table."""
-    key = ("prime", p)
-    if key not in ring.cache:
-        c = hnf_coordinates(wide_basis(ring), _vec(prime_matrix(ring.space, p)))
-        if c is None:
-            raise RuntimeError(
-                f"operator {p} escapes the ring lattice at level {ring.space.level.value}"
-            )
-        table = _product_table(ring)
-        rows = []
-        for j in range(ring.genus):
-            row = [0] * ring.genus
-            for ci, products in zip(c, table):
-                if ci:
-                    row = [a + ci * b for a, b in zip(row, products[j])]
-            rows.append(row)
-        ring.cache[key] = rows
-    return ring.cache[key]
+    c = hnf_coordinates(wide_basis(ring), _vec(prime_matrix(ring.space, p)))
+    if c is None:
+        raise RuntimeError(
+            f"operator {p} escapes the ring lattice at level {ring.space.level.value}"
+        )
+    table = _product_table(ring)
+    rows = []
+    for j in range(ring.genus):
+        row = [0] * ring.genus
+        for ci, products in zip(c, table):
+            if ci:
+                row = [a + ci * b for a, b in zip(row, products[j])]
+        rows.append(row)
+    return rows
 
 
+@lru_cache(maxsize=None)
 def reference_unit_coords(ring) -> list[int]:
     """Coordinates of T_1, the flattened identity, over the ring basis."""
-    e = ring.cache.get("one")
-    if e is None:
-        e = ring.cache["one"] = hnf_coordinates(
-            wide_basis(ring), _vec(identity(ring.genus))
+    return hnf_coordinates(wide_basis(ring), _vec(identity(ring.genus)))
+
+
+def commutes_with_every_generator(ring, t) -> bool:
+    g = ring.genus
+    return all(
+        exactnum._mul(t, tq, g) == exactnum._mul(tq, t, g)
+        for tq in (_prime_matrix(ring.space, q) for q in primes_up_to(ring.bound))
+    )
+
+
+@lru_cache(maxsize=None)
+def full_prime_rows(ring, p: int) -> list[list[int]]:
+    """_prime_rows(ring, p) at every prime p, by the route production takes up to the bound.
+
+    Above the bound T_p must first commute with every T_q, q <= bound,
+    which puts it in T tensor Q, as v is cyclic for T; then all g rows of
+    L T_p are solved over L.  Production reads one row there instead
+    (_vector_coords), and this is its reference.
+    """
+    if p > ring.bound and not commutes_with_every_generator(ring, _prime_matrix(ring.space, p)):
+        raise RuntimeError(
+            f"operator {p} escapes the ring lattice at level {ring.space.level.value}"
         )
-    return e
+    return _prime_rows(ring, p)
+
+
+def full_row_functionals(ring) -> dict[int, tuple[list[int], int]]:
+    """ring.functionals by the g-row route: (ii) on all g rows R_p f at the level primes too.
+
+    (i) on the relations of the extended orbit echelon, then (ii) at
+    every prime up to the bound and every level prime, those above the
+    bound through full_prime_rows.
+    """
+    level, g = ring.space.level, ring.genus
+    a = modsym._series_columns(ring.space, ring.bound)
+    h, _ = modsym._orbit_echelon(ring.space, list(ring.vector), ring.bound, a)
+    fs = [r[g:] for r in h[:g]]
+    ts = [gcd(*(r[g + c] for r in h[g:])) for c in range(len(a))]
+    for p in {*level.primes, *primes_up_to(ring.bound)}:
+        for y, x in zip(exactnum._mul(full_prime_rows(ring, p), fs, len(a)), fs):
+            ts = list(map(gcd, ts, [u - c[p] * v for u, c, v in zip(y, a, x)]))
+    return {m: ([x[c] for x in fs], ts[c]) for c, m in enumerate(sorted(_divisors(level.value)))}
 
 
 # The row-insertion route, the reference for the index as one linear
@@ -1383,7 +1419,7 @@ def ideal_basis(ring, m: int, t: int) -> IntMatrix:
     g = ring.genus
     if g == 0:
         return IntMatrix([], cols=0)
-    f = modsym._functionals(ring)[m][0]
+    f = ring.functionals[m][0]
     d = list(accumulate(reversed(f), gcd, initial=t))[::-1]
     basis = [[0] * i + [d[i + 1] // d[i]] + [0] * (g - 1 - i) for i in range(g)]
     for i, row in enumerate(basis):
@@ -1406,19 +1442,20 @@ def _in_ideal(ideal: list[list[int]], v: list[int]) -> bool:
     return hnf_coordinates(IntMatrix(ideal, cols=len(v)), v) is not None
 
 
-def insertion_index(ring, m: int):
+def insertion_index(ring, m: int, prime_rows=full_prime_rows, unit_coords=_unit_coords):
     """Index of the ideal shifting each operator to its cusp-count value.
 
     Level primes dividing m are shifted by 1, the others by themselves;
     primes away from the level are shifted by r + 1.  The generator prime
     bound grows until the index survives two consecutive extra primes.
     A generator t = T_p - s adds the principal ideal t*T, spanned by the g
-    products t*t_j over the ring basis: the rows of _prime_rows(ring, p)
-    with s taken off the diagonal.  Their coordinates are shared by every
-    m.  Once the ideal J has full rank, t itself (sum_j e_j t*t_j, with e
-    the coordinates of T_1) is tested first, by its membership solve over
-    J's HNF: when t is in J, so is every t*t_j, J being an ideal, and its g
-    rows are skipped.
+    products t*t_j over the ring basis: the rows prime_rows(ring, p) with
+    s taken off the diagonal (full_prime_rows, g rows at every prime).
+    Their coordinates are shared by every m.  Once the ideal J has full
+    rank, t itself (sum_j e_j t*t_j, with e the coordinates of T_1,
+    unit_coords) is tested first, by its membership solve over J's HNF:
+    when t is in J, so is every t*t_j, J being an ideal, and its g rows are
+    skipped.
     """
     n = ring.space.level.value
     if m < 1 or n % m:
@@ -1430,14 +1467,14 @@ def insertion_index(ring, m: int):
             ideal_basis=IntMatrix([], cols=0),
         )
     g = ring.genus
-    one = modsym._unit_coords(ring)
+    one = unit_coords(ring)
     ideal: list[list[int]] = []  # HNF basis of every generator row so far
     pivots: list[int] = []
     names: list[str] = []
 
     def absorb(kind: str, p: int, shift: int) -> None:
         names.append(f"{kind}{p}-{shift}")
-        rows = modsym._prime_rows(ring, p)
+        rows = prime_rows(ring, p)
         if len(ideal) == g:
             gen = [-shift * x for x in one]
             for x, row in zip(one, rows):
@@ -1496,10 +1533,7 @@ def insertion_index(ring, m: int):
 @lru_cache(maxsize=None)
 def reference_index(n: int, m: int):
     """The insertion route on the g^2-wide ring, its rows read off the product table."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(modsym, "_prime_rows", reference_prime_rows)
-        patch.setattr(modsym, "_unit_coords", reference_unit_coords)
-        return insertion_index(reference_ring(n), m)
+    return insertion_index(reference_ring(n), m, reference_prime_rows, reference_unit_coords)
 
 
 def _carried(v: list[int], flat) -> list[int]:
@@ -1576,7 +1610,7 @@ def _table_rows(ring, name):
     shift = int(shift)
     return [
         [x - shift * (i == j) for i, x in enumerate(row)]
-        for j, row in enumerate(_prime_rows(ring, int(head)))
+        for j, row in enumerate(full_prime_rows(ring, int(head)))
     ]
 
 
@@ -1610,12 +1644,13 @@ def test_table_rows_span_each_generator_ideal():
 
 
 def test_planted_prime_operator_escapes_ring():
-    # T_r + E_00 for a prime r above the bound: at 22 and 35 the ring
+    # T_r + E_00 for a prime r above the bound: at 22, 26 and 35 the ring
     # lattice is Z^g, which that integer matrix maps into itself, so its
-    # solve alone passes; the commutation with every T_q, q <= bound,
-    # refuses it, both in the per-prime rows and in the index that reads
-    # them (at genus 1 every 1 x 1 operator commutes and lies in Z)
-    for n, r in ((22, 7), (35, 13)):
+    # solve alone passes; the commutation refuses it, in the one row v T_r
+    # and in the index that reads it, for the generator primes 7 and 13,
+    # and in hecke_ring for the level prime 13 at 26 (at genus 1 every
+    # 1 x 1 operator commutes and lies in Z)
+    for n, r in ((22, 7), (35, 13), (26, 13)):
         space = build_space(n)
         ring = hecke_ring(space)
         assert r > ring.bound
@@ -1624,22 +1659,29 @@ def test_planted_prime_operator_escapes_ring():
         wrong[0][0] += 1
         space.op_cache[("prime", r)] = wrong
         assert _solve_over(ring.basis, ring.genus, wrong, "escapes") == wrong
-        with pytest.raises(RuntimeError, match="escapes the ring lattice"):
-            _prime_rows(ring, r)
-        with pytest.raises(RuntimeError, match="escapes the ring lattice"):
-            eisenstein_index(ring, n)
+        if n % r:
+            with pytest.raises(RuntimeError, match=f"operator {r} escapes the ring lattice"):
+                _vector_coords(ring, r)
+            with pytest.raises(RuntimeError, match=f"operator {r} escapes the ring lattice"):
+                eisenstein_index(ring, n)
+        else:
+            with pytest.raises(RuntimeError, match=f"operator {r} escapes the ring lattice"):
+                hecke_ring(space)
 
 
-def test_planted_ring_without_identity_is_refused():
-    # the index reads its generators through the coordinates of T_1
-    ring = cached_ring(11)
-    doubled = modsym.HeckeRingModel(
-        space=ring.space, bound=ring.bound, basis=[[2 * x for x in row] for row in ring.basis],
-        genus=ring.genus,
-        vector=ring.vector,
-    )
+def test_planted_ring_without_identity_is_refused(monkeypatch):
+    # L with its first row doubled at 11 is still closed under T_2, but v
+    # is not in it: hecke_ring reads T_1, which the index's generators go
+    # through, as v solved over L
+    orbit_echelon = modsym._orbit_echelon
+
+    def doubled(space, v, bound, a):
+        h, pivots = orbit_echelon(space, v, bound, a)
+        return [[2 * x for x in h[0]], *h[1:]], pivots
+
+    monkeypatch.setattr(modsym, "_orbit_echelon", doubled)
     with pytest.raises(RuntimeError, match="operator 1 escapes the ring lattice"):
-        eisenstein_index(doubled, 11)
+        hecke_ring(build_space(11))
 
 
 def test_planted_smith_form_disagrees_with_index(monkeypatch):
@@ -1689,6 +1731,21 @@ def test_index_models_through_level_70():
     # every index field but ideal_basis, every m, at every
     # square-free level 7-70
     assert _index_digests(SQUAREFREE)[0] == "5f3adb54fd2c51f1"
+
+
+# SHA-256 over one JSON line of every EisensteinIdealModel field, every m
+# in ascending order, at every square-free level 2-210; recorded while
+# level primes above the bound still took their g rows L T_p over L
+INDEX_MODEL_LEVELS = [n for n in range(2, 211) if all(n % (p * p) for p in (2, 3, 5, 7, 11, 13))]
+INDEX_MODEL_SHA256 = "b1a25f16919ad5636bcac1cbe5216eca6dd5c75ea7b2538963477b3c64fc7117"
+
+
+def test_index_models_are_pinned():
+    h = hashlib.sha256()
+    for n in INDEX_MODEL_LEVELS:
+        for model in level_indices(n).values():
+            h.update((json.dumps(dataclasses.asdict(model)) + "\n").encode())
+    assert h.hexdigest() == INDEX_MODEL_SHA256
 
 
 def test_ideal_basis_pinned():
@@ -1743,16 +1800,11 @@ def test_functional_route_matches_insertion_reference():
 
 
 def _planted_ring(ring):
-    """A copy of ring whose cache keeps the prime rows and holds the orbit echelon again, not phi.
+    """ring rebuilt on its space, so a patched series, _prime_rows or _vector_coords reaches it.
 
-    The echelon and its a_k columns are rebuilt as hecke_ring builds them,
-    so a patched eisenstein_series reaches them.
+    The space keeps its prime matrices, so only the ring stage runs again.
     """
-    cache = {k: v for k, v in ring.cache.items() if k != "phi"}
-    a = modsym._series_columns(ring.space, ring.bound)
-    h, _ = modsym._orbit_echelon(ring.space, list(ring.vector), ring.bound, a)
-    cache["echelon"] = (h, a)
-    return dataclasses.replace(ring, cache=cache)
+    return hecke_ring(ring.space)
 
 
 def _divisors(n):
@@ -1760,20 +1812,18 @@ def _divisors(n):
 
 
 def test_level_primes_above_the_bound_are_needed(monkeypatch):
-    # condition (ii) with U_13 skipped at N = 26, where the bound is 7: the
-    # shifted rows of U_13 - 1 read as zero, and the index of the ideal at
-    # m = 26 reads 7 where the ring's is 1
+    # U_13 skipped at N = 26, where the bound is 7: its one row v U_13 over
+    # L planted as that of T_1, so phi(U_13) - 1 reads as zero, and the
+    # index of the ideal at m = 26 reads 7 where the ring's is 1
     ring = cached_ring(26)
     assert ring.bound < 13
-    rows = modsym._prime_rows
+    row = modsym._vector_coords
 
     def skip_13(ring, p):
-        if p != 13:
-            return rows(ring, p)
-        return [[int(i == j) for i in range(ring.genus)] for j in range(ring.genus)]
+        return _unit_coords(ring) if p == 13 else row(ring, p)
 
     assert level_indices(26)[26].index == insertion_index(ring, 26).index == 1
-    monkeypatch.setattr(modsym, "_prime_rows", skip_13)
+    monkeypatch.setattr(modsym, "_vector_coords", skip_13)
     assert eisenstein_index(_planted_ring(ring), 26).index == 7
 
 
@@ -1804,33 +1854,45 @@ def test_planted_eigenvalue_changes_the_index(monkeypatch):
     assert seen > 20
 
 
-def test_planted_prime_rows_entry_changes_the_index():
-    # a wrong entry (j, i) of _prime_rows(ring, p) moves phi(t_j T_p) by
-    # f_i: at 1 < m < N, where no later prime moves t, the index becomes
-    # gcd(t, f_i), which is t only where f_i = 0 mod t hides the entry
+def test_planted_prime_rows_entry_changes_the_index(monkeypatch):
+    # a wrong entry (0, i) of _prime_rows(ring, p), p <= bound, moves
+    # phi(t_0 T_p) by f_i, and a wrong entry i of the one row v T_p over
+    # L, p a level prime above the bound, moves phi(T_p) by f_i: at
+    # 1 < m < N, where no later prime moves t, the index becomes gcd(t,
+    # f_i), which is t only where f_i = 0 mod t hides the entry
     changed = 0
+    rows, row = modsym._prime_rows, modsym._vector_coords
     for n in PLANT_LEVELS:
         ring = cached_ring(n)
         ps = sorted(set(primes_up_to(ring.bound)) | set(ring.space.level.primes))
-        for m in _divisors(n)[1:-1]:
-            t = level_indices(n)[m].index
-            f = modsym._functionals(ring)[m][0]
-            for p in ps:
-                for i in range(ring.genus):
-                    rows = [row.copy() for row in _prime_rows(ring, p)]
-                    rows[0][i] += 1
-                    planted = _planted_ring(ring)
-                    planted.cache[("prime", p)] = rows
-                    got = eisenstein_index(planted, m).index
-                    assert got == gcd(t, f[i]), (n, m, p, i)
-                    changed += got != t
+        for p, i in ((p, i) for p in ps for i in range(ring.genus)):
+
+            def planted_rows(ring, q):
+                out = [x.copy() for x in rows(ring, q)]
+                out[0][i] += q == p
+                return out
+
+            def planted_row(ring, q):
+                return [x + (q == p and j == i) for j, x in enumerate(row(ring, q))]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(modsym, "_prime_rows", planted_rows)
+                patch.setattr(modsym, "_vector_coords", planted_row)
+                planted = _planted_ring(ring)
+            for m in _divisors(n)[1:-1]:
+                t = level_indices(n)[m].index
+                f = ring.functionals[m][0]
+                got = eisenstein_index(planted, m).index
+                assert got == gcd(t, f[i]), (n, m, p, i)
+                changed += got != t
     assert changed > 20
 
 
 def test_planted_extra_prime_lowering_the_index_raises():
     # phi(T_r) moved by 1 for the first generator prime r above the bound:
-    # the index reads T_r as the one row e R_r (v T_r over L), and e R_r + e
-    # is the row of R_r + I, whose phi is phi(T_r) + phi(T_1) = phi(T_r) + 1.
+    # the index reads T_r as the one row e R_r (v T_r over L, which the
+    # ring keeps), and e R_r + e is the row of R_r + I, whose phi is
+    # phi(T_r) + phi(T_1) = phi(T_r) + 1.
     # The Sturm bound rules that out at 1 < m < N, and at m = N when t
     # divides the numerator of phi(N)/24, and there it raises; elsewhere
     # the index is certified by stabilization only, and drops to 1
@@ -1838,15 +1900,13 @@ def test_planted_extra_prime_lowering_the_index_raises():
     for n in PLANT_LEVELS + (17, 34):
         ring = cached_ring(n)
         r = level_indices(n)[1].stabilization[1][0]
-        e = _unit_coords(ring)
-        row = exactnum._mul([e], _prime_rows(ring, r), ring.genus)[0]
-        moved = [x + y for x, y in zip(row, e)]
+        e = ring.unit
+        moved = [x + y for x, y in zip(_vector_coords(ring, r), e)]
         for m in _divisors(n):
             t = level_indices(n)[m].index
             if t == 1:
                 continue
-            planted = _planted_ring(ring)
-            planted.cache[("vector", r)] = moved
+            planted = dataclasses.replace(ring, vector_rows={**ring.vector_rows, r: moved})
             sturm = 1 < m < n or m == n and Fraction(phi_psi_omega(n)[0], 24).numerator % t == 0
             if sturm:
                 with pytest.raises(RuntimeError, match="past the Sturm bound"):
@@ -2057,34 +2117,16 @@ def test_planted_free_slot_image_off_its_unit_vector_is_refused(monkeypatch):
         build_space(11)
 
 
-def test_planted_ring_basis_off_the_orbit_is_refused():
-    # L with its first row doubled still has rank g, but it is not the HNF
-    # of the orbit v T_k, which _functionals reads off hecke_ring's echelon
-    ring = hecke_ring(build_space(30))
-    doubled = modsym.HeckeRingModel(
-        space=ring.space, bound=ring.bound,
-        basis=[[2 * x for x in ring.basis[0]], *ring.basis[1:]],
-        genus=ring.genus, vector=ring.vector, cache={"echelon": ring.cache["echelon"]},
-    )
-    with pytest.raises(RuntimeError, match="the orbit does not echelonize to L at level 30"):
-        modsym._functionals(doubled)
-
-
-def test_planted_functional_not_onto_is_refused(monkeypatch):
+def test_planted_functional_not_onto_is_refused():
     # phi(T_1) = e f must be 1 mod t, and t must not be 0: at (11, 11) t = 5
     ring = hecke_ring(build_space(11))
-    functionals = modsym._functionals
-    with monkeypatch.context() as patch:
-        patch.setattr(modsym, "_unit_coords", lambda ring: [0] * ring.genus)
-        with pytest.raises(RuntimeError, match=r"phi is not onto Z/t .* level 11, m=11: t = 5$"):
-            eisenstein_index(ring, 11)
-    monkeypatch.setattr(
-        modsym, "_functionals", lambda ring: {m: (f, 0) for m, (f, _) in functionals(ring).items()}
-    )
+    with pytest.raises(RuntimeError, match=r"phi is not onto Z/t .* level 11, m=11: t = 5$"):
+        eisenstein_index(dataclasses.replace(ring, unit=[0] * ring.genus), 11)
+    zero = {m: (f, 0) for m, (f, _) in ring.functionals.items()}
     with pytest.raises(
         RuntimeError, match=r"phi is not onto Z/t with phi\(T_1\) = 1 at level 11, m=11: t = 0$"
     ):
-        eisenstein_index(ring, 11)
+        eisenstein_index(dataclasses.replace(ring, functionals=zero), 11)
 
 
 def test_planted_odd_prime_without_witness_is_falsified(monkeypatch):
@@ -2216,14 +2258,6 @@ def reference_solve_over(basis, width: int, images, fault: str) -> list[list[int
     return x
 
 
-def commutes_with_every_generator(ring, t) -> bool:
-    g = ring.genus
-    return all(
-        exactnum._mul(t, tq, g) == exactnum._mul(tq, t, g)
-        for tq in (_prime_matrix(ring.space, q) for q in primes_up_to(ring.bound))
-    )
-
-
 RING_LEVELS = SQUAREFREE + [105, 110, 130]
 
 
@@ -2239,8 +2273,8 @@ def _extra_primes(n: int) -> list[int]:
 def test_square_solves_match_the_closing_product():
     # _solve_over forms no X * L over the square ring lattice; the
     # reference that does returns the same rows, so X * L is the images, at
-    # every prime up to the bound, every prime above it the index reads,
-    # and for v itself
+    # every prime up to the bound, every prime above it the index reads
+    # (whose g rows only the tests solve), and for v itself
     for n in RING_LEVELS:
         ring = cached_ring(n)
         g = ring.genus
@@ -2251,13 +2285,26 @@ def test_square_solves_match_the_closing_product():
             images = exactnum._mul(ring.basis, _prime_matrix(ring.space, p), g)
             assert reference_solve_over(ring.basis, g, images, "") == _prime_rows(ring, p), (n, p)
         v = [list(ring.vector)]
-        assert reference_solve_over(ring.basis, g, v, "") == [_unit_coords(ring)], n
+        assert reference_solve_over(ring.basis, g, v, "") == [_unit_coords(ring)] == [ring.unit], n
+
+
+def test_functionals_match_the_full_row_reference():
+    # every level prime above the bound read as the one row v T_p over L,
+    # one scalar gcd per m, against (ii) on all g rows of L T_p after the
+    # commutation with every T_q: f and t equal at every m
+    levels = [n for n in RING_LEVELS if cached_ring(n).genus]
+    above = [n for n in levels if max(SquareFreeLevel(n).primes) > cached_ring(n).bound]
+    assert len(above) > 20
+    for n in levels:
+        ring = cached_ring(n)
+        assert ring.functionals == full_row_functionals(ring), n
 
 
 def test_extra_primes_against_the_all_generator_route():
-    # every prime above the bound the index reads commutes with each T_q,
-    # q <= bound, as the all-generator check demanded, and its one row
-    # v T_r over L is e R_r, R_r the g rows of the full solve of L T_r
+    # every prime above the bound the ring and the index read, level primes
+    # included, commutes with each T_q, q <= bound, as the all-generator
+    # check demanded, and its one row v T_r over L is e R_r, R_r the g rows
+    # of the full solve of L T_r
     for n in RING_LEVELS:
         ring = cached_ring(n)
         g = ring.genus
@@ -2268,8 +2315,7 @@ def test_extra_primes_against_the_all_generator_route():
             t = _prime_matrix(ring.space, r)
             assert commutes_with_every_generator(ring, t), (n, r)
             full = reference_solve_over(ring.basis, g, exactnum._mul(ring.basis, t, g), "")
-            if n % r:
-                assert _vector_coords(ring, r) == exactnum._mul([e], full, g)[0], (n, r)
+            assert _vector_coords(ring, r) == exactnum._mul([e], full, g)[0], (n, r)
 
 
 def test_commutation_set_is_one_element_but_at_43():
@@ -2290,7 +2336,7 @@ def test_commutation_set_is_one_element_but_at_43():
             krylov.append(_times(krylov[-1], IntMatrix(c, cols=g)))
         cyclic = len(_echelon(krylov)[0]) == g
         assert cyclic == (n != 43), n
-        assert modsym._commutation_set(ring) == ([c] if cyclic else tq), n
+        assert ring.commutant == ([c] if cyclic else tq), n
 
 
 # SHA-256 over "n:vector" lines of the cyclic vector at every square-free
@@ -2320,7 +2366,7 @@ def test_planted_square_basis_out_of_echelon_form_is_refused():
         [b[1], b[0], *b[2:]], [b[0], [1, *b[1][1:]], *b[2:]], [b[0], [0, 0, *b[1][2:]], *b[2:]]
     ):
         with pytest.raises(RuntimeError, match="operator 1 escapes the ring lattice at level 70$"):
-            _unit_coords(dataclasses.replace(ring, basis=plant, cache={}))
+            _unit_coords(dataclasses.replace(ring, basis=plant))
     ring = cached_ring(39)
     b = ring.basis
     plant = [b[0], [1, *b[1][1:]], *b[2:]]
@@ -2328,12 +2374,13 @@ def test_planted_square_basis_out_of_echelon_form_is_refused():
     with pytest.raises(RuntimeError, match="escapes"):
         reference_solve_over(plant, ring.genus, images, "escapes")
     with pytest.raises(RuntimeError, match="operator 2 escapes the ring lattice at level 39$"):
-        _prime_rows(dataclasses.replace(ring, basis=plant, cache={}), 2)
+        _prime_rows(dataclasses.replace(ring, basis=plant), 2)
 
 
 def test_planted_product_escapes_ring(monkeypatch):
     # the orbit's HNF with its first row doubled still has rank g but is not
     # stable under every T_q, q <= bound: hecke_ring's closure refuses it
+    # at T_2, before it reads T_1 over L
     echelon = modsym._echelon
 
     def doubled(rows):
@@ -2342,5 +2389,6 @@ def test_planted_product_escapes_ring(monkeypatch):
 
     monkeypatch.setattr(modsym, "_echelon", doubled)
     for n in (30, 35, 70):
-        with pytest.raises(RuntimeError, match="escapes the ring lattice"):
+        message = f"operator 2 escapes the ring lattice at level {n}$"
+        with pytest.raises(RuntimeError, match=message):
             hecke_ring(build_space(n))
