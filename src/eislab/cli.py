@@ -165,21 +165,17 @@ def _cmd_cusp_order(args: argparse.Namespace) -> int:
         if args.oracle
         else order_closed_form(args.level, args.m)
     )
-    data = {
-        "level": res.level,
-        "m": res.m,
-        "order": res.closed_form_order,
-        "h": res.h,
-    }
+    data = asdict(res)
+    data["order"] = data.pop("closed_form_order")
     line = f"N={res.level} M={res.m} order={res.closed_form_order} h={res.h}"
     header = ["N", "M", "order", "h"]
     row = [res.level, res.m, res.closed_form_order, res.h]
     if args.oracle:
-        data["oracle_order"] = res.oracle_order
-        data["agreed"] = res.agreed
         line += f" oracle={res.oracle_order} agreed={'yes' if res.agreed else 'no'}"
         header.append("oracle_order")
         row.append(res.oracle_order)
+    else:
+        del data["oracle_order"], data["agreed"]
     _emit(args, data, [line], (header, [row]))
     return 0 if (res.agreed is not False) else 1
 
@@ -232,16 +228,8 @@ def _cmd_hecke_index(args: argparse.Namespace) -> int:
     from eislab.modsym import level_indices
 
     model = level_indices(args.level)[args.m]
-    data = {
-        "level": model.level,
-        "m": model.m,
-        "index": model.index,
-        "elementary_divisors": list(model.elementary_divisors),
-        "zero_ring": model.zero_ring,
-        "prime_bound": model.prime_bound,
-        "generators": list(model.generator_names),
-        "stabilization": [list(step) for step in model.stabilization],
-    }
+    data = asdict(model)
+    data["generators"] = data.pop("generator_names")
     text = [
         f"level={model.level} m={model.m} t={model.index}"
         f" zero_ring={'yes' if model.zero_ring else 'no'}",
@@ -258,9 +246,13 @@ def _cmd_hecke_index(args: argparse.Namespace) -> int:
 
 def _cmd_maximal_ideals(args: argparse.Namespace) -> int:
     _check_bound(args.level, MODSYM_CAP, "modular-symbol", "--level")
-    from eislab.modsym import enumerate_eisenstein_maximal
+    from eislab.modsym import FalsifiedExpectation, enumerate_eisenstein_maximal
 
-    records = enumerate_eisenstein_maximal(args.level)
+    try:
+        records = enumerate_eisenstein_maximal(args.level)
+    except FalsifiedExpectation as exc:
+        print(f"eislab: counterexample at level {args.level}: {exc}", file=sys.stderr)
+        return 1
     data = {"level": args.level, "records": [asdict(r) for r in records]}
     text = [
         f"ell={r.ell} m={r.m} "

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count
 from math import gcd
 from operator import mul
@@ -73,7 +73,13 @@ def _p1_table(n: int) -> tuple[array, tuple[tuple[int, int], ...]]:
 
 @dataclass(frozen=True, eq=False)
 class ManinSymbolSpace:
-    """One level's Manin-symbol presentation (build_space); matrices are tuples of int rows."""
+    """One level's Manin-symbol presentation (build_space); matrices are tuples of int rows.
+
+    lift, support and reach are read off plus, basis_symbols and coords on
+    first use, so a dataclasses.replace derives them afresh; operators
+    ({p: T_p}) and packed ({w: coords packed at width w, then 0}) are the
+    memos _prime_matrix fills, empty in every new instance.
+    """
 
     level: SquareFreeLevel
     symbols: tuple[tuple[int, int], ...]
@@ -84,7 +90,24 @@ class ManinSymbolSpace:
     boundary: tuple            # on the quotient basis, one column per cusp
     plus: tuple                # HNF rows of the star-fixed vectors, all in ker(boundary)
     genus: int
-    op_cache: dict = field(default_factory=dict, repr=False)
+    operators: dict[int, list[list[int]]] = field(init=False, default_factory=dict, repr=False)
+    packed: dict[int, list[int]] = field(init=False, default_factory=dict, repr=False)
+
+    @cached_property
+    def lift(self) -> list[dict[int, int]]:
+        """plus written on symbols: coordinate f lifts to the symbol basis_symbols[f]."""
+        return [{self.basis_symbols[f]: x for f, x in enumerate(row) if x} for row in self.plus]
+
+    @cached_property
+    def support(self) -> list[int]:
+        """The symbols the lift touches, basis symbols only (39 of 252 at level 130)."""
+        return sorted(set().union(*self.lift))
+
+    @cached_property
+    def reach(self) -> int:
+        """max|coords| times the largest L1 norm of a lifted row: one image's bound."""
+        top = max((abs(x) for row in self.coords for x in row), default=0)
+        return top * max((sum(map(abs, row.values())) for row in self.lift), default=0)
 
 
 def _eliminate(row: dict[int, int], other: dict[int, int], c: int) -> dict[int, int]:
@@ -165,9 +188,10 @@ def _solve_over(basis, width: int, images: list[list[int]], fault: str) -> list[
     (rows below q are 0 there), which the solve set to the images' column
     q exactly once row q's division was checked: the product cannot differ
     and is not formed.  Every batch solve over a Hermite basis runs through
-    it: the operators (_matrix_on_cuspidal, on the lifted sums of the
-    packed images _prime_matrix walks), the ring lattice under each prime
-    up to the bound, v, and v T_r for each prime r above it (_prime_rows,
+    it: the operators (_matrix_on_cuspidal, on the sums over space.lift of
+    the packed images _prime_matrix walks), the ring lattice under each
+    prime up to the bound, v, and v T_r for each prime r above it once T_r
+    commutes with the one element ring.commutant (_prime_rows,
     _unit_coords, _vector_coords), which hecke_ring and the index read; the
     symbol space and the index solve nothing.
     """
@@ -360,21 +384,6 @@ def _heilbronn_family(p: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(mats)
 
 
-def _cuspidal_lift(space: ManinSymbolSpace):
-    """The star-fixed cuspidal basis written on symbols, and the symbols it touches.
-
-    Coordinate f lifts to the symbol basis_symbols[f], so an operator on
-    that lattice walks the basis symbols only (39 of 252 symbols at level
-    130, where the rank is 41).
-    """
-    key = "plus-as-symbols"
-    if key not in space.op_cache:
-        basis = space.basis_symbols
-        rows = [{basis[f]: x for f, x in enumerate(row) if x} for row in space.plus]
-        space.op_cache[key] = (rows, sorted(set().union(*rows)))
-    return space.op_cache[key]
-
-
 def _matrix_on_cuspidal(space: ManinSymbolSpace, images: dict[int, int], w: int) -> list:
     """Operator on the star-fixed cuspidal basis from the symbol images packed at width w.
 
@@ -383,7 +392,7 @@ def _matrix_on_cuspidal(space: ManinSymbolSpace, images: dict[int, int], w: int)
     membership certificate: plus is cuspidal, so it refuses an image that
     leaves the cuspidal lattice and one that is cuspidal but not star-fixed.
     """
-    sums = [sum(coef * images[s] for s, coef in row.items()) for row in _cuspidal_lift(space)[0]]
+    sums = [sum(coef * images[s] for s, coef in row.items()) for row in space.lift]
     fault = f"cuspidal lattice not stable under the operator at level {space.level.value}"
     rank = space.quotient_rank
     return _solve_over(space.plus, rank, _unpack_rows(sums, rank, w), fault)
@@ -396,35 +405,29 @@ def _prime_matrix(space: ManinSymbolSpace, p: int) -> list[list[int]]:
     images (u a + v c : u b + v d) in one pass; a and c are scaled by N once,
     so an image is one table index, and the rows end in a 0 that an image
     off P^1 (entry -1) reads.  An image takes at most one row per matrix, so
-    "reach" (max|coords| times the largest lifted L1 norm) times len(family)
-    bounds every lifted sum and fixes the width.  The rows are packed once
-    per width, not once per operator.
+    space.reach times len(family) bounds every lifted sum and fixes the
+    width.  The rows are packed once per width (space.packed), not once per
+    operator, and each operator is kept in space.operators.
     """
-    key = ("prime", p)
-    cache = space.op_cache
-    if key not in cache:
+    out = space.operators.get(p)
+    if out is None:
+        if not space.genus:
+            return []
         n = space.level.value
         fam = [(a * n, c * n, b, d) for a, b, c, d in _heilbronn_family(p)]
-        if space.genus == 0:
-            return []
-        lifted, support = _cuspidal_lift(space)
-        if "reach" not in cache:
-            coords = space.coords
-            top = max(max(map(max, coords)), -min(map(min, coords)))
-            cache["reach"] = top * max(sum(map(abs, row.values())) for row in lifted)
-        w = _width(cache["reach"] * len(fam))
-        if ("packed", w) not in cache:
-            cache["packed", w] = [*_pack_rows(space.coords, space.quotient_rank, w), 0]
-        packed, table, nn = cache["packed", w], space.p1_index, n * n
+        w = _width(space.reach * len(fam))
+        if w not in space.packed:
+            space.packed[w] = [*_pack_rows(space.coords, space.quotient_rank, w), 0]
+        packed, table, nn = space.packed[w], space.p1_index, n * n
         images = {}
-        for s in support:
+        for s in space.support:
             u, v = space.symbols[s]
             images[s] = sum([
                 packed[table[(u * an + v * cn) % nn + (u * b + v * d) % n]]
                 for an, cn, b, d in fam
             ])
-        cache[key] = _matrix_on_cuspidal(space, images, w)
-    return cache[key]
+        out = space.operators[p] = _matrix_on_cuspidal(space, images, w)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +438,10 @@ class HeckeRingModel:
     """The Hecke ring as the lattice L = v T (hecke_ring); basis is L's g HNF rows, g wide.
 
     unit is e, the coordinates of T_1 = v over L; functionals maps m to
-    (f, [T : J_b]), f = (phi(t_j)) on the ring basis; commutant is what a
-    prime above the bound must commute with; vector_rows keeps v T_r over
-    L for each prime r above the bound once it is read (_vector_coords).
+    (f, [T : J_b]), f = (phi(t_j)) on the ring basis; commutant is the one
+    g x g matrix C a prime above the bound must commute with
+    (_commutation_element); vector_rows keeps v T_r over L for each prime
+    r above the bound once it is read (_vector_coords).
     """
 
     space: ManinSymbolSpace
@@ -447,7 +451,7 @@ class HeckeRingModel:
     vector: tuple[int, ...]    # the cyclic vector v, in plus coordinates
     unit: list[int] = field(default_factory=list)
     functionals: dict[int, tuple[list[int], int]] = field(default_factory=dict)
-    commutant: list[list[list[int]]] = field(default_factory=list, repr=False)
+    commutant: list[list[int]] = field(default_factory=list, repr=False)
     vector_rows: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
 
@@ -603,7 +607,7 @@ def hecke_ring(space: ManinSymbolSpace) -> HeckeRingModel:
         raise RuntimeError(f"no candidate vector is cyclic at level {space.level.value}")
     ring = HeckeRingModel(
         space=space, bound=bound, basis=[r[:g] for r in h[:g]], genus=g, vector=tuple(v),
-        commutant=_commutation_set(space, v, bound),
+        commutant=_commutation_element(space, v, bound),
     )
     fs = [r[g:] for r in h[:g]]
     ts = [gcd(*(r[g + c] for r in h[g:])) for c in range(len(a))]
@@ -647,20 +651,37 @@ def _krylov_cyclic(v, c: list[list[int]]) -> bool:
     return True
 
 
-def _commutation_set(space: ManinSymbolSpace, v, bound: int) -> list[list[list[int]]]:
-    """What a prime above the bound must commute with: [C], or every T_q, q <= bound.
+def _commutation_element(space: ManinSymbolSpace, v, bound: int) -> list[list[int]]:
+    """What a prime above the bound must commute with: the first cyclic C_j.
 
-    C = sum_k (k + 1) T_{q_k} over the primes q_0 < q_1 < ... up to the
-    bound.  When v is cyclic for C alone (_krylov_cyclic), C is
-    non-derogatory, so its commutant is Q[C] (a matrix commuting with a
-    non-derogatory one is a polynomial in it: Horn and Johnson, Matrix
-    Analysis, ch. 3), which lies in T tensor Q as C lies in T.  Otherwise
-    (level 43) every T_q is kept: v is cyclic for T, so the commutant of T
-    tensor Q is T tensor Q itself.
+    C_j = sum_k (k + 1)^j T_{q_k} over the K primes q_0 < q_1 < ... up to
+    the bound, j = 1, 2, ...  Once v is cyclic for C_j (_krylov_cyclic), C_j
+    is non-derogatory, so its commutant is Q[C_j] (a matrix commuting with
+    a non-derogatory one is a polynomial in it: Horn and Johnson, Matrix
+    Analysis, ch. 3), which lies in T tensor Q as C_j lies in T.
+    Some j <= (K - 1) g (g - 1) / 2 + 1 makes v cyclic for C_j over Q.
+    T tensor Q is semisimple at square-free level (multiplicity one on the
+    newforms; U_p on the old forms by Coleman and Edixhoven, Math. Ann. 310,
+    1998), and v is cyclic, so T acts on C^g through g distinct
+    eigensystems, each on a line that v meets.  The primes up to the bound
+    generate T, so two eigensystems differ at some T_{q_k}: with d_k the
+    differences, their eigenvalues under C_j differ by sum_k d_k (k + 1)^j.
+    The real or the imaginary part of d is a nonzero real vector, and a
+    nonzero sum of K real multiples of the exponentials (k + 1)^x has at
+    most K - 1 real zeros (induct on K: divide by its first exponential
+    and differentiate, Rolle).  So each of the g (g - 1) / 2 pairs rules
+    out at most K - 1 values of j, and past them C_j has g distinct
+    eigenvalues on lines that v meets: v is cyclic.  The test modulo
+    2^61 - 1 proves cyclicity over Q, but would miss it were that prime to
+    divide the Krylov determinant; past the bound on j this raises.  C_1
+    serves every level of genus > 0 in 7-330 but 43, where C_2 does.
     """
-    tq = [_prime_matrix(space, q) for q in primes_up_to(bound)]
-    c = [[sum(k * x for k, x in enumerate(col, 1)) for col in zip(*rows)] for rows in zip(*tq)]
-    return [c] if _krylov_cyclic(v, c) else tq
+    tq, g = [_prime_matrix(space, q) for q in primes_up_to(bound)], space.genus
+    for j in range(1, (len(tq) - 1) * g * (g - 1) // 2 + 2):
+        c = [[sum(k ** j * x for k, x in enumerate(xs, 1)) for xs in zip(*ts)] for ts in zip(*tq)]
+        if _krylov_cyclic(v, c):
+            return c
+    raise RuntimeError(f"no commutation element is cyclic at level {space.level.value}")
 
 
 def _prime_rows(ring: HeckeRingModel, p: int) -> list[list[int]]:
@@ -689,9 +710,8 @@ def _vector_coords(ring: HeckeRingModel, r: int) -> list[int]:
 
     v = sum_j e_j b_j (e = ring.unit), so these are e R_r for R_r the rows
     L T_r over L would give: the coordinates of T_r over the ring basis,
-    shared by every m.  T_r must first commute with every matrix of
-    ring.commutant, one packed product each way (T_r times the set laid
-    side by side, the set stacked times T_r), which puts it in T tensor Q,
+    shared by every m.  T_r must first commute with C = ring.commutant,
+    one packed product each way, which puts it in Q[C], inside T tensor Q,
     at some t; v t = v T_r in L = v T then puts t in T: one row is solved
     over L, not the g rows of L T_r.  A matrix that only maps L into L
     fails the commutation.  hecke_ring reads the level primes, the index's
@@ -699,14 +719,10 @@ def _vector_coords(ring: HeckeRingModel, r: int) -> list[int]:
     """
     out = ring.vector_rows.get(r)
     if out is None:
-        g, tq = ring.genus, ring.commutant
+        g, c = ring.genus, ring.commutant
         fault = f"operator {r} escapes the ring lattice at level {ring.space.level.value}"
         t = _prime_matrix(ring.space, r)
-        side = _mul(t, [[x for s in tq for x in s[i]] for i in range(g)], g * len(tq))
-        stack = _mul([row for s in tq for row in s], t, g)
-        if any(
-            side[i][k * g:(k + 1) * g] != stack[k * g + i] for k in range(len(tq)) for i in range(g)
-        ):
+        if _mul(t, c, g) != _mul(c, t, g):
             raise RuntimeError(fault)
         w = [sum(map(mul, ring.vector, col)) for col in zip(*t)]
         out = ring.vector_rows[r] = _solve_over(ring.basis, g, [w], fault)[0]
@@ -779,7 +795,7 @@ def level_indices(n: int) -> dict[int, EisensteinIdealModel]:
     """The index model of every m | n, in ascending m: one level's answers.
 
     The space and the ring are built here and dropped on return, with the
-    prime matrices the space caches and the rows v T_r the ring keeps, so
+    space's memos (operators, packed) and the rows v T_r the ring keeps, so
     only the models outlive the call; hecke_ring reads the rows R_p of the
     primes up to the bound once, for its closure and its functionals, and
     keeps none of them.  build_space, hecke_ring and eisenstein_index are

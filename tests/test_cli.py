@@ -448,6 +448,19 @@ def test_verify_main_theorem_missing_witness_fails_the_case(capsys, monkeypatch)
     assert "odd prime 3 divides the m=1 index at level 11" in out
 
 
+def test_maximal_ideals_missing_witness_is_a_counterexample(capsys, monkeypatch):
+    # the census refusing a case the paper rules out exits 1, as main's
+    # contract says, with one stderr line naming it and no internal fault
+    monkeypatch.setattr("eislab.modsym.m1_index_witnesses", lambda n: ((3, None),))
+    code, out, err = run(capsys, "maximal-ideals", "--level", "34")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "eislab: counterexample at level 34: odd prime 3 divides the m=1 index"
+        " at level 34 with no level prime = 1 mod 3\n"
+    )
+
+
 def test_verify_qidentity_past_prime_250(capsys):
     # level 502 = 2 * 251 needs precision 2 * 251 > 500 for its prime 251
     code, out, _ = run(capsys, "verify", "--suite", "qidentity", "--max-level", "502")

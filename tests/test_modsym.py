@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import sys
+import weakref
 from array import array
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +37,6 @@ from eislab.modsym import (
     level_indices,
     m1_index_witnesses,
     verify_main_theorem,
-    _cuspidal_lift,
     _heilbronn_family,
     _matrix_on_cuspidal,
     _orbit,
@@ -318,10 +318,15 @@ def test_cuspidal_lift_lies_on_basis_symbols():
     # symbol, and reading it back at the basis symbols gives plus
     for n in (11, 30, 70, 130):
         space = cached_space(n)
-        lifted, support = _cuspidal_lift(space)
-        assert set(support) <= set(space.basis_symbols), n
-        back = [[row.get(i, 0) for i in space.basis_symbols] for row in lifted]
+        assert set(space.support) <= set(space.basis_symbols), n
+        back = [[row.get(i, 0) for i in space.basis_symbols] for row in space.lift]
         assert IntMatrix(back, cols=space.quotient_rank) == plus_of(space), n
+    # at genus 0 (levels 1-6, some with no coordinate at all) there is
+    # nothing to lift and no operator to walk
+    for n in (1, 2, 3, 5, 6):
+        space = build_space(n)
+        assert (space.lift, space.support, space.reach) == ([], [], 0), n
+        assert _prime_matrix(space, 2) == [] and not space.packed, n
 
 
 def test_quotient_rank_accounts_for_cusps_and_genus():
@@ -586,7 +591,7 @@ def packed_images(space, symbol_rows):
     The width is fixed by the counts themselves: max|coords| times each
     lifted row's sum of |coef| * (L1 norm of the symbol's image).
     """
-    lifted, support = _cuspidal_lift(space)
+    lifted, support = space.lift, space.support
     coords = space.coords
     top = max((abs(x) for row in coords for x in row), default=0)
     weight = {s: sum(map(abs, symbol_rows[s].values())) for s in support}
@@ -649,7 +654,7 @@ def test_planted_symbol_image_leaves_cuspidal_lattice():
     # images through it leave the cuspidal lattice
     for n, r in ((11, 2), (35, 3), (70, 3)):
         space = build_space(n)
-        support = _cuspidal_lift(space)[1]
+        support = space.support
         rows = heilbronn_symbol_rows(space, r, support)
         assert on_cuspidal(space, rows) == prime_matrix(space, r)
         j = next(
@@ -761,7 +766,7 @@ def test_planted_image_cuspidal_but_not_star_fixed():
         assert is_zero(IntMatrix([minus]) * boundary_of(space))
         scale = prod(next(x for x in row if x) for row in space.plus)
         planted = IntMatrix([[scale * x for x in minus]]) * section_matrix(space)
-        support = _cuspidal_lift(space)[1]
+        support = space.support
         rows = heilbronn_symbol_rows(space, r, support)
         s = support[0]
         acc = dict(rows[s])
@@ -823,7 +828,7 @@ def test_heilbronn_operators_match_merel_reference():
     # the packed walk against the Heilbronn symbol counts it replaced
     for n in HEILBRONN_LEVELS:
         space = cached_space(n)
-        support = _cuspidal_lift(space)[1]
+        support = space.support
         bound = -(-len(space.symbols) // 6)
         for p in sorted({*primes_up_to(bound + 10), *space.level.primes}):
             merel = on_cuspidal(space, merel_symbol_rows(space, p, support))
@@ -840,7 +845,7 @@ def test_packed_walk_matches_dict_reference_above_the_bound_at_330():
     models = [eisenstein_index(ring, m) for m in _divisors(330)]
     above = sorted({r for model in models for r, _ in model.stabilization if r > ring.bound})
     assert above
-    support = _cuspidal_lift(space)[1]
+    support = space.support
     for p in above:
         rows = heilbronn_symbol_rows(space, p, support)
         assert prime_matrix(space, p) == on_cuspidal(space, rows), p
@@ -854,10 +859,11 @@ def test_prime_operator_with_wide_digits():
     space = cached_space(11)
     k = 2 ** 61
     coords = tuple(tuple(k * x for x in row) for row in space.coords)
-    wide = dataclasses.replace(space, coords=coords, op_cache={})
+    wide = dataclasses.replace(space, coords=coords)
+    assert wide.reach == k * space.reach
     for p in (2, 3, 11, 13, 31, 79):
         assert prime_matrix(wide, p) == scale(prime_matrix(space, p), k), p
-    assert ("packed", 128) in wide.op_cache
+    assert 128 in wide.packed
 
 
 def test_symbol_coordinates_packed_once_per_width(monkeypatch):
@@ -883,16 +889,17 @@ def test_symbol_coordinates_packed_once_per_width(monkeypatch):
     ring = hecke_ring(space)
     for m in (d for d in range(1, n + 1) if n % d == 0):
         eisenstein_index(ring, m)
-    widths = sorted(k[1] for k in space.op_cache if k[0] == "packed")
-    primes = [k[1] for k in space.op_cache if k[0] == "prime"]
+    widths = sorted(space.packed)
+    primes = list(space.operators)
     assert sorted(packs) == widths and len(set(packs)) == len(packs) <= 2
     for w in widths:
-        assert space.op_cache["packed", w] == [*pack(space.coords, space.quotient_rank, w), 0]
+        assert space.packed[w] == [*pack(space.coords, space.quotient_rank, w), 0]
     assert len(operators) == len(primes) == 15
     # a cached pack gives the operator a fresh space packs for itself
     for p in primes:
-        fresh = dataclasses.replace(space, op_cache={})
-        assert _prime_matrix(fresh, p) == space.op_cache[("prime", p)], p
+        fresh = dataclasses.replace(space)
+        assert not fresh.operators and not fresh.packed
+        assert _prime_matrix(fresh, p) == space.operators[p], p
     assert len(packs) == len(widths) + len(primes)
 
 
@@ -906,7 +913,7 @@ def test_prime_action_two_routes_agree():
     cases += [(n, p) for n in SQUAREFREE + [105, 110, 130] for p in SquareFreeLevel(n).primes]
     for n, r in cases:
         space = cached_space(n)
-        paths = _prime_rows_by_paths(space, r, _cuspidal_lift(space)[1])
+        paths = _prime_rows_by_paths(space, r, space.support)
         assert prime_matrix(space, r) == on_cuspidal(space, paths), (n, r)
 
 
@@ -974,7 +981,7 @@ def test_level_prime_powers_repeat_u():
         space = cached_space(n)
         u = prime_matrix(space, p)
         for e in (2, 3):
-            rows = merel_symbol_rows(space, p ** e, _cuspidal_lift(space)[1])
+            rows = merel_symbol_rows(space, p ** e, space.support)
             assert on_cuspidal(space, rows) == hecke_matrix(space, p ** e), (n, p, e)
         assert hecke_matrix(space, p ** 3) == u * u * u, (n, p)
 
@@ -1221,7 +1228,7 @@ def test_restricted_images_match_full():
     # operators read symbol images on the support of the cuspidal lift only
     for n, r in ((35, 3), (70, 11), (66, 7)):
         space = cached_space(n)
-        support = _cuspidal_lift(space)[1]
+        support = space.support
         assert len(support) < len(space.symbols)
         every = range(len(space.symbols))
         full = on_cuspidal(space, heilbronn_symbol_rows(space, r, every))
@@ -1249,10 +1256,14 @@ def _times(vec: list[int], m: IntMatrix) -> list[int]:
     return out
 
 
+# T_{p^e} per space, kept no longer than the space itself
+_POWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _prime_power_matrix(space, p: int, e: int) -> IntMatrix:
-    key = ("power", p, e)
-    if key in space.op_cache:
-        return space.op_cache[key]
+    memo = _POWERS.setdefault(space, {})
+    if (p, e) in memo:
+        return memo[p, e]
     a = prime_matrix(space, p)
     m = a
     if space.level.value % p == 0:
@@ -1262,7 +1273,7 @@ def _prime_power_matrix(space, p: int, e: int) -> IntMatrix:
         prev = identity(a.rows)
         for _ in range(e - 1):
             prev, m = m, mat_sum(a * m, scale(prev, -p))
-    space.op_cache[key] = m
+    memo[p, e] = m
     return m
 
 
@@ -1657,7 +1668,7 @@ def test_planted_prime_operator_escapes_ring():
         assert basis_of(ring) == identity(ring.genus)
         wrong = [list(row) for row in _prime_matrix(build_space(n), r)]
         wrong[0][0] += 1
-        space.op_cache[("prime", r)] = wrong
+        space.operators[r] = wrong
         assert _solve_over(ring.basis, ring.genus, wrong, "escapes") == wrong
         if n % r:
             with pytest.raises(RuntimeError, match=f"operator {r} escapes the ring lattice"):
@@ -2318,25 +2329,36 @@ def test_extra_primes_against_the_all_generator_route():
             assert _vector_coords(ring, r) == exactnum._mul([e], full, g)[0], (n, r)
 
 
-def test_commutation_set_is_one_element_but_at_43():
-    # v is cyclic for C = sum_k (k + 1) T_{q_k} alone, by its exact Krylov
+def test_commutation_element_is_c1_but_at_43():
+    # v is cyclic for C_1 = sum_k (k + 1) T_{q_k}, by its exact Krylov
     # rank, at every level of genus > 0 here but 43 (rank 2 of 3), where
-    # the all-generator check stays; production's test modulo 2^61 - 1
-    # picks the same route
+    # C_2 = sum_k (k + 1)^2 T_{q_k} is the first cyclic one; production's
+    # test modulo 2^61 - 1 picks the same element
     for n in RING_LEVELS:
         ring = cached_ring(n)
         g = ring.genus
         if not g:
             continue
-        tq = [_prime_matrix(ring.space, q) for q in primes_up_to(ring.bound)]
-        c = [[sum((k + 1) * t[i][j] for k, t in enumerate(tq)) for j in range(g)]
-             for i in range(g)]
-        krylov = [list(ring.vector)]
-        for _ in range(g - 1):
-            krylov.append(_times(krylov[-1], IntMatrix(c, cols=g)))
-        cyclic = len(_echelon(krylov)[0]) == g
-        assert cyclic == (n != 43), n
-        assert ring.commutant == ([c] if cyclic else tq), n
+        tq = [prime_matrix(ring.space, q) for q in primes_up_to(ring.bound)]
+        for j in range(1, 4):
+            c = mat_sum(*(scale(t, (k + 1) ** j) for k, t in enumerate(tq)))
+            krylov = [list(ring.vector)]
+            for _ in range(g - 1):
+                krylov.append(_times(krylov[-1], c))
+            if len(_echelon(krylov)[0]) == g:
+                break
+        assert j == (2 if n == 43 else 1), n
+        assert IntMatrix(ring.commutant, cols=g) == c, n
+
+
+def test_planted_commutation_element_never_cyclic_is_refused(monkeypatch):
+    # with the Krylov test failing every C_j, hecke_ring runs through the
+    # proved bound on j and refuses the ring
+    monkeypatch.setattr(modsym, "_krylov_cyclic", lambda v, c: False)
+    for n in (11, 30, 43):
+        with pytest.raises(RuntimeError, match="no commutation element is cyclic at level") as exc:
+            hecke_ring(cached_space(n))
+        assert str(exc.value).endswith(f" {n}"), n
 
 
 # SHA-256 over "n:vector" lines of the cyclic vector at every square-free
